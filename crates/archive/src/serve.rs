@@ -151,6 +151,11 @@ impl Server {
     /// flag is set externally and a final connection arrives). Each
     /// connection gets its own thread; request batching happens per
     /// connection.
+    ///
+    /// Nagle's algorithm is off on every accepted socket: each batch's
+    /// answers go out in one write, and holding that write back until the
+    /// client's next request carries the ACK would add one arrival gap to
+    /// every answer an open-loop client waits for.
     pub fn run(self) -> io::Result<()> {
         let addr = self.listener.local_addr()?;
         for conn in self.listener.incoming() {
@@ -158,6 +163,8 @@ impl Server {
                 break;
             }
             let Ok(stream) = conn else { continue };
+            // Best effort: a socket that refuses the option still serves.
+            let _ = stream.set_nodelay(true);
             let engine = Arc::clone(&self.engine);
             let shutdown = Arc::clone(&self.shutdown);
             std::thread::spawn(move || {

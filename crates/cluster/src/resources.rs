@@ -1,4 +1,4 @@
-//! Max-min fair rate assignment (progressive filling).
+//! Max-min fair rate assignment by water filling.
 //!
 //! Every running activity demands one or two resources (node cores, disk
 //! bandwidth, NIC in/out, the shared-FS server). Rates are assigned by
@@ -8,6 +8,11 @@
 //! the classic max-min fair allocation, which models processor sharing and
 //! TCP-like bandwidth sharing closely enough for the phenomena Granula
 //! observes (contention, stragglers, sequential bottlenecks).
+//!
+//! [`fill_rates`] is the one implementation: the dense loop in
+//! [`crate::sim`] calls it over all running activities and the partitioned
+//! engine in `sched` over each refill's affected set, both with
+//! caller-owned [`FillScratch`].
 
 use crate::activity::ActivityKind;
 use crate::topology::{ClusterSpec, NodeId};
@@ -61,7 +66,7 @@ impl ResourceTable {
 
 /// The resources and cap of one running activity.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Demand {
+pub struct Demand {
     /// Resource indices (0, 1 or 2 entries).
     pub resources: [usize; 2],
     /// Number of valid entries in `resources`.
@@ -122,89 +127,185 @@ pub(crate) fn demand(table: &ResourceTable, kind: &ActivityKind) -> Demand {
     }
 }
 
-/// Progressive-filling max-min fair allocation. Returns one rate per demand.
-pub(crate) fn assign_rates(table: &ResourceTable, demands: &[Demand]) -> Vec<f64> {
-    let m = demands.len();
-    let mut rate = vec![0.0f64; m];
-    let mut frozen = vec![false; m];
-    let mut remaining = table.caps.clone();
-    let mut users = vec![0u32; table.len()];
+/// Caller-owned scratch for [`fill_rates`]. Per-resource columns grow to
+/// the capacity table once; afterwards a call allocates nothing.
+#[derive(Debug, Default)]
+pub struct FillScratch {
+    /// Capacity not yet handed out, per resource.
+    rem: Vec<f64>,
+    /// Unfrozen users per resource; all zero between calls.
+    users: Vec<u32>,
+    /// Each involved resource's users are `members[first[r]..stop[r]]`.
+    first: Vec<u32>,
+    stop: Vec<u32>,
+    members: Vec<u32>,
+    /// Involved resources that still have unfrozen users.
+    live: Vec<u32>,
+    /// Demands with a finite cap, by ascending cap.
+    by_cap: Vec<u32>,
+    frozen: Vec<bool>,
+    /// Filling rounds run so far, summed over calls.
+    pub(crate) rounds: u64,
+}
 
-    for d in demands {
-        for r in &d.resources[..d.n_resources as usize] {
-            users[*r] += 1;
-        }
-    }
-    // Items with no resources jump straight to their cap (delays) or stay
-    // unconstrained (they are completed instantly by the caller when their
-    // amount is zero).
-    for (i, d) in demands.iter().enumerate() {
-        if d.n_resources == 0 {
-            rate[i] = if d.cap.is_finite() { d.cap } else { 1.0 };
-            frozen[i] = true;
-        }
-    }
-
+/// Max-min fair rates by water filling: `rate[k]` for `demands[k]`
+/// against per-resource capacities `caps` (units per µs).
+///
+/// Progressive filling raises every unfrozen activity by the same `delta`
+/// per round. All of them start at 0 and see the same `delta` sequence, so
+/// they hold one shared `level`, bit for bit, and a round needs no sweep
+/// over the activities: `delta` is the smallest `rem/users` over resources
+/// with unfrozen users or the smallest unfrozen cap less `level` (a cursor
+/// over the caps, sorted once; `cap - level` is monotone in `cap`). Each
+/// resource then loses `delta` once per unfrozen user — repeated
+/// subtraction, not `users * delta`, so `rem` keeps the bits of one
+/// subtraction per user. The users of saturated resources (walked through
+/// per-resource member lists) and the activities at their cap freeze at
+/// the current `level`, each once. The rates equal the per-activity sweep
+/// bit for bit.
+///
+/// Demands without resources take their cap (a delay's 1 µs/µs), or 1
+/// when uncapped.
+pub fn fill_rates(caps: &[f64], demands: &[Demand], rate: &mut Vec<f64>, s: &mut FillScratch) {
     const EPS: f64 = 1e-12;
-    loop {
-        // Smallest headroom: per-resource equal share, per-item cap distance.
-        let mut delta = f64::INFINITY;
-        for (r, &rem) in remaining.iter().enumerate() {
-            if users[r] > 0 {
-                delta = delta.min(rem / users[r] as f64);
-            }
+    rate.clear();
+    rate.resize(demands.len(), 0.0);
+    s.frozen.clear();
+    s.frozen.resize(demands.len(), false);
+    if s.users.len() < caps.len() {
+        s.rem.resize(caps.len(), 0.0);
+        s.users.resize(caps.len(), 0);
+        s.first.resize(caps.len(), 0);
+        s.stop.resize(caps.len(), 0);
+    }
+    s.live.clear();
+    s.by_cap.clear();
+    let mut unfrozen = 0usize;
+    for (k, d) in demands.iter().enumerate() {
+        let res = &d.resources[..d.n_resources as usize];
+        if res.is_empty() {
+            rate[k] = if d.cap.is_finite() { d.cap } else { 1.0 };
+            s.frozen[k] = true;
+            continue;
         }
-        for (i, d) in demands.iter().enumerate() {
-            if !frozen[i] {
-                delta = delta.min(d.cap - rate[i]);
+        unfrozen += 1;
+        for &r in res {
+            if s.users[r] == 0 {
+                s.live.push(r as u32);
             }
+            s.users[r] += 1;
+        }
+        // An infinite cap never binds: `inf - level` never wins the
+        // minimum and `level >= inf - EPS` never holds.
+        if d.cap.is_finite() {
+            s.by_cap.push(k as u32);
+        }
+    }
+    s.by_cap
+        .sort_unstable_by(|&a, &b| demands[a as usize].cap.total_cmp(&demands[b as usize].cap));
+
+    // Group demand indices by resource: `first[r]` starts at the end of
+    // r's run and counts down as members are placed.
+    let mut end = 0u32;
+    for &r in &s.live {
+        let r = r as usize;
+        end += s.users[r];
+        (s.first[r], s.stop[r]) = (end, end);
+        s.rem[r] = caps[r];
+    }
+    s.members.clear();
+    s.members.resize(end as usize, 0);
+    for (k, d) in demands.iter().enumerate() {
+        for &r in &d.resources[..d.n_resources as usize] {
+            s.first[r] -= 1;
+            s.members[s.first[r] as usize] = k as u32;
+        }
+    }
+
+    let mut level = 0.0f64;
+    let mut cursor = 0usize;
+    while unfrozen > 0 {
+        let mut delta = f64::INFINITY;
+        for &r in &s.live {
+            let r = r as usize;
+            delta = delta.min(s.rem[r] / s.users[r] as f64);
+        }
+        while cursor < s.by_cap.len() && s.frozen[s.by_cap[cursor] as usize] {
+            cursor += 1;
+        }
+        if let Some(&k) = s.by_cap.get(cursor) {
+            delta = delta.min(demands[k as usize].cap - level);
         }
         if !delta.is_finite() || delta < 0.0 {
             break; // nothing left to fill
         }
-
-        let mut any_unfrozen = false;
-        for (i, d) in demands.iter().enumerate() {
-            if frozen[i] {
-                continue;
+        s.rounds += 1;
+        level += delta;
+        for &r in &s.live {
+            let r = r as usize;
+            let mut rem = s.rem[r];
+            for _ in 0..s.users[r] {
+                rem -= delta;
             }
-            any_unfrozen = true;
-            rate[i] += delta;
-            for r in &d.resources[..d.n_resources as usize] {
-                remaining[*r] -= delta;
-            }
-        }
-        if !any_unfrozen {
-            break;
+            s.rem[r] = rem;
         }
 
-        // Freeze items at their cap, and items using a saturated resource.
-        for (i, d) in demands.iter().enumerate() {
-            if frozen[i] {
-                continue;
+        // Freeze the users of saturated resources, then the activities at
+        // their cap. `users` only falls while freezing, so a resource whose
+        // users are already all frozen is skipped.
+        let mut freeze = |k: usize, s: &mut FillScratch, rate: &mut [f64]| {
+            s.frozen[k] = true;
+            rate[k] = level;
+            unfrozen -= 1;
+            let d = &demands[k];
+            for &r in &d.resources[..d.n_resources as usize] {
+                s.users[r] -= 1;
             }
-            let capped = rate[i] >= d.cap - EPS;
-            let saturated = d.resources[..d.n_resources as usize]
-                .iter()
-                .any(|&r| remaining[r] <= EPS * table.caps[r].max(1.0));
-            if capped || saturated {
-                frozen[i] = true;
-                for r in &d.resources[..d.n_resources as usize] {
-                    users[*r] -= 1;
+        };
+        for i in 0..s.live.len() {
+            let r = s.live[i] as usize;
+            if s.users[r] > 0 && s.rem[r] <= EPS * caps[r].max(1.0) {
+                for j in s.first[r] as usize..s.stop[r] as usize {
+                    let k = s.members[j] as usize;
+                    if !s.frozen[k] {
+                        freeze(k, s, rate);
+                    }
                 }
             }
         }
-        if frozen.iter().all(|&f| f) {
-            break;
+        while let Some(&k) = s.by_cap.get(cursor) {
+            let k = k as usize;
+            if !s.frozen[k] {
+                if level < demands[k].cap - EPS {
+                    break;
+                }
+                freeze(k, s, rate);
+            }
+            cursor += 1;
+        }
+        let users = &s.users;
+        s.live.retain(|&r| users[r as usize] > 0);
+    }
+    for (k, f) in s.frozen.iter().enumerate() {
+        if !f {
+            rate[k] = level;
         }
     }
-    rate
+    for &r in &s.live {
+        s.users[r as usize] = 0;
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::topology::NodeSpec;
+
+    fn kernel(caps: &[f64], demands: &[Demand]) -> Vec<f64> {
+        let mut rate = Vec::new();
+        fill_rates(caps, demands, &mut rate, &mut FillScratch::default());
+        rate
+    }
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::homogeneous(
@@ -223,7 +324,7 @@ mod tests {
         let c = cluster();
         let table = ResourceTable::new(&c);
         let demands: Vec<Demand> = kinds.iter().map(|k| demand(&table, k)).collect();
-        assign_rates(&table, &demands)
+        kernel(&table.caps, &demands)
     }
 
     #[test]
@@ -326,7 +427,7 @@ mod tests {
                 bytes: 1.0,
             },
         )];
-        let r = assign_rates(&table, &demands);
+        let r = kernel(&table.caps, &demands);
         // Limited by the reader's NIC (10 bytes/µs), not the 1000 of the server.
         assert!((r[0] - 10.0).abs() < 1e-6, "{r:?}");
     }

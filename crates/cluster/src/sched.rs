@@ -1,49 +1,37 @@
-//! Incremental max-min scheduler: the engine behind [`crate::sim::Simulation::run`].
+//! Partitioned incremental max-min scheduler: the engine behind
+//! [`crate::sim::Simulation::run`] above its cutover.
 //!
-//! The reference engine ([`crate::sim::Simulation::run_reference`]) rebuilds
-//! the whole allocation at every event: it re-runs progressive filling over
-//! *all* running activities, rescans them for the earliest completion, and
-//! emits a trace span per activity per step. That is O(running) work per
-//! event even when the event touches a single disk on a single node.
+//! The dense loop in [`crate::sim`] re-rates *all* running activities at
+//! every event and rescans them for the earliest completion. This engine
+//! exploits the component structure of max-min fairness instead.
 //!
-//! This module exploits the component structure of max-min fairness twice.
+//! **Within an event**, the fixpoint decomposes over connected components
+//! of the bipartite activity↔resource graph, so an arrival or departure
+//! can only change the rates of activities *transitively coupled to it
+//! through shared resources*. Per event the engine keeps:
 //!
-//! **Within an event**, the progressive-filling fixpoint decomposes over
-//! connected components of the bipartite activity↔resource graph, so an
-//! arrival or departure can only change the rates of activities
-//! *transitively coupled to it through shared resources*. The engine keeps,
-//! per event:
-//!
-//! - **dirty resources** — resources where the user set changed;
+//! - **dirty resources** — resources whose user set or capacity changed;
 //! - an **affected set** — the transitive closure of the dirty resources
 //!   over `resource → users → their resources`, found by BFS;
-//! - a **component-local refill** — progressive filling restricted to the
-//!   affected activities;
-//! - a **lazy completion heap** — a binary heap of `(projected finish, slot,
-//!   generation)` entries. A slot's generation bumps whenever its rate
-//!   changes, invalidating stale heap entries, which are skipped on pop.
+//! - a **refill** of the affected set by the shared water-filling kernel
+//!   ([`crate::resources::fill_rates`]);
+//! - a **lazy completion heap** of `(projected finish, slot, generation)`
+//!   entries. A slot's generation bumps whenever its rate changes, and
+//!   stale entries are skipped on pop.
 //!
-//! **Across the whole run**, the same decomposition is applied statically:
-//! [`partition`] splits the activity graph into connected components over
-//! `dependency ∪ shared-resource` edges, and [`run_partitioned`] simulates
-//! each component independently — optionally on scoped worker threads —
-//! then merges results, traces, and fault events deterministically.
-//! Components never exchange rates (max-min fairness is exactly
-//! component-local) and never share a `(channel, node)` trace series, so
-//! the merge is a scatter of per-activity results, an element-wise trace
-//! sum, and a replay of the global fault timeline with per-component kill
-//! records spliced in at their boundary instants.
+//! **Across the whole run**, [`partition`] splits the graph into connected
+//! components over `dependency ∪ shared-resource` edges and
+//! [`run_partitioned`] simulates each independently — optionally on scoped
+//! worker threads — then merges results, traces and fault events
+//! deterministically: components never exchange rates and never share a
+//! `(channel, node)` trace series. Platform DAGs do not split: every
+//! 32-node choke-matrix job (3.4k–12.6k activities) is one component, and
+//! a PageRank refill couples about 490 activities.
 //!
-//! Slot state lives in [`Slots`], a struct-of-arrays: the refill wave, the
-//! heap-validity checks, and the stalled-scan each touch only the one or
-//! two parallel arrays they need instead of dragging whole slot structs
-//! through the cache.
-//!
-//! Remaining work is accounted lazily: each slot stores `(anchor_us,
-//! remaining-at-anchor, rate)` and is only re-anchored when its rate
-//! actually changes. Usage-trace spans are flushed at event boundaries and
-//! merged per `(channel, node)` so that e.g. 200 readers on one disk
-//! produce one [`UsageTrace`] accumulation per step, not 200.
+//! Slot state lives in [`Slots`], a struct-of-arrays. Remaining work is
+//! accounted lazily: each slot stores `(anchor_us, remaining-at-anchor,
+//! rate)` and is re-anchored only when its rate changes. Usage is flushed
+//! per `(channel, node)` pair per event ([`PairUsage`]), not per activity.
 //!
 //! Determinism: iteration orders (ready stack, BFS discovery, heap
 //! tie-breaks by slot index, component order by minimum activity id, merge
@@ -58,7 +46,7 @@ use std::sync::Mutex;
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
-use crate::resources::{demand, Demand, ResourceTable};
+use crate::resources::{demand, fill_rates, Demand, FillScratch, ResourceTable};
 use crate::sim::{ActivityResult, SimError, SimResult};
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{Channel, UsageTrace};
@@ -98,12 +86,12 @@ impl Ord for HeapEntry {
 
 /// Where a slot's usage is charged (up to two `(channel, node)` targets).
 #[derive(Debug, Clone, Copy)]
-struct TraceTargets {
-    ch: [(Channel, NodeId); 2],
-    n: u8,
+pub(crate) struct TraceTargets {
+    pub(crate) ch: [(Channel, NodeId); 2],
+    pub(crate) n: u8,
 }
 
-fn trace_targets(kind: &ActivityKind) -> TraceTargets {
+pub(crate) fn trace_targets(kind: &ActivityKind) -> TraceTargets {
     let mut t = TraceTargets {
         ch: [(Channel::Cpu, NodeId(0)); 2],
         n: 0,
@@ -356,6 +344,65 @@ impl Slots {
     }
 }
 
+/// Per-resource user lists (slot indices) and the resources whose user
+/// set or capacity changed since the last refill.
+struct ResUsers {
+    lists: Vec<Vec<u32>>,
+    dirty: Vec<bool>,
+    dirty_list: Vec<usize>,
+}
+
+impl ResUsers {
+    fn mark(&mut self, r: usize) {
+        if !self.dirty[r] {
+            self.dirty[r] = true;
+            self.dirty_list.push(r);
+        }
+    }
+
+    /// Appends slot `si` to its resources' user lists.
+    fn attach(&mut self, slots: &mut Slots, si: usize) {
+        let d = slots.demand[si];
+        for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
+            slots.res_pos[si][j] = self.lists[r].len() as u32;
+            self.lists[r].push(si as u32);
+            self.mark(r);
+        }
+    }
+
+    /// Retires slot `si`: its usage stops and it leaves its user lists in
+    /// O(1) — the slot knows its position in each list, and the entry
+    /// swapped into its place gets its back-pointer fixed up. Returns the
+    /// slot's rate.
+    fn retire(&mut self, slots: &mut Slots, si: usize, usage: &mut PairUsage) -> f64 {
+        slots.live[si] = false;
+        let rate = slots.rate[si];
+        if rate > 0.0 {
+            let targets = slots.trace[si];
+            for &(ch, node) in &targets.ch[..targets.n as usize] {
+                usage.defer(ch, node, -rate);
+            }
+        }
+        let d = slots.demand[si];
+        for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
+            let list = &mut self.lists[r];
+            let pos = slots.res_pos[si][j] as usize;
+            debug_assert_eq!(list[pos] as usize, si);
+            list.swap_remove(pos);
+            if let Some(&moved) = list.get(pos) {
+                let md = slots.demand[moved as usize];
+                let j2 = md.resources[..md.n_resources as usize]
+                    .iter()
+                    .position(|&x| x == r)
+                    .expect("a listed user demands the resource");
+                slots.res_pos[moved as usize][j2] = pos as u32;
+            }
+            self.mark(r);
+        }
+        rate
+    }
+}
+
 /// Hot-loop telemetry, accumulated locally per component and flushed to the
 /// trace registry once per [`run_partitioned`] call.
 #[derive(Debug, Default, Clone, Copy)]
@@ -365,6 +412,7 @@ pub(crate) struct EngineStats {
     pub(crate) compactions: u64,
     pub(crate) heap_pops: u64,
     pub(crate) stale_pops: u64,
+    pub(crate) fill_rounds: u64,
 }
 
 impl EngineStats {
@@ -374,6 +422,7 @@ impl EngineStats {
         self.compactions += o.compactions;
         self.heap_pops += o.heap_pops;
         self.stale_pops += o.stale_pops;
+        self.fill_rounds += o.fill_rounds;
     }
 }
 
@@ -501,6 +550,17 @@ pub(crate) fn partition(cluster: &ClusterSpec, graph: &ActivityGraph) -> Partiti
     }
 }
 
+/// Counts down the pending dependencies of `dependents`, readying each
+/// that has none left.
+fn release(dependents: &[u32], indeg: &mut [u32], ready: &mut Vec<u32>) {
+    for &dep in dependents {
+        indeg[dep as usize] -= 1;
+        if indeg[dep as usize] == 0 {
+            ready.push(dep);
+        }
+    }
+}
+
 /// Simulates one connected component in isolation.
 ///
 /// `ids` lists the component's activities (ascending global ids) and `g2l`
@@ -584,26 +644,25 @@ fn run_component(
     let mut free: Vec<u32> = Vec::new();
     let mut occupied = 0usize;
 
-    let mut res_users: Vec<Vec<u32>> = vec![Vec::new(); n_res];
+    let mut users = ResUsers {
+        lists: vec![Vec::new(); n_res],
+        dirty: vec![false; n_res],
+        dirty_list: Vec::new(),
+    };
     let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
     // Entries orphaned by generation bumps. When they outnumber the live
     // entries the heap is compacted in one O(n) pass, keeping pushes and
     // pops near O(log live) instead of O(log total-ever-pushed).
     let mut heap_stale = 0usize;
 
-    let mut dirty = vec![false; n_res];
-    let mut dirty_list: Vec<usize> = Vec::new();
-
     // Run-owned scratch, reused across steps.
     let mut affected: Vec<u32> = Vec::new();
     let mut in_affected: Vec<bool> = Vec::new();
     let mut res_list: Vec<usize> = Vec::new();
     let mut res_seen = vec![false; n_res];
-    let mut fill_rem = vec![0.0f64; n_res];
-    let mut fill_users = vec![0u32; n_res];
     let mut aff_demand: Vec<Demand> = Vec::new();
     let mut new_rate: Vec<f64> = Vec::new();
-    let mut frozen: Vec<bool> = Vec::new();
+    let mut fill = FillScratch::default();
     let mut completing: Vec<u32> = Vec::new();
     let mut usage = PairUsage::new(cluster.len());
 
@@ -647,12 +706,7 @@ fn run_component(
             if amount <= 0.0 {
                 results[li].end_us = now;
                 done += 1;
-                for &dep in dependents(li) {
-                    indeg[dep as usize] -= 1;
-                    if indeg[dep as usize] == 0 {
-                        ready.push(dep);
-                    }
-                }
+                release(dependents(li), &mut indeg, &mut ready);
                 continue;
             }
             let d = demand(&table, kind);
@@ -687,14 +741,7 @@ fn run_component(
                     gen,
                 });
             } else {
-                for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
-                    slots.res_pos[si][j] = res_users[r].len() as u32;
-                    res_users[r].push(si as u32);
-                    if !dirty[r] {
-                        dirty[r] = true;
-                        dirty_list.push(r);
-                    }
-                }
+                users.attach(&mut slots, si);
             }
         }
         if done == n {
@@ -706,7 +753,7 @@ fn run_component(
             });
         }
 
-        if !dirty_list.is_empty() {
+        if !users.dirty_list.is_empty() {
             stats.refill_waves += 1;
             // Transitive closure of the dirty resources over the
             // activity↔resource bipartite graph: BFS alternating
@@ -714,7 +761,7 @@ fn run_component(
             affected.clear();
             aff_demand.clear();
             res_list.clear();
-            for &r in &dirty_list {
+            for &r in &users.dirty_list {
                 if !res_seen[r] {
                     res_seen[r] = true;
                     res_list.push(r);
@@ -724,7 +771,7 @@ fn run_component(
             while head < res_list.len() {
                 let r = res_list[head];
                 head += 1;
-                for &si in &res_users[r] {
+                for &si in &users.lists[r] {
                     if !in_affected[si as usize] {
                         in_affected[si as usize] = true;
                         affected.push(si);
@@ -741,80 +788,16 @@ fn run_component(
                     }
                 }
             }
-            for &r in &dirty_list {
-                dirty[r] = false;
+            for &r in &users.dirty_list {
+                users.dirty[r] = false;
             }
-            dirty_list.clear();
+            users.dirty_list.clear();
 
-            // Progressive filling restricted to the affected set. The
-            // closure contains every user of every involved resource, so
-            // filling against full capacities reproduces the joint
-            // fixpoint for exactly these activities.
-            new_rate.clear();
-            new_rate.resize(affected.len(), 0.0);
-            frozen.clear();
-            frozen.resize(affected.len(), false);
-            for &r in &res_list {
-                fill_rem[r] = table.caps[r];
-                fill_users[r] = 0;
-            }
-            for d in &aff_demand {
-                for &r in &d.resources[..d.n_resources as usize] {
-                    fill_users[r] += 1;
-                }
-            }
-            const EPS: f64 = 1e-12;
-            loop {
-                let mut delta = f64::INFINITY;
-                for &r in &res_list {
-                    if fill_users[r] > 0 {
-                        delta = delta.min(fill_rem[r] / fill_users[r] as f64);
-                    }
-                }
-                for (k, d) in aff_demand.iter().enumerate() {
-                    if !frozen[k] {
-                        delta = delta.min(d.cap - new_rate[k]);
-                    }
-                }
-                if !delta.is_finite() || delta < 0.0 {
-                    break;
-                }
-                let mut any_unfrozen = false;
-                for (k, d) in aff_demand.iter().enumerate() {
-                    if frozen[k] {
-                        continue;
-                    }
-                    any_unfrozen = true;
-                    new_rate[k] += delta;
-                    for &r in &d.resources[..d.n_resources as usize] {
-                        fill_rem[r] -= delta;
-                    }
-                }
-                if !any_unfrozen {
-                    break;
-                }
-                let mut all_frozen = true;
-                for (k, d) in aff_demand.iter().enumerate() {
-                    if frozen[k] {
-                        continue;
-                    }
-                    let capped = new_rate[k] >= d.cap - EPS;
-                    let saturated = d.resources[..d.n_resources as usize]
-                        .iter()
-                        .any(|&r| fill_rem[r] <= EPS * table.caps[r].max(1.0));
-                    if capped || saturated {
-                        frozen[k] = true;
-                        for &r in &d.resources[..d.n_resources as usize] {
-                            fill_users[r] -= 1;
-                        }
-                    } else {
-                        all_frozen = false;
-                    }
-                }
-                if all_frozen {
-                    break;
-                }
-            }
+            // Water filling restricted to the affected set. The closure
+            // contains every user of every involved resource, so filling
+            // against full capacities reproduces the joint fixpoint for
+            // exactly these activities.
+            fill_rates(&table.caps, &aff_demand, &mut new_rate, &mut fill);
             for &r in &res_list {
                 res_seen[r] = false;
             }
@@ -940,51 +923,17 @@ fn run_component(
                 doomed.sort_by_key(|&(si, _)| slots.id[si as usize]);
                 for &(si, node) in &doomed {
                     let si = si as usize;
-                    slots.live[si] = false;
                     let li = slots.id[si] as usize;
-                    let rate = slots.rate[si];
-                    let d = slots.demand[si];
-                    let res_pos = slots.res_pos[si];
-                    let targets = slots.trace[si];
+                    if users.retire(&mut slots, si, &mut usage) > 0.0 {
+                        // Its heap entry is orphaned by the kill.
+                        heap_stale += 1;
+                    }
                     occupied -= 1;
                     results[li].end_us = now;
                     done += 1;
                     kills.push((now, ids[li], node));
-                    if rate > 0.0 {
-                        // Its heap entry is orphaned by the kill.
-                        heap_stale += 1;
-                        for t in 0..targets.n as usize {
-                            let (ch, nd) = targets.ch[t];
-                            usage.defer(ch, nd, -rate);
-                        }
-                    }
-                    for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
-                        let list = &mut res_users[r];
-                        let pos = res_pos[j] as usize;
-                        debug_assert_eq!(list[pos] as usize, si);
-                        list.swap_remove(pos);
-                        if pos < list.len() {
-                            let moved = list[pos] as usize;
-                            let md = slots.demand[moved];
-                            for j2 in 0..md.n_resources as usize {
-                                if md.resources[j2] == r {
-                                    slots.res_pos[moved][j2] = pos as u32;
-                                    break;
-                                }
-                            }
-                        }
-                        if !dirty[r] {
-                            dirty[r] = true;
-                            dirty_list.push(r);
-                        }
-                    }
                     free.push(si as u32);
-                    for &dep in dependents(li) {
-                        indeg[dep as usize] -= 1;
-                        if indeg[dep as usize] == 0 {
-                            ready.push(dep);
-                        }
-                    }
+                    release(dependents(li), &mut indeg, &mut ready);
                 }
             }
             if !crashed_buf.is_empty() || !restarted_buf.is_empty() {
@@ -1020,10 +969,7 @@ fn run_component(
                 {
                     if new_cap != *cur {
                         *cur = new_cap;
-                        if !dirty[r] {
-                            dirty[r] = true;
-                            dirty_list.push(r);
-                        }
+                        users.mark(r);
                     }
                 }
             }
@@ -1058,55 +1004,18 @@ fn run_component(
         }
         for &si in &completing {
             let si = si as usize;
-            slots.live[si] = false;
             let li = slots.id[si] as usize;
-            let rate = slots.rate[si];
-            let d = slots.demand[si];
-            let res_pos = slots.res_pos[si];
-            let targets = slots.trace[si];
+            users.retire(&mut slots, si, &mut usage);
             occupied -= 1;
             results[li].end_us = now;
             done += 1;
-            if rate != 0.0 {
-                for t in 0..targets.n as usize {
-                    let (ch, node) = targets.ch[t];
-                    usage.defer(ch, node, -rate);
-                }
-            }
-            for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
-                // O(1) removal: the slot knows its position in the user
-                // list; the entry swapped into its place gets its
-                // back-pointer fixed up.
-                let list = &mut res_users[r];
-                let pos = res_pos[j] as usize;
-                debug_assert_eq!(list[pos] as usize, si);
-                list.swap_remove(pos);
-                if pos < list.len() {
-                    let moved = list[pos] as usize;
-                    let md = slots.demand[moved];
-                    for j2 in 0..md.n_resources as usize {
-                        if md.resources[j2] == r {
-                            slots.res_pos[moved][j2] = pos as u32;
-                            break;
-                        }
-                    }
-                }
-                if !dirty[r] {
-                    dirty[r] = true;
-                    dirty_list.push(r);
-                }
-            }
             free.push(si as u32);
-            for &dep in dependents(li) {
-                indeg[dep as usize] -= 1;
-                if indeg[dep as usize] == 0 {
-                    ready.push(dep);
-                }
-            }
+            release(dependents(li), &mut indeg, &mut ready);
         }
         usage.commit(&mut trace, now);
     }
 
+    stats.fill_rounds = fill.rounds;
     let makespan = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
     Ok(CompOutcome {
         results,
@@ -1116,18 +1025,6 @@ fn run_component(
         makespan,
         stats,
     })
-}
-
-/// Highest fault boundary processed by any component (used to decide
-/// whether a boundary landing exactly on the makespan was reached).
-fn max_last_boundary(comps: &[CompOutcome]) -> Option<f64> {
-    comps
-        .iter()
-        .filter_map(|c| c.last_boundary)
-        .fold(None, |acc, b| match acc {
-            None => Some(b),
-            Some(a) => Some(a.max(b)),
-        })
 }
 
 /// Executes `graph` on `cluster` with the incremental scheduler, honoring
@@ -1286,7 +1183,12 @@ pub(crate) fn run_partitioned(
             kills.extend_from_slice(&comp.kills);
         }
         kills.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        let last = max_last_boundary(&comps);
+        // The highest boundary any component processed decides whether a
+        // boundary landing exactly on the makespan was reached.
+        let last = comps
+            .iter()
+            .filter_map(|c| c.last_boundary)
+            .reduce(f64::max);
         let mut clock = FaultClock::new(plan, cluster.len());
         let mut crashed: Vec<NodeId> = Vec::new();
         let mut restarted: Vec<NodeId> = Vec::new();
@@ -1336,6 +1238,7 @@ pub(crate) fn run_partitioned(
         granula_trace::counter_add("engine.heap_compactions", stats.compactions);
         granula_trace::counter_add("engine.heap_pops", stats.heap_pops);
         granula_trace::counter_add("engine.heap_stale_pops", stats.stale_pops);
+        granula_trace::counter_add("engine.fill_rounds", stats.fill_rounds);
         granula_trace::gauge_set("engine.components", k as f64);
         if stats.heap_pops > 0 {
             granula_trace::gauge_set(

@@ -5,29 +5,25 @@
 //! earliest completion, accumulates resource usage into the [`UsageTrace`],
 //! and releases newly-ready activities. Deterministic by construction.
 //!
-//! Two engines share this contract. [`Simulation::run`] is the partitioned
-//! incremental scheduler ([`crate::sched`]): the DAG splits into connected
-//! components over `dependency ∪ shared-resource` edges, each simulated
-//! independently (optionally on scoped worker threads) with rates
-//! recomputed only for activities transitively coupled to an arrival or
-//! departure, and the next completion coming from a lazy-invalidation heap
-//! instead of a scan. [`Simulation::run_reference`] is the straightforward
-//! recompute-everything loop, kept as the oracle the incremental engine is
-//! tested against.
-//!
-//! Small DAGs skip the incremental machinery: below
-//! [`Simulation::DEFAULT_CUTOVER`] activities the per-event closure/heap
-//! bookkeeping costs more than it saves, so [`Simulation::run`] dispatches
-//! to the dense recompute loop there (tunable via
-//! [`Simulation::with_cutover`]).
+//! Two engines share this contract and one rate solver, the water-filling
+//! kernel [`crate::resources::fill_rates`]. Below
+//! [`Simulation::DEFAULT_CUTOVER`] activities (tunable via
+//! [`Simulation::with_cutover`]) [`Simulation::run`] takes the dense loop,
+//! which re-rates every running activity at every event and rescans them
+//! for the earliest completion; [`Simulation::run_reference`] always takes
+//! it, as the oracle. At or above the cutover it takes the partitioned
+//! incremental scheduler (`sched.rs`), which re-rates only the
+//! activities coupled to an arrival or departure and pops completions from
+//! a lazy heap.
 
 use std::fmt;
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
-use crate::resources::{assign_rates, demand, Demand, ResourceTable};
+use crate::resources::{demand, fill_rates, Demand, FillScratch, ResourceTable};
+use crate::sched::{trace_targets, FlushWave};
 use crate::topology::{ClusterSpec, NodeId};
-use crate::trace::{Channel, UsageTrace};
+use crate::trace::UsageTrace;
 
 /// Simulated start/end of one activity, microseconds since job epoch.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -287,6 +283,7 @@ impl Simulation {
     /// activities.
     fn run_dense(&self, graph: &ActivityGraph, plan: &FaultPlan) -> Result<SimResult, SimError> {
         let n = graph.len();
+        let _span = granula_trace::span!("engine", "run_dense activities={n}");
         let mut table = ResourceTable::new(&self.cluster);
         let base_caps = table.caps.clone();
         let active = !plan.is_empty();
@@ -321,7 +318,10 @@ impl Simulation {
             .collect();
         let mut running: Vec<Running> = Vec::new();
         let mut demands: Vec<Demand> = Vec::new();
-        let mut wave = crate::sched::FlushWave::new(self.cluster.len());
+        let mut rates: Vec<f64> = Vec::new();
+        let mut fill = FillScratch::default();
+        let mut events = 0u64;
+        let mut wave = FlushWave::new(self.cluster.len());
         let mut done = 0usize;
         let mut now = 0.0f64;
 
@@ -386,16 +386,18 @@ impl Simulation {
 
             let boundary = if active { clock.next_boundary() } else { None };
 
-            // Assign fair rates (`Demand` is `Copy`; the buffer is reused
-            // across steps) and find the earliest completion. `running` may
-            // be empty under an active plan — everything parked — in which
-            // case the only way forward is the next fault boundary.
+            // Assign fair rates (the demand, rate and kernel buffers are
+            // reused across steps) and find the earliest completion.
+            // `running` may be empty under an active plan — everything
+            // parked — in which case the only way forward is the next fault
+            // boundary.
+            events += 1;
             let t1 = if running.is_empty() {
                 f64::INFINITY
             } else {
                 demands.clear();
                 demands.extend(running.iter().map(|r| r.demand));
-                let rates = assign_rates(&table, &demands);
+                fill_rates(&table.caps, &demands, &mut rates, &mut fill);
                 for (r, &rate) in running.iter_mut().zip(&rates) {
                     r.rate = rate;
                 }
@@ -429,22 +431,9 @@ impl Simulation {
             // (channel, node) pair gets one UsageTrace::add per step no
             // matter how many activities share it.
             for r in &running {
-                let act = graph.get(r.id);
-                match act.kind {
-                    ActivityKind::Compute { node, .. } => {
-                        wave.push(&mut trace, Channel::Cpu, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::DiskRead { node, .. } | ActivityKind::DiskWrite { node, .. } => {
-                        wave.push(&mut trace, Channel::Disk, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::Transfer { src, dst, .. } => {
-                        wave.push(&mut trace, Channel::NetOut, *src, now, step_to, r.rate);
-                        wave.push(&mut trace, Channel::NetIn, *dst, now, step_to, r.rate);
-                    }
-                    ActivityKind::SharedRead { node, .. } => {
-                        wave.push(&mut trace, Channel::NetIn, *node, now, step_to, r.rate);
-                    }
-                    ActivityKind::Delay { .. } | ActivityKind::Barrier => {}
+                let targets = trace_targets(graph.kind_of(r.id));
+                for &(ch, node) in &targets.ch[..targets.n as usize] {
+                    wave.push(&mut trace, ch, node, now, step_to, r.rate);
                 }
             }
             wave.flush_all(&mut trace, step_to);
@@ -542,6 +531,10 @@ impl Simulation {
             }
         }
 
+        if granula_trace::enabled() {
+            granula_trace::counter_add("engine.dense_events", events);
+            granula_trace::counter_add("engine.fill_rounds", fill.rounds);
+        }
         let makespan_us = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
         Ok(SimResult {
             results,
@@ -556,6 +549,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::topology::NodeSpec;
+    use crate::trace::Channel;
 
     fn cluster(nodes: u16) -> ClusterSpec {
         ClusterSpec::homogeneous(

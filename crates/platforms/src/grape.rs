@@ -402,31 +402,15 @@ impl GrapePlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} workers",
-            cfg.nodes
-        );
-        let k = cfg.nodes;
         let costs = &cfg.costs;
         let scale = cfg.scale_factor;
-        let owner = self.partitioner.owners(g, k);
-        let (output, rounds) = {
-            let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
-            run_program(g, &owner, k, cfg.algorithm, self.max_rounds)
-        };
-
-        // Per-fragment data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = owner[v as usize] as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
+        let Fragments {
+            output,
+            rounds,
+            verts,
+            edges,
+            input_bytes,
+        } = self.fragments(g, cfg, cluster);
 
         let crash = plan
             .crashes
@@ -440,14 +424,7 @@ impl GrapePlatform {
             let mut b = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
             {
                 let _span = granula_trace::span!("platform", "grape.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let mut prev = b.load(started);
-                b.process_graph();
-                for ri in 0..rounds.len() {
-                    prev = b.round(ri, prev, "job/proc/", true);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
+                b.healthy();
             }
             return b.finish(plan, output);
         };
@@ -460,14 +437,7 @@ impl GrapePlatform {
             slowdowns: plan.slowdowns.clone(),
         };
         let mut probe = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-        let started = probe.startup();
-        let mut prev = probe.load(started);
-        probe.process_graph();
-        for ri in 0..rounds.len() {
-            prev = probe.round(ri, prev, "job/proc/", true);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
+        probe.healthy();
         let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
 
         let (proc_start, proc_end) = probe_sim
@@ -657,6 +627,70 @@ impl GrapePlatform {
         };
         b.finish(&exec_plan, output)
     }
+
+    /// The activity DAG a healthy run hands to the simulator: the layout
+    /// of [`GrapePlatform::run_on`] without the simulation.
+    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
+        let f = self.fragments(g, cfg, cluster);
+        let mut b = Build::new(
+            self,
+            cfg,
+            cluster,
+            &f.rounds,
+            &f.verts,
+            &f.edges,
+            &f.input_bytes,
+        );
+        b.healthy();
+        b.dag
+    }
+
+    /// Runs the algorithm over the fragments and sizes each fragment.
+    fn fragments(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> Fragments {
+        assert!(
+            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
+            "cluster too small for {} workers",
+            cfg.nodes
+        );
+        let k = cfg.nodes;
+        let owner = self.partitioner.owners(g, k);
+        let (output, rounds) = {
+            let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
+            run_program(g, &owner, k, cfg.algorithm, self.max_rounds)
+        };
+
+        // Per-fragment data sizes (logical counts; scaled at use sites).
+        let mut verts = vec![0u64; k as usize];
+        let mut edges = vec![0u64; k as usize];
+        for v in 0..g.num_vertices() {
+            let w = owner[v as usize] as usize;
+            verts[w] += 1;
+            edges[w] += g.out_degree(v) as u64;
+        }
+        let input_bytes: Vec<f64> = (0..k as usize)
+            .map(|w| {
+                (verts[w] as f64 * 10.0 + edges[w] as f64 * cfg.costs.bytes_per_edge_in)
+                    * cfg.scale_factor
+            })
+            .collect();
+        Fragments {
+            output,
+            rounds,
+            verts,
+            edges,
+            input_bytes,
+        }
+    }
+}
+
+/// The algorithm's output and per-round counters plus per-fragment
+/// vertex, edge and input-byte counts.
+struct Fragments {
+    output: AlgorithmOutput,
+    rounds: Vec<RoundStats>,
+    verts: Vec<u64>,
+    edges: Vec<u64>,
+    input_bytes: Vec<f64>,
 }
 
 /// Incremental DAG + spec builder shared by the healthy and the
@@ -725,6 +759,19 @@ impl<'a> Build<'a> {
 
     fn domain(&self, mission: &str) -> (Actor, Mission) {
         (self.job_actor.clone(), Mission::new(mission, "0"))
+    }
+
+    /// Lays out the healthy job: startup, load, every round, offload and
+    /// cleanup.
+    fn healthy(&mut self) {
+        let started = self.startup();
+        let mut prev = self.load(started);
+        self.process_graph();
+        for ri in 0..self.rounds.len() {
+            prev = self.round(ri, prev, "job/proc/", true);
+        }
+        let offloaded = self.offload(prev);
+        self.cleanup(offloaded);
     }
 
     // -------------------------------------------------- Startup (L1)
