@@ -19,6 +19,10 @@
 //! → SHUTDOWN                         ← BYE        (daemon exits)
 //! ```
 //!
+//! A line longer than [`MAX_LINE`] bytes is answered `ERR line too long`
+//! and the connection is closed, so a client that never sends a newline
+//! cannot grow the daemon's memory without bound.
+//!
 //! **Batching:** every chunk of complete lines a connection has readable
 //! at once is parsed as one batch and the `Q` members answered through
 //! [`ShardedEngine::query_batch`] — grouped by shard, one snapshot and
@@ -32,7 +36,7 @@
 //! function to assert byte equality of what the wire carries.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -41,6 +45,9 @@ use granula_model::OpId;
 use crate::engine::QueryMode;
 use crate::query::Query;
 use crate::shard::ShardedEngine;
+
+/// Longest partial request line a connection may buffer, in bytes.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// Renders a result id list the way the wire protocol carries it:
 /// comma-separated ids, `-` for the empty set. Shared by the server and
@@ -190,13 +197,22 @@ fn handle_connection(
         if n == 0 {
             return Ok(());
         }
-        pending.extend_from_slice(&chunk[..n]);
         // Split off every *complete* line received so far; a trailing
         // partial line waits for the next read. Everything complete in
-        // this chunk is one batch.
-        let Some(last_newline) = pending.iter().rposition(|&b| b == b'\n') else {
+        // this chunk is one batch. Bytes already in `pending` hold no
+        // newline, so only the new ones are scanned.
+        let Some(last_newline) = chunk[..n].iter().rposition(|&b| b == b'\n') else {
+            if pending.len() + n > MAX_LINE {
+                stream.write_all(b"ERR line too long\n")?;
+                // FIN right after the answer, so the client reads it and
+                // then EOF even though its unread bytes are dropped.
+                return stream.shutdown(Shutdown::Write);
+            }
+            pending.extend_from_slice(&chunk[..n]);
             continue;
         };
+        let last_newline = pending.len() + last_newline;
+        pending.extend_from_slice(&chunk[..n]);
         let rest = pending.split_off(last_newline + 1);
         let batch_bytes = std::mem::replace(&mut pending, rest);
         let lines: Vec<String> = batch_bytes
@@ -274,6 +290,49 @@ mod tests {
         assert_eq!(format_ids(&[]), "-");
         assert_eq!(format_ids(&[OpId(0)]), "0");
         assert_eq!(format_ids(&[OpId(3), OpId(7), OpId(12)]), "3,7,12");
+    }
+
+    #[test]
+    fn overlong_line_gets_err_and_close_while_the_server_stays_up() {
+        use crate::shard::ServeOptions;
+        use crate::store::ArchiveStore;
+
+        let engine = Arc::new(ShardedEngine::from_store(
+            ArchiveStore::new(),
+            ServeOptions::default(),
+        ));
+        let server = Server::bind(engine, "127.0.0.1:0").unwrap();
+        let addr = server.local_addr().unwrap();
+        let daemon = std::thread::spawn(move || server.run());
+
+        // 1 MiB without a newline, from a writer thread: the server stops
+        // reading at the cap, so the write may fail once it closes.
+        let hostile = TcpStream::connect(addr).unwrap();
+        let mut writer = hostile.try_clone().unwrap();
+        let flood = std::thread::spawn(move || {
+            let _ = writer.write_all(&vec![b'x'; 1 << 20]);
+        });
+        hostile
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reply = Vec::new();
+        let mut reader = hostile;
+        let mut buf = [0u8; 256];
+        loop {
+            match reader.read(&mut buf).unwrap() {
+                0 => break,
+                n => reply.extend_from_slice(&buf[..n]),
+            }
+        }
+        assert_eq!(reply, b"ERR line too long\n");
+        flood.join().unwrap();
+
+        let mut fresh = TcpStream::connect(addr).unwrap();
+        fresh.write_all(b"PING\nSHUTDOWN\n").unwrap();
+        let mut answer = String::new();
+        fresh.read_to_string(&mut answer).unwrap();
+        assert_eq!(answer, "PONG\nBYE\n");
+        daemon.join().unwrap().unwrap();
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The scale sweep behind the full-scale dg1000 claim: island-structured
 //! DAGs from 1 k to 5 M activities over a 256-node cluster, comparing the
-//! auto-dispatched engine (dense below the cutover, partitioned above)
-//! against the seed dense engine, plus thread-count scaling of the
-//! partitioned core on a million-activity DAG.
+//! incremental engine ([`Simulation::run`]) against the dense reference
+//! loop ([`Simulation::run_reference`]).
 //!
 //! Islands mirror what platform drivers emit: bursts of concurrent
 //! same-node work (loaders, compute threads, spills) joined by barriers.
-//! The dense engine re-solves fair shares over *every* running activity
-//! per event — cost grows with `islands × width` — while the partitioned
-//! engine touches only the island whose event fired.
+//! The dense loop re-solves fair shares over *every* running activity per
+//! event — cost grows with `islands × width` — while the incremental
+//! engine re-rates only the island whose event fired.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -59,8 +58,7 @@ fn island_dag(islands: u16, waves: u32, width: u32) -> ActivityGraph {
 }
 
 /// Sweep points: (islands, waves, width, label). Activity totals run from
-/// ~1 k (below the dispatch cutover: both variants take the dense path)
-/// to ~5 M — the order of magnitude a per-vertex-granularity full-scale
+/// ~1 k to ~5 M — the order of magnitude a per-vertex-granularity full-scale
 /// model needs. 128 islands × width 8 ≈ one thousand concurrently
 /// running activities for every large point.
 const SWEEP: [(u16, u32, u32, &str); 5] = [
@@ -89,28 +87,12 @@ fn bench_scale(c: &mut Criterion) {
             b.iter(|| black_box(sim.run(black_box(dag)).unwrap().makespan_us))
         });
         group.bench_with_input(BenchmarkId::new("seed", label), &dag, |b, dag| {
-            let sim = Simulation::new(cluster.clone()).with_cutover(usize::MAX);
-            b.iter(|| black_box(sim.run(black_box(dag)).unwrap().makespan_us))
+            let sim = Simulation::new(cluster.clone());
+            b.iter(|| black_box(sim.run_reference(black_box(dag)).unwrap().makespan_us))
         });
     }
     group.finish();
 }
 
-fn bench_threads(c: &mut Criterion) {
-    let cluster = ClusterSpec::das5(256);
-    let dag = island_dag(128, 1024, 8);
-    let mut group = c.benchmark_group("simulator_scale_threads");
-    group.sample_size(3);
-    for threads in [1usize, 2, 4] {
-        group.bench_with_input(BenchmarkId::new("1M", threads), &dag, |b, dag| {
-            let sim = Simulation::new(cluster.clone())
-                .with_cutover(0)
-                .with_threads(threads);
-            b.iter(|| black_box(sim.run(black_box(dag)).unwrap().makespan_us))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_scale, bench_threads);
+criterion_group!(benches, bench_scale);
 criterion_main!(benches);

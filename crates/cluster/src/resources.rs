@@ -9,10 +9,10 @@
 //! TCP-like bandwidth sharing closely enough for the phenomena Granula
 //! observes (contention, stragglers, sequential bottlenecks).
 //!
-//! [`fill_rates`] is the one implementation: the dense loop in
-//! [`crate::sim`] calls it over all running activities and the partitioned
-//! engine in `sched` over each refill's affected set, both with
-//! caller-owned [`FillScratch`].
+//! [`fill_rates`] is the one implementation: the incremental engine in
+//! `sched` calls it over each refill's affected set and the dense oracle
+//! in [`crate::sim`] over all running activities, both with caller-owned
+//! [`FillScratch`].
 
 use crate::activity::ActivityKind;
 use crate::topology::{ClusterSpec, NodeId};

@@ -1,14 +1,14 @@
-//! Partitioned incremental max-min scheduler: the engine behind
-//! [`crate::sim::Simulation::run`] above its cutover.
+//! Incremental max-min scheduler: the engine behind
+//! [`crate::sim::Simulation::run`] for every DAG.
 //!
-//! The dense loop in [`crate::sim`] re-rates *all* running activities at
-//! every event and rescans them for the earliest completion. This engine
-//! exploits the component structure of max-min fairness instead.
-//!
-//! **Within an event**, the fixpoint decomposes over connected components
-//! of the bipartite activity↔resource graph, so an arrival or departure
-//! can only change the rates of activities *transitively coupled to it
-//! through shared resources*. Per event the engine keeps:
+//! The dense loop in [`crate::sim`], kept as the oracle behind
+//! `run_reference`, re-rates *all* running activities at every event and
+//! rescans them for the earliest completion. This engine exploits the
+//! component structure of max-min fairness instead: the fixpoint
+//! decomposes over connected components of the bipartite
+//! activity↔resource graph, so an arrival or departure can only change the
+//! rates of activities *transitively coupled to it through shared
+//! resources*. Per event the engine keeps:
 //!
 //! - **dirty resources** — resources whose user set or capacity changed;
 //! - an **affected set** — the transitive closure of the dirty resources
@@ -19,14 +19,10 @@
 //!   entries. A slot's generation bumps whenever its rate changes, and
 //!   stale entries are skipped on pop.
 //!
-//! **Across the whole run**, [`partition`] splits the graph into connected
-//! components over `dependency ∪ shared-resource` edges and
-//! [`run_partitioned`] simulates each independently — optionally on scoped
-//! worker threads — then merges results, traces and fault events
-//! deterministically: components never exchange rates and never share a
-//! `(channel, node)` trace series. Platform DAGs do not split: every
-//! 32-node choke-matrix job (3.4k–12.6k activities) is one component, and
-//! a PageRank refill couples about 490 activities.
+//! The whole graph runs as one simulation. Platform DAGs are one connected
+//! component over `dependency ∪ shared-resource` edges anyway: every
+//! 32-node choke-matrix job (3.4k–12.6k activities) is, and a PageRank
+//! refill couples about 490 activities.
 //!
 //! Slot state lives in [`Slots`], a struct-of-arrays. Remaining work is
 //! accounted lazily: each slot stores `(anchor_us, remaining-at-anchor,
@@ -34,15 +30,12 @@
 //! per `(channel, node)` pair per event ([`PairUsage`]), not per activity.
 //!
 //! Determinism: iteration orders (ready stack, BFS discovery, heap
-//! tie-breaks by slot index, component order by minimum activity id, merge
-//! order by component index) are pure functions of the input graph, so a
-//! given `(cluster, graph, plan)` triple always produces bit-identical
-//! results at any thread count.
+//! tie-breaks by slot index, kills by activity id) are pure functions of
+//! the input graph, so a given `(cluster, graph, plan)` triple always
+//! produces bit-identical results.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::Mutex;
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
@@ -284,7 +277,7 @@ impl PairUsage {
 /// entries from a slot's previous occupant can never validate against the
 /// new one.
 struct Slots {
-    /// Component-local activity index occupying the slot.
+    /// Activity id occupying the slot.
     id: Vec<u32>,
     demand: Vec<Demand>,
     rate: Vec<f64>,
@@ -403,150 +396,30 @@ impl ResUsers {
     }
 }
 
-/// Hot-loop telemetry, accumulated locally per component and flushed to the
-/// trace registry once per [`run_partitioned`] call.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct EngineStats {
-    pub(crate) events: u64,
-    pub(crate) refill_waves: u64,
-    pub(crate) compactions: u64,
-    pub(crate) heap_pops: u64,
-    pub(crate) stale_pops: u64,
-    pub(crate) fill_rounds: u64,
+/// Hot-loop telemetry, accumulated locally and flushed to the trace
+/// registry once per [`run_incremental`] call.
+#[derive(Default)]
+struct EngineStats {
+    events: u64,
+    refill_waves: u64,
+    compactions: u64,
+    heap_pops: u64,
+    stale_pops: u64,
 }
 
-impl EngineStats {
-    fn absorb(&mut self, o: &EngineStats) {
-        self.events += o.events;
-        self.refill_waves += o.refill_waves;
-        self.compactions += o.compactions;
-        self.heap_pops += o.heap_pops;
-        self.stale_pops += o.stale_pops;
-        self.fill_rounds += o.fill_rounds;
+/// Records the node events of one fault boundary, restarts before
+/// crashes — the order both engines share.
+pub(crate) fn record_node_events(
+    faults: &mut Vec<FaultEvent>,
+    restarted: &[NodeId],
+    crashed: &[NodeId],
+    at_us: f64,
+) {
+    for &node in restarted {
+        faults.push(FaultEvent::NodeRestarted { node, at_us });
     }
-}
-
-/// Result of simulating one connected component in isolation.
-struct CompOutcome {
-    /// Per-activity results, indexed by component-local activity index.
-    results: Vec<ActivityResult>,
-    trace: UsageTrace,
-    /// `(at_us, global activity id, node)` for every activity killed by a
-    /// crash, in the order the component emitted them (ascending time,
-    /// ascending id within a time).
-    kills: Vec<(f64, u32, NodeId)>,
-    /// Highest fault boundary this component processed in its main loop
-    /// (prestep boundaries at t ≤ 0 excluded).
-    last_boundary: Option<f64>,
-    makespan: f64,
-    stats: EngineStats,
-}
-
-/// Connected components of the activity graph over
-/// `dependency ∪ shared-resource` edges.
-///
-/// `comp_items[comp_off[c]..comp_off[c+1]]` lists component `c`'s activity
-/// ids in ascending order; components are numbered by their minimum
-/// activity id. `g2l[i]` is activity `i`'s index within its component —
-/// ascending global order maps to ascending local order, which is what
-/// keeps the per-component engine's iteration orders identical to the
-/// monolithic engine's.
-pub(crate) struct Partition {
-    pub(crate) comp_off: Vec<u32>,
-    pub(crate) comp_items: Vec<u32>,
-    pub(crate) g2l: Vec<u32>,
-}
-
-impl Partition {
-    pub(crate) fn component_count(&self) -> usize {
-        self.comp_off.len().saturating_sub(1)
-    }
-}
-
-fn uf_find(parent: &mut [u32], mut x: u32) -> u32 {
-    // Path halving.
-    while parent[x as usize] != x {
-        let gp = parent[parent[x as usize] as usize];
-        parent[x as usize] = gp;
-        x = gp;
-    }
-    x
-}
-
-fn uf_union(parent: &mut [u32], a: u32, b: u32) {
-    let ra = uf_find(parent, a);
-    let rb = uf_find(parent, b);
-    if ra != rb {
-        // Smaller root wins so roots stay stable-ish; correctness does not
-        // depend on it (component numbering re-sorts by min id below).
-        if ra < rb {
-            parent[rb as usize] = ra;
-        } else {
-            parent[ra as usize] = rb;
-        }
-    }
-}
-
-/// Partitions `graph` into connected components over dependency edges and
-/// shared-resource co-use (two activities demanding the same resource are
-/// coupled, transitively). Max-min fair rates — and therefore the whole
-/// event timeline — decompose exactly over these components.
-pub(crate) fn partition(cluster: &ClusterSpec, graph: &ActivityGraph) -> Partition {
-    let n = graph.len();
-    let table = ResourceTable::new(cluster);
-    let mut parent: Vec<u32> = (0..n as u32).collect();
-    // First activity seen demanding each resource; later users union with it.
-    let mut res_rep: Vec<u32> = vec![u32::MAX; table.len()];
-    for i in 0..n {
-        let id = ActivityId(i as u32);
-        for &d in graph.deps_of(id) {
-            uf_union(&mut parent, i as u32, d.0);
-        }
-        let dem = demand(&table, graph.kind_of(id));
-        for &r in &dem.resources[..dem.n_resources as usize] {
-            if res_rep[r] == u32::MAX {
-                res_rep[r] = i as u32;
-            } else {
-                uf_union(&mut parent, i as u32, res_rep[r]);
-            }
-        }
-    }
-    // Number components by first appearance (== minimum activity id) and
-    // group members with a counting sort so each component's items ascend.
-    let mut comp_of = vec![0u32; n];
-    let mut comp_sizes: Vec<u32> = Vec::new();
-    for i in 0..n {
-        let root = uf_find(&mut parent, i as u32) as usize;
-        let c = if root == i {
-            comp_sizes.push(0);
-            (comp_sizes.len() - 1) as u32
-        } else {
-            // The root has a smaller id than any non-root member under the
-            // min-root union rule, so it was numbered already.
-            comp_of[root]
-        };
-        comp_of[i] = c;
-        comp_sizes[c as usize] += 1;
-    }
-    let k = comp_sizes.len();
-    let mut comp_off = vec![0u32; k + 1];
-    for c in 0..k {
-        comp_off[c + 1] = comp_off[c] + comp_sizes[c];
-    }
-    let mut cursor: Vec<u32> = comp_off[..k].to_vec();
-    let mut comp_items = vec![0u32; n];
-    let mut g2l = vec![0u32; n];
-    for i in 0..n {
-        let c = comp_of[i] as usize;
-        let pos = cursor[c];
-        comp_items[pos as usize] = i as u32;
-        g2l[i] = pos - comp_off[c];
-        cursor[c] += 1;
-    }
-    Partition {
-        comp_off,
-        comp_items,
-        g2l,
+    for &node in crashed {
+        faults.push(FaultEvent::NodeCrashed { node, at_us });
     }
 }
 
@@ -561,36 +434,27 @@ fn release(dependents: &[u32], indeg: &mut [u32], ready: &mut Vec<u32>) {
     }
 }
 
-/// Simulates one connected component in isolation.
+/// Executes `graph` on `cluster` with the incremental scheduler, honoring
+/// `plan` (see [`crate::fault`]). Node and plan validity are the caller's
+/// responsibility ([`crate::sim::Simulation::run`] checks before calling
+/// here).
 ///
-/// `ids` lists the component's activities (ascending global ids) and `g2l`
-/// maps global activity id → component-local index (only entries for this
-/// component's activities are read). The body is an exact port of the
-/// pre-partitioning monolithic engine with component-local indexing: for a
-/// single-component graph every f64 operation happens in the same order,
-/// so results, traces, and fault timing are bit-identical to it.
-///
-/// Fault handling differs from the monolithic engine in bookkeeping only:
-/// `NodeCrashed`/`NodeRestarted` events are *not* recorded here (every
-/// component sees the same global fault plan; [`run_partitioned`] replays
-/// the plan once to reconstruct them), while `ActivityKilled` events are
-/// recorded as raw `(at_us, id, node)` rows for the merge to splice into
-/// the replayed timeline.
-fn run_component(
+/// Fault events are recorded inline in the dense loop's order: at each
+/// boundary `NodeRestarted`, then `NodeCrashed`, then `ActivityKilled` in
+/// activity id order.
+pub(crate) fn run_incremental(
     cluster: &ClusterSpec,
     graph: &ActivityGraph,
     plan: &FaultPlan,
-    ids: &[u32],
-    g2l: &[u32],
-) -> Result<CompOutcome, SimError> {
-    let n = ids.len();
+) -> Result<SimResult, SimError> {
+    let n = graph.len();
+    let _span = granula_trace::span!("engine", "run_incremental activities={n}");
     let mut stats = EngineStats::default();
     let mut table = ResourceTable::new(cluster);
     let base_caps = table.caps.clone();
     let active = !plan.is_empty();
     let mut clock = FaultClock::new(plan, cluster.len());
-    let mut kills: Vec<(f64, u32, NodeId)> = Vec::new();
-    let mut last_boundary: Option<f64> = None;
+    let mut faults: Vec<FaultEvent> = Vec::new();
     let mut parked: Vec<u32> = Vec::new();
     let mut crashed_buf: Vec<NodeId> = Vec::new();
     let mut restarted_buf: Vec<NodeId> = Vec::new();
@@ -606,37 +470,32 @@ fn run_component(
         n
     ];
 
-    // Dependency bookkeeping over component-local indices, as a CSR built
-    // in two passes. Filling ascending keeps each dependent list in
-    // ascending local (== global) order, matching the monolithic engine's
-    // push order.
+    // Dependency bookkeeping as a CSR built in two passes. Filling in
+    // ascending id order keeps each dependent list ascending.
     let mut indeg = vec![0u32; n];
-    let mut dep_cnt = vec![0u32; n];
-    for (li, &gi) in ids.iter().enumerate() {
-        let deps = graph.deps_of(ActivityId(gi));
-        indeg[li] = deps.len() as u32;
+    let mut dep_off = vec![0u32; n + 1];
+    for (i, indeg) in indeg.iter_mut().enumerate() {
+        let deps = graph.deps_of(ActivityId(i as u32));
+        *indeg = deps.len() as u32;
         for d in deps {
-            dep_cnt[g2l[d.0 as usize] as usize] += 1;
+            dep_off[d.0 as usize + 1] += 1;
         }
     }
-    let mut dep_off = vec![0u32; n + 1];
     for i in 0..n {
-        dep_off[i + 1] = dep_off[i] + dep_cnt[i];
+        dep_off[i + 1] += dep_off[i];
     }
     let mut dep_cursor = dep_off[..n].to_vec();
     let mut dep_buf = vec![0u32; dep_off[n] as usize];
-    for (li, &gi) in ids.iter().enumerate() {
-        for d in graph.deps_of(ActivityId(gi)) {
-            let dl = g2l[d.0 as usize] as usize;
-            dep_buf[dep_cursor[dl] as usize] = li as u32;
-            dep_cursor[dl] += 1;
+    for i in 0..n {
+        for d in graph.deps_of(ActivityId(i as u32)) {
+            let d = d.0 as usize;
+            dep_buf[dep_cursor[d] as usize] = i as u32;
+            dep_cursor[d] += 1;
         }
     }
-    let dependents = |li: usize| &dep_buf[dep_off[li] as usize..dep_off[li + 1] as usize];
+    let dependents = |i: usize| &dep_buf[dep_off[i] as usize..dep_off[i + 1] as usize];
 
-    let mut ready: Vec<u32> = (0..n as u32)
-        .filter(|&li| indeg[li as usize] == 0)
-        .collect();
+    let mut ready: Vec<u32> = (0..n as u32).filter(|&i| indeg[i as usize] == 0).collect();
 
     // SoA slot storage with a free list; slot indices are reused so every
     // column stays dense.
@@ -671,10 +530,10 @@ fn run_component(
 
     // Faults scheduled at t=0 take effect before anything starts, so
     // activities bound to a node that is dead from the outset park instead
-    // of starting (mirrors the reference engine). The events themselves
-    // are replayed by the merge.
+    // of starting (mirrors the reference engine).
     if active && matches!(clock.next_boundary(), Some(b) if b <= 0.0) {
         let caps_changed = clock.advance(0.0, &mut crashed_buf, &mut restarted_buf);
+        record_node_events(&mut faults, &restarted_buf, &crashed_buf, 0.0);
         if caps_changed {
             clock.refresh_caps(&base_caps, &mut table.caps, 0.0);
         }
@@ -685,41 +544,41 @@ fn run_component(
         // cascading through their dependents. Under an active plan,
         // activities bound to a down node park until its restart (or fail
         // the run if it never restarts).
-        while let Some(li) = ready.pop() {
-            let li = li as usize;
-            let kind = graph.kind_of(ActivityId(ids[li]));
+        while let Some(i) = ready.pop() {
+            let i = i as usize;
+            let kind = graph.kind_of(ActivityId(i as u32));
             if active {
                 if let Some(node) = clock.blocking_node(kind) {
                     if clock.has_pending_restart(node) {
-                        parked.push(li as u32);
+                        parked.push(i as u32);
                         continue;
                     }
                     return Err(SimError::NodeLost {
                         node,
-                        activity: ActivityId(ids[li]),
+                        activity: ActivityId(i as u32),
                         at_us: now.round() as u64,
                     });
                 }
             }
             let amount = kind.amount();
-            results[li].start_us = now;
+            results[i].start_us = now;
             if amount <= 0.0 {
-                results[li].end_us = now;
+                results[i].end_us = now;
                 done += 1;
-                release(dependents(li), &mut indeg, &mut ready);
+                release(dependents(i), &mut indeg, &mut ready);
                 continue;
             }
             let d = demand(&table, kind);
             let si = match free.pop() {
-                Some(i) => i as usize,
+                Some(s) => s as usize,
                 None => {
-                    let i = slots.push_vacant();
+                    let s = slots.push_vacant();
                     in_affected.push(false);
-                    i
+                    s
                 }
             };
             let gen = slots.gen[si].wrapping_add(1);
-            slots.id[si] = li as u32;
+            slots.id[si] = i as u32;
             slots.demand[si] = d;
             slots.rate[si] = 0.0;
             slots.anchor_us[si] = now;
@@ -886,7 +745,7 @@ fn run_component(
                 // regardless of slot layout).
                 let activity = (0..slots.len())
                     .filter(|&si| slots.live[si])
-                    .map(|si| ActivityId(ids[slots.id[si] as usize]))
+                    .map(|si| ActivityId(slots.id[si]))
                     .min()
                     .expect("occupied > 0 implies a live slot");
                 return Err(SimError::Stalled { activity });
@@ -903,10 +762,10 @@ fn run_component(
             }
             let b = boundary.expect("take_boundary implies a boundary");
             now = now.max(b);
-            last_boundary = Some(b);
             crashed_buf.clear();
             restarted_buf.clear();
             let caps_changed = clock.advance(now, &mut crashed_buf, &mut restarted_buf);
+            record_node_events(&mut faults, &restarted_buf, &crashed_buf, now);
             if !crashed_buf.is_empty() {
                 // Kill every in-flight activity touching a down node:
                 // forced completion at the crash instant, dependents
@@ -914,8 +773,8 @@ fn run_component(
                 doomed.clear();
                 for si in 0..slots.len() {
                     if slots.live[si] {
-                        let gi = ids[slots.id[si] as usize];
-                        if let Some(node) = clock.blocking_node(graph.kind_of(ActivityId(gi))) {
+                        let id = ActivityId(slots.id[si]);
+                        if let Some(node) = clock.blocking_node(graph.kind_of(id)) {
                             doomed.push((si as u32, node));
                         }
                     }
@@ -923,17 +782,21 @@ fn run_component(
                 doomed.sort_by_key(|&(si, _)| slots.id[si as usize]);
                 for &(si, node) in &doomed {
                     let si = si as usize;
-                    let li = slots.id[si] as usize;
+                    let i = slots.id[si] as usize;
                     if users.retire(&mut slots, si, &mut usage) > 0.0 {
                         // Its heap entry is orphaned by the kill.
                         heap_stale += 1;
                     }
                     occupied -= 1;
-                    results[li].end_us = now;
+                    results[i].end_us = now;
                     done += 1;
-                    kills.push((now, ids[li], node));
+                    faults.push(FaultEvent::ActivityKilled {
+                        activity: ActivityId(i as u32),
+                        node,
+                        at_us: now,
+                    });
                     free.push(si as u32);
-                    release(dependents(li), &mut indeg, &mut ready);
+                    release(dependents(i), &mut indeg, &mut ready);
                 }
             }
             if !crashed_buf.is_empty() || !restarted_buf.is_empty() {
@@ -941,19 +804,19 @@ fn run_component(
                 // them; a node that lost its last pending restart is gone
                 // for good.
                 let mut kept = 0;
-                for i in 0..parked.len() {
-                    let li = parked[i];
-                    match clock.blocking_node(graph.kind_of(ActivityId(ids[li as usize]))) {
-                        None => ready.push(li),
+                for k in 0..parked.len() {
+                    let id = ActivityId(parked[k]);
+                    match clock.blocking_node(graph.kind_of(id)) {
+                        None => ready.push(id.0),
                         Some(node) => {
                             if !clock.has_pending_restart(node) {
                                 return Err(SimError::NodeLost {
                                     node,
-                                    activity: ActivityId(ids[li as usize]),
+                                    activity: id,
                                     at_us: now.round() as u64,
                                 });
                             }
-                            parked[kept] = li;
+                            parked[kept] = id.0;
                             kept += 1;
                         }
                     }
@@ -1004,242 +867,24 @@ fn run_component(
         }
         for &si in &completing {
             let si = si as usize;
-            let li = slots.id[si] as usize;
+            let i = slots.id[si] as usize;
             users.retire(&mut slots, si, &mut usage);
             occupied -= 1;
-            results[li].end_us = now;
+            results[i].end_us = now;
             done += 1;
             free.push(si as u32);
-            release(dependents(li), &mut indeg, &mut ready);
+            release(dependents(i), &mut indeg, &mut ready);
         }
         usage.commit(&mut trace, now);
     }
 
-    stats.fill_rounds = fill.rounds;
-    let makespan = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
-    Ok(CompOutcome {
-        results,
-        trace,
-        kills,
-        last_boundary,
-        makespan,
-        stats,
-    })
-}
-
-/// Executes `graph` on `cluster` with the incremental scheduler, honoring
-/// `plan` (see [`crate::fault`]). The graph is partitioned into connected
-/// components which are simulated independently — on up to `threads`
-/// scoped worker threads when `threads > 1` — and merged deterministically.
-/// Node and plan validity are the caller's responsibility
-/// ([`crate::sim::Simulation::run`] checks before dispatching here).
-///
-/// Results are identical for every value of `threads`: workers pull
-/// component indices from an atomic cursor but deposit outcomes by index,
-/// and every merge step iterates in component order.
-pub(crate) fn run_partitioned(
-    cluster: &ClusterSpec,
-    graph: &ActivityGraph,
-    plan: &FaultPlan,
-    threads: usize,
-) -> Result<SimResult, SimError> {
-    let n = graph.len();
-    let part = partition(cluster, graph);
-    let k = part.component_count();
-    let _span = granula_trace::span!(
-        "engine",
-        "run_partitioned activities={n} components={k} threads={threads}"
-    );
-
-    // Simulate every component (even after one errors: the canonical error
-    // merge below needs all verdicts to pick the same error the monolithic
-    // engine would have reported).
-    let mut outcomes: Vec<Option<Result<CompOutcome, SimError>>> = Vec::with_capacity(k);
-    if threads <= 1 || k <= 1 {
-        for c in 0..k {
-            let items = &part.comp_items[part.comp_off[c] as usize..part.comp_off[c + 1] as usize];
-            outcomes.push(Some(run_component(cluster, graph, plan, items, &part.g2l)));
-        }
-    } else {
-        outcomes.resize_with(k, || None);
-        let slots = Mutex::new(&mut outcomes);
-        let cursor = AtomicUsize::new(0);
-        let workers = threads.min(k);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local: Vec<(usize, Result<CompOutcome, SimError>)> = Vec::new();
-                    loop {
-                        let c = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        if c >= k {
-                            break;
-                        }
-                        let items = &part.comp_items
-                            [part.comp_off[c] as usize..part.comp_off[c + 1] as usize];
-                        local.push((c, run_component(cluster, graph, plan, items, &part.g2l)));
-                    }
-                    let mut out = slots.lock().unwrap();
-                    for (c, r) in local {
-                        out[c] = Some(r);
-                    }
-                });
-            }
-        });
-    }
-
-    // Canonical error merge, matching what the monolithic engine reports:
-    // the first node loss in time wins over everything (it aborts the run
-    // mid-timeline); a stall wins over deadlock (stalls are detected while
-    // other components still hold live work, deadlock only once nothing
-    // does); deadlock reports the total unstarted count.
-    let mut comps: Vec<CompOutcome> = Vec::with_capacity(k);
-    let mut node_lost: Option<(u64, u32, NodeId)> = None;
-    let mut stalled: Option<u32> = None;
-    let mut deadlocked = false;
-    let mut unstarted_total = 0usize;
-    for r in outcomes.into_iter().map(|o| o.expect("all components ran")) {
-        match r {
-            Ok(c) => comps.push(c),
-            Err(SimError::NodeLost {
-                node,
-                activity,
-                at_us,
-            }) => {
-                let better = node_lost.is_none_or(|(a, id, _)| (at_us, activity.0) < (a, id));
-                if better {
-                    node_lost = Some((at_us, activity.0, node));
-                }
-            }
-            Err(SimError::Stalled { activity }) => {
-                stalled = Some(stalled.map_or(activity.0, |s| s.min(activity.0)));
-            }
-            Err(SimError::Deadlock { unstarted }) => {
-                deadlocked = true;
-                unstarted_total += unstarted;
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    if let Some((at_us, id, node)) = node_lost {
-        return Err(SimError::NodeLost {
-            node,
-            activity: ActivityId(id),
-            at_us,
-        });
-    }
-    if let Some(id) = stalled {
-        return Err(SimError::Stalled {
-            activity: ActivityId(id),
-        });
-    }
-    if deadlocked {
-        return Err(SimError::Deadlock {
-            unstarted: unstarted_total,
-        });
-    }
-
-    // Scatter per-activity results back to global ids and fold makespan in
-    // component order.
-    let mut results = vec![
-        ActivityResult {
-            start_us: f64::NAN,
-            end_us: f64::NAN
-        };
-        n
-    ];
-    let mut makespan_us = 0.0f64;
-    for (c, comp) in comps.iter().enumerate() {
-        let items = &part.comp_items[part.comp_off[c] as usize..part.comp_off[c + 1] as usize];
-        for (li, r) in comp.results.iter().enumerate() {
-            results[items[li] as usize] = *r;
-        }
-        makespan_us = makespan_us.max(comp.makespan);
-    }
-
-    // Components never share a (channel, node) series — trace targets are
-    // derived from the same resources that define the partition — so the
-    // merged trace is an element-wise sum onto zeros. The single-component
-    // case moves its trace through untouched (bit-identical path).
-    let trace = if comps.len() == 1 {
-        std::mem::replace(&mut comps[0].trace, UsageTrace::new(cluster))
-    } else {
-        let mut t = UsageTrace::new(cluster);
-        for comp in &comps {
-            t.absorb(&comp.trace);
-        }
-        t
-    };
-
-    // Rebuild the global fault timeline: replay the plan's boundaries that
-    // the run reached (all below the makespan, plus a final boundary
-    // landing exactly on it if some component processed one there), and
-    // splice each component's kill records in at their boundary instants,
-    // sorted by activity id within an instant — exactly the monolithic
-    // engine's emission order.
-    let mut faults: Vec<FaultEvent> = Vec::new();
-    if !plan.is_empty() {
-        let mut kills: Vec<(f64, u32, NodeId)> = Vec::new();
-        for comp in &comps {
-            kills.extend_from_slice(&comp.kills);
-        }
-        kills.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1)));
-        // The highest boundary any component processed decides whether a
-        // boundary landing exactly on the makespan was reached.
-        let last = comps
-            .iter()
-            .filter_map(|c| c.last_boundary)
-            .reduce(f64::max);
-        let mut clock = FaultClock::new(plan, cluster.len());
-        let mut crashed: Vec<NodeId> = Vec::new();
-        let mut restarted: Vec<NodeId> = Vec::new();
-        if matches!(clock.next_boundary(), Some(b) if b <= 0.0) {
-            clock.advance(0.0, &mut crashed, &mut restarted);
-            for &node in &restarted {
-                faults.push(FaultEvent::NodeRestarted { node, at_us: 0.0 });
-            }
-            for &node in &crashed {
-                faults.push(FaultEvent::NodeCrashed { node, at_us: 0.0 });
-            }
-        }
-        let mut ki = 0usize;
-        while let Some(b) = clock.next_boundary() {
-            let reached = b < makespan_us || last.is_some_and(|m| m == b);
-            if !reached {
-                break;
-            }
-            crashed.clear();
-            restarted.clear();
-            clock.advance(b, &mut crashed, &mut restarted);
-            for &node in &restarted {
-                faults.push(FaultEvent::NodeRestarted { node, at_us: b });
-            }
-            for &node in &crashed {
-                faults.push(FaultEvent::NodeCrashed { node, at_us: b });
-            }
-            while ki < kills.len() && kills[ki].0 == b {
-                faults.push(FaultEvent::ActivityKilled {
-                    activity: ActivityId(kills[ki].1),
-                    node: kills[ki].2,
-                    at_us: b,
-                });
-                ki += 1;
-            }
-        }
-        debug_assert_eq!(ki, kills.len(), "every kill maps to a replayed boundary");
-    }
-
     if granula_trace::enabled() {
-        let mut stats = EngineStats::default();
-        for comp in &comps {
-            stats.absorb(&comp.stats);
-        }
         granula_trace::counter_add("engine.events_processed", stats.events);
         granula_trace::counter_add("engine.refill_waves", stats.refill_waves);
         granula_trace::counter_add("engine.heap_compactions", stats.compactions);
         granula_trace::counter_add("engine.heap_pops", stats.heap_pops);
         granula_trace::counter_add("engine.heap_stale_pops", stats.stale_pops);
-        granula_trace::counter_add("engine.fill_rounds", stats.fill_rounds);
-        granula_trace::gauge_set("engine.components", k as f64);
+        granula_trace::counter_add("engine.fill_rounds", fill.rounds);
         if stats.heap_pops > 0 {
             granula_trace::gauge_set(
                 "engine.stale_entry_ratio",
@@ -1248,6 +893,7 @@ pub(crate) fn run_partitioned(
         }
     }
 
+    let makespan_us = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
     Ok(SimResult {
         results,
         makespan_us,
@@ -1334,92 +980,5 @@ mod tests {
         let s = trace.series(Channel::Disk, NodeId(0));
         // 1.0 over [0,20) plus 1.0 over [10,20) = 30 units in the bucket.
         assert!((s[0].1 - 30.0).abs() < 1e-9, "{s:?}");
-    }
-
-    #[test]
-    fn partition_separates_independent_islands() {
-        use crate::activity::ActivityGraph;
-        let cluster = ClusterSpec::homogeneous(
-            2,
-            NodeSpec {
-                name: String::new(),
-                cores: 4,
-                disk_bps: 1e8,
-                nic_bps: 1e8,
-                mem_bytes: 1,
-            },
-        );
-        let mut g = ActivityGraph::new();
-        // Island A: chain of two computes on node 0.
-        let a0 = g.add(
-            ActivityKind::Compute {
-                node: NodeId(0),
-                work_core_us: 1e6,
-                parallelism: 4,
-            },
-            &[],
-            "a0",
-        );
-        let _a1 = g.add(
-            ActivityKind::Compute {
-                node: NodeId(0),
-                work_core_us: 1e6,
-                parallelism: 4,
-            },
-            &[a0],
-            "a1",
-        );
-        // Island B: one disk read on node 1.
-        let _b0 = g.add(
-            ActivityKind::DiskRead {
-                node: NodeId(1),
-                bytes: 1e6,
-            },
-            &[],
-            "b0",
-        );
-        let p = partition(&cluster, &g);
-        assert_eq!(p.component_count(), 2);
-        assert_eq!(&p.comp_items[..], &[0, 1, 2]);
-        assert_eq!(&p.comp_off[..], &[0, 2, 3]);
-        assert_eq!(&p.g2l[..], &[0, 1, 0]);
-    }
-
-    #[test]
-    fn partition_couples_via_shared_resources() {
-        use crate::activity::ActivityGraph;
-        let cluster = ClusterSpec::homogeneous(
-            1,
-            NodeSpec {
-                name: String::new(),
-                cores: 4,
-                disk_bps: 1e8,
-                nic_bps: 1e8,
-                mem_bytes: 1,
-            },
-        );
-        let mut g = ActivityGraph::new();
-        // No dependency edges, but both computes land on node 0's cores —
-        // max-min couples them, so they must share a component.
-        g.add(
-            ActivityKind::Compute {
-                node: NodeId(0),
-                work_core_us: 1e6,
-                parallelism: 4,
-            },
-            &[],
-            "x",
-        );
-        g.add(
-            ActivityKind::Compute {
-                node: NodeId(0),
-                work_core_us: 1e6,
-                parallelism: 4,
-            },
-            &[],
-            "y",
-        );
-        let p = partition(&cluster, &g);
-        assert_eq!(p.component_count(), 1);
     }
 }

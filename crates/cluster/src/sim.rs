@@ -5,23 +5,21 @@
 //! earliest completion, accumulates resource usage into the [`UsageTrace`],
 //! and releases newly-ready activities. Deterministic by construction.
 //!
-//! Two engines share this contract and one rate solver, the water-filling
-//! kernel [`crate::resources::fill_rates`]. Below
-//! [`Simulation::DEFAULT_CUTOVER`] activities (tunable via
-//! [`Simulation::with_cutover`]) [`Simulation::run`] takes the dense loop,
-//! which re-rates every running activity at every event and rescans them
-//! for the earliest completion; [`Simulation::run_reference`] always takes
-//! it, as the oracle. At or above the cutover it takes the partitioned
-//! incremental scheduler (`sched.rs`), which re-rates only the
-//! activities coupled to an arrival or departure and pops completions from
-//! a lazy heap.
+//! [`Simulation::run`] takes the incremental scheduler (`sched.rs`) for
+//! every DAG: it re-rates only the activities coupled to an arrival or
+//! departure and pops completions from a lazy heap.
+//! [`Simulation::run_reference`] takes the dense loop, which re-rates every
+//! running activity at every event and rescans them for the earliest
+//! completion; it is the oracle the equivalence tests compare against.
+//! Both share one rate solver, the water-filling kernel
+//! [`crate::resources::fill_rates`].
 
 use std::fmt;
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
 use crate::resources::{demand, fill_rates, Demand, FillScratch, ResourceTable};
-use crate::sched::{trace_targets, FlushWave};
+use crate::sched::{record_node_events, trace_targets, FlushWave};
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::UsageTrace;
 
@@ -134,8 +132,6 @@ impl SimResult {
 #[derive(Debug, Clone)]
 pub struct Simulation {
     cluster: ClusterSpec,
-    cutover: usize,
-    threads: Option<usize>,
 }
 
 struct Running {
@@ -146,51 +142,14 @@ struct Running {
 }
 
 impl Simulation {
-    /// Activity count below which [`Simulation::run`] uses the dense
-    /// recompute engine instead of the incremental one. Chosen from the
-    /// `simulator_scale` bench sweep: the incremental engine's closure/heap
-    /// bookkeeping only pays for itself above a few thousand activities
-    /// (the seed engine was 1.3–1.5× *faster* on 651/3251-activity DAGs).
-    pub const DEFAULT_CUTOVER: usize = 4096;
-
-    /// Creates an engine over a cluster with the default small-DAG cutover
-    /// and auto-detected thread count.
+    /// Creates an engine over a cluster.
     pub fn new(cluster: ClusterSpec) -> Self {
-        Simulation {
-            cluster,
-            cutover: Self::DEFAULT_CUTOVER,
-            threads: None,
-        }
-    }
-
-    /// Sets the activity count below which [`Simulation::run`] uses the
-    /// dense engine. `0` forces the incremental engine for every size
-    /// (useful for equivalence tests); `usize::MAX` forces the dense one.
-    pub fn with_cutover(mut self, cutover: usize) -> Self {
-        self.cutover = cutover;
-        self
-    }
-
-    /// Sets the worker-thread budget for the partitioned engine. `1` is
-    /// fully sequential; higher counts simulate independent components
-    /// concurrently. Results are bit-identical for every value. Defaults to
-    /// the machine's available parallelism.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = Some(threads.max(1));
-        self
+        Simulation { cluster }
     }
 
     /// The cluster being simulated.
     pub fn cluster(&self) -> &ClusterSpec {
         &self.cluster
-    }
-
-    fn thread_budget(&self) -> usize {
-        self.threads.unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
-        })
     }
 
     fn check_nodes(&self, graph: &ActivityGraph) -> Result<(), SimError> {
@@ -225,11 +184,9 @@ impl Simulation {
 
     /// Executes the DAG; returns per-activity timings and the usage trace.
     ///
-    /// Uses the partitioned incremental scheduler (see [`crate::sched`])
-    /// above the cutover and the dense recompute engine below it; results
-    /// agree with [`Simulation::run_reference`] up to floating-point noise
-    /// and are bit-identical across repeated runs of the same input at any
-    /// thread count.
+    /// Uses the incremental scheduler (`sched.rs`); results agree
+    /// with [`Simulation::run_reference`] up to floating-point noise and are
+    /// bit-identical across repeated runs of the same input.
     pub fn run(&self, graph: &ActivityGraph) -> Result<SimResult, SimError> {
         self.run_with_faults(graph, &FaultPlan::default())
     }
@@ -244,11 +201,7 @@ impl Simulation {
     ) -> Result<SimResult, SimError> {
         self.check_nodes(graph)?;
         self.check_plan(plan)?;
-        if graph.len() < self.cutover {
-            self.run_dense(graph, plan)
-        } else {
-            crate::sched::run_partitioned(&self.cluster, graph, plan, self.thread_budget())
-        }
+        crate::sched::run_incremental(&self.cluster, graph, plan)
     }
 
     /// Executes the DAG with the naive reference engine: every event
@@ -256,7 +209,7 @@ impl Simulation {
     /// rescans them for the earliest completion.
     ///
     /// O(running) per event where [`Simulation::run`] touches only the
-    /// affected component — kept as the oracle for equivalence tests and as
+    /// affected activities — kept as the oracle for equivalence tests and as
     /// the baseline for the scheduler benchmarks.
     pub fn run_reference(&self, graph: &ActivityGraph) -> Result<SimResult, SimError> {
         self.run_reference_with_faults(graph, &FaultPlan::default())
@@ -276,14 +229,10 @@ impl Simulation {
         self.run_dense(graph, plan)
     }
 
-    /// The dense recompute loop shared by [`Simulation::run_reference`] and
-    /// the small-DAG path of [`Simulation::run`]: every event re-runs
-    /// progressive filling over all running activities. O(running) per
-    /// event, but with near-zero bookkeeping — fastest below a few thousand
-    /// activities.
+    /// The dense recompute loop behind [`Simulation::run_reference`]:
+    /// every event re-runs progressive filling over all running activities.
     fn run_dense(&self, graph: &ActivityGraph, plan: &FaultPlan) -> Result<SimResult, SimError> {
         let n = graph.len();
-        let _span = granula_trace::span!("engine", "run_dense activities={n}");
         let mut table = ResourceTable::new(&self.cluster);
         let base_caps = table.caps.clone();
         let active = !plan.is_empty();
@@ -320,7 +269,6 @@ impl Simulation {
         let mut demands: Vec<Demand> = Vec::new();
         let mut rates: Vec<f64> = Vec::new();
         let mut fill = FillScratch::default();
-        let mut events = 0u64;
         let mut wave = FlushWave::new(self.cluster.len());
         let mut done = 0usize;
         let mut now = 0.0f64;
@@ -330,12 +278,7 @@ impl Simulation {
         // instead of starting.
         if active && matches!(clock.next_boundary(), Some(b) if b <= 0.0) {
             let caps_changed = clock.advance(0.0, &mut crashed_buf, &mut restarted_buf);
-            for &node in &restarted_buf {
-                faults.push(FaultEvent::NodeRestarted { node, at_us: 0.0 });
-            }
-            for &node in &crashed_buf {
-                faults.push(FaultEvent::NodeCrashed { node, at_us: 0.0 });
-            }
+            record_node_events(&mut faults, &restarted_buf, &crashed_buf, 0.0);
             if caps_changed {
                 clock.refresh_caps(&base_caps, &mut table.caps, 0.0);
             }
@@ -391,7 +334,6 @@ impl Simulation {
             // `running` may be empty under an active plan — everything
             // parked — in which case the only way forward is the next fault
             // boundary.
-            events += 1;
             let t1 = if running.is_empty() {
                 f64::INFINITY
             } else {
@@ -465,12 +407,7 @@ impl Simulation {
                 crashed_buf.clear();
                 restarted_buf.clear();
                 let caps_changed = clock.advance(now, &mut crashed_buf, &mut restarted_buf);
-                for &node in &restarted_buf {
-                    faults.push(FaultEvent::NodeRestarted { node, at_us: now });
-                }
-                for &node in &crashed_buf {
-                    faults.push(FaultEvent::NodeCrashed { node, at_us: now });
-                }
+                record_node_events(&mut faults, &restarted_buf, &crashed_buf, now);
                 if !crashed_buf.is_empty() {
                     // Kill every in-flight activity touching a down node:
                     // forced completion at the crash instant, dependents
@@ -531,10 +468,6 @@ impl Simulation {
             }
         }
 
-        if granula_trace::enabled() {
-            granula_trace::counter_add("engine.dense_events", events);
-            granula_trace::counter_add("engine.fill_rounds", fill.rounds);
-        }
         let makespan_us = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
         Ok(SimResult {
             results,

@@ -66,30 +66,6 @@ impl UsageTrace {
         &self.node_names
     }
 
-    /// Element-wise sum of `other` into `self`. Used by the partitioned
-    /// engine's merge: components never share a `(channel, node)` series,
-    /// so every destination slot receives at most one non-zero
-    /// contribution and the merge is exact (adding onto 0.0 is bitwise
-    /// lossless for the non-negative usage values traces hold).
-    pub(crate) fn absorb(&mut self, other: &UsageTrace) {
-        debug_assert_eq!(self.bucket_us, other.bucket_us);
-        debug_assert_eq!(self.node_names.len(), other.node_names.len());
-        fn absorb_series(dst: &mut Vec<f64>, src: &[f64]) {
-            if dst.len() < src.len() {
-                dst.resize(src.len(), 0.0);
-            }
-            for (d, &s) in dst.iter_mut().zip(src) {
-                *d += s;
-            }
-        }
-        for i in 0..self.node_names.len() {
-            absorb_series(&mut self.cpu[i], &other.cpu[i]);
-            absorb_series(&mut self.disk[i], &other.disk[i]);
-            absorb_series(&mut self.net_in[i], &other.net_in[i]);
-            absorb_series(&mut self.net_out[i], &other.net_out[i]);
-        }
-    }
-
     /// Accumulates a constant-rate usage of `rate` (unit/µs) on `node` over
     /// `[t0_us, t1_us)` into the channel. For CPU the rate is in cores, so a
     /// bucket's value is busy core-seconds within that second.

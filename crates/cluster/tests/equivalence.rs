@@ -1,5 +1,6 @@
 //! Property tests: the incremental scheduler ([`Simulation::run`]) against
-//! the naive reference engine ([`Simulation::run_reference`]).
+//! the dense reference loop ([`Simulation::run_reference`]), with and
+//! without fault plans.
 //!
 //! Random DAGs over heterogeneous clusters must produce the same
 //! per-activity timings, makespan, and usage traces from both engines (up
@@ -239,8 +240,9 @@ proptest! {
     }
 
     /// With an active fault plan, the incremental engine still reproduces
-    /// the reference engine: same timings, same makespan, same error kind
-    /// when the plan makes the job impossible. Fault-event lists are *not*
+    /// the reference engine: same timings, same makespan, same traces, same
+    /// error kind when the plan makes the job impossible. Fault-event lists
+    /// are *not*
     /// compared — engines may interleave kill bookkeeping differently
     /// around near-coincident completions — but timings must agree.
     #[test]
@@ -267,6 +269,16 @@ proptest! {
                         close(x.end_us, y.end_us),
                         "act {id} end {} vs {}", x.end_us, y.end_us
                     );
+                }
+                for ch in [Channel::Cpu, Channel::Disk, Channel::NetIn, Channel::NetOut] {
+                    for node in 0..w.cluster.len() as u16 {
+                        let a = inc.trace.series(ch, NodeId(node));
+                        let b = reference.trace.series(ch, NodeId(node));
+                        prop_assert!(
+                            series_close(&a, &b),
+                            "trace {ch:?} node {node}: {a:?} vs {b:?}"
+                        );
+                    }
                 }
             }
             (
@@ -319,133 +331,6 @@ proptest! {
             }
             (Err(a), Err(b)) => prop_assert_eq!(a, b),
             (a, b) => prop_assert!(false, "determinism violated: {a:?} vs {b:?}"),
-        }
-    }
-
-    /// The partitioned incremental engine (forced via `with_cutover(0)`)
-    /// reproduces the reference engine under arbitrary fault plans. Small
-    /// random DAGs dispatch to the dense path by default, so without the
-    /// forced cutover this suite would never exercise the component
-    /// scheduler.
-    #[test]
-    fn partitioned_matches_reference_under_faults(w in arb_world(), raw in arb_raw_plan()) {
-        let plan = build_plan(raw, w.cluster.len() as u16);
-        let part = Simulation::new(w.cluster.clone())
-            .with_cutover(0)
-            .run_with_faults(&w.graph, &plan);
-        let reference = Simulation::new(w.cluster.clone())
-            .run_reference_with_faults(&w.graph, &plan);
-        match (part, reference) {
-            (Ok(part), Ok(reference)) => {
-                prop_assert!(
-                    close(part.makespan_us, reference.makespan_us),
-                    "makespan {} vs {}", part.makespan_us, reference.makespan_us
-                );
-                for (id, (x, y)) in part.results.iter().zip(&reference.results).enumerate() {
-                    prop_assert!(
-                        close(x.start_us, y.start_us),
-                        "act {id} start {} vs {}", x.start_us, y.start_us
-                    );
-                    prop_assert!(
-                        close(x.end_us, y.end_us),
-                        "act {id} end {} vs {}", x.end_us, y.end_us
-                    );
-                }
-                for ch in [Channel::Cpu, Channel::Disk, Channel::NetIn, Channel::NetOut] {
-                    for node in 0..w.cluster.len() as u16 {
-                        let a = part.trace.series(ch, NodeId(node));
-                        let b = reference.trace.series(ch, NodeId(node));
-                        prop_assert!(
-                            series_close(&a, &b),
-                            "trace {ch:?} node {node}: {a:?} vs {b:?}"
-                        );
-                    }
-                }
-            }
-            (
-                Err(SimError::NodeLost { at_us: a, node: na, .. }),
-                Err(SimError::NodeLost { at_us: b, node: nb, .. }),
-            ) => {
-                prop_assert!(a.abs_diff(b) <= 1, "NodeLost at {a} vs {b}");
-                prop_assert_eq!(na, nb);
-            }
-            (part, reference) => prop_assert!(
-                matches!(
-                    (&part, &reference),
-                    (Err(SimError::Deadlock { .. }), Err(SimError::Deadlock { .. }))
-                        | (Err(SimError::Stalled { .. }), Err(SimError::Stalled { .. }))
-                ),
-                "engines disagree: {part:?} vs {reference:?}"
-            ),
-        }
-    }
-
-    /// The parallel merge is deterministic: every worker-thread count yields
-    /// the same bits as the sequential component loop — timings, makespan,
-    /// fault-event list, and every trace bucket — even under fault plans.
-    #[test]
-    fn parallel_thread_counts_are_bit_identical(
-        w in arb_world(),
-        raw in arb_raw_plan(),
-        threads in 2usize..=5,
-    ) {
-        let plan = build_plan(raw, w.cluster.len() as u16);
-        let seq = Simulation::new(w.cluster.clone())
-            .with_cutover(0)
-            .with_threads(1)
-            .run_with_faults(&w.graph, &plan);
-        let par = Simulation::new(w.cluster.clone())
-            .with_cutover(0)
-            .with_threads(threads)
-            .run_with_faults(&w.graph, &plan);
-        match (seq, par) {
-            (Ok(a), Ok(b)) => {
-                prop_assert_eq!(a.makespan_us.to_bits(), b.makespan_us.to_bits());
-                for (x, y) in a.results.iter().zip(&b.results) {
-                    prop_assert_eq!(x.start_us.to_bits(), y.start_us.to_bits());
-                    prop_assert_eq!(x.end_us.to_bits(), y.end_us.to_bits());
-                }
-                prop_assert_eq!(&a.faults, &b.faults);
-                for ch in [Channel::Cpu, Channel::Disk, Channel::NetIn, Channel::NetOut] {
-                    for node in 0..w.cluster.len() as u16 {
-                        let sa = a.trace.series(ch, NodeId(node));
-                        let sb = b.trace.series(ch, NodeId(node));
-                        prop_assert_eq!(sa.len(), sb.len());
-                        for (&(ta, va), &(tb, vb)) in sa.iter().zip(&sb) {
-                            prop_assert_eq!(ta, tb);
-                            prop_assert_eq!(va.to_bits(), vb.to_bits());
-                        }
-                    }
-                }
-            }
-            (Err(a), Err(b)) => prop_assert_eq!(a, b),
-            (a, b) => prop_assert!(false, "thread-count divergence: {a:?} vs {b:?}"),
-        }
-    }
-
-    /// Size-based dispatch never changes the answer: the default engine
-    /// choice agrees with both forced engines within tolerance.
-    #[test]
-    fn dispatch_is_consistent(w in arb_world()) {
-        let auto = Simulation::new(w.cluster.clone()).run(&w.graph);
-        let dense = Simulation::new(w.cluster.clone())
-            .with_cutover(usize::MAX)
-            .run(&w.graph);
-        let part = Simulation::new(w.cluster.clone()).with_cutover(0).run(&w.graph);
-        match (auto, dense, part) {
-            (Ok(auto), Ok(dense), Ok(part)) => {
-                prop_assert!(close(auto.makespan_us, dense.makespan_us));
-                prop_assert!(close(auto.makespan_us, part.makespan_us));
-                for ((x, y), z) in auto.results.iter().zip(&dense.results).zip(&part.results) {
-                    prop_assert!(close(x.end_us, y.end_us));
-                    prop_assert!(close(x.end_us, z.end_us));
-                }
-            }
-            (Err(_), Err(_), Err(_)) => {}
-            (a, d, p) => prop_assert!(
-                false,
-                "dispatch disagrees: auto={a:?} dense={d:?} partitioned={p:?}"
-            ),
         }
     }
 

@@ -165,31 +165,16 @@ impl GiraphPlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} workers",
-            cfg.nodes
-        );
         let k = cfg.nodes;
         let costs = &cfg.costs;
         let scale = cfg.scale_factor;
-        let part = EdgeCutPartition::hash(g.num_vertices(), k);
-        let (output, supersteps) = {
-            let _span = granula_trace::span!("platform", "giraph.vertex_program {}", cfg.job_id);
-            run_program(g, &part, cfg.algorithm, self.max_supersteps)
-        };
-
-        // Per-worker data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = part.owner_of(v) as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
+        let Workers {
+            output,
+            supersteps,
+            verts,
+            edges,
+            input_bytes,
+        } = self.workers(g, cfg, cluster);
 
         // The earliest crash drives recovery; later crashes are dropped
         // (single-failure model, see the doc comment).
@@ -213,16 +198,7 @@ impl GiraphPlatform {
             );
             {
                 let _span = granula_trace::span!("platform", "giraph.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let loaded = b.load(started);
-                b.process_graph();
-                let mut prev = loaded;
-                for si in 0..supersteps.len() {
-                    prev = b.superstep(si, prev, "job/proc/", true);
-                    prev = b.maybe_checkpoint(si, prev);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
+                b.healthy();
             }
             return b.finish(plan, output);
         };
@@ -243,16 +219,7 @@ impl GiraphPlatform {
             &edges,
             &input_bytes,
         );
-        let started = probe.startup();
-        let loaded = probe.load(started);
-        probe.process_graph();
-        let mut prev = loaded;
-        for si in 0..supersteps.len() {
-            prev = probe.superstep(si, prev, "job/proc/", true);
-            prev = probe.maybe_checkpoint(si, prev);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
+        probe.healthy();
         let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
 
         // Clamp the crash instant into the processing phase and find the
@@ -448,6 +415,69 @@ impl GiraphPlatform {
         };
         b.finish(&exec_plan, output)
     }
+
+    /// The activity DAG a healthy run hands to the simulator: the layout
+    /// of [`GiraphPlatform::run_on`] without the simulation.
+    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
+        let w = self.workers(g, cfg, cluster);
+        let mut b = Build::new(
+            self,
+            cfg,
+            cluster,
+            &w.supersteps,
+            &w.verts,
+            &w.edges,
+            &w.input_bytes,
+        );
+        b.healthy();
+        b.dag
+    }
+
+    /// Runs the vertex program over the hash partition and sizes each
+    /// worker's share.
+    fn workers(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> Workers {
+        assert!(
+            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
+            "cluster too small for {} workers",
+            cfg.nodes
+        );
+        let k = cfg.nodes;
+        let part = EdgeCutPartition::hash(g.num_vertices(), k);
+        let (output, supersteps) = {
+            let _span = granula_trace::span!("platform", "giraph.vertex_program {}", cfg.job_id);
+            run_program(g, &part, cfg.algorithm, self.max_supersteps)
+        };
+
+        // Per-worker data sizes (logical counts; scaled at use sites).
+        let mut verts = vec![0u64; k as usize];
+        let mut edges = vec![0u64; k as usize];
+        for v in 0..g.num_vertices() {
+            let w = part.owner_of(v) as usize;
+            verts[w] += 1;
+            edges[w] += g.out_degree(v) as u64;
+        }
+        let (costs, scale) = (&cfg.costs, cfg.scale_factor);
+        let input_bytes: Vec<f64> = (0..k as usize)
+            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
+            .collect();
+        Workers {
+            output,
+            supersteps,
+            verts,
+            edges,
+            input_bytes,
+        }
+    }
+}
+
+/// The algorithm's output and per-superstep counters plus per-worker
+/// vertex, edge and input-byte counts.
+struct Workers {
+    output: AlgorithmOutput,
+    supersteps: Vec<SuperstepStats>,
+    verts: Vec<u64>,
+    edges: Vec<u64>,
+    input_bytes: Vec<f64>,
 }
 
 /// Incremental DAG + spec builder shared by the healthy and the
@@ -515,6 +545,20 @@ impl<'a> Build<'a> {
 
     fn domain(&self, mission: &str) -> (Actor, Mission) {
         (self.job_actor.clone(), Mission::new(mission, "0"))
+    }
+
+    /// The healthy layout: startup, load, every superstep with its
+    /// checkpoint, offload and cleanup.
+    fn healthy(&mut self) {
+        let started = self.startup();
+        let mut prev = self.load(started);
+        self.process_graph();
+        for si in 0..self.supersteps.len() {
+            prev = self.superstep(si, prev, "job/proc/", true);
+            prev = self.maybe_checkpoint(si, prev);
+        }
+        let offloaded = self.offload(prev);
+        self.cleanup(offloaded);
     }
 
     // -------------------------------------------------- Startup (L1)

@@ -1,9 +1,12 @@
-//! Pins the simulator's schedule bit for bit on one DAG above the
-//! partitioned-engine cutover: GRAPE (hash edge-cut) PageRank-10 on the
-//! 20k-vertex matrix graph over 32 nodes, the widest point of the choke
-//! matrix. The digest hashes every activity's `start_us` and `end_us`
-//! bits in id order, so any change to the rate solver that moves a single
-//! low bit of a single activity fails here, even when every rounded
+//! Pins the simulator's schedule bit for bit on two platform DAGs:
+//!
+//! - GRAPE (hash edge-cut) PageRank-10 on the 20k-vertex matrix graph over
+//!   32 nodes, the widest point of the choke matrix (10 425 activities);
+//! - fig5's Giraph BFS on dg1000 over 8 nodes (1 157 activities).
+//!
+//! The digest hashes every activity's `start_us` and `end_us` bits in id
+//! order, so any change to the rate solver or the event loop that moves a
+//! single low bit of a single activity fails here, even when every rounded
 //! makespan and golden render stays the same.
 //!
 //! To regenerate after a change that is *meant* to move the schedule,
@@ -13,17 +16,20 @@
 //! cargo test --release --test sim_digest -- --nocapture
 //! ```
 //!
-//! and copy the `got` digest from the failure message into
-//! `PINNED_DIGEST`.
+//! and copy the `got` digest from the failure message into the pinned
+//! constant.
 
 use gpsim_cluster::{ClusterSpec, SimResult, Simulation};
-use gpsim_platforms::{Algorithm, GrapePartitioner, GrapePlatform};
+use gpsim_platforms::{Algorithm, GiraphPlatform, GrapePartitioner, GrapePlatform};
 use granula::calibration;
 use granula::experiment::Platform;
 
-/// Digest of the schedule below, computed before the shared water-filling
+/// Digest of the GRAPE schedule, computed before the shared water-filling
 /// rate kernel replaced the two progressive-filling loops.
 const PINNED_DIGEST: u64 = 0xc890_1c13_055d_f1e4;
+
+/// Digest of the fig5 Giraph schedule on the incremental engine.
+const PINNED_FIG5_GIRAPH_DIGEST: u64 = 0x0001_d035_8503_61ab;
 
 /// FNV-1a over the little-endian bytes of every activity's start and end.
 fn schedule_digest(res: &SimResult) -> u64 {
@@ -47,20 +53,33 @@ fn grape_pagerank_at_32_nodes_schedules_bit_identically() {
     cfg.nodes = 32;
     cfg.scale_factor = scale;
     let cluster = ClusterSpec::das5(cfg.nodes);
-    let dag = GrapePlatform {
+    let grape = GrapePlatform {
         partitioner: GrapePartitioner::Hash,
         ..GrapePlatform::default()
     }
     .healthy_dag(&graph, &cfg, &cluster);
-    assert!(
-        dag.len() >= Simulation::DEFAULT_CUTOVER,
-        "{} activities no longer cross the cutover",
-        dag.len()
-    );
-    let res = Simulation::new(cluster).run(&dag).unwrap();
-    let got = schedule_digest(&res);
-    assert_eq!(
-        got, PINNED_DIGEST,
-        "schedule digest moved: got {got:#018x}, pinned {PINNED_DIGEST:#018x}"
-    );
+
+    let graph = calibration::dg_graph();
+    let cfg = Platform::Giraph.dg1000_job();
+    let fig5_cluster = ClusterSpec::das5(cfg.nodes);
+    let giraph = GiraphPlatform::default().healthy_dag(&graph, &cfg, &fig5_cluster);
+
+    for (name, cluster, dag, pinned) in [
+        ("grape pagerank 32 nodes", cluster, grape, PINNED_DIGEST),
+        (
+            "fig5 giraph bfs",
+            fig5_cluster,
+            giraph,
+            PINNED_FIG5_GIRAPH_DIGEST,
+        ),
+    ] {
+        let res = Simulation::new(cluster).run(&dag).unwrap();
+        let got = schedule_digest(&res);
+        assert_eq!(
+            got,
+            pinned,
+            "{name} ({} activities): schedule digest moved: got {got:#018x}, pinned {pinned:#018x}",
+            dag.len()
+        );
+    }
 }
