@@ -17,7 +17,13 @@
 //! → STAT                             ← STAT <json ServeSnapshot>
 //! → PING                             ← PONG
 //! → SHUTDOWN                         ← BYE        (daemon exits)
+//!                                    ← ERR shutdown not permitted
 //! ```
+//!
+//! Only a loopback peer may stop the daemon: a `SHUTDOWN` from any other
+//! address (IPv4-mapped loopback counts as loopback) is refused and the
+//! connection stays open, so a daemon bound to `0.0.0.0` cannot be shut
+//! down from another host.
 //!
 //! A line longer than [`MAX_LINE`] bytes is answered `ERR line too long`
 //! and the connection is closed, so a client that never sends a newline
@@ -36,7 +42,7 @@
 //! function to assert byte equality of what the wire carries.
 
 use std::io::{self, Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -183,6 +189,11 @@ impl Server {
     }
 }
 
+/// Whether a `SHUTDOWN` from `peer` is honoured: loopback peers only.
+fn shutdown_permitted(peer: IpAddr) -> bool {
+    peer.to_canonical().is_loopback()
+}
+
 /// Reads line batches off one connection until EOF or shutdown.
 fn handle_connection(
     mut stream: TcpStream,
@@ -190,6 +201,9 @@ fn handle_connection(
     shutdown: &AtomicBool,
     server_addr: SocketAddr,
 ) -> io::Result<()> {
+    let may_shutdown = stream
+        .peer_addr()
+        .is_ok_and(|peer| shutdown_permitted(peer.ip()));
     let mut pending: Vec<u8> = Vec::new();
     let mut chunk = [0u8; 16 * 1024];
     loop {
@@ -263,10 +277,11 @@ fn handle_connection(
                     out.push_str(&format!("STAT {json}\n"));
                 }
                 Request::Ping => out.push_str("PONG\n"),
-                Request::Shutdown => {
+                Request::Shutdown if may_shutdown => {
                     out.push_str("BYE\n");
                     stop = true;
                 }
+                Request::Shutdown => out.push_str("ERR shutdown not permitted\n"),
                 Request::Bad(msg) => out.push_str(&format!("ERR {}\n", msg.replace('\n', " "))),
             }
         }
@@ -333,6 +348,21 @@ mod tests {
         fresh.read_to_string(&mut answer).unwrap();
         assert_eq!(answer, "PONG\nBYE\n");
         daemon.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn only_loopback_peers_may_shut_down() {
+        for (peer, permitted) in [
+            ("127.0.0.1", true),
+            ("::1", true),
+            ("::ffff:127.0.0.1", true),
+            ("192.0.2.7", false),
+            ("::ffff:192.0.2.7", false),
+            ("2001:db8::1", false),
+        ] {
+            let ip: IpAddr = peer.parse().unwrap();
+            assert_eq!(shutdown_permitted(ip), permitted, "{peer}");
+        }
     }
 
     #[test]

@@ -831,9 +831,9 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
 /// `serve <fleet.gar ...>`: the long-lived archive daemon. Opens every
 /// fleet file zero-copy (mmap + trailer extents; jobs decode on first
 /// query), shards jobs by id, and serves the line protocol of
-/// `granula_archive::serve` until a client sends `SHUTDOWN`. The first
-/// stdout line (`serving N jobs ... on ADDR`) is flushed before the
-/// accept loop starts, so wrappers can scrape the bound address when
+/// `granula_archive::serve` until a loopback client sends `SHUTDOWN`.
+/// The first stdout line (`serving N jobs ... on ADDR`) is flushed before
+/// the accept loop starts, so wrappers can scrape the bound address when
 /// `--addr` ends in `:0`.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: serve <fleet.gar> [more.gar ...] [--addr host:port] \

@@ -30,17 +30,14 @@
 use std::collections::VecDeque;
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeCrash, NodeId, SimError,
-    Simulation,
+    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError,
 };
 use gpsim_graph::{BlockPartition, EdgeCutPartition, Graph, VertexId};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{
-    memory_samples, reference_output, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig,
-    MemoryPhase, PlatformRun,
-};
-use crate::ops::{emit_events, OpSpec};
+use crate::common::{reference_output, Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
+use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
+use crate::ops::OpSpec;
 
 /// How vertices are assigned to edge-cut fragments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -402,564 +399,128 @@ impl GrapePlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let Fragments {
-            output,
-            rounds,
-            verts,
-            edges,
-            input_bytes,
-        } = self.fragments(g, cfg, cluster);
-
-        let crash = plan
-            .crashes
-            .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned()
-            .filter(|_| !rounds.is_empty());
-
-        let Some(crash) = crash else {
-            // Healthy (possibly degraded) layout: no recovery structure.
-            let mut b = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-            {
-                let _span = granula_trace::span!("platform", "grape.build_dag {}", cfg.job_id);
-                b.healthy();
-            }
-            return b.finish(plan, output);
-        };
-
-        // Phase 1: probe run — the same job under the plan's slowdowns only
-        // — locates the crash inside the round schedule.
-        let probe_span = granula_trace::span!("platform", "grape.probe {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let mut probe = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-        probe.healthy();
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
-
-        let (proc_start, proc_end) = probe_sim
-            .span_of_tag(&probe.dag, "job/proc/")
-            .expect("jobs run at least one round");
-        let t_clamped = crash.at_us.clamp(proc_start + 1.0, proc_end - 1.0);
-        let mut r_idx = rounds.len() - 1;
-        for (ri, rs) in rounds.iter().enumerate() {
-            let (_, end) = probe_sim
-                .span_of_tag(&probe.dag, &format!("job/proc/r{}/", rs.round))
-                .expect("round was simulated");
-            if t_clamped < end {
-                r_idx = ri;
-                break;
-            }
-        }
-        let r_star = rounds[r_idx].round;
-        let (r_start, r_end) = probe_sim
-            .span_of_tag(&probe.dag, &format!("job/proc/r{r_star}/"))
-            .expect("round was simulated");
-        let t_eff = t_clamped.clamp(r_start + 1.0, (r_end - 1.0).max(r_start + 1.0));
-        // Only the interrupted round's partial work is wasted: committed
-        // rounds survive on the healthy fragments and the lost one is
-        // reconstructed by fragment-local replay, not re-executed globally.
-        let wasted_us = t_eff - r_start;
-        drop(probe_span);
-
-        // Phase 2: the recovery layout. Prefix (startup, load, rounds
-        // before r*) is identical to the probe; the interrupted round
-        // becomes a doomed attempt killed by the injected crash; detection,
-        // fragment reload and fragment-local replay follow under
-        // `job/proc/recovery/`.
-        let mut b = Build::new(self, cfg, cluster, &rounds, &verts, &edges, &input_bytes);
-        let recovery_span = granula_trace::span!("platform", "grape.recovery.build {}", cfg.job_id);
-        let started = b.startup();
-        let mut prev = b.load(started);
-        b.process_graph();
-        for ri in 0..r_idx {
-            prev = b.round(ri, prev, "job/proc/", true);
-        }
-        b.doomed_attempt(r_idx, prev);
-
-        let coord = b.coord_node.clone();
-        let lost = crash.node;
-        let recover_actor = Actor::new("Coordinator", "0");
-        let recover_key = (recover_actor.clone(), Mission::new("Recover", "0"));
-        let proc_domain = b.domain("ProcessGraph");
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recover", "0"),
-                Some(proc_domain),
-                "job/proc/recovery/",
-                &coord,
-                "coordinator",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(lost).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(wasted_us.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/proc/recovery/detect",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/detect",
-            &coord,
-            "coordinator",
-        ));
-        // The replacement worker re-reads only the lost fragment and
-        // rebuilds its local index.
-        let lw = lost.0 as usize;
-        let reread = b.dag.add(
-            ActivityKind::SharedRead {
-                node: lost,
-                bytes: input_bytes[lw],
-            },
-            &[detect],
-            "job/proc/recovery/reload/read",
-        );
-        let rebuilt = b.dag.add(
-            ActivityKind::Compute {
-                node: lost,
-                work_core_us: edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
-                parallelism: costs.worker_threads,
-            },
-            &[reread],
-            "job/proc/recovery/reload/build",
-        );
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("ReloadFragment", "0"),
-                Some(recover_key.clone()),
-                "job/proc/recovery/reload/",
-                &coord,
-                "coordinator",
-            )
-            .with_info("InputBytes", InfoValue::Int(input_bytes[lw].round() as i64)),
-        );
-        // Fragment-local replay of the committed rounds: the lost fragment
-        // re-evaluates its own kernel, fed by the boundary updates its
-        // peers logged (resent, never recomputed).
-        let mut prev_r = rebuilt;
-        for (ri, rs) in rounds.iter().enumerate().take(r_idx) {
-            let r = rs.round;
-            let rtag = format!("job/proc/recovery/replay/r{r}/");
-            let mut deps = vec![prev_r];
-            if ri > 0 {
-                for (a, row) in rounds[ri - 1].boundary.iter().enumerate() {
-                    if a == lw || row[lw] == 0 {
-                        continue;
-                    }
-                    deps.push(b.dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: lost,
-                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[prev_r],
-                        format!("{rtag}in/a{a}"),
-                    ));
-                }
-            }
-            let frag = &rs.per_fragment[lw];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            prev_r = b.dag.add(
-                ActivityKind::Compute {
-                    node: lost,
-                    work_core_us: work.max(400.0),
-                    parallelism: 1,
-                },
-                &deps,
-                format!("{rtag}eval"),
-            );
-            b.specs.push(OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Replay", r.to_string()),
-                Some(recover_key.clone()),
-                rtag,
-                &coord,
-                "coordinator",
-            ));
-        }
-        // The interrupted round never committed its sync: it re-runs in
-        // full, covered by the final Replay op.
-        prev = b.round(r_idx, prev_r, "job/proc/recovery/replay/", false);
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Replay", r_star.to_string()),
-            Some(recover_key.clone()),
-            format!("job/proc/recovery/replay/r{r_star}/"),
-            &coord,
-            "coordinator",
-        ));
-        for ri in r_idx + 1..rounds.len() {
-            prev = b.round(ri, prev, "job/proc/", true);
-        }
-        let offloaded = b.offload(prev);
-        b.cleanup(offloaded);
-        drop(recovery_span);
-
-        let restart_after = crash.restart_after_us.unwrap_or(self.failure_detect_us);
-        let exec_plan = FaultPlan {
-            crashes: vec![NodeCrash {
-                node: crash.node,
-                at_us: t_eff,
-                restart_after_us: Some(restart_after),
-            }],
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
+        let (output, layout) = self.layout(g, cfg, cluster);
+        job::run_steps(&layout, cfg, cluster, plan, output)
     }
 
     /// The activity DAG a healthy run hands to the simulator: the layout
     /// of [`GrapePlatform::run_on`] without the simulation.
     pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
-        let f = self.fragments(g, cfg, cluster);
-        let mut b = Build::new(
-            self,
-            cfg,
-            cluster,
-            &f.rounds,
-            &f.verts,
-            &f.edges,
-            &f.input_bytes,
-        );
-        b.healthy();
-        b.dag
+        job::healthy_dag(&self.layout(g, cfg, cluster).1, cfg, cluster)
     }
 
     /// Runs the algorithm over the fragments and sizes each fragment.
-    fn fragments(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> Fragments {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} workers",
-            cfg.nodes
-        );
-        let k = cfg.nodes;
-        let owner = self.partitioner.owners(g, k);
+    fn layout(
+        &self,
+        g: &Graph,
+        cfg: &JobConfig,
+        cluster: &ClusterSpec,
+    ) -> (AlgorithmOutput, Layout<'_>) {
+        job::assert_fits(cfg, cluster);
+        let owner = self.partitioner.owners(g, cfg.nodes);
         let (output, rounds) = {
             let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
-            run_program(g, &owner, k, cfg.algorithm, self.max_rounds)
+            run_program(g, &owner, cfg.nodes, cfg.algorithm, self.max_rounds)
         };
-
-        // Per-fragment data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = owner[v as usize] as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| {
-                (verts[w] as f64 * 10.0 + edges[w] as f64 * cfg.costs.bytes_per_edge_in)
-                    * cfg.scale_factor
-            })
-            .collect();
-        Fragments {
-            output,
+        let shards = Shards::new(g, cfg, |v| owner[v as usize]);
+        let layout = Layout {
+            p: self,
             rounds,
-            verts,
-            edges,
-            input_bytes,
-        }
+            shards,
+        };
+        (output, layout)
     }
 }
 
-/// The algorithm's output and per-round counters plus per-fragment
-/// vertex, edge and input-byte counts.
-struct Fragments {
-    output: AlgorithmOutput,
-    rounds: Vec<RoundStats>,
-    verts: Vec<u64>,
-    edges: Vec<u64>,
-    input_bytes: Vec<f64>,
-}
-
-/// Incremental DAG + spec builder shared by the healthy and the
-/// fault-recovery job layouts.
-struct Build<'a> {
+/// A GRAPE job's layout inputs: the per-round counters and the
+/// per-fragment sizes.
+struct Layout<'a> {
     p: &'a GrapePlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
-    rounds: &'a [RoundStats],
-    verts: &'a [u64],
-    edges: &'a [u64],
-    input_bytes: &'a [f64],
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    coord_node: String,
+    rounds: Vec<RoundStats>,
+    shards: Shards,
 }
 
-impl<'a> Build<'a> {
-    fn new(
-        p: &'a GrapePlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        rounds: &'a [RoundStats],
-        verts: &'a [u64],
-        edges: &'a [u64],
-        input_bytes: &'a [f64],
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GrapeJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let coord_node = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &coord_node,
-            "coordinator",
-        )
-        .with_info("Platform", InfoValue::Text("Grape".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Workers", InfoValue::Int(cfg.nodes as i64))
-        .with_info("Partitioner", InfoValue::Text(p.partitioner.name().into()))];
-        Build {
-            p,
-            cfg,
-            cluster,
-            rounds,
-            verts,
-            edges,
-            input_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            coord_node,
-        }
+/// Actor kind and process name of a worker's operations.
+const WORKER: (&str, &str) = ("Worker", "worker");
+
+/// Actor kind and process name of the coordinator's operations on the head node.
+const COORDINATOR: (&str, &str) = ("Coordinator", "coordinator");
+
+/// Sequential kernel work of one fragment in one round; idle fragments
+/// still tick over the round machinery.
+fn eval_work(cfg: &JobConfig, frag: &FragmentRound) -> f64 {
+    let costs = &cfg.costs;
+    let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
+        + frag.active_vertices as f64 * costs.compute_us_per_vertex)
+        * cfg.scale_factor;
+    work.max(400.0)
+}
+
+impl StepLayout for Layout<'_> {
+    const NAME: &'static str = "grape";
+    const UNIT: &'static str = "r";
+    const RECOVERER: (&'static str, &'static str) = COORDINATOR;
+
+    fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b> {
+        let infos = vec![
+            ("Workers", InfoValue::Int(cfg.nodes as i64)),
+            (
+                "Partitioner",
+                InfoValue::Text(self.p.partitioner.name().into()),
+            ),
+        ];
+        JobBuilder::new(cfg, cluster, "GrapeJob", "coordinator", "Grape", infos)
     }
 
-    fn worker_node(&self, w: u16) -> String {
-        self.cluster.node(NodeId(w)).name.clone()
+    fn shards(&self) -> &Shards {
+        &self.shards
     }
 
-    fn domain(&self, mission: &str) -> (Actor, Mission) {
-        (self.job_actor.clone(), Mission::new(mission, "0"))
+    fn units(&self) -> usize {
+        self.rounds.len()
     }
 
-    /// Lays out the healthy job: startup, load, every round, offload and
-    /// cleanup.
-    fn healthy(&mut self) {
-        let started = self.startup();
-        let mut prev = self.load(started);
-        self.process_graph();
-        for ri in 0..self.rounds.len() {
-            prev = self.round(ri, prev, "job/proc/", true);
-        }
-        let offloaded = self.offload(prev);
-        self.cleanup(offloaded);
+    fn unit_id(&self, i: usize) -> u32 {
+        self.rounds[i].round
     }
 
-    // -------------------------------------------------- Startup (L1)
-    fn startup(&mut self) -> ActivityId {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(self.job_key.clone()),
-            "job/startup/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let deploy = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.deploy_us,
-            },
-            &[],
-            "job/startup/coordinator",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("DeployCoordinator", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/coordinator",
-            &self.coord_node,
-            "coordinator",
-        ));
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("DeployWorkers", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/deploy/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let mut ready: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let launch = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.worker_launch_us * (1.0 + 0.05 * w as f64),
-                },
-                &[deploy],
-                format!("job/startup/deploy/w{w}"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("LocalStartup", "0"),
-                Some((
-                    Actor::new("Coordinator", "0"),
-                    Mission::new("DeployWorkers", "0"),
-                )),
-                format!("job/startup/deploy/w{w}"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            ready.push(launch);
-        }
-        self.dag.barrier(&ready, "job/startup/all-ready")
+    fn failure_detect_us(&self) -> f64 {
+        self.p.failure_detect_us
     }
 
-    // ------------------------------------------------ LoadGraph (L1)
-    fn load(&mut self, started: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/load/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        let mut loaded: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let tagp = format!("job/load/w{w}/");
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(self.domain("LoadGraph")),
-                    tagp.clone(),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
-                )
-                .with_info(
-                    "InputBytes",
-                    InfoValue::Int(self.input_bytes[w as usize].round() as i64),
-                ),
-            );
-            // Parallel read of this worker's fragment from shared storage.
-            let read = self.dag.add(
-                ActivityKind::SharedRead {
-                    node,
-                    bytes: self.input_bytes[w as usize],
-                },
-                &[started],
-                format!("{tagp}read"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("ReadFragment", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}read"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            let parse = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.input_bytes[w as usize] * costs.parse_cpu_us_per_byte,
-                    parallelism: costs.worker_threads,
-                },
-                &[read],
-                format!("{tagp}parse"),
-            );
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.edges[w as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &[parse],
-                format!("{tagp}build"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Worker", w.to_string()),
-                Mission::new("BuildIndex", "0"),
-                Some((
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}build"),
-                self.worker_node(w),
-                format!("worker-{w}"),
-            ));
-            loaded.push(build);
-        }
-        self.dag.barrier(&loaded, "job/load/all-loaded")
-    }
-
-    // ---------------------------------------------- ProcessGraph (L1)
-    fn process_graph(&mut self) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/proc/",
-            &self.coord_node,
-            "coordinator",
-        ));
+    fn prologue(&self, b: &mut JobBuilder) -> ActivityId {
+        let started = self.startup(b);
+        let loaded = self.load(b, started);
+        b.domain_op("ProcessGraph", "job/proc/", "coordinator");
+        loaded
     }
 
     /// One boundary-synchronized round: per-fragment *sequential* kernel
     /// (parallelism 1 — the defining GRAPE trait), boundary-update
-    /// transfers, and the coordinator's sync barrier. `prefix` places the
-    /// activities; `with_specs` controls whether the round emits its own
-    /// Granula operations (replays are covered by a single `Replay` op
-    /// pushed by the caller).
-    fn round(
-        &mut self,
+    /// transfers, and the coordinator's sync barrier.
+    fn step(
+        &self,
+        b: &mut JobBuilder,
         ri: usize,
         prev_barrier: ActivityId,
         prefix: &str,
-        with_specs: bool,
+        committed: bool,
     ) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+        let costs = &b.cfg.costs;
+        let scale = b.cfg.scale_factor;
         let rs = &self.rounds[ri];
         let r = rs.round;
         let r_tag = format!("{prefix}r{r}/");
         let eval_kind = if r == 0 { "PEval" } else { "IncEval" };
-        if with_specs {
-            self.specs.push(
+        let round_key = (b.job_actor.clone(), Mission::new("Round", r.to_string()));
+        if committed {
+            b.specs.push(
                 OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Round", r.to_string()),
-                    Some(self.domain("ProcessGraph")),
+                    b.job_actor.clone(),
+                    round_key.1.clone(),
+                    Some(b.domain("ProcessGraph")),
                     r_tag.clone(),
-                    &self.coord_node,
+                    &b.head,
                     "coordinator",
                 )
                 .with_info(
@@ -972,31 +533,26 @@ impl<'a> Build<'a> {
                 ),
             );
         }
-        let mut evals: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
+        let mut evals: Vec<ActivityId> = Vec::with_capacity(b.cfg.nodes as usize);
+        for w in 0..b.cfg.nodes {
             let frag = &rs.per_fragment[w as usize];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            let eval = self.dag.add(
+            let eval = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(w),
-                    // Idle fragments still tick over the round machinery.
-                    work_core_us: work.max(400.0),
+                    work_core_us: eval_work(b.cfg, frag),
                     parallelism: 1,
                 },
                 &[prev_barrier],
                 format!("{r_tag}f{w}/eval"),
             );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Worker", w.to_string()),
+            if committed {
+                b.specs.push(
+                    b.worker_op(
+                        WORKER,
+                        w,
                         Mission::new(eval_kind, r.to_string()),
-                        Some((self.job_actor.clone(), Mission::new("Round", r.to_string()))),
+                        round_key.clone(),
                         format!("{r_tag}f{w}/"),
-                        self.worker_node(w),
-                        format!("worker-{w}"),
                     )
                     .with_info(
                         "EdgesScanned",
@@ -1017,7 +573,7 @@ impl<'a> Build<'a> {
                 if a == bdst || count == 0 {
                     continue;
                 }
-                deps.push(self.dag.add(
+                deps.push(b.dag.add(
                     ActivityKind::Transfer {
                         src: NodeId(a as u16),
                         dst: NodeId(bdst as u16),
@@ -1028,54 +584,41 @@ impl<'a> Build<'a> {
                 ));
             }
         }
-        let join = self.dag.barrier(&deps, format!("{r_tag}sync/join"));
-        let sync = self.dag.add(
+        let join = b.dag.barrier(&deps, format!("{r_tag}sync/join"));
+        let sync = b.dag.add(
             ActivityKind::Delay {
                 duration_us: costs.barrier_us,
             },
             &[join],
             format!("{r_tag}sync/coord"),
         );
-        if with_specs {
-            self.specs.push(OpSpec::new(
-                Actor::new("Coordinator", "0"),
+        if committed {
+            b.specs.push(b.head_op(
+                COORDINATOR,
                 Mission::new("BoundarySync", r.to_string()),
-                Some((self.job_actor.clone(), Mission::new("Round", r.to_string()))),
+                round_key,
                 format!("{r_tag}sync/"),
-                &self.coord_node,
-                "coordinator",
             ));
         }
         sync
     }
 
     /// The attempt at round `ri` that the crash interrupts: per-fragment
-    /// kernels, no sync — the failure means the round never commits, and
-    /// recovery (not this attempt) gates further work.
-    fn doomed_attempt(&mut self, ri: usize, prev_barrier: ActivityId) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+    /// kernels, no sync.
+    fn doomed(&self, b: &mut JobBuilder, ri: usize, prev_barrier: ActivityId) {
         let rs = &self.rounds[ri];
-        let r = rs.round;
-        let tag = format!("job/proc/r{r}/");
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("FailedRound", r.to_string()),
-            Some(self.domain("ProcessGraph")),
+        let tag = format!("job/proc/r{}/", rs.round);
+        b.specs.push(b.head_op(
+            COORDINATOR,
+            Mission::new("FailedRound", rs.round.to_string()),
+            b.domain("ProcessGraph"),
             tag.clone(),
-            &self.coord_node,
-            "coordinator",
         ));
-        for w in 0..k {
-            let frag = &rs.per_fragment[w as usize];
-            let work = (frag.edges_scanned as f64 * costs.compute_us_per_edge
-                + frag.active_vertices as f64 * costs.compute_us_per_vertex)
-                * scale;
-            self.dag.add(
+        for w in 0..b.cfg.nodes {
+            b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(w),
-                    work_core_us: work.max(400.0),
+                    work_core_us: eval_work(b.cfg, &rs.per_fragment[w as usize]),
                     parallelism: 1,
                 },
                 &[prev_barrier],
@@ -1084,23 +627,237 @@ impl<'a> Build<'a> {
         }
     }
 
-    // --------------------------------------------- OffloadGraph (L1)
-    fn offload(&mut self, prev_barrier: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/offload/",
-            &self.coord_node,
-            "coordinator",
+    /// The replacement worker re-reads only the lost fragment, replays its
+    /// evaluations of the committed rounds fed by the boundary updates its
+    /// peers logged (resent, never recomputed), and the interrupted round
+    /// re-runs in full. Committed rounds survive on the healthy fragments,
+    /// so only the interrupted round's partial work is wasted.
+    fn recover(
+        &self,
+        b: &mut JobBuilder,
+        rec: &Recovery,
+        failed: usize,
+        detect: ActivityId,
+    ) -> ActivityId {
+        let costs = &b.cfg.costs;
+        let scale = b.cfg.scale_factor;
+        let lost = rec.lost;
+        let lw = lost.0 as usize;
+        let input_bytes = self.shards.input_bytes[lw];
+        let reread = b.dag.add(
+            ActivityKind::SharedRead {
+                node: lost,
+                bytes: input_bytes,
+            },
+            &[detect],
+            "job/proc/recovery/reload/read",
+        );
+        let rebuilt = b.dag.add(
+            ActivityKind::Compute {
+                node: lost,
+                work_core_us: self.shards.edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
+                parallelism: costs.worker_threads,
+            },
+            &[reread],
+            "job/proc/recovery/reload/build",
+        );
+        b.specs.push(
+            rec.op(b, "ReloadFragment", "0", "job/proc/recovery/reload/")
+                .with_info("InputBytes", InfoValue::Int(input_bytes.round() as i64)),
+        );
+        let mut prev = rebuilt;
+        for (ri, rs) in self.rounds.iter().enumerate().take(failed) {
+            let rtag = format!("job/proc/recovery/replay/r{}/", rs.round);
+            let mut deps = vec![prev];
+            if ri > 0 {
+                for (a, row) in self.rounds[ri - 1].boundary.iter().enumerate() {
+                    if a == lw || row[lw] == 0 {
+                        continue;
+                    }
+                    deps.push(b.dag.add(
+                        ActivityKind::Transfer {
+                            src: NodeId(a as u16),
+                            dst: lost,
+                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
+                        },
+                        &[prev],
+                        format!("{rtag}in/a{a}"),
+                    ));
+                }
+            }
+            prev = b.dag.add(
+                ActivityKind::Compute {
+                    node: lost,
+                    work_core_us: eval_work(b.cfg, &rs.per_fragment[lw]),
+                    parallelism: 1,
+                },
+                &deps,
+                format!("{rtag}eval"),
+            );
+            b.specs
+                .push(rec.op(b, "Replay", rs.round.to_string(), rtag));
+        }
+        // The interrupted round never committed its sync: it re-runs in
+        // full, covered by the final Replay op.
+        let r = self.rounds[failed].round;
+        let prev = self.step(b, failed, prev, "job/proc/recovery/replay/", false);
+        b.specs.push(rec.op(
+            b,
+            "Replay",
+            r.to_string(),
+            format!("job/proc/recovery/replay/r{r}/"),
         ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.dag.add(
+        prev
+    }
+
+    fn epilogue(&self, b: &mut JobBuilder, prev: ActivityId) {
+        let offloaded = self.offload(b, prev);
+        b.domain_op("Cleanup", "job/cleanup/", "coordinator");
+        b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.finalize_us,
+            },
+            &[offloaded],
+            "job/cleanup/finalize",
+        );
+        b.specs.push(b.head_op(
+            COORDINATOR,
+            Mission::new("Terminate", "0"),
+            b.domain("Cleanup"),
+            "job/cleanup/finalize",
+        ));
+    }
+}
+
+impl Layout<'_> {
+    // -------------------------------------------------- Startup (L1)
+    fn startup(&self, b: &mut JobBuilder) -> ActivityId {
+        b.domain_op("Startup", "job/startup/", "coordinator");
+        let deploy = b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.deploy_us,
+            },
+            &[],
+            "job/startup/coordinator",
+        );
+        for (mission, tag) in [
+            ("DeployCoordinator", "job/startup/coordinator"),
+            ("DeployWorkers", "job/startup/deploy/"),
+        ] {
+            b.specs.push(b.head_op(
+                COORDINATOR,
+                Mission::new(mission, "0"),
+                b.domain("Startup"),
+                tag,
+            ));
+        }
+        let deploy_key = (
+            Actor::new("Coordinator", "0"),
+            Mission::new("DeployWorkers", "0"),
+        );
+        let mut ready: Vec<ActivityId> = Vec::with_capacity(b.cfg.nodes as usize);
+        for w in 0..b.cfg.nodes {
+            let tag = format!("job/startup/deploy/w{w}");
+            let launch = b.dag.add(
+                ActivityKind::Delay {
+                    duration_us: self.p.worker_launch_us * (1.0 + 0.05 * w as f64),
+                },
+                &[deploy],
+                tag.clone(),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("LocalStartup", "0"),
+                deploy_key.clone(),
+                tag,
+            ));
+            ready.push(launch);
+        }
+        b.dag.barrier(&ready, "job/startup/all-ready")
+    }
+
+    // ------------------------------------------------ LoadGraph (L1)
+    fn load(&self, b: &mut JobBuilder, started: ActivityId) -> ActivityId {
+        let costs = &b.cfg.costs;
+        b.domain_op("LoadGraph", "job/load/", "coordinator");
+        let mut loaded: Vec<ActivityId> = Vec::with_capacity(b.cfg.nodes as usize);
+        for w in 0..b.cfg.nodes {
+            let node = NodeId(w);
+            let tagp = format!("job/load/w{w}/");
+            let input_bytes = self.shards.input_bytes[w as usize];
+            let local_load = (
+                Actor::new("Worker", w.to_string()),
+                Mission::new("LocalLoad", "0"),
+            );
+            b.specs.push(
+                b.worker_op(
+                    WORKER,
+                    w,
+                    local_load.1.clone(),
+                    b.domain("LoadGraph"),
+                    tagp.clone(),
+                )
+                .with_info("InputBytes", InfoValue::Int(input_bytes.round() as i64)),
+            );
+            // Parallel read of this worker's fragment from shared storage.
+            let read = b.dag.add(
+                ActivityKind::SharedRead {
+                    node,
+                    bytes: input_bytes,
+                },
+                &[started],
+                format!("{tagp}read"),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("ReadFragment", "0"),
+                local_load.clone(),
+                format!("{tagp}read"),
+            ));
+            let parse = b.dag.add(
+                ActivityKind::Compute {
+                    node,
+                    work_core_us: input_bytes * costs.parse_cpu_us_per_byte,
+                    parallelism: costs.worker_threads,
+                },
+                &[read],
+                format!("{tagp}parse"),
+            );
+            let build = b.dag.add(
+                ActivityKind::Compute {
+                    node,
+                    work_core_us: self.shards.edges[w as usize] as f64
+                        * b.cfg.scale_factor
+                        * costs.build_cpu_us_per_edge,
+                    parallelism: costs.worker_threads,
+                },
+                &[parse],
+                format!("{tagp}build"),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("BuildIndex", "0"),
+                local_load,
+                format!("{tagp}build"),
+            ));
+            loaded.push(build);
+        }
+        b.dag.barrier(&loaded, "job/load/all-loaded")
+    }
+
+    // --------------------------------------------- OffloadGraph (L1)
+    fn offload(&self, b: &mut JobBuilder, prev_barrier: ActivityId) -> ActivityId {
+        let costs = &b.cfg.costs;
+        b.domain_op("OffloadGraph", "job/offload/", "coordinator");
+        let mut offloads: Vec<ActivityId> = Vec::with_capacity(b.cfg.nodes as usize);
+        for w in 0..b.cfg.nodes {
+            let bytes = self.shards.verts[w as usize] as f64
+                * costs.bytes_per_vertex_out
+                * b.cfg.scale_factor;
+            let write = b.dag.add(
                 ActivityKind::SharedRead {
                     node: NodeId(w),
                     bytes,
@@ -1108,86 +865,19 @@ impl<'a> Build<'a> {
                 &[prev_barrier],
                 format!("job/offload/w{w}/write"),
             );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Worker", w.to_string()),
+            b.specs.push(
+                b.worker_op(
+                    WORKER,
+                    w,
                     Mission::new("LocalOffload", "0"),
-                    Some(self.domain("OffloadGraph")),
+                    b.domain("OffloadGraph"),
                     format!("job/offload/w{w}/"),
-                    self.worker_node(w),
-                    format!("worker-{w}"),
                 )
                 .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
             );
             offloads.push(write);
         }
-        self.dag.barrier(&offloads, "job/offload/all-done")
-    }
-
-    // -------------------------------------------------- Cleanup (L1)
-    fn cleanup(&mut self, all_offloaded: ActivityId) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(self.job_key.clone()),
-            "job/cleanup/",
-            &self.coord_node,
-            "coordinator",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.finalize_us,
-            },
-            &[all_offloaded],
-            "job/cleanup/finalize",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Coordinator", "0"),
-            Mission::new("Terminate", "0"),
-            Some(self.domain("Cleanup")),
-            "job/cleanup/finalize",
-            &self.coord_node,
-            "coordinator",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "grape.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = emit_events(&self.specs, &self.dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each fragment becomes resident over its load
-        // interval and is released when the engine finalizes.
-        let release = sim
-            .span_of_tag(&self.dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&self.dag, &format!("job/load/w{w}/")) {
-                phases.push(MemoryPhase {
-                    node: self.worker_node(w),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: self.edges[w as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.rounds.len() as u32,
-        })
+        b.dag.barrier(&offloads, "job/offload/all-done")
     }
 }
 

@@ -9,17 +9,15 @@
 //! MPI-allreduce barrier.
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, NodeId, SimError, Simulation,
+    ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError, SimResult,
 };
 use gpsim_graph::{BlockPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
 use crate::gas::IterationMode;
-use crate::ops::{emit_events, OpSpec};
+use crate::job::{self, load_window_phases, JobBuilder, Shards};
+use crate::ops::OpSpec;
 use crate::spmv::{self, SpmvIteration};
 
 /// GraphMat-like platform configuration.
@@ -120,54 +118,28 @@ impl GraphMatPlatform {
         cfg: &JobConfig,
         cluster: &ClusterSpec,
     ) -> Result<PlatformRun, SimError> {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} ranks",
-            cfg.nodes
-        );
+        job::assert_fits(cfg, cluster);
         let k = cfg.nodes;
         let costs = &cfg.costs;
         let scale = cfg.scale_factor;
         let part = BlockPartition::by_edges(g, k);
         let (output, iterations) = run_program(g, &part, cfg.algorithm, self.max_iterations);
+        let shards = Shards::new(g, cfg, |v| part.owner_of(v));
 
-        let edge_sizes = part.edge_sizes(g);
-        let vert_sizes: Vec<u64> = (0..k).map(|m| part.range(m).len() as u64).collect();
-
-        let mut dag = ActivityGraph::new();
-        let mut specs: Vec<OpSpec> = Vec::new();
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GraphMatJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let node_name = |m: u16| cluster.node(NodeId(m)).name.clone();
-        let head = node_name(0);
-
-        specs.push(
-            OpSpec::new(
-                job_actor.clone(),
-                job_mission.clone(),
-                None,
-                "job/",
-                &head,
-                "mpiexec",
-            )
-            .with_info("Platform", InfoValue::Text("GraphMat".into()))
-            .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-            .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-            .with_info("Ranks", InfoValue::Int(k as i64)),
+        let ranks = InfoValue::Int(k as i64);
+        let mut b = JobBuilder::new(
+            cfg,
+            cluster,
+            "GraphMatJob",
+            "mpiexec",
+            "GraphMat",
+            vec![("Ranks", ranks)],
         );
-        let domain = |mission: &str| (job_actor.clone(), Mission::new(mission, "0"));
+        let head = b.head.clone();
 
         // -------------------------------------------------- Startup (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(job_key.clone()),
-            "job/startup/",
-            &head,
-            "mpiexec",
-        ));
-        let mpiexec = dag.add(
+        b.domain_op("Startup", "job/startup/", "mpiexec");
+        let mpiexec = b.dag.add(
             ActivityKind::Delay {
                 duration_us: self.mpiexec_us,
             },
@@ -176,7 +148,7 @@ impl GraphMatPlatform {
         );
         let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for m in 0..k {
-            ranks.push(dag.add(
+            ranks.push(b.dag.add(
                 ActivityKind::Delay {
                     duration_us: self.per_rank_us,
                 },
@@ -184,44 +156,35 @@ impl GraphMatPlatform {
                 format!("job/startup/mpi/rank-{m}"),
             ));
         }
-        specs.push(OpSpec::new(
+        b.specs.push(OpSpec::new(
             Actor::new("Master", "0"),
             Mission::new("MpiSetup", "0"),
-            Some(domain("Startup")),
+            Some(b.domain("Startup")),
             "job/startup/mpi/",
             &head,
             "mpiexec",
         ));
-        let started = dag.barrier(&ranks, "job/startup/ready");
+        let started = b.dag.barrier(&ranks, "job/startup/ready");
 
         // ------------------------------------------------ LoadGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(job_key.clone()),
-            "job/load/",
-            &head,
-            "rank-0",
-        ));
+        b.domain_op("LoadGraph", "job/load/", "rank-0");
         let mut converted: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for m in 0..k {
-            let bytes = (vert_sizes[m as usize] as f64 * 10.0
-                + edge_sizes[m as usize] as f64 * costs.bytes_per_edge_in)
-                * scale;
+            let bytes = shards.input_bytes[m as usize];
             let tagp = format!("job/load/m{m}/");
-            specs.push(
+            b.specs.push(
                 OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("LocalLoad", "0"),
-                    Some(domain("LoadGraph")),
+                    Some(b.domain("LoadGraph")),
                     tagp.clone(),
-                    node_name(m),
+                    b.node(m),
                     format!("rank-{m}"),
                 )
                 .with_info("InputBytes", InfoValue::Int(bytes.round() as i64)),
             );
             // Parallel read from the shared server, pipelined with parsing.
-            let read = dag.add(
+            let read = b.dag.add(
                 ActivityKind::SharedRead {
                     node: NodeId(m),
                     bytes,
@@ -229,7 +192,7 @@ impl GraphMatPlatform {
                 &[started],
                 format!("{tagp}read"),
             );
-            specs.push(OpSpec::new(
+            b.specs.push(OpSpec::new(
                 Actor::new("Machine", m.to_string()),
                 Mission::new("ReadInput", "0"),
                 Some((
@@ -237,10 +200,10 @@ impl GraphMatPlatform {
                     Mission::new("LocalLoad", "0"),
                 )),
                 format!("{tagp}read"),
-                node_name(m),
+                b.node(m),
                 format!("rank-{m}"),
             ));
-            let parse = dag.add(
+            let parse = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(m),
                     work_core_us: bytes * costs.parse_cpu_us_per_byte,
@@ -250,16 +213,18 @@ impl GraphMatPlatform {
                 format!("{tagp}parse"),
             );
             // The expensive conversion to the internal SpMV format.
-            let convert = dag.add(
+            let convert = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(m),
-                    work_core_us: edge_sizes[m as usize] as f64 * scale * self.convert_us_per_edge,
+                    work_core_us: shards.edges[m as usize] as f64
+                        * scale
+                        * self.convert_us_per_edge,
                     parallelism: costs.worker_threads,
                 },
                 &[parse],
                 format!("{tagp}convert"),
             );
-            specs.push(OpSpec::new(
+            b.specs.push(OpSpec::new(
                 Actor::new("Machine", m.to_string()),
                 Mission::new("ConvertFormat", "0"),
                 Some((
@@ -267,31 +232,24 @@ impl GraphMatPlatform {
                     Mission::new("LocalLoad", "0"),
                 )),
                 format!("{tagp}convert"),
-                node_name(m),
+                b.node(m),
                 format!("rank-{m}"),
             ));
             converted.push(convert);
         }
-        let all_loaded = dag.barrier(&converted, "job/load/done");
+        let all_loaded = b.dag.barrier(&converted, "job/load/done");
 
         // ---------------------------------------------- ProcessGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(job_key.clone()),
-            "job/proc/",
-            &head,
-            "rank-0",
-        ));
+        b.domain_op("ProcessGraph", "job/proc/", "rank-0");
         let mut prev_barrier = all_loaded;
         for it in &iterations {
             let t = it.iteration;
             let it_tag = format!("job/proc/it{t}/");
-            specs.push(
+            b.specs.push(
                 OpSpec::new(
-                    job_actor.clone(),
+                    b.job_actor.clone(),
                     Mission::new("Iteration", t.to_string()),
-                    Some(domain("ProcessGraph")),
+                    Some(b.domain("ProcessGraph")),
                     it_tag.clone(),
                     &head,
                     "rank-0",
@@ -301,7 +259,10 @@ impl GraphMatPlatform {
                     InfoValue::Int((it.active_vertices as f64 * scale).round() as i64),
                 ),
             );
-            let iter_parent = (job_actor.clone(), Mission::new("Iteration", t.to_string()));
+            let iter_parent = (
+                b.job_actor.clone(),
+                Mission::new("Iteration", t.to_string()),
+            );
 
             // Multiply (SpMV) phase per machine.
             let mut multiplies: Vec<ActivityId> = Vec::with_capacity(k as usize);
@@ -310,7 +271,7 @@ impl GraphMatPlatform {
                 let work = (stats.edges_processed as f64 * costs.compute_us_per_edge
                     + stats.messages_sent as f64 * costs.serialize_us_per_message)
                     * scale;
-                let mul = dag.add(
+                let mul = b.dag.add(
                     ActivityKind::Compute {
                         node: NodeId(m),
                         work_core_us: work.max(300.0),
@@ -319,13 +280,13 @@ impl GraphMatPlatform {
                     &[prev_barrier],
                     format!("{it_tag}m{m}/multiply"),
                 );
-                specs.push(
+                b.specs.push(
                     OpSpec::new(
                         Actor::new("Machine", m.to_string()),
                         Mission::new("Multiply", t.to_string()),
                         Some(iter_parent.clone()),
                         format!("{it_tag}m{m}/multiply"),
-                        node_name(m),
+                        b.node(m),
                         format!("rank-{m}"),
                     )
                     .with_info(
@@ -340,30 +301,30 @@ impl GraphMatPlatform {
             let mut transfers: Vec<ActivityId> = Vec::new();
             #[allow(clippy::needless_range_loop)] // machine ids index the matrix
             for a in 0..k as usize {
-                for (b, &count) in it.exchange[a].iter().enumerate() {
-                    if a == b || count == 0 {
+                for (dst, &count) in it.exchange[a].iter().enumerate() {
+                    if a == dst || count == 0 {
                         continue;
                     }
-                    transfers.push(dag.add(
+                    transfers.push(b.dag.add(
                         ActivityKind::Transfer {
                             src: NodeId(a as u16),
-                            dst: NodeId(b as u16),
+                            dst: NodeId(dst as u16),
                             bytes: count as f64 * costs.bytes_per_message * scale,
                         },
                         &[multiplies[a]],
-                        format!("{it_tag}ex/a{a}b{b}"),
+                        format!("{it_tag}ex/a{a}b{dst}"),
                     ));
                 }
             }
             let exchange_done = if transfers.is_empty() {
-                dag.barrier(&multiplies, format!("{it_tag}ex/none"))
+                b.dag.barrier(&multiplies, format!("{it_tag}ex/none"))
             } else {
                 let mut deps = transfers.clone();
                 deps.extend_from_slice(&multiplies);
-                dag.barrier(&deps, format!("{it_tag}ex/join"))
+                b.dag.barrier(&deps, format!("{it_tag}ex/join"))
             };
             if !transfers.is_empty() {
-                specs.push(OpSpec::new(
+                b.specs.push(OpSpec::new(
                     Actor::new("Master", "0"),
                     Mission::new("Exchange", t.to_string()),
                     Some(iter_parent.clone()),
@@ -377,7 +338,7 @@ impl GraphMatPlatform {
             let mut applies: Vec<ActivityId> = Vec::with_capacity(k as usize);
             for m in 0..k {
                 let stats = &it.per_machine[m as usize];
-                let apply = dag.add(
+                let apply = b.dag.add(
                     ActivityKind::Compute {
                         node: NodeId(m),
                         work_core_us: (stats.applies as f64 * costs.compute_us_per_vertex * scale)
@@ -387,18 +348,18 @@ impl GraphMatPlatform {
                     &[exchange_done],
                     format!("{it_tag}m{m}/apply"),
                 );
-                specs.push(OpSpec::new(
+                b.specs.push(OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("Apply", t.to_string()),
                     Some(iter_parent.clone()),
                     format!("{it_tag}m{m}/apply"),
-                    node_name(m),
+                    b.node(m),
                     format!("rank-{m}"),
                 ));
                 applies.push(apply);
             }
-            let join = dag.barrier(&applies, format!("{it_tag}barrier/join"));
-            prev_barrier = dag.add(
+            let join = b.dag.barrier(&applies, format!("{it_tag}barrier/join"));
+            prev_barrier = b.dag.add(
                 ActivityKind::Delay {
                     duration_us: costs.barrier_us,
                 },
@@ -408,18 +369,11 @@ impl GraphMatPlatform {
         }
 
         // --------------------------------------------- OffloadGraph (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(job_key.clone()),
-            "job/offload/",
-            &head,
-            "rank-0",
-        ));
+        b.domain_op("OffloadGraph", "job/offload/", "rank-0");
         let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for m in 0..k {
-            let bytes = vert_sizes[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = dag.add(
+            let bytes = shards.verts[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
+            let write = b.dag.add(
                 ActivityKind::SharedRead {
                     node: NodeId(m),
                     bytes,
@@ -427,76 +381,49 @@ impl GraphMatPlatform {
                 &[prev_barrier],
                 format!("job/offload/m{m}/write"),
             );
-            specs.push(
+            b.specs.push(
                 OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("LocalOffload", "0"),
-                    Some(domain("OffloadGraph")),
+                    Some(b.domain("OffloadGraph")),
                     format!("job/offload/m{m}/"),
-                    node_name(m),
+                    b.node(m),
                     format!("rank-{m}"),
                 )
                 .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
             );
             offloads.push(write);
         }
-        let all_offloaded = dag.barrier(&offloads, "job/offload/done");
+        let all_offloaded = b.dag.barrier(&offloads, "job/offload/done");
 
         // -------------------------------------------------- Cleanup (L1)
-        specs.push(OpSpec::new(
-            job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(job_key.clone()),
-            "job/cleanup/",
-            &head,
-            "mpiexec",
-        ));
-        dag.add(
+        b.domain_op("Cleanup", "job/cleanup/", "mpiexec");
+        b.dag.add(
             ActivityKind::Delay {
                 duration_us: self.finalize_us,
             },
             &[all_offloaded],
             "job/cleanup/finalize",
         );
-        specs.push(OpSpec::new(
+        b.specs.push(OpSpec::new(
             Actor::new("Master", "0"),
             Mission::new("MpiFinalize", "0"),
-            Some(domain("Cleanup")),
+            Some(b.domain("Cleanup")),
             "job/cleanup/finalize",
             &head,
             "mpiexec",
         ));
 
-        // ------------------------------------------------------- Simulate
-        let sim = Simulation::new(cluster.clone()).run(&dag)?;
-        let events = emit_events(&specs, &dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each rank's matrix block becomes resident over its
-        // load+convert interval and lives until MPI finalize.
-        let release = sim
-            .span_of_tag(&dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&dag, &format!("job/load/m{m}/")) {
-                phases.push(MemoryPhase {
-                    node: node_name(m),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: edge_sizes[m as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
+        let memory =
+            |b: &JobBuilder, sim: &SimResult| load_window_phases(b, sim, "m", &shards.edges);
+        job::finish(
+            b,
+            "graphmat",
+            &FaultPlan::default(),
             output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: iterations.len() as u32,
-        })
+            iterations.len(),
+            memory,
+        )
     }
 }
 

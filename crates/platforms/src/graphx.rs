@@ -24,18 +24,15 @@
 //! checkpoint/replay and PowerGraph's fail-stop restart.
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeCrash, NodeId,
-    SimError, Simulation,
+    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
 };
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
-use crate::ops::{emit_events, OpSpec};
-use crate::pregel::{self, SuperstepStats};
+use crate::common::{JobConfig, PlatformRun};
+use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
+use crate::ops::OpSpec;
+use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 
 /// GraphX-like platform: configuration knobs beyond the job's cost model.
 #[derive(Debug, Clone)]
@@ -64,44 +61,6 @@ impl Default for GraphXPlatform {
             fs: FileSystem::hdfs(),
             max_iterations: 10_000,
             failure_detect_us: 2.0e6,
-        }
-    }
-}
-
-fn run_program(
-    g: &Graph,
-    part: &EdgeCutPartition,
-    algorithm: Algorithm,
-    max_iterations: u32,
-) -> (AlgorithmOutput, Vec<SuperstepStats>) {
-    match algorithm {
-        Algorithm::Bfs { source } => {
-            let out = pregel::run_bfs(g, part, source, max_iterations);
-            (AlgorithmOutput::Levels(out.values), out.supersteps)
-        }
-        Algorithm::PageRank { iterations } => {
-            let out = pregel::run(
-                g,
-                part,
-                &pregel::PageRankProgram {
-                    iterations,
-                    damping: 0.85,
-                },
-                max_iterations,
-            );
-            (AlgorithmOutput::Ranks(out.values), out.supersteps)
-        }
-        Algorithm::Wcc => {
-            let out = pregel::run(g, part, &pregel::WccProgram, max_iterations);
-            (AlgorithmOutput::Labels(out.values), out.supersteps)
-        }
-        Algorithm::Sssp { source } => {
-            let out = pregel::run(g, part, &pregel::SsspProgram { source }, max_iterations);
-            (AlgorithmOutput::Distances(out.values), out.supersteps)
-        }
-        Algorithm::Cdlp { iterations } => {
-            let out = pregel::run(g, part, &pregel::CdlpProgram { iterations }, max_iterations);
-            (AlgorithmOutput::Labels(out.values), out.supersteps)
         }
     }
 }
@@ -156,590 +115,114 @@ impl GraphXPlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} executors",
-            cfg.nodes
-        );
-        let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
-        let part = EdgeCutPartition::hash(g.num_vertices(), k);
+        job::assert_fits(cfg, cluster);
+        let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "graphx.vertex_program {}", cfg.job_id);
-            run_program(g, &part, cfg.algorithm, self.max_iterations)
+            pregel::run_program(g, &part, cfg.algorithm, self.max_iterations)
         };
-
-        // Per-executor data sizes (logical counts; scaled at use sites).
-        let mut verts = vec![0u64; k as usize];
-        let mut edges = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            let w = part.owner_of(v) as usize;
-            verts[w] += 1;
-            edges[w] += g.out_degree(v) as u64;
-        }
-        let input_bytes: Vec<f64> = (0..k as usize)
-            .map(|w| (verts[w] as f64 * 10.0 + edges[w] as f64 * costs.bytes_per_edge_in) * scale)
-            .collect();
-
-        let crash = plan
-            .crashes
-            .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned()
-            .filter(|_| !iterations.is_empty());
-
-        let Some(crash) = crash else {
-            // Healthy (possibly degraded) layout: no recovery structure.
-            let mut b = Build::new(
-                self,
-                cfg,
-                cluster,
-                &iterations,
-                &verts,
-                &edges,
-                &input_bytes,
-            );
-            {
-                let _span = granula_trace::span!("platform", "graphx.build_dag {}", cfg.job_id);
-                let started = b.startup();
-                let mut prev = b.load(started);
-                b.process_graph();
-                for ii in 0..iterations.len() {
-                    prev = b.iteration(ii, prev, "job/proc/", true);
-                }
-                let offloaded = b.offload(prev);
-                b.cleanup(offloaded);
-            }
-            return b.finish(plan, output);
-        };
-
-        // Phase 1: probe run — the same job under the plan's slowdowns only
-        // — locates the crash inside the stage schedule.
-        let probe_span = granula_trace::span!("platform", "graphx.probe {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let mut probe = Build::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let started = probe.startup();
-        let mut prev = probe.load(started);
-        probe.process_graph();
-        for ii in 0..iterations.len() {
-            prev = probe.iteration(ii, prev, "job/proc/", true);
-        }
-        let offloaded = probe.offload(prev);
-        probe.cleanup(offloaded);
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&probe.dag, &slow_plan)?;
-
-        let (proc_start, proc_end) = probe_sim
-            .span_of_tag(&probe.dag, "job/proc/")
-            .expect("jobs run at least one iteration");
-        let t_clamped = crash.at_us.clamp(proc_start + 1.0, proc_end - 1.0);
-        let mut i_idx = iterations.len() - 1;
-        for (ii, it) in iterations.iter().enumerate() {
-            let (_, end) = probe_sim
-                .span_of_tag(&probe.dag, &format!("job/proc/it{}/", it.superstep))
-                .expect("iteration was simulated");
-            if t_clamped < end {
-                i_idx = ii;
-                break;
-            }
-        }
-        let i_star = iterations[i_idx].superstep;
-        let (it_start, it_end) = probe_sim
-            .span_of_tag(&probe.dag, &format!("job/proc/it{i_star}/"))
-            .expect("iteration was simulated");
-        let t_eff = t_clamped.clamp(it_start + 1.0, (it_end - 1.0).max(it_start + 1.0));
-        // Only the interrupted stage pair's partial work is wasted: the
-        // healthy executors keep their cached partitions and shuffle files,
-        // and the lost partition is rebuilt from lineage, not re-run
-        // globally.
-        let wasted_us = t_eff - it_start;
-        drop(probe_span);
-
-        // Phase 2: the recovery layout. Prefix (startup, load, iterations
-        // before i*) is identical to the probe; the interrupted iteration
-        // becomes a doomed attempt killed by the injected crash; detection,
-        // rescheduling and lineage recomputation follow under
-        // `job/proc/recovery/`.
-        let mut b = Build::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &verts,
-            &edges,
-            &input_bytes,
-        );
-        let recovery_span =
-            granula_trace::span!("platform", "graphx.recovery.build {}", cfg.job_id);
-        let started = b.startup();
-        let mut prev = b.load(started);
-        b.process_graph();
-        for ii in 0..i_idx {
-            prev = b.iteration(ii, prev, "job/proc/", true);
-        }
-        b.doomed_attempt(i_idx, prev);
-
-        let driver = b.driver_node.clone();
-        let lost = crash.node;
-        let lw = lost.0 as usize;
-        let recover_actor = Actor::new("Driver", "0");
-        let recover_key = (recover_actor.clone(), Mission::new("Recover", "0"));
-        let proc_domain = b.domain("ProcessGraph");
-        b.specs.push(
-            OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recover", "0"),
-                Some(proc_domain),
-                "job/proc/recovery/",
-                &driver,
-                "driver",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(lost).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(wasted_us.round() as i64)),
-        );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/proc/recovery/detect",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/detect",
-            &driver,
-            "driver",
-        ));
-        // The driver relaunches the executor and reschedules the lost
-        // tasks.
-        let relaunch = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.executor_launch_us,
-            },
-            &[detect],
-            "job/proc/recovery/resched/exec",
-        );
-        let resched = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.task_sched_us * 2.0,
-            },
-            &[relaunch],
-            "job/proc/recovery/resched/plan",
-        );
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Reschedule", "0"),
-            Some(recover_key.clone()),
-            "job/proc/recovery/resched/",
-            &driver,
-            "driver",
-        ));
-        // Lineage recomputation of the doomed cut only: the lost
-        // partition's input split is re-read (the lineage root), then its
-        // stage chain re-executes, fed by the shuffle outputs surviving on
-        // the healthy executors.
-        let mut prev_r = resched;
-        for (ii, it) in iterations.iter().enumerate().take(i_idx) {
-            let t = it.superstep;
-            let rtag = format!("job/proc/recovery/recompute/it{t}/");
-            let mut deps = vec![prev_r];
-            if ii == 0 {
-                let reread = self.fs.read(
-                    cluster,
-                    &mut b.dag,
-                    lost,
-                    input_bytes[lw],
-                    &[prev_r],
-                    &format!("{rtag}split/"),
-                );
-                deps.push(b.dag.add(
-                    ActivityKind::Compute {
-                        node: lost,
-                        work_core_us: input_bytes[lw] * costs.parse_cpu_us_per_byte
-                            + edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
-                        parallelism: costs.worker_threads,
-                    },
-                    &[reread],
-                    format!("{rtag}rebuild"),
-                ));
-            } else {
-                for (a, row) in iterations[ii - 1].remote_messages.iter().enumerate() {
-                    if a == lw || row[lw] == 0 {
-                        continue;
-                    }
-                    deps.push(b.dag.add(
-                        ActivityKind::Transfer {
-                            src: NodeId(a as u16),
-                            dst: lost,
-                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
-                        },
-                        &[prev_r],
-                        format!("{rtag}fetch/a{a}"),
-                    ));
-                }
-            }
-            let stats = &it.per_worker[lw];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.active_vertices as f64 * costs.compute_us_per_vertex
-                + (stats.messages_sent + stats.messages_received) as f64
-                    * costs.serialize_us_per_message)
-                * scale;
-            prev_r = b.dag.add(
-                ActivityKind::Compute {
-                    node: lost,
-                    work_core_us: work.max(400.0),
-                    parallelism: costs.worker_threads,
-                },
-                &deps,
-                format!("{rtag}tasks"),
-            );
-            b.specs.push(OpSpec::new(
-                recover_actor.clone(),
-                Mission::new("Recompute", t.to_string()),
-                Some(recover_key.clone()),
-                rtag,
-                &driver,
-                "driver",
-            ));
-        }
-        // The interrupted stage pair never committed: it re-runs in full,
-        // covered by the final Recompute op.
-        prev = b.iteration(i_idx, prev_r, "job/proc/recovery/recompute/", false);
-        b.specs.push(OpSpec::new(
-            recover_actor.clone(),
-            Mission::new("Recompute", i_star.to_string()),
-            Some(recover_key.clone()),
-            format!("job/proc/recovery/recompute/it{i_star}/"),
-            &driver,
-            "driver",
-        ));
-        for ii in i_idx + 1..iterations.len() {
-            prev = b.iteration(ii, prev, "job/proc/", true);
-        }
-        let offloaded = b.offload(prev);
-        b.cleanup(offloaded);
-        drop(recovery_span);
-
-        let restart_after = crash.restart_after_us.unwrap_or(self.failure_detect_us);
-        let exec_plan = FaultPlan {
-            crashes: vec![NodeCrash {
-                node: crash.node,
-                at_us: t_eff,
-                restart_after_us: Some(restart_after),
-            }],
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
-    }
-}
-
-/// Incremental DAG + spec builder shared by the healthy and the
-/// fault-recovery job layouts.
-struct Build<'a> {
-    p: &'a GraphXPlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
-    iterations: &'a [SuperstepStats],
-    verts: &'a [u64],
-    edges: &'a [u64],
-    input_bytes: &'a [f64],
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    driver_node: String,
-}
-
-impl<'a> Build<'a> {
-    fn new(
-        p: &'a GraphXPlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        iterations: &'a [SuperstepStats],
-        verts: &'a [u64],
-        edges: &'a [u64],
-        input_bytes: &'a [f64],
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("GraphXJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let driver_node = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &driver_node,
-            "driver",
-        )
-        .with_info("Platform", InfoValue::Text("GraphX".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Executors", InfoValue::Int(cfg.nodes as i64))];
-        Build {
-            p,
-            cfg,
-            cluster,
+        let layout = Layout {
+            p: self,
             iterations,
-            verts,
-            edges,
-            input_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            driver_node,
-        }
+            shards: Shards::new(g, cfg, |v| part.owner_of(v)),
+        };
+        job::run_steps(&layout, cfg, cluster, plan, output)
+    }
+}
+
+/// A GraphX job's layout inputs: the per-iteration counters and the
+/// per-executor sizes.
+struct Layout<'a> {
+    p: &'a GraphXPlatform,
+    iterations: Vec<SuperstepStats>,
+    shards: Shards,
+}
+
+/// Actor kind and process name of a executor's operations.
+const WORKER: (&str, &str) = ("Executor", "executor");
+
+/// Actor kind and process name of the driver's operations on the head node.
+const DRIVER: (&str, &str) = ("Driver", "driver");
+
+/// Map-side work of one executor in one iteration: join vertex
+/// attributes onto edges and serialize the emitted messages.
+fn map_work(cfg: &JobConfig, stats: &WorkerSuperstep) -> f64 {
+    let costs = &cfg.costs;
+    let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
+        + stats.messages_sent as f64 * costs.serialize_us_per_message)
+        * cfg.scale_factor;
+    work.max(500.0)
+}
+
+impl StepLayout for Layout<'_> {
+    const NAME: &'static str = "graphx";
+    const UNIT: &'static str = "it";
+    const RECOVERER: (&'static str, &'static str) = DRIVER;
+
+    fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b> {
+        let executors = InfoValue::Int(cfg.nodes as i64);
+        JobBuilder::new(
+            cfg,
+            cluster,
+            "GraphXJob",
+            "driver",
+            "GraphX",
+            vec![("Executors", executors)],
+        )
     }
 
-    fn exec_node(&self, w: u16) -> String {
-        self.cluster.node(NodeId(w)).name.clone()
+    fn shards(&self) -> &Shards {
+        &self.shards
     }
 
-    fn domain(&self, mission: &str) -> (Actor, Mission) {
-        (self.job_actor.clone(), Mission::new(mission, "0"))
+    fn units(&self) -> usize {
+        self.iterations.len()
     }
 
-    // -------------------------------------------------- Startup (L1)
-    fn startup(&mut self) -> ActivityId {
-        let k = self.cfg.nodes;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Startup", "0"),
-            Some(self.job_key.clone()),
-            "job/startup/",
-            &self.driver_node,
-            "driver",
-        ));
-        let driver = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us,
-            },
-            &[],
-            "job/startup/driver",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("LaunchDriver", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/driver",
-            &self.driver_node,
-            "driver",
-        ));
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("LaunchExecutors", "0"),
-            Some(self.domain("Startup")),
-            "job/startup/exec/",
-            &self.driver_node,
-            "driver",
-        ));
-        let mut ready: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let launch = self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.executor_launch_us * (1.0 + 0.08 * w as f64),
-                },
-                &[driver],
-                format!("job/startup/exec/w{w}"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("LocalStartup", "0"),
-                Some((
-                    Actor::new("Driver", "0"),
-                    Mission::new("LaunchExecutors", "0"),
-                )),
-                format!("job/startup/exec/w{w}"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            ready.push(launch);
-        }
-        self.dag.barrier(&ready, "job/startup/all-ready")
+    fn unit_id(&self, i: usize) -> u32 {
+        self.iterations[i].superstep
     }
 
-    // ------------------------------------------------ LoadGraph (L1)
-    fn load(&mut self, started: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("LoadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/load/",
-            &self.driver_node,
-            "driver",
-        ));
-        // Each executor reads and parses its input split...
-        let mut parsed: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let node = NodeId(w);
-            let tagp = format!("job/load/w{w}/");
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                    Some(self.domain("LoadGraph")),
-                    tagp.clone(),
-                    self.exec_node(w),
-                    format!("executor-{w}"),
-                )
-                .with_info(
-                    "InputBytes",
-                    InfoValue::Int(self.input_bytes[w as usize].round() as i64),
-                ),
-            );
-            let read = self.p.fs.read(
-                self.cluster,
-                &mut self.dag,
-                node,
-                self.input_bytes[w as usize],
-                &[started],
-                &format!("{tagp}hdfs/"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("ReadPartition", "0"),
-                Some((
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("{tagp}hdfs/"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            parsed.push(self.dag.add(
-                ActivityKind::Compute {
-                    node,
-                    work_core_us: self.input_bytes[w as usize] * costs.parse_cpu_us_per_byte,
-                    parallelism: costs.worker_threads,
-                },
-                &[read],
-                format!("{tagp}parse"),
-            ));
-        }
-        // ...then `partitionBy` shuffles the edge RDD into its hash layout:
-        // roughly (k-1)/k of every split crosses the network.
-        let mut shuffled: Vec<Vec<ActivityId>> = vec![Vec::new(); k as usize];
-        for a in 0..k {
-            for bdst in 0..k {
-                if a == bdst {
-                    continue;
-                }
-                shuffled[bdst as usize].push(self.dag.add(
-                    ActivityKind::Transfer {
-                        src: NodeId(a),
-                        dst: NodeId(bdst),
-                        bytes: self.input_bytes[a as usize] / k as f64,
-                    },
-                    &[parsed[a as usize]],
-                    format!("job/load/shuffle/a{a}b{bdst}"),
-                ));
-            }
-        }
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("PartitionBy", "0"),
-            Some(self.domain("LoadGraph")),
-            "job/load/shuffle/",
-            &self.driver_node,
-            "driver",
-        ));
-        // ...and each executor builds its edge partition.
-        let mut built: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            let scale = self.cfg.scale_factor;
-            let mut deps = shuffled[w as usize].clone();
-            deps.push(parsed[w as usize]);
-            let build = self.dag.add(
-                ActivityKind::Compute {
-                    node: NodeId(w),
-                    work_core_us: self.edges[w as usize] as f64
-                        * scale
-                        * costs.build_cpu_us_per_edge,
-                    parallelism: costs.worker_threads,
-                },
-                &deps,
-                format!("job/load/w{w}/build"),
-            );
-            self.specs.push(OpSpec::new(
-                Actor::new("Executor", w.to_string()),
-                Mission::new("BuildPartition", "0"),
-                Some((
-                    Actor::new("Executor", w.to_string()),
-                    Mission::new("LocalLoad", "0"),
-                )),
-                format!("job/load/w{w}/build"),
-                self.exec_node(w),
-                format!("executor-{w}"),
-            ));
-            built.push(build);
-        }
-        self.dag.barrier(&built, "job/load/all-loaded")
+    fn failure_detect_us(&self) -> f64 {
+        self.p.failure_detect_us
     }
 
-    // ---------------------------------------------- ProcessGraph (L1)
-    fn process_graph(&mut self) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("ProcessGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/proc/",
-            &self.driver_node,
-            "driver",
-        ));
+    fn prologue(&self, b: &mut JobBuilder) -> ActivityId {
+        let started = self.startup(b);
+        let loaded = self.load(b, started);
+        b.domain_op("ProcessGraph", "job/proc/", "driver");
+        loaded
     }
 
     /// One Pregel iteration lowered to dataflow: driver scheduling, the
     /// map-side stage (join + message generation), the all-to-all shuffle,
     /// and the reduce-side stage (message aggregation + vertex update).
-    /// `prefix` places the activities; `with_specs` controls whether the
-    /// iteration emits its own Granula operations (recomputations are
-    /// covered by a single `Recompute` op pushed by the caller).
-    fn iteration(
-        &mut self,
+    fn step(
+        &self,
+        b: &mut JobBuilder,
         ii: usize,
         prev_barrier: ActivityId,
         prefix: &str,
-        with_specs: bool,
+        committed: bool,
     ) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+        let k = b.cfg.nodes;
+        let costs = &b.cfg.costs;
+        let scale = b.cfg.scale_factor;
         let it = &self.iterations[ii];
         let t = it.superstep;
         let it_tag = format!("{prefix}it{t}/");
-        if with_specs {
-            self.specs.push(
+        let iter_parent = (
+            b.job_actor.clone(),
+            Mission::new("Iteration", t.to_string()),
+        );
+        if committed {
+            b.specs.push(
                 OpSpec::new(
-                    self.job_actor.clone(),
-                    Mission::new("Iteration", t.to_string()),
-                    Some(self.domain("ProcessGraph")),
+                    b.job_actor.clone(),
+                    iter_parent.1.clone(),
+                    Some(b.domain("ProcessGraph")),
                     it_tag.clone(),
-                    &self.driver_node,
+                    &b.head,
                     "driver",
                 )
                 .with_info(
@@ -752,26 +235,20 @@ impl<'a> Build<'a> {
                 ),
             );
         }
-        let iter_parent = (
-            self.job_actor.clone(),
-            Mission::new("Iteration", t.to_string()),
-        );
         // The driver plans the stage pair's tasks before executors start.
-        let sched = self.dag.add(
+        let sched = b.dag.add(
             ActivityKind::Delay {
                 duration_us: self.p.task_sched_us,
             },
             &[prev_barrier],
             format!("{it_tag}sched"),
         );
-        if with_specs {
-            self.specs.push(OpSpec::new(
-                Actor::new("Driver", "0"),
+        if committed {
+            b.specs.push(b.head_op(
+                DRIVER,
                 Mission::new("ScheduleTasks", t.to_string()),
-                Some(iter_parent.clone()),
+                iter_parent.clone(),
                 format!("{it_tag}sched"),
-                &self.driver_node,
-                "driver",
             ));
         }
         // Map-side stage: join vertex attributes onto edges and emit
@@ -779,27 +256,23 @@ impl<'a> Build<'a> {
         let mut maps: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for w in 0..k {
             let stats = &it.per_worker[w as usize];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            let map = self.dag.add(
+            let map = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(w),
-                    work_core_us: work.max(500.0),
+                    work_core_us: map_work(b.cfg, stats),
                     parallelism: costs.worker_threads,
                 },
                 &[sched],
                 format!("{it_tag}w{w}/map"),
             );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Executor", w.to_string()),
+            if committed {
+                b.specs.push(
+                    b.worker_op(
+                        WORKER,
+                        w,
                         Mission::new("MapStage", t.to_string()),
-                        Some(iter_parent.clone()),
+                        iter_parent.clone(),
                         format!("{it_tag}w{w}/map"),
-                        self.exec_node(w),
-                        format!("executor-{w}"),
                     )
                     .with_info(
                         "EdgesScanned",
@@ -818,7 +291,7 @@ impl<'a> Build<'a> {
                     continue;
                 }
                 any_shuffle = true;
-                fetches[bdst].push(self.dag.add(
+                fetches[bdst].push(b.dag.add(
                     ActivityKind::Transfer {
                         src: NodeId(a as u16),
                         dst: NodeId(bdst as u16),
@@ -829,14 +302,12 @@ impl<'a> Build<'a> {
                 ));
             }
         }
-        if with_specs && any_shuffle {
-            self.specs.push(OpSpec::new(
-                Actor::new("Driver", "0"),
+        if committed && any_shuffle {
+            b.specs.push(b.head_op(
+                DRIVER,
                 Mission::new("Shuffle", t.to_string()),
-                Some(iter_parent.clone()),
+                iter_parent.clone(),
                 format!("{it_tag}shuffle/"),
-                &self.driver_node,
-                "driver",
             ));
         }
         // Reduce-side stage: aggregate fetched messages, update vertices.
@@ -848,7 +319,7 @@ impl<'a> Build<'a> {
                 * scale;
             let mut deps = fetches[w as usize].clone();
             deps.push(maps[w as usize]);
-            let reduce = self.dag.add(
+            let reduce = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(w),
                     work_core_us: work.max(500.0),
@@ -857,15 +328,14 @@ impl<'a> Build<'a> {
                 &deps,
                 format!("{it_tag}w{w}/reduce"),
             );
-            if with_specs {
-                self.specs.push(
-                    OpSpec::new(
-                        Actor::new("Executor", w.to_string()),
+            if committed {
+                b.specs.push(
+                    b.worker_op(
+                        WORKER,
+                        w,
                         Mission::new("ReduceStage", t.to_string()),
-                        Some(iter_parent.clone()),
+                        iter_parent.clone(),
                         format!("{it_tag}w{w}/reduce"),
-                        self.exec_node(w),
-                        format!("executor-{w}"),
                     )
                     .with_info(
                         "ActiveVertices",
@@ -875,45 +345,33 @@ impl<'a> Build<'a> {
             }
             reduces.push(reduce);
         }
-        self.dag.barrier(&reduces, format!("{it_tag}done"))
+        b.dag.barrier(&reduces, format!("{it_tag}done"))
     }
 
     /// The attempt at iteration `ii` that the crash interrupts: scheduling
-    /// and map-side tasks, no shuffle commit — the failure means the stage
-    /// pair never completes, and recovery (not this attempt) gates further
-    /// work.
-    fn doomed_attempt(&mut self, ii: usize, prev_barrier: ActivityId) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
+    /// and map-side tasks, no shuffle commit.
+    fn doomed(&self, b: &mut JobBuilder, ii: usize, prev_barrier: ActivityId) {
         let it = &self.iterations[ii];
-        let t = it.superstep;
-        let tag = format!("job/proc/it{t}/");
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("FailedStage", t.to_string()),
-            Some(self.domain("ProcessGraph")),
+        let tag = format!("job/proc/it{}/", it.superstep);
+        b.specs.push(b.head_op(
+            DRIVER,
+            Mission::new("FailedStage", it.superstep.to_string()),
+            b.domain("ProcessGraph"),
             tag.clone(),
-            &self.driver_node,
-            "driver",
         ));
-        let sched = self.dag.add(
+        let sched = b.dag.add(
             ActivityKind::Delay {
                 duration_us: self.p.task_sched_us,
             },
             &[prev_barrier],
             format!("{tag}try/sched"),
         );
-        for w in 0..k {
-            let stats = &it.per_worker[w as usize];
-            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
-                + stats.messages_sent as f64 * costs.serialize_us_per_message)
-                * scale;
-            self.dag.add(
+        for w in 0..b.cfg.nodes {
+            b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(w),
-                    work_core_us: work.max(500.0),
-                    parallelism: costs.worker_threads,
+                    work_core_us: map_work(b.cfg, &it.per_worker[w as usize]),
+                    parallelism: b.cfg.costs.worker_threads,
                 },
                 &[sched],
                 format!("{tag}try/w{w}/map"),
@@ -921,118 +379,322 @@ impl<'a> Build<'a> {
         }
     }
 
-    // --------------------------------------------- OffloadGraph (L1)
-    fn offload(&mut self, prev_barrier: ActivityId) -> ActivityId {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("OffloadGraph", "0"),
-            Some(self.job_key.clone()),
-            "job/offload/",
-            &self.driver_node,
-            "driver",
+    /// The driver relaunches the executor and reschedules the lost tasks;
+    /// then only the doomed lineage cut is recomputed — the lost
+    /// partition's input split re-read (the lineage root) and its stage
+    /// chain re-executed, fed by the shuffle outputs surviving on the
+    /// healthy executors — and the interrupted stage pair re-runs in full.
+    /// The healthy executors keep their cached partitions, so only the
+    /// interrupted stage pair's partial work is wasted.
+    fn recover(
+        &self,
+        b: &mut JobBuilder,
+        rec: &Recovery,
+        failed: usize,
+        detect: ActivityId,
+    ) -> ActivityId {
+        let (cfg, cluster) = (b.cfg, b.cluster);
+        let costs = &cfg.costs;
+        let scale = cfg.scale_factor;
+        let lost = rec.lost;
+        let lw = lost.0 as usize;
+        let relaunch = b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.executor_launch_us,
+            },
+            &[detect],
+            "job/proc/recovery/resched/exec",
+        );
+        let mut prev = b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.task_sched_us * 2.0,
+            },
+            &[relaunch],
+            "job/proc/recovery/resched/plan",
+        );
+        b.specs
+            .push(rec.op(b, "Reschedule", "0", "job/proc/recovery/resched/"));
+        for (ii, it) in self.iterations.iter().enumerate().take(failed) {
+            let t = it.superstep;
+            let rtag = format!("job/proc/recovery/recompute/it{t}/");
+            let mut deps = vec![prev];
+            if ii == 0 {
+                let input_bytes = self.shards.input_bytes[lw];
+                let reread = self.p.fs.read(
+                    cluster,
+                    &mut b.dag,
+                    lost,
+                    input_bytes,
+                    &[prev],
+                    &format!("{rtag}split/"),
+                );
+                deps.push(b.dag.add(
+                    ActivityKind::Compute {
+                        node: lost,
+                        work_core_us: input_bytes * costs.parse_cpu_us_per_byte
+                            + self.shards.edges[lw] as f64 * scale * costs.build_cpu_us_per_edge,
+                        parallelism: costs.worker_threads,
+                    },
+                    &[reread],
+                    format!("{rtag}rebuild"),
+                ));
+            } else {
+                for (a, row) in self.iterations[ii - 1].remote_messages.iter().enumerate() {
+                    if a == lw || row[lw] == 0 {
+                        continue;
+                    }
+                    deps.push(b.dag.add(
+                        ActivityKind::Transfer {
+                            src: NodeId(a as u16),
+                            dst: lost,
+                            bytes: row[lw] as f64 * costs.bytes_per_message * scale,
+                        },
+                        &[prev],
+                        format!("{rtag}fetch/a{a}"),
+                    ));
+                }
+            }
+            let stats = &it.per_worker[lw];
+            let work = (stats.edges_scanned as f64 * costs.compute_us_per_edge
+                + stats.active_vertices as f64 * costs.compute_us_per_vertex
+                + (stats.messages_sent + stats.messages_received) as f64
+                    * costs.serialize_us_per_message)
+                * scale;
+            prev = b.dag.add(
+                ActivityKind::Compute {
+                    node: lost,
+                    work_core_us: work.max(400.0),
+                    parallelism: costs.worker_threads,
+                },
+                &deps,
+                format!("{rtag}tasks"),
+            );
+            b.specs.push(rec.op(b, "Recompute", t.to_string(), rtag));
+        }
+        // The interrupted stage pair never committed: it re-runs in full,
+        // covered by the final Recompute op.
+        let t = self.iterations[failed].superstep;
+        let prev = self.step(b, failed, prev, "job/proc/recovery/recompute/", false);
+        b.specs.push(rec.op(
+            b,
+            "Recompute",
+            t.to_string(),
+            format!("job/proc/recovery/recompute/it{t}/"),
         ));
-        let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
+        prev
+    }
+
+    fn epilogue(&self, b: &mut JobBuilder, prev: ActivityId) {
+        let offloaded = self.offload(b, prev);
+        b.domain_op("Cleanup", "job/cleanup/", "driver");
+        b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.driver_startup_us * 0.4,
+            },
+            &[offloaded],
+            "job/cleanup/stop",
+        );
+        b.specs.push(b.head_op(
+            DRIVER,
+            Mission::new("StopContext", "0"),
+            b.domain("Cleanup"),
+            "job/cleanup/stop",
+        ));
+    }
+}
+
+impl Layout<'_> {
+    // -------------------------------------------------- Startup (L1)
+    fn startup(&self, b: &mut JobBuilder) -> ActivityId {
+        b.domain_op("Startup", "job/startup/", "driver");
+        let driver = b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.driver_startup_us,
+            },
+            &[],
+            "job/startup/driver",
+        );
+        for (mission, tag) in [
+            ("LaunchDriver", "job/startup/driver"),
+            ("LaunchExecutors", "job/startup/exec/"),
+        ] {
+            b.specs
+                .push(b.head_op(DRIVER, Mission::new(mission, "0"), b.domain("Startup"), tag));
+        }
+        let launch_key = (
+            Actor::new("Driver", "0"),
+            Mission::new("LaunchExecutors", "0"),
+        );
+        let mut ready: Vec<ActivityId> = Vec::with_capacity(b.cfg.nodes as usize);
+        for w in 0..b.cfg.nodes {
+            let tag = format!("job/startup/exec/w{w}");
+            let launch = b.dag.add(
+                ActivityKind::Delay {
+                    duration_us: self.p.executor_launch_us * (1.0 + 0.08 * w as f64),
+                },
+                &[driver],
+                tag.clone(),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("LocalStartup", "0"),
+                launch_key.clone(),
+                tag,
+            ));
+            ready.push(launch);
+        }
+        b.dag.barrier(&ready, "job/startup/all-ready")
+    }
+
+    // ------------------------------------------------ LoadGraph (L1)
+    fn load(&self, b: &mut JobBuilder, started: ActivityId) -> ActivityId {
+        let (cfg, cluster) = (b.cfg, b.cluster);
+        let k = cfg.nodes;
+        let costs = &cfg.costs;
+        let input_bytes = &self.shards.input_bytes;
+        b.domain_op("LoadGraph", "job/load/", "driver");
+        // Each executor reads and parses its input split...
+        let mut parsed: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for w in 0..k {
+            let node = NodeId(w);
+            let tagp = format!("job/load/w{w}/");
+            let local_load = (
+                Actor::new("Executor", w.to_string()),
+                Mission::new("LocalLoad", "0"),
+            );
+            b.specs.push(
+                b.worker_op(
+                    WORKER,
+                    w,
+                    local_load.1.clone(),
+                    b.domain("LoadGraph"),
+                    tagp.clone(),
+                )
+                .with_info(
+                    "InputBytes",
+                    InfoValue::Int(input_bytes[w as usize].round() as i64),
+                ),
+            );
+            let read = self.p.fs.read(
+                cluster,
+                &mut b.dag,
+                node,
+                input_bytes[w as usize],
+                &[started],
+                &format!("{tagp}hdfs/"),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("ReadPartition", "0"),
+                local_load,
+                format!("{tagp}hdfs/"),
+            ));
+            parsed.push(b.dag.add(
+                ActivityKind::Compute {
+                    node,
+                    work_core_us: input_bytes[w as usize] * costs.parse_cpu_us_per_byte,
+                    parallelism: costs.worker_threads,
+                },
+                &[read],
+                format!("{tagp}parse"),
+            ));
+        }
+        // ...then `partitionBy` shuffles the edge RDD into its hash layout:
+        // roughly (k-1)/k of every split crosses the network.
+        let mut shuffled: Vec<Vec<ActivityId>> = vec![Vec::new(); k as usize];
+        for a in 0..k {
+            for bdst in 0..k {
+                if a == bdst {
+                    continue;
+                }
+                shuffled[bdst as usize].push(b.dag.add(
+                    ActivityKind::Transfer {
+                        src: NodeId(a),
+                        dst: NodeId(bdst),
+                        bytes: input_bytes[a as usize] / k as f64,
+                    },
+                    &[parsed[a as usize]],
+                    format!("job/load/shuffle/a{a}b{bdst}"),
+                ));
+            }
+        }
+        b.specs.push(b.head_op(
+            DRIVER,
+            Mission::new("PartitionBy", "0"),
+            b.domain("LoadGraph"),
+            "job/load/shuffle/",
+        ));
+        // ...and each executor builds its edge partition.
+        let mut built: Vec<ActivityId> = Vec::with_capacity(k as usize);
+        for w in 0..k {
+            let mut deps = shuffled[w as usize].clone();
+            deps.push(parsed[w as usize]);
+            let build = b.dag.add(
+                ActivityKind::Compute {
+                    node: NodeId(w),
+                    work_core_us: self.shards.edges[w as usize] as f64
+                        * cfg.scale_factor
+                        * costs.build_cpu_us_per_edge,
+                    parallelism: costs.worker_threads,
+                },
+                &deps,
+                format!("job/load/w{w}/build"),
+            );
+            b.specs.push(b.worker_op(
+                WORKER,
+                w,
+                Mission::new("BuildPartition", "0"),
+                (
+                    Actor::new("Executor", w.to_string()),
+                    Mission::new("LocalLoad", "0"),
+                ),
+                format!("job/load/w{w}/build"),
+            ));
+            built.push(build);
+        }
+        b.dag.barrier(&built, "job/load/all-loaded")
+    }
+
+    // --------------------------------------------- OffloadGraph (L1)
+    fn offload(&self, b: &mut JobBuilder, prev_barrier: ActivityId) -> ActivityId {
+        let (cfg, cluster) = (b.cfg, b.cluster);
+        b.domain_op("OffloadGraph", "job/offload/", "driver");
+        let mut offloads: Vec<ActivityId> = Vec::with_capacity(cfg.nodes as usize);
+        for w in 0..cfg.nodes {
             let tagp = format!("job/offload/w{w}/");
-            let bytes = self.verts[w as usize] as f64 * costs.bytes_per_vertex_out * scale;
+            let bytes = self.shards.verts[w as usize] as f64
+                * cfg.costs.bytes_per_vertex_out
+                * cfg.scale_factor;
             let write = self.p.fs.write(
-                self.cluster,
-                &mut self.dag,
+                cluster,
+                &mut b.dag,
                 NodeId(w),
                 bytes,
                 &[prev_barrier],
                 &format!("{tagp}hdfs/"),
             );
-            self.specs.push(
-                OpSpec::new(
-                    Actor::new("Executor", w.to_string()),
+            b.specs.push(
+                b.worker_op(
+                    WORKER,
+                    w,
                     Mission::new("LocalOffload", "0"),
-                    Some(self.domain("OffloadGraph")),
-                    tagp.clone(),
-                    self.exec_node(w),
-                    format!("executor-{w}"),
+                    b.domain("OffloadGraph"),
+                    tagp,
                 )
                 .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
             );
             offloads.push(write);
         }
-        self.dag.barrier(&offloads, "job/offload/all-done")
-    }
-
-    // -------------------------------------------------- Cleanup (L1)
-    fn cleanup(&mut self, all_offloaded: ActivityId) {
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
-            Mission::new("Cleanup", "0"),
-            Some(self.job_key.clone()),
-            "job/cleanup/",
-            &self.driver_node,
-            "driver",
-        ));
-        self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us * 0.4,
-            },
-            &[all_offloaded],
-            "job/cleanup/stop",
-        );
-        self.specs.push(OpSpec::new(
-            Actor::new("Driver", "0"),
-            Mission::new("StopContext", "0"),
-            Some(self.domain("Cleanup")),
-            "job/cleanup/stop",
-            &self.driver_node,
-            "driver",
-        ));
-    }
-
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "graphx.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = emit_events(&self.specs, &self.dag, &sim);
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view: each executor's cached RDD partitions become
-        // resident over its load interval and live until the context stops.
-        let release = sim
-            .span_of_tag(&self.dag, "job/cleanup/")
-            .map(|(s, _)| s.round() as u64)
-            .unwrap_or(sim.makespan_us.round() as u64);
-        let mut phases = Vec::with_capacity(k as usize);
-        for w in 0..k {
-            if let Some((ls, le)) = sim.span_of_tag(&self.dag, &format!("job/load/w{w}/")) {
-                phases.push(MemoryPhase {
-                    node: self.exec_node(w),
-                    ramp_start_us: ls.round() as u64,
-                    ramp_end_us: le.round() as u64,
-                    hold_until_us: release,
-                    bytes: self.edges[w as usize] as f64 * scale * costs.bytes_per_edge_mem,
-                });
-            }
-        }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.iterations.len() as u32,
-        })
+        b.dag.barrier(&offloads, "job/offload/all-done")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::common::{reference_output, CostModel};
+    use crate::common::{reference_output, Algorithm, CostModel};
     use gpsim_graph::gen::{datagen_like, GenConfig};
     use granula_monitor::Assembler;
 

@@ -30,7 +30,10 @@
 //! the platform cost models. The drivers compile those counters into an
 //! activity DAG for `gpsim_cluster`, simulate it, and emit Granula
 //! instrumentation logs plus environment samples — the exact inputs the
-//! Granula pipeline consumes. The differential suites (`tests/prop.rs`,
+//! Granula pipeline consumes. What the drivers share (the DAG and spec
+//! builder, simulate-and-emit, and the crash-recovery sequence of the
+//! step-structured platforms) lives once, in the private `job` module.
+//! The differential suites (`tests/prop.rs`,
 //! `tests/engines.rs`) hold the engines to one semantics and one
 //! instrumentation contract.
 
@@ -40,6 +43,7 @@ pub mod giraph;
 pub mod grape;
 pub mod graphmat;
 pub mod graphx;
+mod job;
 pub mod ops;
 pub mod powergraph;
 pub mod pregel;

@@ -9,18 +9,16 @@
 //! the in-memory graph (paper §4.3, Figure 7).
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeCrash, NodeId, SimError,
+    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError, SimResult,
     Simulation,
 };
 use gpsim_graph::{Graph, VertexCutPartition};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{
-    memory_samples, trace_to_samples, Algorithm, AlgorithmOutput, JobConfig, MemoryPhase,
-    PlatformRun,
-};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, MemoryPhase, PlatformRun};
 use crate::gas::{self, IterationMode, IterationStats};
-use crate::ops::{emit_events, OpSpec};
+use crate::job::{self, JobBuilder, Recovery};
+use crate::ops::OpSpec;
 
 /// Pipeline stages of the sequential loader (read chunk ↔ parse chunk).
 const LOAD_CHUNKS: u32 = 16;
@@ -154,14 +152,8 @@ impl PowerGraphPlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        assert!(
-            cluster.len() >= cfg.nodes as usize && cfg.nodes > 0,
-            "cluster too small for {} machines",
-            cfg.nodes
-        );
+        job::assert_fits(cfg, cluster);
         let k = cfg.nodes;
-        let costs = &cfg.costs;
-        let scale = cfg.scale_factor;
         let part = VertexCutPartition::greedy(g, k);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
@@ -169,46 +161,41 @@ impl PowerGraphPlatform {
         };
 
         // Per-machine sizes.
-        let edge_sizes = part.sizes();
         let mut masters = vec![0u64; k as usize];
         for v in 0..g.num_vertices() {
             masters[part.master_of(v) as usize] += 1;
         }
-        let total_bytes = (g.num_vertices() as f64 * 10.0
-            + g.num_edges() as f64 * costs.bytes_per_edge_in)
-            * scale;
+        let layout = Layout {
+            p: self,
+            iterations,
+            edge_sizes: part.sizes(),
+            masters,
+            total_bytes: (g.num_vertices() as f64 * 10.0
+                + g.num_edges() as f64 * cfg.costs.bytes_per_edge_in)
+                * cfg.scale_factor,
+        };
+        let infos = vec![
+            ("Machines", InfoValue::Int(k as i64)),
+            (
+                "ReplicationFactor",
+                InfoValue::Float(part.replication_factor()),
+            ),
+        ];
+        let mut b = JobBuilder::new(cfg, cluster, "PowerGraphJob", "mpirun", "PowerGraph", infos);
+        layout.job(&mut b, "job/", "", &[]);
+        let n = layout.iterations.len();
+        let memory = |b: &JobBuilder, sim: &SimResult| layout.memory(b, sim);
 
-        let crash = plan
-            .crashes
-            .iter()
-            .min_by(|a, b| a.at_us.total_cmp(&b.at_us))
-            .cloned();
-
-        let mut b = PgBuild::new(
-            self,
-            cfg,
-            cluster,
-            &iterations,
-            &edge_sizes,
-            &masters,
-            total_bytes,
-            part.replication_factor(),
-        );
-        b.job("job/", "", &[]);
-
-        let Some(crash) = crash else {
-            return b.finish(plan, output);
+        let Some(crash) = job::earliest_crash(plan) else {
+            return job::finish(b, "powergraph", plan, output, n, memory);
         };
 
         // Fail-stop: simulate the first attempt under slowdowns only to
         // learn which activities had started when the job aborted.
         let recovery_span =
             granula_trace::span!("platform", "powergraph.recovery.build {}", cfg.job_id);
-        let slow_plan = FaultPlan {
-            crashes: Vec::new(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        let probe_sim = Simulation::new(cluster.clone()).run_with_faults(&b.dag, &slow_plan)?;
+        let probe_sim =
+            Simulation::new(cluster.clone()).run_with_faults(&b.dag, &job::slowdowns_only(plan))?;
         let t_eff = crash
             .at_us
             .clamp(1.0, (probe_sim.makespan_us - 1.0).max(1.0));
@@ -231,225 +218,119 @@ impl PowerGraphPlatform {
         b.dag = kept;
 
         // Abort + resubmit: detection of the dead rank, then a full MPI
-        // respawn, then the whole job again under `job/r1/`.
-        let head = b.head.clone();
-        let recover_key = (Actor::new("Master", "0"), Mission::new("Recover", "0"));
-        b.specs.push(
-            OpSpec::new(
-                Actor::new("Master", "0"),
-                Mission::new("Recover", "0"),
-                Some(b.job_key.clone()),
-                "job/fail/",
-                &head,
-                "mpirun",
-            )
-            .with_info(
-                "FailedNode",
-                InfoValue::Text(cluster.node(crash.node).name.clone()),
-            )
-            .with_info("WastedUs", InfoValue::Int(t_eff.round() as i64)),
+        // respawn, then the whole job again under `job/r1/`. The whole
+        // first attempt is wasted.
+        let rec = Recovery::new(("Master", "mpirun"), crash.node);
+        let job_key = b.job_key.clone();
+        let detect = rec.head(
+            &mut b,
+            job_key,
+            "job/fail/",
+            t_eff,
+            t_eff,
+            self.failure_detect_us,
         );
-        // The crash anchor pins failure detection to the injected instant.
-        let anchor = b.dag.add(
-            ActivityKind::Delay { duration_us: t_eff },
-            &[],
-            "job/meta/t-crash",
-        );
-        let detect = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.failure_detect_us,
-            },
-            &[anchor],
-            "job/fail/detect",
-        );
-        b.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("DetectFailure", "0"),
-            Some(recover_key.clone()),
-            "job/fail/detect",
-            &head,
-            "mpirun",
-        ));
-        let mpirun = b.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.mpirun_us,
-            },
-            &[detect],
-            "job/fail/respawn/mpi/daemon",
-        );
-        let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            ranks.push(b.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.per_rank_us,
-                },
-                &[mpirun],
-                format!("job/fail/respawn/mpi/rank-{m}"),
-            ));
-        }
-        let respawned = b.dag.barrier(&ranks, "job/fail/respawn/ready");
-        b.specs.push(OpSpec::new(
-            Actor::new("Master", "0"),
-            Mission::new("Respawn", "0"),
-            Some(recover_key),
-            "job/fail/respawn/",
-            &head,
-            "mpirun",
-        ));
-        b.job("job/r1/", ":r1", &[respawned]);
+        let respawned = layout.mpi_setup(&mut b, "job/fail/respawn/", &[detect]);
+        b.specs
+            .push(rec.op(&b, "Respawn", "0", "job/fail/respawn/"));
+        layout.job(&mut b, "job/r1/", ":r1", &[respawned]);
         drop(recovery_span);
 
         // Every rank dies with the job at the abort instant and is back for
         // the restart; the lost node itself is replaced within the same
         // window.
-        let exec_plan = FaultPlan {
-            crashes: (0..k)
-                .map(|m| NodeCrash {
-                    node: NodeId(m),
-                    at_us: t_eff,
-                    restart_after_us: Some(self.failure_detect_us),
-                })
-                .collect(),
-            slowdowns: plan.slowdowns.clone(),
-        };
-        b.finish(&exec_plan, output)
+        let exec_plan = job::executed_plan(plan, (0..k).map(NodeId), t_eff, self.failure_detect_us);
+        job::finish(b, "powergraph", &exec_plan, output, n, memory)
     }
 }
 
-/// DAG + spec builder for one full PowerGraph job attempt; the fail-stop
-/// path builds two attempts into the same graph.
-struct PgBuild<'a> {
+/// A PowerGraph job's layout inputs; the fail-stop path lays out two
+/// attempts into the same graph.
+struct Layout<'a> {
     p: &'a PowerGraphPlatform,
-    cfg: &'a JobConfig,
-    cluster: &'a ClusterSpec,
-    iterations: &'a [IterationStats],
-    edge_sizes: &'a [u64],
-    masters: &'a [u64],
+    iterations: Vec<IterationStats>,
+    edge_sizes: Vec<u64>,
+    masters: Vec<u64>,
     total_bytes: f64,
-    dag: ActivityGraph,
-    specs: Vec<OpSpec>,
-    job_actor: Actor,
-    job_key: (Actor, Mission),
-    head: String,
 }
 
-impl<'a> PgBuild<'a> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        p: &'a PowerGraphPlatform,
-        cfg: &'a JobConfig,
-        cluster: &'a ClusterSpec,
-        iterations: &'a [IterationStats],
-        edge_sizes: &'a [u64],
-        masters: &'a [u64],
-        total_bytes: f64,
-        replication_factor: f64,
-    ) -> Self {
-        let job_actor = Actor::new("Job", "0");
-        let job_mission = Mission::new("PowerGraphJob", "0");
-        let job_key = (job_actor.clone(), job_mission.clone());
-        let head = cluster.node(NodeId(0)).name.clone();
-        let specs: Vec<OpSpec> = vec![OpSpec::new(
-            job_actor.clone(),
-            job_mission,
-            None,
-            "job/",
-            &head,
-            "mpirun",
-        )
-        .with_info("Platform", InfoValue::Text("PowerGraph".into()))
-        .with_info("Algorithm", InfoValue::Text(cfg.algorithm.name().into()))
-        .with_info("Dataset", InfoValue::Text(cfg.dataset.clone()))
-        .with_info("Machines", InfoValue::Int(cfg.nodes as i64))
-        .with_info("ReplicationFactor", InfoValue::Float(replication_factor))];
-        PgBuild {
-            p,
-            cfg,
-            cluster,
-            iterations,
-            edge_sizes,
-            masters,
-            total_bytes,
-            dag: ActivityGraph::new(),
-            specs,
-            job_actor,
-            job_key,
-            head,
-        }
-    }
-
-    fn node_name(&self, m: u16) -> String {
-        self.cluster.node(NodeId(m)).name.clone()
-    }
-
-    fn domain(&self, mission: &str, suffix: &str) -> (Actor, Mission) {
-        (
-            self.job_actor.clone(),
-            Mission::new(mission, format!("0{suffix}")),
-        )
+impl Layout<'_> {
+    /// `mpirun` daemon startup plus one handshake per rank under
+    /// `{tag}mpi/`; returns the barrier `{tag}ready`.
+    fn mpi_setup(&self, b: &mut JobBuilder, tag: &str, deps: &[ActivityId]) -> ActivityId {
+        let mpirun = b.dag.add(
+            ActivityKind::Delay {
+                duration_us: self.p.mpirun_us,
+            },
+            deps,
+            format!("{tag}mpi/daemon"),
+        );
+        let ranks: Vec<ActivityId> = (0..b.cfg.nodes)
+            .map(|m| {
+                b.dag.add(
+                    ActivityKind::Delay {
+                        duration_us: self.p.per_rank_us,
+                    },
+                    &[mpirun],
+                    format!("{tag}mpi/rank-{m}"),
+                )
+            })
+            .collect();
+        b.dag.barrier(&ranks, format!("{tag}ready"))
     }
 
     /// One full job attempt. `prefix` replaces the leading `job/` of every
     /// activity tag (`job/r1/` for the restart); `suffix` is appended to
     /// every mission id so the restarted operations stay distinct in the
     /// archive; `deps` gates the attempt's first activity.
-    fn job(&mut self, prefix: &str, suffix: &str, deps: &[ActivityId]) {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let head = self.head.clone();
+    fn job(&self, b: &mut JobBuilder, prefix: &str, suffix: &str, deps: &[ActivityId]) {
+        let k = b.cfg.nodes;
+        let costs = &b.cfg.costs;
+        let scale = b.cfg.scale_factor;
+        let head = b.head.clone();
+        let job_key = b.job_key.clone();
+        let job_actor = b.job_actor.clone();
+        let domain = |mission: &str| {
+            (
+                job_actor.clone(),
+                Mission::new(mission, format!("0{suffix}")),
+            )
+        };
 
         // -------------------------------------------------- Startup (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
+        b.specs.push(OpSpec::new(
+            job_actor.clone(),
             Mission::new("Startup", format!("0{suffix}")),
-            Some(self.job_key.clone()),
+            Some(job_key.clone()),
             format!("{prefix}startup/"),
             &head,
             "mpirun",
         ));
-        let mpirun = self.dag.add(
-            ActivityKind::Delay {
-                duration_us: self.p.mpirun_us,
-            },
-            deps,
-            format!("{prefix}startup/mpi/daemon"),
-        );
-        let mut ranks: Vec<ActivityId> = Vec::with_capacity(k as usize);
-        for m in 0..k {
-            ranks.push(self.dag.add(
-                ActivityKind::Delay {
-                    duration_us: self.p.per_rank_us,
-                },
-                &[mpirun],
-                format!("{prefix}startup/mpi/rank-{m}"),
-            ));
-        }
-        self.specs.push(OpSpec::new(
+        let started = self.mpi_setup(b, &format!("{prefix}startup/"), deps);
+        b.specs.push(OpSpec::new(
             Actor::new("Master", "0"),
             Mission::new("MpiSetup", format!("0{suffix}")),
-            Some(self.domain("Startup", suffix)),
+            Some(domain("Startup")),
             format!("{prefix}startup/mpi/"),
             &head,
             "mpirun",
         ));
-        let started = self.dag.barrier(&ranks, format!("{prefix}startup/ready"));
 
         // ------------------------------------------------ LoadGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
+        b.specs.push(OpSpec::new(
+            job_actor.clone(),
             Mission::new("LoadGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
+            Some(job_key.clone()),
             format!("{prefix}load/"),
             &head,
             "machine-0",
         ));
         // Sequential read + parse pipeline, all on machine 0.
-        self.specs.push(
+        b.specs.push(
             OpSpec::new(
                 Actor::new("Machine", "0"),
                 Mission::new("SequentialLoad", format!("0{suffix}")),
-                Some(self.domain("LoadGraph", suffix)),
+                Some(domain("LoadGraph")),
                 format!("{prefix}load/seq/"),
                 &head,
                 "machine-0",
@@ -463,7 +344,7 @@ impl<'a> PgBuild<'a> {
         let mut prev_read = started;
         let mut prev_parse: Option<ActivityId> = None;
         for c in 0..LOAD_CHUNKS {
-            let read = self.dag.add(
+            let read = b.dag.add(
                 ActivityKind::SharedRead {
                     node: NodeId(0),
                     bytes: chunk,
@@ -477,7 +358,7 @@ impl<'a> PgBuild<'a> {
                 Some(p) => vec![read, p],
                 None => vec![read],
             };
-            let parse = self.dag.add(
+            let parse = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(0),
                     work_core_us: chunk * costs.parse_cpu_us_per_byte,
@@ -489,16 +370,16 @@ impl<'a> PgBuild<'a> {
             prev_read = read;
             prev_parse = Some(parse);
         }
-        let parsed = self.dag.barrier(
+        let parsed = b.dag.barrier(
             &[prev_parse.expect("LOAD_CHUNKS > 0")],
             format!("{prefix}load/seq/done"),
         );
 
         // Distribute edge partitions to the other machines.
-        self.specs.push(OpSpec::new(
+        b.specs.push(OpSpec::new(
             Actor::new("Machine", "0"),
             Mission::new("DistributeEdges", format!("0{suffix}")),
-            Some(self.domain("LoadGraph", suffix)),
+            Some(domain("LoadGraph")),
             format!("{prefix}load/dist/"),
             &head,
             "machine-0",
@@ -506,7 +387,7 @@ impl<'a> PgBuild<'a> {
         let mut finalize_deps: Vec<(u16, ActivityId)> = vec![(0, parsed)];
         for m in 1..k {
             let bytes = self.edge_sizes[m as usize] as f64 * costs.bytes_per_edge_in * scale;
-            let xfer = self.dag.add(
+            let xfer = b.dag.add(
                 ActivityKind::Transfer {
                     src: NodeId(0),
                     dst: NodeId(m),
@@ -521,7 +402,7 @@ impl<'a> PgBuild<'a> {
         // All machines build their local graph structures.
         let mut built: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for (m, dep) in finalize_deps {
-            let build = self.dag.add(
+            let build = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(m),
                     work_core_us: self.edge_sizes[m as usize] as f64
@@ -532,13 +413,13 @@ impl<'a> PgBuild<'a> {
                 &[dep],
                 format!("{prefix}load/fin/m{m}/build"),
             );
-            self.specs.push(
+            b.specs.push(
                 OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("FinalizeGraph", format!("0{suffix}")),
-                    Some(self.domain("LoadGraph", suffix)),
+                    Some(domain("LoadGraph")),
                     format!("{prefix}load/fin/m{m}/"),
-                    self.node_name(m),
+                    b.node(m),
                     format!("machine-{m}"),
                 )
                 .with_info(
@@ -548,26 +429,26 @@ impl<'a> PgBuild<'a> {
             );
             built.push(build);
         }
-        let all_loaded = self.dag.barrier(&built, format!("{prefix}load/all-loaded"));
+        let all_loaded = b.dag.barrier(&built, format!("{prefix}load/all-loaded"));
 
         // ---------------------------------------------- ProcessGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
+        b.specs.push(OpSpec::new(
+            job_actor.clone(),
             Mission::new("ProcessGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
+            Some(job_key.clone()),
             format!("{prefix}proc/"),
             &head,
             "machine-0",
         ));
         let mut prev_barrier = all_loaded;
-        for it in self.iterations {
+        for it in &self.iterations {
             let t = it.iteration;
             let it_tag = format!("{prefix}proc/it{t}/");
-            self.specs.push(
+            b.specs.push(
                 OpSpec::new(
-                    self.job_actor.clone(),
+                    job_actor.clone(),
                     Mission::new("Iteration", format!("{t}{suffix}")),
-                    Some(self.domain("ProcessGraph", suffix)),
+                    Some(domain("ProcessGraph")),
                     it_tag.clone(),
                     &head,
                     "machine-0",
@@ -578,7 +459,7 @@ impl<'a> PgBuild<'a> {
                 ),
             );
             let iter_parent = (
-                self.job_actor.clone(),
+                job_actor.clone(),
                 Mission::new("Iteration", format!("{t}{suffix}")),
             );
 
@@ -590,7 +471,7 @@ impl<'a> PgBuild<'a> {
             for m in 0..k {
                 let stats = &it.per_machine[m as usize];
                 let work = (stats.gather_edges as f64 * costs.compute_us_per_edge) * scale;
-                let gather = self.dag.add(
+                let gather = b.dag.add(
                     ActivityKind::Compute {
                         node: NodeId(m),
                         work_core_us: work.max(500.0),
@@ -599,13 +480,13 @@ impl<'a> PgBuild<'a> {
                     &[prev_barrier],
                     format!("{it_tag}m{m}/gather"),
                 );
-                self.specs.push(
+                b.specs.push(
                     OpSpec::new(
                         Actor::new("Machine", m.to_string()),
                         Mission::new("Gather", format!("{t}{suffix}")),
                         Some(iter_parent.clone()),
                         format!("{it_tag}m{m}/gather"),
-                        self.node_name(m),
+                        b.node(m),
                         format!("machine-{m}"),
                     )
                     .with_info(
@@ -625,32 +506,32 @@ impl<'a> PgBuild<'a> {
             let mut sync_total = 0u64;
             #[allow(clippy::needless_range_loop)] // machine ids index the matrix
             for a in 0..k as usize {
-                for b in 0..k as usize {
-                    let count = it.sync_matrix[a][b];
+                for dst in 0..k as usize {
+                    let count = it.sync_matrix[a][dst];
                     if count == 0 {
                         continue;
                     }
                     sync_total += count;
-                    exchanges.push(self.dag.add(
+                    exchanges.push(b.dag.add(
                         ActivityKind::Transfer {
                             src: NodeId(a as u16),
-                            dst: NodeId(b as u16),
+                            dst: NodeId(dst as u16),
                             bytes: count as f64 * costs.bytes_per_message * scale,
                         },
                         &[gathers[a]],
-                        format!("{it_tag}ex/a{a}b{b}"),
+                        format!("{it_tag}ex/a{a}b{dst}"),
                     ));
                 }
             }
             let exchange_done = if exchanges.is_empty() {
-                self.dag.barrier(&gathers, format!("{it_tag}ex/none"))
+                b.dag.barrier(&gathers, format!("{it_tag}ex/none"))
             } else {
                 let mut deps = exchanges.clone();
                 deps.extend_from_slice(&gathers);
-                self.dag.barrier(&deps, format!("{it_tag}ex/join"))
+                b.dag.barrier(&deps, format!("{it_tag}ex/join"))
             };
             if !exchanges.is_empty() {
-                self.specs.push(
+                b.specs.push(
                     OpSpec::new(
                         Actor::new("Master", "0"),
                         Mission::new("Exchange", format!("{t}{suffix}")),
@@ -674,7 +555,7 @@ impl<'a> PgBuild<'a> {
             let mut scatters: Vec<ActivityId> = Vec::with_capacity(k as usize);
             for m in 0..k {
                 let stats = &it.per_machine[m as usize];
-                let apply = self.dag.add(
+                let apply = b.dag.add(
                     ActivityKind::Compute {
                         node: NodeId(m),
                         work_core_us: (stats.apply_vertices as f64
@@ -686,15 +567,15 @@ impl<'a> PgBuild<'a> {
                     &[exchange_done],
                     format!("{it_tag}m{m}/apply"),
                 );
-                self.specs.push(OpSpec::new(
+                b.specs.push(OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("Apply", format!("{t}{suffix}")),
                     Some(iter_parent.clone()),
                     format!("{it_tag}m{m}/apply"),
-                    self.node_name(m),
+                    b.node(m),
                     format!("machine-{m}"),
                 ));
-                let scatter = self.dag.add(
+                let scatter = b.dag.add(
                     ActivityKind::Compute {
                         node: NodeId(m),
                         work_core_us: (stats.scatter_edges as f64
@@ -707,19 +588,19 @@ impl<'a> PgBuild<'a> {
                     &[apply],
                     format!("{it_tag}m{m}/scatter"),
                 );
-                self.specs.push(OpSpec::new(
+                b.specs.push(OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("Scatter", format!("{t}{suffix}")),
                     Some(iter_parent.clone()),
                     format!("{it_tag}m{m}/scatter"),
-                    self.node_name(m),
+                    b.node(m),
                     format!("machine-{m}"),
                 ));
                 scatters.push(scatter);
             }
             drop(apply_span);
-            let join = self.dag.barrier(&scatters, format!("{it_tag}barrier/join"));
-            prev_barrier = self.dag.add(
+            let join = b.dag.barrier(&scatters, format!("{it_tag}barrier/join"));
+            prev_barrier = b.dag.add(
                 ActivityKind::Delay {
                     duration_us: costs.barrier_us,
                 },
@@ -729,10 +610,10 @@ impl<'a> PgBuild<'a> {
         }
 
         // --------------------------------------------- OffloadGraph (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
+        b.specs.push(OpSpec::new(
+            job_actor.clone(),
             Mission::new("OffloadGraph", format!("0{suffix}")),
-            Some(self.job_key.clone()),
+            Some(job_key.clone()),
             format!("{prefix}offload/"),
             &head,
             "machine-0",
@@ -740,7 +621,7 @@ impl<'a> PgBuild<'a> {
         let mut offloads: Vec<ActivityId> = Vec::with_capacity(k as usize);
         for m in 0..k {
             let bytes = self.masters[m as usize] as f64 * costs.bytes_per_vertex_out * scale;
-            let write = self.dag.add(
+            let write = b.dag.add(
                 ActivityKind::SharedRead {
                     node: NodeId(m),
                     bytes,
@@ -748,96 +629,83 @@ impl<'a> PgBuild<'a> {
                 &[prev_barrier],
                 format!("{prefix}offload/m{m}/write"),
             );
-            self.specs.push(
+            b.specs.push(
                 OpSpec::new(
                     Actor::new("Machine", m.to_string()),
                     Mission::new("LocalOffload", format!("0{suffix}")),
-                    Some(self.domain("OffloadGraph", suffix)),
+                    Some(domain("OffloadGraph")),
                     format!("{prefix}offload/m{m}/"),
-                    self.node_name(m),
+                    b.node(m),
                     format!("machine-{m}"),
                 )
                 .with_info("OutputBytes", InfoValue::Int(bytes.round() as i64)),
             );
             offloads.push(write);
         }
-        let all_offloaded = self.dag.barrier(&offloads, format!("{prefix}offload/done"));
+        let all_offloaded = b.dag.barrier(&offloads, format!("{prefix}offload/done"));
 
         // -------------------------------------------------- Cleanup (L1)
-        self.specs.push(OpSpec::new(
-            self.job_actor.clone(),
+        b.specs.push(OpSpec::new(
+            job_actor.clone(),
             Mission::new("Cleanup", format!("0{suffix}")),
-            Some(self.job_key.clone()),
+            Some(job_key.clone()),
             format!("{prefix}cleanup/"),
             &head,
             "mpirun",
         ));
-        self.dag.add(
+        b.dag.add(
             ActivityKind::Delay {
                 duration_us: self.p.finalize_us,
             },
             &[all_offloaded],
             format!("{prefix}cleanup/finalize"),
         );
-        self.specs.push(OpSpec::new(
+        b.specs.push(OpSpec::new(
             Actor::new("Master", "0"),
             Mission::new("MpiFinalize", format!("0{suffix}")),
-            Some(self.domain("Cleanup", suffix)),
+            Some(domain("Cleanup")),
             format!("{prefix}cleanup/finalize"),
             &head,
             "mpirun",
         ));
     }
 
-    // ------------------------------------------------------- Simulate
-    fn finish(self, plan: &FaultPlan, output: AlgorithmOutput) -> Result<PlatformRun, SimError> {
-        let k = self.cfg.nodes;
-        let costs = &self.cfg.costs;
-        let scale = self.cfg.scale_factor;
-        let sim = {
-            let _span = granula_trace::span!("platform", "powergraph.simulate {}", self.cfg.job_id);
-            Simulation::new(self.cluster.clone()).run_with_faults(&self.dag, plan)?
-        };
-        let events = {
-            let _span =
-                granula_trace::span!("platform", "powergraph.emit_events {}", self.cfg.job_id);
-            emit_events(&self.specs, &self.dag, &sim)
-        };
-        let mut env_samples = trace_to_samples(&sim.trace);
-        // Memory view. Machine 0 temporarily holds the *entire* parsed edge
-        // list as a staging buffer during the sequential load, released once
-        // partitions have been distributed — the memory-pressure signature
-        // of the single-loader design. Partitions then stay resident until
-        // MPI finalize. A restarted attempt repeats the pattern under its
-        // own tag prefix.
-        let mut phases = Vec::with_capacity(2 * (k as usize + 1));
+    /// Memory view. Machine 0 temporarily holds the *entire* parsed edge
+    /// list as a staging buffer during the sequential load, released once
+    /// partitions have been distributed — the memory-pressure signature
+    /// of the single-loader design. Partitions then stay resident until
+    /// MPI finalize. A restarted attempt repeats the pattern under its
+    /// own tag prefix.
+    fn memory(&self, b: &JobBuilder, sim: &SimResult) -> Vec<MemoryPhase> {
+        let costs = &b.cfg.costs;
+        let scale = b.cfg.scale_factor;
+        let mut phases = Vec::with_capacity(2 * (b.cfg.nodes as usize + 1));
         for prefix in ["job/", "job/r1/"] {
-            if prefix == "job/r1/" && sim.span_of_tag(&self.dag, prefix).is_none() {
+            if prefix == "job/r1/" && sim.span_of_tag(&b.dag, prefix).is_none() {
                 continue;
             }
             let release = sim
-                .span_of_tag(&self.dag, &format!("{prefix}cleanup/"))
+                .span_of_tag(&b.dag, &format!("{prefix}cleanup/"))
                 .map(|(s, _)| s.round() as u64)
                 .unwrap_or(sim.makespan_us.round() as u64);
             if let (Some((ss, se)), Some((_, de))) = (
-                sim.span_of_tag(&self.dag, &format!("{prefix}load/seq/")),
-                sim.span_of_tag(&self.dag, &format!("{prefix}load/dist/"))
-                    .or(sim.span_of_tag(&self.dag, &format!("{prefix}load/seq/"))),
+                sim.span_of_tag(&b.dag, &format!("{prefix}load/seq/")),
+                sim.span_of_tag(&b.dag, &format!("{prefix}load/dist/"))
+                    .or(sim.span_of_tag(&b.dag, &format!("{prefix}load/seq/"))),
             ) {
                 phases.push(MemoryPhase {
-                    node: self.head.clone(),
+                    node: b.head.clone(),
                     ramp_start_us: ss.round() as u64,
                     ramp_end_us: se.round() as u64,
                     hold_until_us: de.round() as u64,
                     bytes: self.total_bytes,
                 });
             }
-            for m in 0..k {
-                if let Some((fs, fe)) =
-                    sim.span_of_tag(&self.dag, &format!("{prefix}load/fin/m{m}/"))
+            for m in 0..b.cfg.nodes {
+                if let Some((fs, fe)) = sim.span_of_tag(&b.dag, &format!("{prefix}load/fin/m{m}/"))
                 {
                     phases.push(MemoryPhase {
-                        node: self.node_name(m),
+                        node: b.node(m),
                         ramp_start_us: fs.round() as u64,
                         ramp_end_us: fe.round() as u64,
                         hold_until_us: release,
@@ -848,14 +716,7 @@ impl<'a> PgBuild<'a> {
                 }
             }
         }
-        env_samples.extend(memory_samples(&phases, sim.makespan_us.round() as u64));
-        Ok(PlatformRun {
-            events,
-            env_samples,
-            output,
-            makespan_us: sim.makespan_us.round() as u64,
-            iterations: self.iterations.len() as u32,
-        })
+        phases
     }
 }
 

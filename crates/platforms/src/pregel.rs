@@ -9,6 +9,8 @@
 
 use gpsim_graph::{EdgeCutPartition, Graph, VertexId};
 
+use crate::common::{Algorithm, AlgorithmOutput};
+
 /// Per-superstep context handed to vertex programs.
 pub struct Context<M> {
     superstep: u32,
@@ -546,6 +548,44 @@ impl VertexProgram for CdlpProgram {
                 ctx.send(t, *value);
             }
             ctx.remain_active();
+        }
+    }
+}
+
+/// Executes `algorithm` as a vertex program over `part`: the shared
+/// program step of the Pregel-based drivers (Giraph, GraphX). BFS is
+/// size-dispatched: full-scale graphs take the flat frontier engine, which
+/// produces bit-identical counters.
+pub(crate) fn run_program(
+    g: &Graph,
+    part: &EdgeCutPartition,
+    algorithm: Algorithm,
+    max_supersteps: u32,
+) -> (AlgorithmOutput, Vec<SuperstepStats>) {
+    match algorithm {
+        Algorithm::Bfs { source } => {
+            let out = run_bfs(g, part, source, max_supersteps);
+            (AlgorithmOutput::Levels(out.values), out.supersteps)
+        }
+        Algorithm::PageRank { iterations } => {
+            let program = PageRankProgram {
+                iterations,
+                damping: 0.85,
+            };
+            let out = run(g, part, &program, max_supersteps);
+            (AlgorithmOutput::Ranks(out.values), out.supersteps)
+        }
+        Algorithm::Wcc => {
+            let out = run(g, part, &WccProgram, max_supersteps);
+            (AlgorithmOutput::Labels(out.values), out.supersteps)
+        }
+        Algorithm::Sssp { source } => {
+            let out = run(g, part, &SsspProgram { source }, max_supersteps);
+            (AlgorithmOutput::Distances(out.values), out.supersteps)
+        }
+        Algorithm::Cdlp { iterations } => {
+            let out = run(g, part, &CdlpProgram { iterations }, max_supersteps);
+            (AlgorithmOutput::Labels(out.values), out.supersteps)
         }
     }
 }

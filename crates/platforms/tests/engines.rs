@@ -13,10 +13,12 @@
 //!   timestamps with children nested inside their parents;
 //! * an empty `FaultPlan` is indistinguishable from no plan at all, bit
 //!   for bit, across repeated invocations;
-//! * GRAPE and GraphX crash recovery neither loses nor duplicates a
-//!   round/stage: the committed ops plus the failed attempt cover each
-//!   superstep exactly once, and the replayed/recomputed lineage covers
-//!   exactly the committed prefix plus the interrupted unit.
+//! * Giraph, GRAPE and GraphX crash recovery neither loses nor duplicates
+//!   a superstep/round/stage: the committed ops plus the failed attempt
+//!   cover each unit exactly once, and the replayed/recomputed lineage
+//!   covers exactly the units since the last checkpoint (Giraph) or the
+//!   whole committed prefix (GRAPE, GraphX) plus the interrupted unit.
+//!   PowerGraph's fail-stop restart is held to the op-tree contract.
 //!
 //! Together with `prop.rs` (which checks the algorithm *values*), this
 //! file is the differential layer ISSUE 10 adds over the new engines.
@@ -52,6 +54,26 @@ fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
         (1u32..4).prop_map(|iterations| Algorithm::PageRank { iterations }),
         Just(Algorithm::Wcc),
     ]
+}
+
+/// Giraph's checkpoint cadence: off (the default) or every 1–3 supersteps.
+fn arb_checkpoint_interval() -> impl Strategy<Value = Option<u32>> {
+    prop_oneof![Just(None), (1u32..4).prop_map(Some)]
+}
+
+fn giraph(checkpoint_interval: Option<u32>) -> GiraphPlatform {
+    GiraphPlatform {
+        checkpoint_interval,
+        ..GiraphPlatform::default()
+    }
+}
+
+/// The superstep Giraph replays from after a crash at `failed`: the one
+/// after the last checkpoint before it, or 0 without checkpoints.
+fn giraph_replay_from(checkpoint_interval: Option<u32>, failed: u32) -> u32 {
+    checkpoint_interval
+        .and_then(|k| (0..failed).rev().find(|s| (s + 1).is_multiple_of(k)))
+        .map_or(0, |s| s + 1)
 }
 
 fn cfg(algorithm: Algorithm, nodes: u16) -> JobConfig {
@@ -188,14 +210,15 @@ fn unique<T: std::hash::Hash + Eq + Clone>(items: &[T]) -> bool {
 /// Checks the no-loss / no-duplication ledger for a crash-recovering run:
 /// committed `unit_kind` ops plus the single `failed_kind` op must cover
 /// every superstep id exactly once, and the `replay_kind` lineage must be
-/// exactly the committed prefix before the failure plus the interrupted
-/// unit itself.
+/// exactly the units from `replay_from(failed)` up to and including the
+/// interrupted unit.
 fn check_recovery_ledger(
     faulted: &PlatformRun,
     healthy_iterations: u32,
     unit_kind: &str,
     failed_kind: &str,
     replay_kind: &str,
+    replay_from: impl Fn(u32) -> u32,
 ) -> Result<(), TestCaseError> {
     prop_assert_eq!(
         faulted.iterations,
@@ -224,14 +247,14 @@ fn check_recovery_ledger(
     let expect: Vec<u32> = (0..healthy_iterations).collect();
     prop_assert_eq!(all, expect, "supersteps lost or duplicated");
 
-    // The recovery lineage re-executes the committed prefix and the
-    // interrupted unit — nothing after the crash point.
+    // The recovery lineage re-executes the units since its restart point
+    // and the interrupted unit — nothing after the crash point.
     let mut replayed_ids: Vec<u32> = replayed
         .iter()
         .map(|s| s.parse().expect("numeric superstep id"))
         .collect();
     replayed_ids.sort_unstable();
-    let expect_replay: Vec<u32> = (0..=failed_id).collect();
+    let expect_replay: Vec<u32> = (replay_from(failed_id)..=failed_id).collect();
     prop_assert_eq!(replayed_ids, expect_replay, "recovery lineage mismatch");
     Ok(())
 }
@@ -249,10 +272,11 @@ proptest! {
         algorithm in arb_algorithm(),
         k in 2u16..6,
         seed in any::<u64>(),
+        interval in arb_checkpoint_interval(),
     ) {
         let cfg = cfg(algorithm, k);
         let runs = [
-            GiraphPlatform::default().run(&g, &cfg).unwrap(),
+            giraph(interval).run(&g, &cfg).unwrap(),
             PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
             GrapePlatform::default().run(&g, &cfg).unwrap(),
             GraphXPlatform::default().run(&g, &cfg).unwrap(),
@@ -263,6 +287,8 @@ proptest! {
         // The same holds under an arbitrary fault schedule.
         let horizon = runs[2].makespan_us.max(1) as f64;
         let plan = FaultPlan::seeded(seed, k, horizon);
+        check_op_tree(&giraph(interval).run_with_faults(&g, &cfg, &plan).unwrap())?;
+        check_op_tree(&PowerGraphPlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
         check_op_tree(&GrapePlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
         check_op_tree(&GraphXPlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
     }
@@ -278,9 +304,24 @@ proptest! {
         g in arb_graph(),
         algorithm in arb_algorithm(),
         k in 2u16..6,
+        interval in arb_checkpoint_interval(),
     ) {
         let cfg = cfg(algorithm, k);
         for (label, a, b, c) in [
+            (
+                "giraph",
+                giraph(interval).run(&g, &cfg).unwrap(),
+                giraph(interval).run_with_faults(&g, &cfg, &FaultPlan::default()).unwrap(),
+                giraph(interval).run(&g, &cfg).unwrap(),
+            ),
+            (
+                "powergraph",
+                PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
+                PowerGraphPlatform::default()
+                    .run_with_faults(&g, &cfg, &FaultPlan::default())
+                    .unwrap(),
+                PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
+            ),
             (
                 "grape",
                 GrapePlatform::default().run(&g, &cfg).unwrap(),
@@ -321,7 +362,14 @@ proptest! {
         let plan = FaultPlan::seeded(seed, k, healthy.makespan_us.max(1) as f64);
         let faulted = p.run_with_faults(&g, &cfg, &plan).unwrap();
         prop_assert!(faulted.output.matches(&healthy.output), "recovery changed the result");
-        check_recovery_ledger(&faulted, healthy.iterations, "Round", "FailedRound", "Replay")?;
+        check_recovery_ledger(
+            &faulted,
+            healthy.iterations,
+            "Round",
+            "FailedRound",
+            "Replay",
+            |_| 0,
+        )?;
     }
 }
 
@@ -349,6 +397,37 @@ proptest! {
             "Iteration",
             "FailedStage",
             "Recompute",
+            |_| 0,
+        )?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(260))]
+
+    /// Giraph's checkpoint replay never loses or duplicates a superstep,
+    /// and replays exactly the supersteps since the last checkpoint.
+    #[test]
+    fn giraph_recovery_preserves_every_superstep(
+        g in arb_graph(),
+        algorithm in arb_algorithm(),
+        k in 2u16..6,
+        seed in any::<u64>(),
+        interval in arb_checkpoint_interval(),
+    ) {
+        let cfg = cfg(algorithm, k);
+        let p = giraph(interval);
+        let healthy = p.run(&g, &cfg).unwrap();
+        let plan = FaultPlan::seeded(seed, k, healthy.makespan_us.max(1) as f64);
+        let faulted = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        prop_assert!(faulted.output.matches(&healthy.output), "recovery changed the result");
+        check_recovery_ledger(
+            &faulted,
+            healthy.iterations,
+            "Superstep",
+            "FailedSuperstep",
+            "Replay",
+            |failed| giraph_replay_from(interval, failed),
         )?;
     }
 }
