@@ -33,18 +33,17 @@
 //!
 //! where the CRC32C ([`crate::crc`]) covers `kind + payload_len + payload`.
 //! A bit flip, torn write, or truncation therefore damages *frames*, not
-//! the file: the salvage layer ([`crate::salvage`]) recovers every job
-//! whose frame still verifies, locating frames either by a sequential
-//! walk or through the trailer's offset table (reachable from the fixed
-//! footer even when mid-file frames are mangled — and the seed of the
-//! future mmap'd zero-copy read path, which needs per-job extents without
-//! a full deserialize).
+//! the file. Every reader checks frames through one function,
+//! `check_frame`: the strict walk behind [`store_from_bytes`] and
+//! [`frame_table`], the salvage layer ([`crate::salvage`]), which recovers
+//! every job whose frame still verifies, and the mmap'd zero-copy reader
+//! ([`crate::zerocopy`]), which finds per-job extents through the
+//! trailer's offset table (reachable from the fixed footer even when
+//! mid-file frames are mangled).
 //!
-//! Version history: v1 stores carry only the archive list; v2 adds the
-//! [`crate::store::RunMeta`] run header (both as one raw tagged value after
-//! the 8-byte header, no frames, no checksums); v3 adds the framing above.
-//! Readers accept all three — a v1 payload simply decodes with an empty
-//! header, and v1/v2 files skip checksum verification (they carry none).
+//! Only v3 is read. The unframed v1/v2 layouts (one raw tagged value after
+//! the header, no checksums) were retired once the committed fixtures had
+//! been converted; their headers are [`BinError::UnsupportedVersion`].
 //!
 //! Tagged values (all lengths/counts are LEB128 varints):
 //!
@@ -75,10 +74,9 @@ use std::path::Path;
 
 use serde::{DeError, Deserialize, Serialize, Value};
 
-use crate::archive::JobArchive;
 use crate::crc::crc32c;
 use crate::durable;
-use crate::store::{ArchiveStore, RunMeta};
+use crate::store::ArchiveStore;
 
 /// File magic: "GRanula Native Archive".
 pub const MAGIC: [u8; 4] = *b"GRNA";
@@ -106,7 +104,7 @@ const TAG_OBJECT: u8 = 0x07;
 
 /// Frame kinds of format v3.
 pub const FRAME_RUN: u8 = 0x01;
-/// One serialized [`JobArchive`].
+/// One serialized [`crate::archive::JobArchive`].
 pub const FRAME_JOB: u8 = 0x02;
 /// The per-job offset table closing the frame sequence.
 pub const FRAME_TRAILER: u8 = 0x03;
@@ -125,11 +123,13 @@ pub const HEADER_LEN: usize = 8;
 pub enum BinError {
     /// The file does not start with [`MAGIC`].
     BadMagic([u8; 4]),
-    /// The file's version is newer than this library understands.
+    /// The file header names a format version other than
+    /// [`BIN_FORMAT_VERSION`] (the retired v1/v2, or a future one).
     UnsupportedVersion(u32),
     /// The payload ended before a complete value was read.
     Truncated,
-    /// Bytes remain after the payload value (v1/v2) or footer (v3).
+    /// Bytes remain after a payload's value, the trailer's table, or the
+    /// footer.
     TrailingBytes(usize),
     /// An unknown value tag was encountered.
     BadTag(u8),
@@ -164,7 +164,8 @@ impl fmt::Display for BinError {
             BinError::BadMagic(m) => write!(f, "bad archive magic {m:?} (expected {MAGIC:?})"),
             BinError::UnsupportedVersion(v) => write!(
                 f,
-                "binary archive version {v} is newer than supported {BIN_FORMAT_VERSION}"
+                "binary archive version {v} is not supported: only version \
+                 {BIN_FORMAT_VERSION} is read"
             ),
             BinError::Truncated => write!(f, "binary archive truncated"),
             BinError::TrailingBytes(n) => write!(f, "{n} trailing bytes after archive payload"),
@@ -380,37 +381,66 @@ fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> usize {
     start
 }
 
-/// Reads and CRC-verifies the frame starting at `pos`, advancing it.
-/// Returns `(kind, payload, frame_offset)`. Shared with the mmap'd
-/// zero-copy reader ([`crate::zerocopy`]), which calls it per extent.
-pub(crate) fn read_frame<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-) -> Result<(u8, &'a [u8], usize), BinError> {
-    let offset = *pos;
-    let header = bytes
-        .get(offset..offset + FRAME_HEADER_LEN)
-        .ok_or(BinError::Truncated)?;
-    let kind = header[0];
-    let payload_len = u32::from_le_bytes(header[1..5].try_into().expect("4-byte slice")) as usize;
-    let payload_end = offset
+/// What [`check_frame`] found at a frame offset.
+#[derive(Debug)]
+pub(crate) enum Frame<'a> {
+    /// The frame verifies.
+    Intact {
+        /// The frame's kind byte.
+        kind: u8,
+        /// The frame's payload bytes.
+        payload: &'a [u8],
+    },
+    /// The frame fits in the file but fails its CRC32C check.
+    BadChecksum {
+        /// Where the frame's declared length ends. The length may itself
+        /// be the damaged bytes, so a walk that resumes here can desync.
+        next: usize,
+    },
+    /// The frame header, or the length it declares, runs past the end of
+    /// the file.
+    PastEnd,
+}
+
+/// Checks the frame claimed at `offset` without trusting any of its
+/// bytes. This is the one frame check every reader shares: the strict
+/// walk, [`frame_table`], salvage's walk and trailer rescue, and
+/// [`crate::zerocopy::MappedStore::job_payload`].
+pub(crate) fn check_frame(bytes: &[u8], offset: usize) -> Frame<'_> {
+    let Some(header) = offset
         .checked_add(FRAME_HEADER_LEN)
-        .and_then(|p| p.checked_add(payload_len))
-        .ok_or(BinError::Truncated)?;
-    let frame_end = payload_end.checked_add(4).ok_or(BinError::Truncated)?;
-    if frame_end > bytes.len() {
-        return Err(BinError::Truncated);
+        .and_then(|end| bytes.get(offset..end))
+    else {
+        return Frame::PastEnd;
+    };
+    let payload_len = u32::from_le_bytes(header[1..5].try_into().expect("4-byte slice")) as usize;
+    let payload_at = offset + FRAME_HEADER_LEN;
+    let Some((crc_at, stored)) = payload_at
+        .checked_add(payload_len)
+        .and_then(|crc_at| Some((crc_at, bytes.get(crc_at..crc_at.checked_add(4)?)?)))
+    else {
+        return Frame::PastEnd;
+    };
+    if crc32c(&bytes[offset..crc_at]) != u32::from_le_bytes(stored.try_into().expect("4 bytes")) {
+        return Frame::BadChecksum { next: crc_at + 4 };
     }
-    let stored = u32::from_le_bytes(
-        bytes[payload_end..frame_end]
-            .try_into()
-            .expect("4-byte slice"),
-    );
-    if crc32c(&bytes[offset..payload_end]) != stored {
-        return Err(BinError::FrameChecksum { offset });
+    Frame::Intact {
+        kind: header[0],
+        payload: &bytes[payload_at..crc_at],
     }
-    *pos = frame_end;
-    Ok((kind, &bytes[offset + FRAME_HEADER_LEN..payload_end], offset))
+}
+
+/// [`check_frame`] for the strict readers: reads the frame at `pos`,
+/// advancing past it, and turns damage into an error.
+pub(crate) fn read_frame<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<(u8, &'a [u8]), BinError> {
+    match check_frame(bytes, *pos) {
+        Frame::Intact { kind, payload } => {
+            *pos += FRAME_OVERHEAD + payload.len();
+            Ok((kind, payload))
+        }
+        Frame::BadChecksum { .. } => Err(BinError::FrameChecksum { offset: *pos }),
+        Frame::PastEnd => Err(BinError::Truncated),
+    }
 }
 
 /// One row of the trailer's per-job offset table.
@@ -485,8 +515,8 @@ fn read_footer(bytes: &[u8], pos: usize) -> Result<usize, BinError> {
 
 /// Locates the trailer through the footer at the file's end, independent
 /// of the frames before it. Used by the salvage path when the sequential
-/// walk dies mid-file, and by the future mmap read path to find per-job
-/// extents without touching the payloads.
+/// walk dies mid-file, and by the mmap read path to find per-job extents
+/// without touching the payloads.
 pub(crate) fn trailer_via_footer(bytes: &[u8]) -> Result<(Vec<TrailerEntry>, usize), BinError> {
     let footer_at = bytes
         .len()
@@ -499,34 +529,28 @@ pub(crate) fn trailer_via_footer(bytes: &[u8]) -> Result<(Vec<TrailerEntry>, usi
         )));
     }
     let mut pos = trailer_offset;
-    let (kind, payload, offset) = read_frame(bytes, &mut pos)?;
+    let (kind, payload) = read_frame(bytes, &mut pos)?;
     if kind != FRAME_TRAILER {
-        return Err(BinError::BadFrameKind { offset, kind });
+        return Err(BinError::BadFrameKind {
+            offset: trailer_offset,
+            kind,
+        });
     }
     Ok((decode_trailer(payload)?, trailer_offset))
 }
 
-/// Reads the version field of the 8-byte file header.
-pub(crate) fn header_version(bytes: &[u8]) -> Result<u32, BinError> {
-    let magic: [u8; 4] = bytes
-        .get(..4)
-        .ok_or(BinError::Truncated)?
-        .try_into()
-        .expect("4-byte slice");
+/// Checks the 8-byte file header: [`MAGIC`], then [`BIN_FORMAT_VERSION`].
+pub(crate) fn check_header(bytes: &[u8]) -> Result<(), BinError> {
+    let header = bytes.get(..HEADER_LEN).ok_or(BinError::Truncated)?;
+    let magic: [u8; 4] = header[..4].try_into().expect("4-byte slice");
     if magic != MAGIC {
         return Err(BinError::BadMagic(magic));
     }
-    let version = u32::from_le_bytes(
-        bytes
-            .get(4..8)
-            .ok_or(BinError::Truncated)?
-            .try_into()
-            .expect("4-byte slice"),
-    );
-    if version == 0 || version > BIN_FORMAT_VERSION {
+    let version = u32::from_le_bytes(header[4..].try_into().expect("4-byte slice"));
+    if version != BIN_FORMAT_VERSION {
         return Err(BinError::UnsupportedVersion(version));
     }
-    Ok(version)
+    Ok(())
 }
 
 /// Summary of one frame of a v3 file, as reported by [`frame_table`].
@@ -542,38 +566,73 @@ pub struct FrameInfo {
     pub job_id: Option<String>,
 }
 
-/// Strictly walks a v3 file and returns its frame layout without
-/// decoding any job payload — the cheap structural view the corruption
-/// tests and the future mmap path share. Errors on v1/v2 files (they
-/// have no frames) and on any integrity violation.
-pub fn frame_table(bytes: &[u8]) -> Result<Vec<FrameInfo>, BinError> {
-    let version = header_version(bytes)?;
-    if version < 3 {
+/// The strict sequential walk behind [`store_from_bytes`] and
+/// [`frame_table`]. From the header it reads the RUN frame, every JOB
+/// frame and the TRAILER frame, handing each to `visit(kind, offset,
+/// payload)` in file order, then the footer. Every frame must verify, the
+/// trailer must list exactly the JOB frames' extents, the footer must
+/// point at the trailer, and nothing may follow the footer. Returns the
+/// trailer's rows.
+fn walk<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(u8, usize, &'a [u8]) -> Result<(), BinError>,
+) -> Result<Vec<TrailerEntry>, BinError> {
+    check_header(bytes)?;
+    let mut pos = HEADER_LEN;
+    let mut extents = Vec::new();
+    let (trailer, trailer_offset) = loop {
+        let offset = pos;
+        let (kind, payload) = read_frame(bytes, &mut pos)?;
+        // The RUN frame comes first and only first.
+        let in_order = (kind == FRAME_RUN) == (offset == HEADER_LEN);
+        if !in_order || !matches!(kind, FRAME_RUN | FRAME_JOB | FRAME_TRAILER) {
+            return Err(BinError::BadFrameKind { offset, kind });
+        }
+        visit(kind, offset, payload)?;
+        match kind {
+            FRAME_JOB => extents.push((offset, pos - offset)),
+            FRAME_TRAILER => break (decode_trailer(payload)?, offset),
+            _ => {}
+        }
+    };
+    if !trailer.iter().map(|e| (e.offset, e.len)).eq(extents) {
         return Err(BinError::Malformed(format!(
-            "format v{version} predates frames"
+            "trailer lists {} job(s) that do not match the job frames of the file",
+            trailer.len()
         )));
     }
-    let (entries, _) = trailer_via_footer(bytes)?;
-    let by_offset: std::collections::HashMap<usize, &str> = entries
-        .iter()
-        .map(|e| (e.offset, e.job_id.as_str()))
-        .collect();
+    let footer_target = read_footer(bytes, pos)?;
+    if footer_target != trailer_offset {
+        return Err(BinError::Malformed(format!(
+            "footer points at byte {footer_target}, trailer is at {trailer_offset}"
+        )));
+    }
+    let after_footer = pos + FOOTER_LEN;
+    if after_footer != bytes.len() {
+        return Err(BinError::TrailingBytes(bytes.len() - after_footer));
+    }
+    Ok(trailer)
+}
+
+/// Strictly walks a file and returns its frame layout without decoding
+/// any payload but the trailer's: the cheap structural view the
+/// corruption tests use. Any integrity violation is an error, exactly as
+/// in [`store_from_bytes`].
+pub fn frame_table(bytes: &[u8]) -> Result<Vec<FrameInfo>, BinError> {
     let mut frames = Vec::new();
-    let mut pos = HEADER_LEN;
-    loop {
-        let start = pos;
-        let (kind, _, offset) = read_frame(bytes, &mut pos)?;
+    let trailer = walk(bytes, |kind, offset, payload| {
         frames.push(FrameInfo {
             kind,
             offset,
-            len: pos - start,
-            job_id: by_offset.get(&offset).map(|s| s.to_string()),
+            len: payload.len() + FRAME_OVERHEAD,
+            job_id: None,
         });
-        if kind == FRAME_TRAILER {
-            break;
-        }
+        Ok(())
+    })?;
+    let jobs = frames.iter_mut().filter(|f| f.kind == FRAME_JOB);
+    for (frame, entry) in jobs.zip(trailer) {
+        frame.job_id = Some(entry.job_id);
     }
-    read_footer(bytes, pos)?;
     Ok(frames)
 }
 
@@ -585,21 +644,12 @@ fn encode_payload<T: Serialize>(payload: &T) -> Vec<u8> {
     out
 }
 
-fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, BinError> {
+/// Decodes one frame payload: exactly one tagged value, nothing after it.
+pub(crate) fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, BinError> {
     let mut pos = 0;
     let value = decode_value(payload, &mut pos)?;
     if pos != payload.len() {
         return Err(BinError::TrailingBytes(payload.len() - pos));
-    }
-    Ok(T::from_value(&value)?)
-}
-
-/// Decodes a v1/v2 file: one raw tagged value after the 8-byte header.
-fn legacy_from_bytes<T: Deserialize>(bytes: &[u8]) -> Result<T, BinError> {
-    let mut pos = HEADER_LEN;
-    let value = decode_value(bytes, &mut pos)?;
-    if pos != bytes.len() {
-        return Err(BinError::TrailingBytes(bytes.len() - pos));
     }
     Ok(T::from_value(&value)?)
 }
@@ -625,116 +675,32 @@ pub fn store_to_bytes(store: &ArchiveStore) -> Vec<u8> {
     out
 }
 
-/// Reads a store back from [`store_to_bytes`] output (or any earlier
-/// format version). Every frame must verify; use
-/// [`crate::salvage::salvage_from_bytes`] to recover what it can from a
-/// file this function rejects.
+/// Reads a store back from [`store_to_bytes`] output. Every frame must
+/// verify; use [`crate::salvage::salvage_from_bytes`] to recover what it
+/// can from a file this function rejects.
 pub fn store_from_bytes(bytes: &[u8]) -> Result<ArchiveStore, BinError> {
-    let version = header_version(bytes)?;
-    if version < 3 {
-        return legacy_from_bytes(bytes);
-    }
-
-    let mut pos = HEADER_LEN;
-    let (kind, payload, offset) = read_frame(bytes, &mut pos)?;
-    if kind != FRAME_RUN {
-        return Err(BinError::BadFrameKind { offset, kind });
-    }
-    let run: RunMeta = decode_payload(payload)?;
-
-    let mut store = ArchiveStore::new().with_run(run);
-    let mut seen = Vec::new();
-    let (trailer, trailer_start) = loop {
-        let start = pos;
-        let (kind, payload, offset) = read_frame(bytes, &mut pos)?;
+    let mut store = ArchiveStore::new();
+    let trailer = walk(bytes, |kind, _, payload| {
         match kind {
-            FRAME_JOB => {
-                let archive: JobArchive = decode_payload(payload)?;
-                seen.push(TrailerEntry {
-                    job_id: archive.meta.job_id.clone(),
-                    offset,
-                    len: pos - start,
-                });
-                store
-                    .add(archive)
-                    .map_err(|dup| BinError::Malformed(format!("duplicate job id `{}`", dup.0)))?;
-            }
-            FRAME_TRAILER => break (decode_trailer(payload)?, start),
-            other => {
-                return Err(BinError::BadFrameKind {
-                    offset,
-                    kind: other,
-                })
-            }
+            FRAME_RUN => store.set_run(decode_payload(payload)?),
+            FRAME_JOB => store
+                .add(decode_payload(payload)?)
+                .map_err(|dup| BinError::Malformed(format!("duplicate job id `{}`", dup.0)))?,
+            _ => {}
         }
-    };
-    if trailer != seen {
+        Ok(())
+    })?;
+    if let Some((entry, archive)) = trailer
+        .iter()
+        .zip(store.iter())
+        .find(|(entry, archive)| entry.job_id != archive.meta.job_id)
+    {
         return Err(BinError::Malformed(format!(
-            "trailer lists {} jobs but the file holds {}",
-            trailer.len(),
-            seen.len()
+            "trailer names job `{}` where the frame holds `{}`",
+            entry.job_id, archive.meta.job_id
         )));
-    }
-    let trailer_offset = read_footer(bytes, pos)?;
-    if trailer_offset != trailer_start {
-        return Err(BinError::Malformed(format!(
-            "footer points at byte {trailer_offset}, trailer is at {trailer_start}"
-        )));
-    }
-    let after_footer = pos + FOOTER_LEN;
-    if after_footer != bytes.len() {
-        return Err(BinError::TrailingBytes(bytes.len() - after_footer));
     }
     Ok(store)
-}
-
-/// Serializes a single archive to the binary format: one JOB frame plus
-/// trailer/footer (no run header — that belongs to stores).
-pub fn archive_to_bytes(archive: &JobArchive) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * 1024);
-    out.extend_from_slice(&MAGIC);
-    out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-    let payload = encode_payload(archive);
-    let offset = push_frame(&mut out, FRAME_JOB, &payload);
-    let entries = [TrailerEntry {
-        job_id: archive.meta.job_id.clone(),
-        offset,
-        len: payload.len() + FRAME_OVERHEAD,
-    }];
-    let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
-    push_footer(&mut out, trailer_offset);
-    out
-}
-
-/// Reads a single archive back from [`archive_to_bytes`] output (or a
-/// v1/v2 single-archive file).
-pub fn archive_from_bytes(bytes: &[u8]) -> Result<JobArchive, BinError> {
-    let version = header_version(bytes)?;
-    if version < 3 {
-        return legacy_from_bytes(bytes);
-    }
-    let mut pos = HEADER_LEN;
-    let (kind, payload, offset) = read_frame(bytes, &mut pos)?;
-    if kind != FRAME_JOB {
-        return Err(BinError::BadFrameKind { offset, kind });
-    }
-    let archive: JobArchive = decode_payload(payload)?;
-    let (kind, trailer_payload, offset) = read_frame(bytes, &mut pos)?;
-    if kind != FRAME_TRAILER {
-        return Err(BinError::BadFrameKind { offset, kind });
-    }
-    let trailer = decode_trailer(trailer_payload)?;
-    if trailer.len() != 1 || trailer[0].job_id != archive.meta.job_id {
-        return Err(BinError::Malformed(
-            "trailer does not match the archive".into(),
-        ));
-    }
-    read_footer(bytes, pos)?;
-    let after_footer = pos + FOOTER_LEN;
-    if after_footer != bytes.len() {
-        return Err(BinError::TrailingBytes(bytes.len() - after_footer));
-    }
-    Ok(archive)
 }
 
 impl ArchiveStore {
@@ -758,7 +724,7 @@ impl ArchiveStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::JobMeta;
+    use crate::archive::{JobArchive, JobMeta};
     use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
     fn sample_store() -> ArchiveStore {
@@ -806,23 +772,26 @@ mod tests {
         store
     }
 
-    /// Encodes a store the way a v1/v2 writer did: raw payload value
-    /// after the header, no frames, no checksums.
-    fn to_bytes_legacy(store: &ArchiveStore, version: u32) -> Vec<u8> {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&version.to_le_bytes());
-        let payload = match version {
-            1 => {
-                let Value::Object(pairs) = store.to_value() else {
-                    panic!("store serializes to an object");
-                };
-                Value::Object(pairs.into_iter().filter(|(k, _)| k == "archives").collect())
-            }
-            _ => store.to_value(),
-        };
-        encode_value(&payload, &mut bytes);
-        bytes
+    /// A complete, CRC-valid file around hand-made payloads: `run` as the
+    /// RUN frame and one JOB frame per `jobs` row, each listed in the
+    /// trailer. Hostile payloads built this way reach the value decoder
+    /// through the frame path, the only path a reader has.
+    fn framed_file(run: &[u8], jobs: &[(&str, &[u8])]) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
+        push_frame(&mut out, FRAME_RUN, run);
+        let entries: Vec<_> = jobs
+            .iter()
+            .map(|(id, payload)| TrailerEntry {
+                job_id: id.to_string(),
+                offset: push_frame(&mut out, FRAME_JOB, payload),
+                len: payload.len() + FRAME_OVERHEAD,
+            })
+            .collect();
+        let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
+        push_footer(&mut out, trailer_offset);
+        out
     }
 
     #[test]
@@ -910,6 +879,44 @@ mod tests {
     }
 
     #[test]
+    fn trailer_must_match_the_job_frames() {
+        let run = encode_payload(&crate::store::RunMeta::default());
+        let job = encode_payload(sample_store().get("g0").unwrap());
+        let build = |id: &str, shift: usize| {
+            let mut out = MAGIC.to_vec();
+            out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
+            push_frame(&mut out, FRAME_RUN, &run);
+            let entries = [TrailerEntry {
+                job_id: id.into(),
+                offset: push_frame(&mut out, FRAME_JOB, &job) + shift,
+                len: job.len() + FRAME_OVERHEAD,
+            }];
+            let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
+            push_footer(&mut out, trailer_offset);
+            out
+        };
+        assert_eq!(store_from_bytes(&build("g0", 0)).unwrap().len(), 1);
+        // A row that misplaces the frame fails the walk both readers share.
+        let shifted = build("g0", 1);
+        assert!(matches!(
+            store_from_bytes(&shifted),
+            Err(BinError::Malformed(_))
+        ));
+        assert!(matches!(frame_table(&shifted), Err(BinError::Malformed(_))));
+        // A row naming another job passes the walk; only the load, which
+        // decodes the frame, can see the mismatch.
+        let renamed = build("p0", 0);
+        assert_eq!(
+            frame_table(&renamed).unwrap()[1].job_id.as_deref(),
+            Some("p0")
+        );
+        assert!(matches!(
+            store_from_bytes(&renamed),
+            Err(BinError::Malformed(_))
+        ));
+    }
+
+    #[test]
     fn frame_table_reports_the_layout() {
         let store = sample_store();
         let bytes = store_to_bytes(&store);
@@ -929,41 +936,37 @@ mod tests {
 
     #[test]
     fn forged_giant_length_prefixes_fail_without_allocating() {
-        // A legacy payload claiming a 4-billion-element array: the
-        // decoder must bound `with_capacity` by the bytes remaining and
-        // return Truncated instead of attempting the allocation.
+        // A CRC-valid frame whose payload claims a 4-billion-element
+        // value: the decoder must bound `with_capacity` by the bytes
+        // remaining and return Truncated instead of attempting the
+        // allocation, in the RUN frame and in a JOB frame alike.
+        let empty_run = encode_payload(&crate::store::RunMeta::default());
         for tag in [TAG_ARRAY, TAG_OBJECT, TAG_STR] {
-            let mut bytes = Vec::new();
-            bytes.extend_from_slice(&MAGIC);
-            bytes.extend_from_slice(&2u32.to_le_bytes());
-            bytes.push(tag);
-            put_varint(&mut bytes, 4_000_000_000);
-            assert!(
-                matches!(store_from_bytes(&bytes), Err(BinError::Truncated)),
-                "tag 0x{tag:02x} with forged length must be Truncated"
-            );
+            let mut forged = vec![tag];
+            put_varint(&mut forged, 4_000_000_000);
+            for bytes in [
+                framed_file(&forged, &[]),
+                framed_file(&empty_run, &[("j", &forged)]),
+            ] {
+                assert!(frame_table(&bytes).is_ok(), "every frame verifies");
+                assert!(
+                    matches!(store_from_bytes(&bytes), Err(BinError::Truncated)),
+                    "tag 0x{tag:02x} with forged length must be Truncated"
+                );
+            }
         }
-        // Same forged count inside a v3 frame payload.
-        let mut payload = Vec::new();
-        payload.push(TAG_ARRAY);
-        put_varint(&mut payload, 4_000_000_000);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-        push_frame(&mut bytes, FRAME_RUN, &payload);
-        assert!(store_from_bytes(&bytes).is_err());
     }
 
     #[test]
     fn hostile_nesting_depth_is_an_error_not_a_stack_overflow() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
+        let mut nested = Vec::new();
         for _ in 0..10_000 {
-            bytes.push(TAG_ARRAY);
-            bytes.push(1); // varint count = 1
+            nested.push(TAG_ARRAY);
+            nested.push(1); // varint count = 1
         }
-        bytes.push(TAG_NULL);
+        nested.push(TAG_NULL);
+        let bytes = framed_file(&nested, &[]);
+        assert!(frame_table(&bytes).is_ok(), "every frame verifies");
         assert!(matches!(
             store_from_bytes(&bytes),
             Err(BinError::TooDeep(MAX_VALUE_DEPTH))
@@ -997,29 +1000,34 @@ mod tests {
     }
 
     #[test]
-    fn v1_payload_without_run_header_still_loads() {
-        let store = sample_store();
-        let bytes = to_bytes_legacy(&store, 1);
-        let back = store_from_bytes(&bytes).expect("v1 stores stay loadable");
-        assert_eq!(back.len(), store.len());
-        assert!(back.run().is_empty());
-    }
-
-    #[test]
-    fn v2_payload_loads_and_resaves_as_v3() {
-        let mut store = sample_store();
-        store.set_run(crate::store::RunMeta::new("r2", 42, "legacy"));
-        let v2 = to_bytes_legacy(&store, 2);
-        let back = store_from_bytes(&v2).expect("v2 stores stay loadable");
-        assert_eq!(back.run(), store.run());
-        assert_eq!(back.len(), store.len());
-        for (a, b) in store.iter().zip(back.iter()) {
-            assert_eq!(a, b, "v2 payload loads byte-for-byte identically");
+    fn legacy_headers_name_their_version_to_every_reader() {
+        // A v1/v2 header in front of otherwise current bytes: the strict
+        // loader, the frame table and the mmap reader all refuse it with
+        // the same structured error.
+        let mut bytes = store_to_bytes(&sample_store());
+        for version in [1u32, 2] {
+            bytes[4..8].copy_from_slice(&version.to_le_bytes());
+            let path = std::env::temp_dir().join(format!(
+                "granula-binfmt-v{version}-{}.gar",
+                std::process::id()
+            ));
+            std::fs::write(&path, &bytes).unwrap();
+            let errors = [
+                ArchiveStore::load(&path).unwrap_err(),
+                frame_table(&bytes).unwrap_err(),
+                crate::zerocopy::MappedStore::open(&path).unwrap_err(),
+            ];
+            for e in errors {
+                assert!(matches!(e, BinError::UnsupportedVersion(v) if v == version));
+                assert_eq!(
+                    e.to_string(),
+                    format!(
+                        "binary archive version {version} is not supported: only version 3 is read"
+                    )
+                );
+            }
+            let _ = std::fs::remove_file(&path);
         }
-        // Re-saving upgrades to the framed format, deterministically.
-        let v3 = store_to_bytes(&back);
-        assert_eq!(v3[4..8], BIN_FORMAT_VERSION.to_le_bytes());
-        assert_eq!(v3, store_to_bytes(&store_from_bytes(&v3).unwrap()));
     }
 
     #[test]
@@ -1033,12 +1041,8 @@ mod tests {
     }
 
     #[test]
-    fn single_archive_roundtrip_and_file_io() {
+    fn store_file_io_roundtrips() {
         let store = sample_store();
-        let archive = store.get("g0").unwrap();
-        let back = archive_from_bytes(&archive_to_bytes(archive)).unwrap();
-        assert_eq!(&back, archive);
-
         let path = std::env::temp_dir().join(format!("granula-binfmt-{}.gar", std::process::id()));
         store.save(&path).unwrap();
         let loaded = ArchiveStore::load(&path).unwrap();

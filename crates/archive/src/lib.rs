@@ -56,7 +56,6 @@ pub mod durable;
 pub mod engine;
 pub mod format;
 pub mod index;
-pub mod loadgen;
 pub mod lru;
 pub mod mmapio;
 pub mod mutate;
@@ -70,16 +69,14 @@ pub mod zerocopy;
 
 pub use archive::{JobArchive, JobMeta};
 pub use binfmt::{
-    archive_from_bytes, archive_to_bytes, frame_table, store_from_bytes, store_to_bytes, BinError,
-    FrameInfo, TrailerEntry, BIN_FORMAT_VERSION, FRAME_JOB, FRAME_RUN, FRAME_TRAILER, MAGIC,
-    MAX_VALUE_DEPTH,
+    frame_table, store_from_bytes, store_to_bytes, BinError, FrameInfo, TrailerEntry,
+    BIN_FORMAT_VERSION, FRAME_JOB, FRAME_RUN, FRAME_TRAILER, MAGIC, MAX_VALUE_DEPTH,
 };
 pub use crc::crc32c;
 pub use durable::write_atomic;
 pub use engine::{EngineStats, QueryEngine, QueryMode, DEFAULT_CACHE_CAPACITY};
 pub use format::{from_json, to_json, to_json_pretty, FormatError, FORMAT_VERSION};
 pub use index::{QueryPlan, TreeIndex, SCAN_FALLBACK_FACTOR, SCAN_THRESHOLD};
-pub use loadgen::{run_load, LoadConfig, LoadReport};
 pub use lru::LruMap;
 pub use mmapio::Mapped;
 pub use mutate::{flip_bit, torn_tail, truncate_at, Mutation, Mutator};

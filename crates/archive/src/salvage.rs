@@ -7,7 +7,8 @@
 //! every job whose frame still checksums is perfectly usable. This module
 //! extracts it.
 //!
-//! Recovery uses two independent passes over a v3 file:
+//! Recovery uses two independent passes over the file, both through the
+//! one frame check (`binfmt::check_frame`):
 //!
 //! 1. **Sequential walk** — frames are read in order from the header; a
 //!    frame that fails its CRC is skipped by its declared length, and a
@@ -20,20 +21,18 @@
 //!    frame that desynced the walk.
 //!
 //! Together: a job is recovered **iff** its frame bytes verify — exactly
-//! the guarantee the corruption proptests pin. Legacy v1/v2 files carry
-//! no checksums, so they are either fully loadable (strict load succeeds)
-//! or unrecoverable; the report says which.
+//! the guarantee the corruption proptests pin. A file whose header is
+//! unusable (bad magic, or a version other than v3) is a total loss.
 
 use std::fmt::Write as _;
 use std::fs;
 use std::path::Path;
 
-use crate::archive::JobArchive;
 use crate::binfmt::{
-    self, header_version, store_from_bytes, trailer_via_footer, BinError, FRAME_HEADER_LEN,
-    FRAME_JOB, FRAME_RUN, FRAME_TRAILER, HEADER_LEN,
+    self, check_frame, check_header, decode_payload, store_from_bytes, trailer_via_footer,
+    BinError, Frame, BIN_FORMAT_VERSION, FRAME_JOB, FRAME_OVERHEAD, FRAME_RUN, FRAME_TRAILER,
+    HEADER_LEN,
 };
-use crate::crc::crc32c;
 use crate::store::{ArchiveStore, RunMeta};
 
 /// One frame (or region) that could not be recovered.
@@ -50,7 +49,8 @@ pub struct LostFrame {
 /// What [`salvage_from_bytes`] managed to pull out of a `.gar` file.
 #[derive(Debug)]
 pub struct SalvageReport {
-    /// Format version from the header (0 when the header itself is gone).
+    /// Format version from the header (0 when the file does not start
+    /// with the archive magic).
     pub version: u32,
     /// Everything that verified: run header (when recovered) + intact jobs.
     pub store: ArchiveStore,
@@ -80,14 +80,9 @@ impl SalvageReport {
         if self.clean {
             let _ = writeln!(
                 out,
-                "clean: format v{}, {} job(s), {}",
+                "clean: format v{}, {} job(s), all checksums verified",
                 self.version,
                 self.store.len(),
-                if self.version >= 3 {
-                    "all checksums verified"
-                } else {
-                    "loads OK (legacy format, no checksums)"
-                }
             );
             return out;
         }
@@ -138,12 +133,11 @@ impl SalvageReport {
 pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
     // Fast path: an intact file needs no salvage.
     if let Ok(store) = store_from_bytes(bytes) {
-        let version = header_version(bytes).unwrap_or(binfmt::BIN_FORMAT_VERSION);
         return SalvageReport {
-            version,
+            version: BIN_FORMAT_VERSION,
             recovered: store.iter().map(|a| a.meta.job_id.clone()).collect(),
             run_recovered: !store.run().is_empty(),
-            trailer_intact: version >= 3,
+            trailer_intact: true,
             expected_jobs: Some(store.len()),
             clean: true,
             lost: Vec::new(),
@@ -162,45 +156,27 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
         clean: false,
     };
 
-    let version = match header_version(bytes) {
-        Ok(v) => v,
-        Err(e) => {
-            report.lost.push(LostFrame {
-                offset: 0,
-                job_id: None,
-                reason: format!("file header unusable: {e}"),
-            });
-            return report;
+    if let Err(e) = check_header(bytes) {
+        if let BinError::UnsupportedVersion(v) = e {
+            report.version = v;
         }
-    };
-    report.version = version;
-
-    if version < 3 {
-        // Legacy formats have no checksums or frames: the strict load is
-        // the only load, and it just failed.
-        let err = store_from_bytes(bytes).expect_err("strict load failed above");
         report.lost.push(LostFrame {
-            offset: HEADER_LEN,
+            offset: 0,
             job_id: None,
-            reason: format!("legacy v{version} payload has no checksums to salvage by: {err}"),
+            reason: format!("file header unusable: {e}"),
         });
         return report;
     }
+    report.version = BIN_FORMAT_VERSION;
 
     // Pass 1: sequential frame walk.
     let mut pos = HEADER_LEN;
     let mut trailer: Option<Vec<binfmt::TrailerEntry>> = None;
     while pos < bytes.len() {
-        match try_frame(bytes, pos) {
-            FrameCheck::Ok {
-                kind,
-                payload_start,
-                payload_len,
-                next,
-            } => {
-                let payload = &bytes[payload_start..payload_start + payload_len];
+        match check_frame(bytes, pos) {
+            Frame::Intact { kind, payload } => {
                 match kind {
-                    FRAME_RUN => match decode_frame_payload::<RunMeta>(payload) {
+                    FRAME_RUN => match decode_payload::<RunMeta>(payload) {
                         Ok(run) => {
                             report.store.set_run(run);
                             report.run_recovered = true;
@@ -228,9 +204,9 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
                         reason: format!("unknown frame kind 0x{other:02x}"),
                     }),
                 }
-                pos = next;
+                pos += FRAME_OVERHEAD + payload.len();
             }
-            FrameCheck::BadChecksum { next } => {
+            Frame::BadChecksum { next } => {
                 report.lost.push(LostFrame {
                     offset: pos,
                     job_id: None,
@@ -241,7 +217,7 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
                 // rescue below takes over.
                 pos = next;
             }
-            FrameCheck::PastEnd => {
+            Frame::PastEnd => {
                 report.lost.push(LostFrame {
                     offset: pos,
                     job_id: None,
@@ -269,12 +245,19 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
             if report.recovered.iter().any(|id| id == &e.job_id) {
                 continue;
             }
-            if let Some((FRAME_JOB, payload)) = try_frame_at(bytes, e.offset, e.len) {
-                let before = report.recovered.len();
-                recover_job(payload, e.offset, &mut report);
-                if report.recovered.len() > before {
-                    continue;
+            // Only a JOB frame that fills the trailer's extent exactly.
+            match check_frame(bytes, e.offset) {
+                Frame::Intact {
+                    kind: FRAME_JOB,
+                    payload,
+                } if payload.len() + FRAME_OVERHEAD == e.len => {
+                    let before = report.recovered.len();
+                    recover_job(payload, e.offset, &mut report);
+                    if report.recovered.len() > before {
+                        continue;
+                    }
                 }
+                _ => {}
             }
             annotate_loss(&mut report.lost, e.offset, &e.job_id);
         }
@@ -285,7 +268,7 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
 
 /// Decodes and adds one job frame payload; on failure records the loss.
 fn recover_job(payload: &[u8], offset: usize, report: &mut SalvageReport) {
-    match decode_frame_payload::<JobArchive>(payload) {
+    match decode_payload::<crate::archive::JobArchive>(payload) {
         Ok(archive) => {
             let id = archive.meta.job_id.clone();
             if report.store.add(archive).is_ok() {
@@ -303,75 +286,6 @@ fn recover_job(payload: &[u8], offset: usize, report: &mut SalvageReport) {
             job_id: None,
             reason: format!("job frame undecodable: {e}"),
         }),
-    }
-}
-
-fn decode_frame_payload<T: serde::Deserialize>(payload: &[u8]) -> Result<T, BinError> {
-    let mut pos = 0;
-    let value = binfmt::decode_value(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(BinError::TrailingBytes(payload.len() - pos));
-    }
-    Ok(T::from_value(&value)?)
-}
-
-enum FrameCheck {
-    Ok {
-        kind: u8,
-        payload_start: usize,
-        payload_len: usize,
-        next: usize,
-    },
-    BadChecksum {
-        next: usize,
-    },
-    PastEnd,
-}
-
-/// Checks the frame claimed at `pos` without trusting any of its bytes.
-fn try_frame(bytes: &[u8], pos: usize) -> FrameCheck {
-    let Some(header) = bytes.get(pos..pos + FRAME_HEADER_LEN) else {
-        return FrameCheck::PastEnd;
-    };
-    let kind = header[0];
-    let payload_len = u32::from_le_bytes(header[1..5].try_into().expect("4-byte slice")) as usize;
-    let Some(payload_end) = pos
-        .checked_add(FRAME_HEADER_LEN)
-        .and_then(|p| p.checked_add(payload_len))
-    else {
-        return FrameCheck::PastEnd;
-    };
-    let Some(frame_end) = payload_end.checked_add(4) else {
-        return FrameCheck::PastEnd;
-    };
-    if frame_end > bytes.len() {
-        return FrameCheck::PastEnd;
-    }
-    let stored = u32::from_le_bytes(bytes[payload_end..frame_end].try_into().expect("4 bytes"));
-    if crc32c(&bytes[pos..payload_end]) != stored {
-        return FrameCheck::BadChecksum { next: frame_end };
-    }
-    FrameCheck::Ok {
-        kind,
-        payload_start: pos + FRAME_HEADER_LEN,
-        payload_len,
-        next: frame_end,
-    }
-}
-
-/// CRC-verifies a frame at a trailer-recorded `(offset, len)` extent and
-/// returns its kind and payload when intact.
-fn try_frame_at(bytes: &[u8], offset: usize, len: usize) -> Option<(u8, &[u8])> {
-    match try_frame(bytes, offset) {
-        FrameCheck::Ok {
-            kind,
-            payload_start,
-            payload_len,
-            next,
-        } if next - offset == len => {
-            Some((kind, &bytes[payload_start..payload_start + payload_len]))
-        }
-        _ => None,
     }
 }
 
@@ -407,8 +321,8 @@ impl ArchiveStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::archive::JobMeta;
-    use crate::binfmt::{frame_table, store_to_bytes, FRAME_JOB};
+    use crate::archive::{JobArchive, JobMeta};
+    use crate::binfmt::{frame_table, store_to_bytes, FRAME_HEADER_LEN};
     use crate::mutate;
     use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
@@ -530,7 +444,7 @@ mod tests {
         assert_eq!(r.version, 0);
         // Empty file.
         assert!(salvage_from_bytes(&[]).is_total_loss());
-        // Legacy header with a torn payload: unrecoverable, reported as such.
+        // A legacy v2 header: unreadable, reported as such, never decoded.
         let mut legacy = Vec::new();
         legacy.extend_from_slice(&crate::binfmt::MAGIC);
         legacy.extend_from_slice(&2u32.to_le_bytes());
@@ -538,7 +452,7 @@ mod tests {
         let r = salvage_from_bytes(&legacy);
         assert!(r.is_total_loss());
         assert_eq!(r.version, 2);
-        assert!(r.lost[0].reason.contains("legacy v2"));
+        assert!(r.lost[0].reason.contains("version 2 is not supported"));
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! [`ShardedEngine`].
 //!
 //! `granula-cli serve` binds this server over a fleet of `.gar` files
-//! and keeps it up; analysts (or the load generator, or the future viz
+//! and keeps it up; analysts (or a benchmark client, or the future viz
 //! UI) connect with any TCP client. The protocol is deliberately plain —
 //! one UTF-8 line per request, one line per response — so `nc` works as
 //! a debugging client and the responses are trivially comparable against

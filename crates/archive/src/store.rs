@@ -7,7 +7,7 @@
 
 use std::fmt;
 
-use serde::{from_field, DeError, Deserialize, Serialize, Value};
+use serde::{Deserialize, Serialize};
 
 use crate::archive::JobArchive;
 
@@ -15,9 +15,8 @@ use crate::archive::JobArchive;
 ///
 /// A store written by a benchmark or CI run carries this header so a
 /// directory of `.gar` files can be ordered into a time series without
-/// relying on filenames or filesystem timestamps. An empty `run_id`
-/// marks a store from before the header existed (binary format v1) or
-/// one that never claimed a place in a history.
+/// relying on filenames or filesystem timestamps. An empty header marks
+/// a store that never claimed a place in a history.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RunMeta {
     /// Stable identifier of the run (e.g. `r4`, a CI build number).
@@ -39,7 +38,7 @@ impl RunMeta {
         }
     }
 
-    /// True when no field was ever set (v1 stores decode to this).
+    /// True when no field was ever set.
     pub fn is_empty(&self) -> bool {
         self.run_id.is_empty() && self.timestamp_us == 0 && self.label.is_empty()
     }
@@ -86,34 +85,6 @@ pub struct ArchiveStore {
     run: RunMeta,
 }
 
-// Hand-rolled serde impls rather than derives: stores written before the
-// run header existed (binary format v1) have no `run` key, and the derive
-// would reject them. Serialization keeps `archives` first so v2 payloads
-// are a pure field extension of v1.
-impl Serialize for ArchiveStore {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("archives".to_string(), self.archives.to_value()),
-            ("run".to_string(), self.run.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ArchiveStore {
-    fn from_value(v: &Value) -> Result<Self, DeError> {
-        let pairs = v
-            .as_object()
-            .ok_or_else(|| DeError::expected("ArchiveStore object"))?;
-        let archives = from_field(pairs, "archives")?;
-        let run = match v.get("run") {
-            Some(rv) => RunMeta::from_value(rv)?,
-            // v1 store: no header was ever written.
-            None => RunMeta::default(),
-        };
-        Ok(ArchiveStore { archives, run })
-    }
-}
-
 impl ArchiveStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -137,8 +108,7 @@ impl ArchiveStore {
     }
 
     /// Adds an archive. Job ids are the store's lookup key
-    /// ([`get`](Self::get), [`regression`](Self::regression)), so a
-    /// duplicate id is rejected rather than silently shadowed; use
+    /// ([`get`](Self::get)), so a duplicate id is rejected rather than silently shadowed; use
     /// [`upsert`](Self::upsert) to replace an existing archive.
     pub fn add(&mut self, archive: JobArchive) -> Result<(), DuplicateJobId> {
         if self.get(&archive.meta.job_id).is_some() {
@@ -223,19 +193,6 @@ impl ArchiveStore {
                 })
             })
             .collect()
-    }
-
-    /// Relative change of total runtime between a baseline and a candidate
-    /// archive: `(candidate - baseline) / baseline`. Positive values mean the
-    /// candidate got slower — the basis of performance-regression testing
-    /// (paper §6, future work).
-    pub fn regression(&self, baseline_id: &str, candidate_id: &str) -> Option<f64> {
-        let base = self.get(baseline_id)?.total_runtime_us()? as f64;
-        let cand = self.get(candidate_id)?.total_runtime_us()? as f64;
-        if base <= 0.0 {
-            return None;
-        }
-        Some((cand - base) / base)
     }
 }
 
@@ -326,28 +283,11 @@ mod tests {
     }
 
     #[test]
-    fn regression_is_relative_slowdown() {
-        let mut s = store();
-        s.add(archive("g1", "Giraph", 88_000_000, 35_000_000))
-            .unwrap();
-        let r = s.regression("g0", "g1").unwrap();
-        assert!((r - 0.1).abs() < 1e-9);
-        // Speedup is negative.
-        assert!(s.regression("g1", "g0").unwrap() < 0.0);
-    }
-
-    #[test]
-    fn regression_unknown_job_is_none() {
-        assert_eq!(store().regression("g0", "nope"), None);
-    }
-
-    #[test]
     fn run_header_roundtrips_and_orders() {
         let mut s = store();
         assert!(s.run().is_empty());
         s.set_run(RunMeta::new("r7", 1_700_000_000_000_000, "nightly"));
-        let v = s.to_value();
-        let back = ArchiveStore::from_value(&v).unwrap();
+        let back = crate::binfmt::store_from_bytes(&crate::binfmt::store_to_bytes(&s)).unwrap();
         assert_eq!(back.run(), s.run());
         assert_eq!(back.len(), s.len());
 
@@ -356,18 +296,5 @@ mod tests {
         // Equal timestamps fall back to the run id.
         let tie = RunMeta::new("r8", s.run().timestamp_us, "y");
         assert!(s.run().sort_key() < tie.sort_key());
-    }
-
-    #[test]
-    fn store_without_run_key_decodes_to_default_header() {
-        // A v1 payload: only the `archives` field exists.
-        let s = store();
-        let Value::Object(pairs) = s.to_value() else {
-            panic!("store serializes to an object");
-        };
-        let v1 = Value::Object(pairs.into_iter().filter(|(k, _)| k == "archives").collect());
-        let back = ArchiveStore::from_value(&v1).unwrap();
-        assert!(back.run().is_empty());
-        assert_eq!(back.len(), 2);
     }
 }

@@ -31,14 +31,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use serde::Deserialize;
-
 use crate::archive::JobArchive;
 use crate::binfmt::{
     self, BinError, TrailerEntry, FRAME_HEADER_LEN, FRAME_JOB, FRAME_OVERHEAD, FRAME_RUN,
     HEADER_LEN,
 };
-use crate::crc::crc32c;
 use crate::mmapio::Mapped;
 use crate::store::RunMeta;
 
@@ -60,38 +57,22 @@ pub struct MappedStore {
 
 impl MappedStore {
     /// Maps `path` and reads only header + RUN frame + trailer.
-    ///
-    /// Accepts both store files ([`crate::binfmt::store_to_bytes`]) and
-    /// single-archive files ([`crate::binfmt::archive_to_bytes`], which
-    /// carry no RUN frame — the run header comes back empty). Rejects
-    /// v1/v2 files: they have no trailer, so they cannot be served
-    /// without the full deserialize this reader exists to avoid.
     pub fn open(path: impl AsRef<Path>) -> Result<MappedStore, BinError> {
         let path = path.as_ref().to_path_buf();
         let map = Mapped::open(&path)?;
-        let version = binfmt::header_version(&map)?;
-        if version < 3 {
-            return Err(BinError::Malformed(format!(
-                "format v{version} has no offset trailer; re-save as v3 to serve zero-copy"
-            )));
-        }
+        binfmt::check_header(&map)?;
         let (jobs, trailer_offset) = binfmt::trailer_via_footer(&map)?;
 
-        // The RUN frame, when present, is the first frame in the file.
-        // Single-archive files start directly with a JOB frame instead.
-        let mut run = RunMeta::default();
-        if trailer_offset > HEADER_LEN {
-            let mut pos = HEADER_LEN;
-            let (kind, payload, _) = binfmt::read_frame(&map, &mut pos)?;
-            if kind == FRAME_RUN {
-                let mut vpos = 0;
-                let value = binfmt::decode_value(payload, &mut vpos)?;
-                if vpos != payload.len() {
-                    return Err(BinError::TrailingBytes(payload.len() - vpos));
-                }
-                run = RunMeta::from_value(&value)?;
-            }
+        // The RUN frame is the first frame in the file.
+        let mut frames_at = HEADER_LEN;
+        let (kind, payload) = binfmt::read_frame(&map, &mut frames_at)?;
+        if kind != FRAME_RUN {
+            return Err(BinError::BadFrameKind {
+                offset: HEADER_LEN,
+                kind,
+            });
         }
+        let run = binfmt::decode_payload(payload)?;
 
         let mut by_id = HashMap::with_capacity(jobs.len());
         for (i, entry) in jobs.iter().enumerate() {
@@ -101,7 +82,7 @@ impl MappedStore {
                 .offset
                 .checked_add(entry.len)
                 .ok_or(BinError::Truncated)?;
-            if entry.offset < HEADER_LEN || end > trailer_offset || entry.len < FRAME_OVERHEAD {
+            if entry.offset < frames_at || end > trailer_offset || entry.len < FRAME_OVERHEAD {
                 return Err(BinError::Malformed(format!(
                     "trailer extent for job `{}` ({}..{end}) falls outside the frame region",
                     entry.job_id, entry.offset
@@ -132,7 +113,7 @@ impl MappedStore {
         &self.path
     }
 
-    /// The run header (empty for single-archive files).
+    /// The run header.
     pub fn run(&self) -> &RunMeta {
         &self.run
     }
@@ -183,30 +164,22 @@ impl MappedStore {
             .get(job_id)
             .ok_or_else(|| BinError::Malformed(format!("job `{job_id}` is not in the trailer")))?;
         let entry = &self.jobs[i];
-        let frame = &self.map[entry.offset..entry.offset + entry.len];
-        let kind = frame[0];
-        if kind != FRAME_JOB {
-            return Err(BinError::BadFrameKind {
-                offset: entry.offset,
-                kind,
-            });
-        }
-        let payload_len =
-            u32::from_le_bytes(frame[1..5].try_into().expect("4-byte slice")) as usize;
-        if payload_len + FRAME_OVERHEAD != entry.len {
-            return Err(BinError::Malformed(format!(
-                "frame for job `{job_id}` declares {payload_len} payload bytes but the trailer \
-                 reserves {}",
-                entry.len
-            )));
-        }
         if self.verified[i].get().is_none() {
-            let body_end = FRAME_HEADER_LEN + payload_len;
-            let stored = u32::from_le_bytes(frame[body_end..].try_into().expect("4-byte slice"));
-            if crc32c(&frame[..body_end]) != stored {
-                return Err(BinError::FrameChecksum {
+            let mut frame_end = entry.offset;
+            let (kind, payload) = binfmt::read_frame(&self.map, &mut frame_end)?;
+            if kind != FRAME_JOB {
+                return Err(BinError::BadFrameKind {
                     offset: entry.offset,
+                    kind,
                 });
+            }
+            if frame_end - entry.offset != entry.len {
+                return Err(BinError::Malformed(format!(
+                    "frame for job `{job_id}` declares {} payload bytes but the trailer \
+                     reserves {}",
+                    payload.len(),
+                    entry.len
+                )));
             }
             // Two threads racing on the first touch both verify; only
             // one set "wins", and the counter counts each job once.
@@ -214,20 +187,14 @@ impl MappedStore {
                 self.verified_jobs.fetch_add(1, Ordering::Relaxed);
             }
         }
-        Ok(&frame[FRAME_HEADER_LEN..FRAME_HEADER_LEN + payload_len])
+        Ok(&self.map[entry.offset + FRAME_HEADER_LEN..entry.offset + entry.len - 4])
     }
 
     /// Decodes `job_id`'s payload into a [`JobArchive`] (CRC-verifying
     /// on first touch). This is the expensive step the serving layer
     /// defers until a query actually lands on the job.
     pub fn decode_job(&self, job_id: &str) -> Result<JobArchive, BinError> {
-        let payload = self.job_payload(job_id)?;
-        let mut pos = 0;
-        let value = binfmt::decode_value(payload, &mut pos)?;
-        if pos != payload.len() {
-            return Err(BinError::TrailingBytes(payload.len() - pos));
-        }
-        let archive = JobArchive::from_value(&value)?;
+        let archive: JobArchive = binfmt::decode_payload(self.job_payload(job_id)?)?;
         if archive.meta.job_id != job_id {
             return Err(BinError::Malformed(format!(
                 "trailer names job `{job_id}` but the frame holds `{}`",
@@ -338,35 +305,6 @@ mod tests {
         assert_eq!(mapped.verified_jobs(), 0);
         // The undamaged job still serves.
         assert_eq!(mapped.decode_job("b").unwrap().meta.job_id, "b");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn single_archive_files_serve_with_empty_run() {
-        let store = store_with(&["solo"]);
-        let bytes = crate::binfmt::archive_to_bytes(store.get("solo").unwrap());
-        let path = save_tmp("solo", &bytes);
-        let mapped = MappedStore::open(&path).unwrap();
-        assert!(mapped.run().is_empty());
-        assert_eq!(mapped.decode_job("solo").unwrap().meta.job_id, "solo");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn legacy_versions_are_rejected() {
-        let store = store_with(&["a"]);
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&crate::binfmt::MAGIC);
-        bytes.extend_from_slice(&2u32.to_le_bytes());
-        use serde::Serialize;
-        crate::binfmt::encode_value(&store.to_value(), &mut bytes);
-        let path = save_tmp("v2", &bytes);
-        match MappedStore::open(&path) {
-            Err(BinError::Malformed(msg)) => {
-                assert!(msg.contains("v2"), "error names the version: {msg}")
-            }
-            other => panic!("v2 must be rejected, got {other:?}"),
-        }
         let _ = std::fs::remove_file(&path);
     }
 

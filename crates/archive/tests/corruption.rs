@@ -19,8 +19,9 @@ use proptest::prelude::*;
 
 use granula_archive::binfmt::FOOTER_LEN;
 use granula_archive::{
-    frame_table, mutate, salvage_from_bytes, store_from_bytes, store_to_bytes, ArchiveStore,
-    FrameInfo, JobArchive, JobMeta, Mutator, RunMeta,
+    crc32c, frame_table, mutate, salvage_from_bytes, store_from_bytes, store_to_bytes,
+    ArchiveStore, BinError, FrameInfo, JobArchive, JobMeta, Mutator, RunMeta, BIN_FORMAT_VERSION,
+    FRAME_RUN, FRAME_TRAILER, MAGIC,
 };
 use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
@@ -237,21 +238,49 @@ proptest! {
     }
 }
 
+/// Appends one frame with a correct CRC32C, returning its offset.
+fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> usize {
+    let at = out.len();
+    out.push(kind);
+    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    out.extend_from_slice(payload);
+    let crc = crc32c(&out[at..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    at
+}
+
+/// A complete v3 file, every checksum valid, whose RUN frame carries
+/// `payload` verbatim and whose trailer lists no jobs.
+fn file_with_run_payload(payload: &[u8]) -> Vec<u8> {
+    let mut out = MAGIC.to_vec();
+    out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
+    push_frame(&mut out, FRAME_RUN, payload);
+    let trailer = push_frame(&mut out, FRAME_TRAILER, &[0]) as u64;
+    out.extend_from_slice(&trailer.to_le_bytes());
+    out.extend_from_slice(&crc32c(&trailer.to_le_bytes()).to_le_bytes());
+    out.extend_from_slice(b"GREN");
+    out
+}
+
 /// A forged length prefix orders of magnitude past the file size must be
 /// rejected before any allocation happens — the regression test for the
 /// unbounded `Vec::with_capacity` hardening (run with a conservative
 /// address-space expectation: allocating 4 GB here would OOM CI).
 #[test]
 fn forged_4gb_length_header_is_rejected_cheaply() {
-    // v2 legacy envelope claiming a 4-billion-entry object.
-    let mut forged = Vec::new();
-    forged.extend_from_slice(b"GRNA");
-    forged.extend_from_slice(&2u32.to_le_bytes());
-    forged.push(0x07); // TAG_OBJECT
-    forged.extend_from_slice(&[0x80, 0x90, 0xBC, 0xEE, 0x0F]); // varint ~4.25e9
-    assert!(store_from_bytes(&forged).is_err());
+    // A CRC-valid RUN frame whose payload claims a 4-billion-entry
+    // object, in an otherwise well-formed file.
+    let mut payload = vec![0x07]; // TAG_OBJECT
+    payload.extend_from_slice(&[0x80, 0x90, 0xBC, 0xEE, 0x0F]); // varint ~4.25e9
+    let forged = file_with_run_payload(&payload);
+    assert!(frame_table(&forged).is_ok(), "every frame verifies");
+    assert!(matches!(
+        store_from_bytes(&forged),
+        Err(BinError::Truncated)
+    ));
     let report = salvage_from_bytes(&forged);
     assert!(report.recovered.is_empty());
+    assert!(report.trailer_intact && !report.run_recovered);
 
     // v3 frame whose length field claims ~4 GB of payload.
     let store = build_store(1, 3);

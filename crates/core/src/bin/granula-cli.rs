@@ -26,7 +26,7 @@ use granula::experiment::{run_experiment, Platform};
 use granula::metrics::{DomainBreakdown, Phase};
 use granula::regression::RegressionSuite;
 use granula_archive::{
-    from_json, to_json_pretty, ArchiveStore, JobArchive, LoadConfig, Query, QueryEngine, QueryMode,
+    from_json, to_json_pretty, ArchiveStore, JobArchive, Query, QueryEngine, QueryMode,
     ServeOptions, Server, ShardedEngine,
 };
 use granula_regress::{analyze, render_text, History, Status, Tolerance};
@@ -83,7 +83,6 @@ fn main() -> ExitCode {
         Some("archive") => cmd_archive(&args[1..]),
         Some("regress") => cmd_regress(&args[1..]).map_err(CliError::from),
         Some("serve") => cmd_serve(&args[1..]).map_err(CliError::from),
-        Some("loadgen") => cmd_loadgen(&args[1..]).map_err(CliError::from),
         Some("help") | None => {
             print_usage();
             Ok(())
@@ -125,9 +124,7 @@ fn print_usage() {
          \x20 regress    <history-dir> [--current <store.gar>] [--out regress.json] [--svg trend.svg]\n\
          \x20            [--tolerance 0.02] [--alpha 1e-3] [--window 4] [--label <text>]\n\
          \x20 serve      <fleet.gar> [more.gar ...] [--addr 127.0.0.1:7071] [--shards 8]\n\
-         \x20            [--resident 64] [--cache 256]\n\
-         \x20 loadgen    --addr <host:port> [--clients 8] [--requests 500] [--batch 8]\n\
-         \x20            [--jobs id,id,...] [--out BENCH_serve.json]\n\n\
+         \x20            [--resident 64] [--cache 256]\n\n\
          exit codes: 0 ok | 1 error | 2 fsck: archive damaged | 3 fsck: total loss"
     );
 }
@@ -875,77 +872,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.run().map_err(|e| format!("serve loop: {e}"))?;
     println!("shutdown requested; daemon exiting");
-    Ok(())
-}
-
-/// `loadgen`: many-client benchmark against a running daemon. Writes the
-/// latency/throughput report (p50/p90/p99, requests/s) as JSON to
-/// `--out` and prints a one-line summary. With no `--jobs`, asks the
-/// daemon for its roster first.
-fn cmd_loadgen(args: &[String]) -> Result<(), String> {
-    let mut config = LoadConfig {
-        addr: flag(args, "--addr").unwrap_or_else(|| "127.0.0.1:7071".to_string()),
-        ..LoadConfig::default()
-    };
-    if let Some(v) = flag(args, "--clients") {
-        config.clients = v.parse().map_err(|e| format!("--clients: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--requests") {
-        config.requests_per_client = v.parse().map_err(|e| format!("--requests: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--batch") {
-        config.batch = v.parse().map_err(|e| format!("--batch: {e}"))?;
-    }
-    if let Some(v) = flag(args, "--queries") {
-        config.queries = v.split(';').map(str::to_string).collect();
-    }
-    config.jobs = match flag(args, "--jobs") {
-        Some(list) => list.split(',').map(str::to_string).collect(),
-        None => {
-            use std::io::{BufRead, BufReader};
-            let stream = std::net::TcpStream::connect(&config.addr)
-                .map_err(|e| format!("connect {}: {e}", config.addr))?;
-            let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
-            writer.write_all(b"JOBS\n").map_err(|e| e.to_string())?;
-            let mut line = String::new();
-            BufReader::new(stream)
-                .read_line(&mut line)
-                .map_err(|e| e.to_string())?;
-            line.split_whitespace()
-                .skip(2)
-                .map(str::to_string)
-                .collect()
-        }
-    };
-    if config.jobs.is_empty() {
-        return Err("daemon serves no jobs and --jobs was not given".into());
-    }
-    let report = granula_archive::run_load(&config)
-        .map_err(|e| format!("load against {}: {e}", config.addr))?;
-    println!(
-        "loadgen {}: {} clients x batch {} -> {} requests in {:.2}s | {:.0} req/s | \
-         p50 {}us p90 {}us p99 {}us max {}us | {} ok, {} nojob, {} err",
-        config.addr,
-        report.clients,
-        report.batch,
-        report.total_requests,
-        report.elapsed_us as f64 / 1e6,
-        report.throughput_rps,
-        report.latency_us.p50,
-        report.latency_us.p90,
-        report.latency_us.p99,
-        report.latency_us.max,
-        report.ok,
-        report.nojob,
-        report.errors
-    );
-    let out = flag(args, "--out").unwrap_or_else(|| "BENCH_serve.json".to_string());
-    let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
-    fs::write(&out, json).map_err(|e| format!("writing {out}: {e}"))?;
-    println!("wrote {out}");
-    if report.errors > 0 {
-        return Err(format!("{} requests failed", report.errors));
-    }
     Ok(())
 }
 

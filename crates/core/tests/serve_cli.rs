@@ -1,7 +1,7 @@
 //! Integration tests of the serving surface of `granula-cli`: the
 //! `serve` daemon end-to-end over TCP (responses bit-identical to the
-//! in-process `QueryEngine`), the `loadgen` benchmark client, and the
-//! `archive fsck` exit-code contract CI gates on.
+//! in-process `QueryEngine`) and the `archive fsck` exit-code contract
+//! CI gates on.
 
 use std::fs;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -141,6 +141,37 @@ fn fsck_exit_codes_clean_damaged_and_total_loss() {
     assert_eq!(out.status.code(), Some(3), "total loss exits 3");
     assert!(String::from_utf8_lossy(&out.stdout).contains("fsck: status=lost"));
 
+    // A retired v2 header: nothing is read past it. Exit 3, and the
+    // report names the version.
+    let mut v2 = bytes.clone();
+    v2[4..8].copy_from_slice(&2u32.to_le_bytes());
+    let legacy = dir.join("legacy.gar");
+    fs::write(&legacy, &v2).unwrap();
+    let out = cli()
+        .args(["archive", "fsck", legacy.to_str().unwrap()])
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(3), "a v2 file is a total loss");
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        text.contains(
+            "LOST at byte 0: file header unusable: binary archive version 2 is not \
+             supported: only version 3 is read"
+        ),
+        "{text}"
+    );
+    assert_eq!(
+        text.lines().last(),
+        Some(
+            format!(
+                "fsck: status=lost file={} recovered=0 lost=1 expected=? trailer=damaged run=no",
+                legacy.display()
+            )
+            .as_str()
+        ),
+        "{text}"
+    );
+
     // Repair cannot conjure data out of a total loss: still exit 3.
     let out = cli()
         .args(["archive", "fsck", lost.to_str().unwrap(), "--repair"])
@@ -277,55 +308,6 @@ fn serve_daemon_responses_are_bit_identical_to_query_engine() {
     assert_eq!(roundtrip(&mut conn, "SHUTDOWN"), "BYE");
     let status = child.wait().expect("daemon exits after SHUTDOWN");
     assert!(status.success());
-    let _ = fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn loadgen_writes_the_bench_report() {
-    let dir = workdir("loadgen");
-    let fleet = dir.join("fleet.gar");
-    save_store(&fleet, &[("a", 20), ("b", 20)]);
-    let (mut child, addr) = spawn_daemon(&[&fleet]);
-
-    let bench = dir.join("BENCH_serve.json");
-    let out = cli()
-        .args([
-            "loadgen",
-            "--addr",
-            &addr,
-            "--clients",
-            "4",
-            "--requests",
-            "40",
-            "--batch",
-            "4",
-            "--out",
-            bench.to_str().unwrap(),
-        ])
-        .output()
-        .unwrap();
-    assert!(
-        out.status.success(),
-        "loadgen failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let json = fs::read_to_string(&bench).unwrap();
-    for field in [
-        "\"schema\"",
-        "\"p50\"",
-        "\"p99\"",
-        "\"throughput_rps\"",
-        "\"total_requests\"",
-    ] {
-        assert!(json.contains(field), "{field} missing from {json}");
-    }
-    // 4 clients x 40 requests, zero errors.
-    assert!(json.contains("\"total_requests\": 160"), "{json}");
-    assert!(json.contains("\"errors\": 0"), "{json}");
-
-    let mut conn = TcpStream::connect(&addr).unwrap();
-    assert_eq!(roundtrip(&mut conn, "SHUTDOWN"), "BYE");
-    child.wait().unwrap();
     let _ = fs::remove_dir_all(&dir);
 }
 
