@@ -136,7 +136,9 @@ pub fn salvage_from_bytes(bytes: &[u8]) -> SalvageReport {
         return SalvageReport {
             version: BIN_FORMAT_VERSION,
             recovered: store.iter().map(|a| a.meta.job_id.clone()).collect(),
-            run_recovered: !store.run().is_empty(),
+            // A strict load verifies and decodes the RUN frame, even when
+            // the run header it holds is empty.
+            run_recovered: true,
             trailer_intact: true,
             expected_jobs: Some(store.len()),
             clean: true,
@@ -364,6 +366,29 @@ mod tests {
         assert!(r.run_recovered && r.trailer_intact);
         assert_eq!(r.expected_jobs, Some(3));
         assert!(r.render_text().starts_with("clean:"));
+    }
+
+    #[test]
+    fn empty_run_header_counts_as_recovered_clean_or_damaged() {
+        // `run_recovered` means "RUN frame verified", not "run header
+        // non-empty": a clean store and the same store with a damaged job
+        // frame must agree.
+        let mut store = store_with_jobs(&["a", "b"]);
+        store.set_run(RunMeta::default());
+        let bytes = store_to_bytes(&store);
+        let clean = salvage_from_bytes(&bytes);
+        assert!(clean.clean && clean.run_recovered);
+
+        let frames = frame_table(&bytes).unwrap();
+        let a = frames
+            .iter()
+            .find(|f| f.job_id.as_deref() == Some("a"))
+            .unwrap();
+        let mut corrupt = bytes;
+        mutate::flip_bit(&mut corrupt, ((a.offset + FRAME_HEADER_LEN + 3) * 8) as u64);
+        let damaged = salvage_from_bytes(&corrupt);
+        assert!(!damaged.clean && damaged.run_recovered);
+        assert_eq!(damaged.recovered, ["b"]);
     }
 
     #[test]

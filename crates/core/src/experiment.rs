@@ -319,9 +319,9 @@ pub fn dg1000(platform: Platform) -> ExperimentResult {
 /// executes on the real dataset volume (103 M vertices, 927 M edges) with
 /// `scale_factor = 1.0` — no down-sampling, no demand scaling. The graph
 /// is built out-CSR-only via the streaming generator and BFS runs through
-/// the flat frontier engine, so the dominant costs are one generator
-/// sweep and one O(n + m) traversal; expect minutes of wall-clock and a
-/// ~7 GB high-water mark.
+/// the dense Pregel engine, so the dominant costs are one generator sweep
+/// and one O(n + m) traversal plus an O(n) scan per superstep; expect
+/// minutes of wall-clock and a ~7 GB high-water mark.
 ///
 /// Only Giraph is supported: PowerGraph's vertex-cut partitioner and the
 /// GAS gather phase need the reverse CSR, which the out-only full-scale
@@ -334,7 +334,7 @@ pub fn dg1000_full() -> ExperimentResult {
 }
 
 /// [`dg1000_full`] with an adjustable vertex count, for smoke runs that
-/// exercise the same streaming-generation + flat-BFS path at a fraction of
+/// exercise the same streaming generator and Pregel BFS at a fraction of
 /// the wall-clock. Edges keep the Datagen 9:1 ratio and the scale factor
 /// is adjusted so the job still emulates the 1.03e9-element dataset; at
 /// [`calibration::DG_FULL_VERTICES`] the factor is exactly 1.0.

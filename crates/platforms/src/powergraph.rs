@@ -154,7 +154,10 @@ impl PowerGraphPlatform {
     ) -> Result<PlatformRun, SimError> {
         job::assert_fits(cfg, cluster);
         let k = cfg.nodes;
-        let part = VertexCutPartition::greedy(g, k);
+        let part = {
+            let _span = granula_trace::span!("platform", "powergraph.partition {}", cfg.job_id);
+            VertexCutPartition::greedy(g, k)
+        };
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
             run_program(g, &part, cfg.algorithm, self.max_iterations)

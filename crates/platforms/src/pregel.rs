@@ -6,6 +6,11 @@
 //! additionally records, per superstep and per worker, the counters the
 //! Giraph cost model needs: active vertices, edges scanned, and the
 //! worker-to-worker message matrix.
+//!
+//! State is dense: one value, one inbox and one activity flag per vertex.
+//! A message is folded into its receiver's inbox on delivery (Pregel's
+//! combiner), so a superstep's traffic is never materialised, and the one
+//! engine runs every graph size up to the full-scale dg1000 graph.
 
 use gpsim_graph::{EdgeCutPartition, Graph, VertexId};
 
@@ -44,11 +49,22 @@ impl<M> Context<M> {
 }
 
 /// A Pregel vertex program.
+///
+/// A vertex does not see its messages as a list: the engine folds each
+/// message into the receiver's [`VertexProgram::Inbox`] on delivery,
+/// starting from [`VertexProgram::EMPTY_INBOX`] and in sender order (the
+/// order of the vertices, then of each vertex's sends). A vertex that
+/// received messages always computes; counters count every message sent,
+/// however the inbox folds them.
 pub trait VertexProgram {
     /// Per-vertex state.
-    type Value: Clone + PartialEq;
+    type Value;
     /// Message type.
-    type Message: Clone;
+    type Message;
+    /// The fold of one superstep's messages to one vertex.
+    type Inbox: Clone;
+    /// The inbox of a vertex that received no message.
+    const EMPTY_INBOX: Self::Inbox;
 
     /// Initial value of a vertex.
     fn initial_value(&self, v: VertexId, g: &Graph) -> Self::Value;
@@ -56,13 +72,16 @@ pub trait VertexProgram {
     /// Whether the vertex is active in superstep 0.
     fn initially_active(&self, v: VertexId) -> bool;
 
-    /// One superstep of one vertex.
+    /// Folds one delivered message into an inbox.
+    fn combine(&self, inbox: &mut Self::Inbox, msg: Self::Message);
+
+    /// One superstep of one vertex, given the fold of its messages.
     fn compute(
         &self,
         ctx: &mut Context<Self::Message>,
         v: VertexId,
         value: &mut Self::Value,
-        messages: &[Self::Message],
+        inbox: Self::Inbox,
         g: &Graph,
     );
 
@@ -129,163 +148,63 @@ pub fn run<P: VertexProgram>(
     let n = g.num_vertices() as usize;
     let k = partition.k as usize;
     let mut values: Vec<P::Value> = (0..n as u32).map(|v| program.initial_value(v, g)).collect();
+    // Double-buffered: this superstep reads `active`/`inbox` (resetting
+    // each entry it consumes) while deliveries fill the `next_` pair.
     let mut active: Vec<bool> = (0..n as u32).map(|v| program.initially_active(v)).collect();
-    let mut inbox: Vec<Vec<P::Message>> = vec![Vec::new(); n];
-    let mut next_inbox: Vec<Vec<P::Message>> = vec![Vec::new(); n];
+    let mut next_active = vec![false; n];
+    let mut inbox = vec![P::EMPTY_INBOX; n];
+    let mut next_inbox = vec![P::EMPTY_INBOX; n];
+    let mut ctx = Context {
+        superstep: 0,
+        prev_aggregate: 0.0,
+        outbox: Vec::new(),
+        remain_active: false,
+    };
     let mut supersteps = Vec::new();
-    let mut prev_aggregate = 0.0f64;
 
-    for superstep in 0..max_supersteps {
-        let any = active.iter().any(|&a| a) || inbox.iter().any(|i| !i.is_empty());
-        if !any {
-            break;
-        }
+    while ctx.superstep < max_supersteps && active.contains(&true) {
         let mut per_worker = vec![WorkerSuperstep::default(); k];
         let mut remote = vec![vec![0u64; k]; k];
-        let mut next_active = vec![false; n];
         let mut aggregate = 0.0f64;
 
         for v in 0..n as u32 {
-            let has_msgs = !inbox[v as usize].is_empty();
-            if !active[v as usize] && !has_msgs {
-                aggregate += program.aggregate(v, &values[v as usize], g);
-                continue;
-            }
-            let w = partition.owner_of(v) as usize;
-            per_worker[w].active_vertices += 1;
-            per_worker[w].edges_scanned += g.out_degree(v) as u64;
+            let i = v as usize;
+            if std::mem::take(&mut active[i]) {
+                let w = partition.owner_of(v) as usize;
+                per_worker[w].active_vertices += 1;
+                per_worker[w].edges_scanned += g.out_degree(v) as u64;
 
-            let mut ctx = Context {
-                superstep,
-                prev_aggregate,
-                outbox: Vec::new(),
-                remain_active: false,
-            };
-            let msgs = std::mem::take(&mut inbox[v as usize]);
-            program.compute(&mut ctx, v, &mut values[v as usize], &msgs, g);
-            aggregate += program.aggregate(v, &values[v as usize], g);
+                ctx.remain_active = false;
+                let msgs = std::mem::replace(&mut inbox[i], P::EMPTY_INBOX);
+                program.compute(&mut ctx, v, &mut values[i], msgs, g);
 
-            per_worker[w].messages_sent += ctx.outbox.len() as u64;
-            for (to, msg) in ctx.outbox {
-                let wt = partition.owner_of(to) as usize;
-                remote[w][wt] += 1;
-                per_worker[wt].messages_received += 1;
-                next_inbox[to as usize].push(msg);
-                next_active[to as usize] = true;
+                per_worker[w].messages_sent += ctx.outbox.len() as u64;
+                let row = &mut remote[w];
+                for (to, msg) in ctx.outbox.drain(..) {
+                    let wt = partition.owner_of(to) as usize;
+                    row[wt] += 1;
+                    per_worker[wt].messages_received += 1;
+                    program.combine(&mut next_inbox[to as usize], msg);
+                    next_active[to as usize] = true;
+                }
+                if ctx.remain_active {
+                    next_active[i] = true;
+                }
             }
-            if ctx.remain_active {
-                next_active[v as usize] = true;
-            }
+            aggregate += program.aggregate(v, &values[i], g);
         }
 
         std::mem::swap(&mut inbox, &mut next_inbox);
-        active = next_active;
-        prev_aggregate = aggregate;
+        std::mem::swap(&mut active, &mut next_active);
         supersteps.push(SuperstepStats {
-            superstep,
+            superstep: ctx.superstep,
             per_worker,
             remote_messages: remote,
         });
+        ctx.superstep += 1;
+        ctx.prev_aggregate = aggregate;
     }
 
-    PregelOutcome { values, supersteps }
-}
-
-/// Vertex count at which [`run_bfs`] switches from the generic engine to
-/// the flat frontier engine. The generic engine keeps a `Vec` inbox per
-/// vertex — two pointer-width triples each — which at dg1000 scale
-/// (103 M vertices) is ~5 GB of mostly-empty vectors plus an allocation
-/// per delivered message; the flat engine carries the same information in
-/// three dense arrays.
-pub const FLAT_BFS_THRESHOLD: u32 = 2_000_000;
-
-/// BFS through the engine best suited to the graph's size: the generic
-/// vertex-program engine below [`FLAT_BFS_THRESHOLD`] vertices, the flat
-/// frontier engine at or above it. Both produce identical values and
-/// identical per-superstep counters (see `flat_bfs_matches_generic_engine`).
-pub fn run_bfs(
-    g: &Graph,
-    partition: &EdgeCutPartition,
-    source: VertexId,
-    max_supersteps: u32,
-) -> PregelOutcome<u32> {
-    if g.num_vertices() >= FLAT_BFS_THRESHOLD {
-        run_bfs_flat(g, partition, source, max_supersteps)
-    } else {
-        run(g, partition, &BfsProgram { source }, max_supersteps)
-    }
-}
-
-/// Level-synchronous BFS over dense arrays, replicating the generic
-/// engine's observable behavior exactly:
-///
-/// - the computed set of superstep `s > 0` is the set of message receivers
-///   of superstep `s - 1` (improved or not — a visited vertex that is
-///   messaged again still executes, scans its edges, and sends nothing);
-/// - all messages of superstep `s` carry level `s`, so a receiver improves
-///   iff it is unvisited;
-/// - counters (active vertices, edges scanned, messages sent/received, the
-///   worker-to-worker matrix) count per message, not per unique receiver.
-pub fn run_bfs_flat(
-    g: &Graph,
-    partition: &EdgeCutPartition,
-    source: VertexId,
-    max_supersteps: u32,
-) -> PregelOutcome<u32> {
-    let n = g.num_vertices() as usize;
-    let k = partition.k as usize;
-    let mut values = vec![u32::MAX; n];
-    values[source as usize] = 0;
-    let mut computed: Vec<VertexId> = vec![source];
-    // Membership stamp for the next frontier: `queued[v] == s + 1` means v
-    // is already in superstep s's receiver set.
-    let mut queued = vec![0u32; n];
-    let mut supersteps = Vec::new();
-
-    for superstep in 0..max_supersteps {
-        if computed.is_empty() {
-            break;
-        }
-        let mut per_worker = vec![WorkerSuperstep::default(); k];
-        let mut remote = vec![vec![0u64; k]; k];
-        let mut next: Vec<VertexId> = Vec::new();
-        for &v in &computed {
-            let w = partition.owner_of(v) as usize;
-            let deg = g.out_degree(v) as u64;
-            per_worker[w].active_vertices += 1;
-            per_worker[w].edges_scanned += deg;
-            let improved = if superstep == 0 {
-                v == source
-            } else if superstep < values[v as usize] {
-                values[v as usize] = superstep;
-                true
-            } else {
-                false
-            };
-            if improved {
-                per_worker[w].messages_sent += deg;
-                let row = &mut remote[w];
-                for &t in g.neighbors(v) {
-                    row[partition.owner_of(t) as usize] += 1;
-                    if queued[t as usize] != superstep + 1 {
-                        queued[t as usize] = superstep + 1;
-                        next.push(t);
-                    }
-                }
-            }
-        }
-        for row in &remote {
-            for (wt, &count) in row.iter().enumerate() {
-                per_worker[wt].messages_received += count;
-            }
-        }
-        supersteps.push(SuperstepStats {
-            superstep,
-            per_worker,
-            remote_messages: remote,
-        });
-        computed = next;
-    }
     PregelOutcome { values, supersteps }
 }
 
@@ -293,7 +212,8 @@ pub fn run_bfs_flat(
 // Vertex programs for the Graphalytics algorithms.
 // ---------------------------------------------------------------------------
 
-/// Breadth-first search: level propagation along out-edges.
+/// Breadth-first search: level propagation along out-edges. The inbox is
+/// the smallest level received.
 pub struct BfsProgram {
     /// Source vertex.
     pub source: VertexId,
@@ -302,6 +222,8 @@ pub struct BfsProgram {
 impl VertexProgram for BfsProgram {
     type Value = u32;
     type Message = u32;
+    type Inbox = u32;
+    const EMPTY_INBOX: u32 = u32::MAX;
 
     fn initial_value(&self, v: VertexId, _g: &Graph) -> u32 {
         if v == self.source {
@@ -315,24 +237,18 @@ impl VertexProgram for BfsProgram {
         v == self.source
     }
 
-    fn compute(
-        &self,
-        ctx: &mut Context<u32>,
-        v: VertexId,
-        value: &mut u32,
-        messages: &[u32],
-        g: &Graph,
-    ) {
+    fn combine(&self, inbox: &mut u32, msg: u32) {
+        *inbox = (*inbox).min(msg);
+    }
+
+    fn compute(&self, ctx: &mut Context<u32>, v: VertexId, value: &mut u32, best: u32, g: &Graph) {
         let improved = if ctx.superstep() == 0 {
             v == self.source
+        } else if best < *value {
+            *value = best;
+            true
         } else {
-            match messages.iter().min() {
-                Some(&best) if best < *value => {
-                    *value = best;
-                    true
-                }
-                _ => false,
-            }
+            false
         };
         if improved {
             let next = *value + 1;
@@ -344,6 +260,7 @@ impl VertexProgram for BfsProgram {
 }
 
 /// PageRank with dangling-mass redistribution via the global aggregate.
+/// The inbox is the sum of the received shares, added in sender order.
 pub struct PageRankProgram {
     /// Number of rank updates.
     pub iterations: u32,
@@ -354,6 +271,8 @@ pub struct PageRankProgram {
 impl VertexProgram for PageRankProgram {
     type Value = f64;
     type Message = f64;
+    type Inbox = f64;
+    const EMPTY_INBOX: f64 = 0.0;
 
     fn initial_value(&self, _v: VertexId, g: &Graph) -> f64 {
         1.0 / g.num_vertices() as f64
@@ -363,18 +282,14 @@ impl VertexProgram for PageRankProgram {
         true
     }
 
-    fn compute(
-        &self,
-        ctx: &mut Context<f64>,
-        v: VertexId,
-        value: &mut f64,
-        messages: &[f64],
-        g: &Graph,
-    ) {
+    fn combine(&self, inbox: &mut f64, msg: f64) {
+        *inbox += msg;
+    }
+
+    fn compute(&self, ctx: &mut Context<f64>, v: VertexId, value: &mut f64, sum: f64, g: &Graph) {
         let n = g.num_vertices() as f64;
         let s = ctx.superstep();
         if s > 0 {
-            let sum: f64 = messages.iter().sum();
             *value = (1.0 - self.damping) / n
                 + self.damping * ctx.prev_aggregate() / n
                 + self.damping * sum;
@@ -402,11 +317,14 @@ impl VertexProgram for PageRankProgram {
 }
 
 /// Weakly-connected components by min-label propagation (undirected view).
+/// The inbox is the smallest label received.
 pub struct WccProgram;
 
 impl VertexProgram for WccProgram {
     type Value = u32;
     type Message = u32;
+    type Inbox = u32;
+    const EMPTY_INBOX: u32 = u32::MAX;
 
     fn initial_value(&self, v: VertexId, _g: &Graph) -> u32 {
         v
@@ -416,24 +334,18 @@ impl VertexProgram for WccProgram {
         true
     }
 
-    fn compute(
-        &self,
-        ctx: &mut Context<u32>,
-        v: VertexId,
-        value: &mut u32,
-        messages: &[u32],
-        g: &Graph,
-    ) {
+    fn combine(&self, inbox: &mut u32, msg: u32) {
+        *inbox = (*inbox).min(msg);
+    }
+
+    fn compute(&self, ctx: &mut Context<u32>, v: VertexId, value: &mut u32, best: u32, g: &Graph) {
         let improved = if ctx.superstep() == 0 {
             true
+        } else if best < *value {
+            *value = best;
+            true
         } else {
-            match messages.iter().min() {
-                Some(&best) if best < *value => {
-                    *value = best;
-                    true
-                }
-                _ => false,
-            }
+            false
         };
         if improved {
             for &t in g.neighbors(v).iter().chain(g.in_neighbors(v)) {
@@ -443,7 +355,8 @@ impl VertexProgram for WccProgram {
     }
 }
 
-/// Single-source shortest paths (Bellman-Ford-style relaxation).
+/// Single-source shortest paths (Bellman-Ford-style relaxation). The inbox
+/// is the shortest distance received.
 pub struct SsspProgram {
     /// Source vertex.
     pub source: VertexId,
@@ -452,6 +365,8 @@ pub struct SsspProgram {
 impl VertexProgram for SsspProgram {
     type Value = f64;
     type Message = f64;
+    type Inbox = f64;
+    const EMPTY_INBOX: f64 = f64::INFINITY;
 
     fn initial_value(&self, v: VertexId, _g: &Graph) -> f64 {
         if v == self.source {
@@ -465,24 +380,18 @@ impl VertexProgram for SsspProgram {
         v == self.source
     }
 
-    fn compute(
-        &self,
-        ctx: &mut Context<f64>,
-        v: VertexId,
-        value: &mut f64,
-        messages: &[f64],
-        g: &Graph,
-    ) {
+    fn combine(&self, inbox: &mut f64, msg: f64) {
+        *inbox = inbox.min(msg);
+    }
+
+    fn compute(&self, ctx: &mut Context<f64>, v: VertexId, value: &mut f64, best: f64, g: &Graph) {
         let improved = if ctx.superstep() == 0 {
             v == self.source
+        } else if best < *value {
+            *value = best;
+            true
         } else {
-            match messages.iter().copied().fold(f64::INFINITY, f64::min) {
-                best if best < *value => {
-                    *value = best;
-                    true
-                }
-                _ => false,
-            }
+            false
         };
         if improved {
             let neighbors = g.neighbors(v);
@@ -494,7 +403,8 @@ impl VertexProgram for SsspProgram {
     }
 }
 
-/// Community detection by synchronous label propagation.
+/// Community detection by synchronous label propagation. The inbox is the
+/// list of received labels.
 pub struct CdlpProgram {
     /// Number of label updates.
     pub iterations: u32,
@@ -503,6 +413,8 @@ pub struct CdlpProgram {
 impl VertexProgram for CdlpProgram {
     type Value = u32;
     type Message = u32;
+    type Inbox = Vec<u32>;
+    const EMPTY_INBOX: Vec<u32> = Vec::new();
 
     fn initial_value(&self, v: VertexId, _g: &Graph) -> u32 {
         v
@@ -512,29 +424,32 @@ impl VertexProgram for CdlpProgram {
         true
     }
 
+    fn combine(&self, labels: &mut Vec<u32>, msg: u32) {
+        labels.push(msg);
+    }
+
     fn compute(
         &self,
         ctx: &mut Context<u32>,
         v: VertexId,
         value: &mut u32,
-        messages: &[u32],
+        mut labels: Vec<u32>,
         g: &Graph,
     ) {
         let s = ctx.superstep();
-        if s > 0 && !messages.is_empty() {
+        if s > 0 && !labels.is_empty() {
             // Most frequent label, ties towards the smallest.
-            let mut sorted = messages.to_vec();
-            sorted.sort_unstable();
-            let (mut best, mut best_count) = (sorted[0], 0u32);
+            labels.sort_unstable();
+            let (mut best, mut best_count) = (labels[0], 0u32);
             let mut i = 0;
-            while i < sorted.len() {
+            while i < labels.len() {
                 let mut j = i;
-                while j < sorted.len() && sorted[j] == sorted[i] {
+                while j < labels.len() && labels[j] == labels[i] {
                     j += 1;
                 }
                 let count = (j - i) as u32;
                 if count > best_count {
-                    best = sorted[i];
+                    best = labels[i];
                     best_count = count;
                 }
                 i = j;
@@ -553,9 +468,7 @@ impl VertexProgram for CdlpProgram {
 }
 
 /// Executes `algorithm` as a vertex program over `part`: the shared
-/// program step of the Pregel-based drivers (Giraph, GraphX). BFS is
-/// size-dispatched: full-scale graphs take the flat frontier engine, which
-/// produces bit-identical counters.
+/// program step of the Pregel-based drivers (Giraph, GraphX).
 pub(crate) fn run_program(
     g: &Graph,
     part: &EdgeCutPartition,
@@ -564,7 +477,7 @@ pub(crate) fn run_program(
 ) -> (AlgorithmOutput, Vec<SuperstepStats>) {
     match algorithm {
         Algorithm::Bfs { source } => {
-            let out = run_bfs(g, part, source, max_supersteps);
+            let out = run(g, part, &BfsProgram { source }, max_supersteps);
             (AlgorithmOutput::Levels(out.values), out.supersteps)
         }
         Algorithm::PageRank { iterations } => {
@@ -613,45 +526,10 @@ mod tests {
     }
 
     #[test]
-    fn flat_bfs_matches_generic_engine() {
-        // Values AND every per-superstep counter must be identical: the
-        // Giraph DAG is built from these counters, so any divergence would
-        // change full-scale makespans.
-        for (vertices, seed, source) in [(2_000, 99, 1u32), (5_000, 7, 42), (300, 3, 0)] {
-            let g = datagen_like(&GenConfig::datagen(vertices, seed));
-            let p = EdgeCutPartition::hash(g.num_vertices(), 8);
-            let generic = run(&g, &p, &BfsProgram { source }, 1_000);
-            let flat = run_bfs_flat(&g, &p, source, 1_000);
-            assert_eq!(flat.values, generic.values, "seed {seed}");
-            assert_eq!(flat.supersteps, generic.supersteps, "seed {seed}");
-        }
-    }
-
-    #[test]
-    fn flat_bfs_handles_self_loops_and_duplicate_edges() {
-        let g = Graph::from_edges(4, &[(0, 0), (0, 1), (0, 1), (1, 2), (2, 0), (3, 3)]);
-        let p = EdgeCutPartition::hash(4, 2);
-        let generic = run(&g, &p, &BfsProgram { source: 0 }, 100);
-        let flat = run_bfs_flat(&g, &p, 0, 100);
-        assert_eq!(flat.values, generic.values);
-        assert_eq!(flat.supersteps, generic.supersteps);
-    }
-
-    #[test]
-    fn run_bfs_dispatches_below_threshold() {
-        let g = graph();
-        let p = partition(&g);
-        let via_dispatch = run_bfs(&g, &p, 1, 1_000);
-        let generic = run(&g, &p, &BfsProgram { source: 1 }, 1_000);
-        assert_eq!(via_dispatch.values, generic.values);
-        assert_eq!(via_dispatch.supersteps, generic.supersteps);
-    }
-
-    #[test]
-    fn flat_bfs_respects_superstep_cap() {
+    fn bfs_respects_superstep_cap() {
         let g = Graph::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]);
         let p = EdgeCutPartition::hash(5, 2);
-        let out = run_bfs_flat(&g, &p, 0, 2);
+        let out = run(&g, &p, &BfsProgram { source: 0 }, 2);
         assert_eq!(out.supersteps.len(), 2);
         assert_eq!(out.values, vec![0, 1, u32::MAX, u32::MAX, u32::MAX]);
     }

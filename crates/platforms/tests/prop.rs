@@ -9,6 +9,7 @@
 
 use proptest::prelude::*;
 
+use gpsim_graph::gen::with_uniform_weights;
 use gpsim_graph::{algos, BlockPartition, EdgeCutPartition, Graph, VertexCutPartition};
 use gpsim_platforms::gas::{self, IterationMode};
 use gpsim_platforms::{pregel, spmv};
@@ -116,6 +117,47 @@ proptest! {
         let bp = BlockPartition::by_edges(&g, k);
         let s = spmv::run(&g, &bp, &mut spmv::CdlpSpmv, IterationMode::Fixed(iters));
         prop_assert_eq!(&s.values, &reference, "spmv");
+    }
+
+    /// SSSP: all three engines match the reference on weighted graphs,
+    /// unreachable vertices included.
+    #[test]
+    fn sssp_differential(
+        g in arb_graph(),
+        src_pick in any::<u32>(),
+        seed in any::<u64>(),
+        k in 1u16..6,
+    ) {
+        let g = with_uniform_weights(&g, 4.0, seed);
+        let src = src_pick % g.num_vertices();
+        let reference = algos::sssp(&g, src);
+        let close = |a: &[f64]| {
+            a.iter().zip(&reference).all(|(x, y)| {
+                if y.is_infinite() { x.is_infinite() } else { (x - y).abs() < 1e-9 }
+            })
+        };
+
+        let ec = EdgeCutPartition::hash(g.num_vertices(), k);
+        let p = pregel::run(&g, &ec, &pregel::SsspProgram { source: src }, 10_000);
+        prop_assert!(close(&p.values), "pregel");
+
+        let vc = VertexCutPartition::greedy(&g, k);
+        let gas_out = gas::run(
+            &g,
+            &vc,
+            &mut gas::SsspGas { source: src },
+            IterationMode::Converge { max: 10_000 },
+        );
+        prop_assert!(close(&gas_out.values), "gas");
+
+        let bp = BlockPartition::by_edges(&g, k);
+        let s = spmv::run(
+            &g,
+            &bp,
+            &mut spmv::SsspSpmv { source: src },
+            IterationMode::Converge { max: 10_000 },
+        );
+        prop_assert!(close(&s.values), "spmv");
     }
 
     /// Engine counters are internally consistent for arbitrary inputs.
