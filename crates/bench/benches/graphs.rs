@@ -6,6 +6,7 @@ use std::hint::black_box;
 
 use gpsim_graph::gen::{datagen_like, GenConfig};
 use gpsim_graph::{algos, EdgeCutPartition, VertexCutPartition};
+use gpsim_platforms::gas::{self, BfsGas, IterationMode};
 use gpsim_platforms::pregel::{self, BfsProgram, PageRankProgram};
 
 fn bench_generation(c: &mut Criterion) {
@@ -28,6 +29,10 @@ fn bench_partitioning(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("450k_edges", |b| {
         b.iter(|| black_box(VertexCutPartition::greedy(&g, 8).replication_factor()))
+    });
+    let fig5 = datagen_like(&GenConfig::datagen(100_000, 1_000));
+    group.bench_function("900k_edges", |b| {
+        b.iter(|| black_box(VertexCutPartition::greedy(&fig5, 8).replication_factor()))
     });
     group.finish();
 }
@@ -73,10 +78,28 @@ fn bench_pregel_engine(c: &mut Criterion) {
     group.finish();
 }
 
+/// PowerGraph's BFS on the fig5 graph (dg1000 down-sampled to 100k
+/// vertices, 900k edges) over 8 machines.
+fn bench_gas_engine(c: &mut Criterion) {
+    let g = datagen_like(&GenConfig::datagen(100_000, 1_000));
+    let part = VertexCutPartition::greedy(&g, 8);
+    let mut group = c.benchmark_group("gas_bfs");
+    group.sample_size(10);
+    group.bench_function("900k_edges", |b| {
+        b.iter(|| {
+            let mode = IterationMode::Converge { max: 10_000 };
+            let out = gas::run(&g, &part, &mut BfsGas { source: 1 }, mode);
+            black_box(out.iterations.len())
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_generation,
     bench_partitioning,
+    bench_gas_engine,
     bench_reference_algos,
     bench_pregel_engine
 );

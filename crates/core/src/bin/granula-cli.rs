@@ -26,7 +26,7 @@ use granula::experiment::{run_experiment, Platform};
 use granula::metrics::{DomainBreakdown, Phase};
 use granula::regression::RegressionSuite;
 use granula_archive::{
-    from_json, to_json_pretty, ArchiveStore, JobArchive, Query, QueryEngine, QueryMode,
+    format_ids, from_json, to_json_pretty, ArchiveStore, JobArchive, Query, QueryEngine, QueryMode,
     ServeOptions, Server, ShardedEngine,
 };
 use granula_regress::{analyze, render_text, History, Status, Tolerance};
@@ -597,6 +597,8 @@ fn cmd_archive_query(args: &[String]) -> Result<(), String> {
             .query(&job_id, &query, mode)
             .ok_or_else(|| format!("job `{job_id}` vanished from the store"))?;
         println!("{job_id}: {} operations match `{query}`", hits.len());
+        // The ids as the serve daemon answers them, so the two compare.
+        println!("ids: {}", format_ids(&hits));
         let tree = &engine.store().get(&job_id).expect("job listed above").tree;
         print!("{}", render_ops(tree, &hits));
     }

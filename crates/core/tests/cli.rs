@@ -257,6 +257,15 @@ fn archive_save_query_stat_roundtrip() {
         "{text}"
     );
     assert!(text.contains("GiraphJob-0/ProcessGraph-0/Superstep-0"));
+    // The hits' ids follow the count line, rendered as the daemon's `Q`
+    // answer renders them; the run is deterministic, so they are pinned.
+    assert!(
+        text.contains(
+            "cli-giraph-bfs: 8 operations match `ProcessGraph/Superstep`\n\
+             ids: 30,65,104,146,188,230,272,312\n"
+        ),
+        "{text}"
+    );
 
     // A window query routes through the interval index and still matches.
     let windowed = cli()

@@ -6,6 +6,11 @@
 //! replicated on every machine holding one of its edges and one replica is
 //! the master (the vertex cut). The replication factor drives PowerGraph's
 //! sync traffic, which is why it wins on power-law graphs.
+//!
+//! The greedy vertex-cut keeps every vertex's machines as a bitset of
+//! `ceil(k / 64)` words in one flat array while it places edges, and ends
+//! with a flat replica CSR. Every choice takes the first least-loaded
+//! machine in ascending order, the source's replicas before the target's.
 
 use crate::graph::{Graph, VertexId};
 
@@ -78,11 +83,13 @@ fn mix(v: u32) -> u32 {
 pub struct VertexCutPartition {
     /// Machine of each edge, in [`Graph::edges`] order.
     pub edge_owner: Vec<u16>,
-    /// For each vertex, the sorted machines holding at least one of its
-    /// edges (its replicas).
-    pub replicas: Vec<Vec<u16>>,
     /// Number of machines.
     pub k: u16,
+    /// `replicas[replica_offsets[v]..replica_offsets[v + 1]]` are the
+    /// replicas of `v`; length `n + 1`.
+    replica_offsets: Vec<usize>,
+    /// Every vertex's replicas, ascending per vertex.
+    replicas: Vec<u16>,
 }
 
 impl VertexCutPartition {
@@ -92,32 +99,61 @@ impl VertexCutPartition {
     pub fn greedy(g: &Graph, k: u16) -> VertexCutPartition {
         assert!(k > 0, "need at least one machine");
         let n = g.num_vertices() as usize;
-        let mut replicas: Vec<Vec<u16>> = vec![Vec::new(); n];
+        let words = (k as usize).div_ceil(64);
+        let mut bits = vec![0u64; n * words];
         let mut load = vec![0u64; k as usize];
         let mut edge_owner = Vec::with_capacity(g.num_edges() as usize);
 
         for (s, t) in g.edges() {
-            let rs = &replicas[s as usize];
-            let rt = &replicas[t as usize];
-            let choice = common_least_loaded(rs, rt, &load)
-                .or_else(|| least_loaded_of(rs.iter().chain(rt.iter()), &load))
-                .unwrap_or_else(|| least_loaded(&load));
+            let (s, t) = (s as usize * words, t as usize * words);
+            let rs = &bits[s..s + words];
+            let rt = &bits[t..t + words];
+            let common = machines(rs.iter().zip(rt).map(|(a, b)| a & b));
+            let either = machines(rs.iter().copied()).chain(machines(rt.iter().copied()));
+            let load_of = |&m: &u16| load[m as usize];
+            let choice = common
+                .min_by_key(load_of)
+                .or_else(|| either.min_by_key(load_of))
+                .or_else(|| (0..k).min_by_key(load_of))
+                .expect("k > 0");
             edge_owner.push(choice);
             load[choice as usize] += 1;
-            insert_sorted(&mut replicas[s as usize], choice);
-            insert_sorted(&mut replicas[t as usize], choice);
+            let (word, bit) = (choice as usize / 64, 1u64 << (choice % 64));
+            bits[s + word] |= bit;
+            bits[t + word] |= bit;
+        }
+
+        let mut replica_offsets = vec![0; n + 1];
+        let mut replicas = Vec::new();
+        for (v, set) in bits.chunks_exact(words).enumerate() {
+            replicas.extend(machines(set.iter().copied()));
+            replica_offsets[v + 1] = replicas.len();
         }
         VertexCutPartition {
             edge_owner,
-            replicas,
             k,
+            replica_offsets,
+            replicas,
         }
+    }
+
+    /// The sorted machines holding at least one of `v`'s edges (its
+    /// replicas); empty for an isolated vertex.
+    pub fn replicas(&self, v: VertexId) -> &[u16] {
+        &self.replicas[self.replica_offsets[v as usize]..self.replica_offsets[v as usize + 1]]
+    }
+
+    /// Where each vertex's replicas start in the flat order of all replicas,
+    /// vertex by vertex, plus the total at index `n`; per-replica data can
+    /// live in flat arrays indexed the same way.
+    pub fn replica_offsets(&self) -> &[usize] {
+        &self.replica_offsets
     }
 
     /// The master machine of a vertex: its first replica (or a hash when the
     /// vertex has no edges).
     pub fn master_of(&self, v: VertexId) -> u16 {
-        self.replicas[v as usize]
+        self.replicas(v)
             .first()
             .copied()
             .unwrap_or((mix(v) % self.k as u32) as u16)
@@ -126,16 +162,9 @@ impl VertexCutPartition {
     /// Mean number of replicas per vertex (vertices with edges only) — the
     /// replication factor PowerGraph's paper optimizes.
     pub fn replication_factor(&self) -> f64 {
-        let (sum, cnt) = self
-            .replicas
-            .iter()
-            .filter(|r| !r.is_empty())
-            .fold((0usize, 0usize), |(s, c), r| (s + r.len(), c + 1));
-        if cnt == 0 {
-            0.0
-        } else {
-            sum as f64 / cnt as f64
-        }
+        let offsets = self.replica_offsets.windows(2);
+        let with_edges = offsets.filter(|w| w[0] < w[1]).count();
+        self.replicas.len() as f64 / with_edges.max(1) as f64
     }
 
     /// Edges per machine.
@@ -148,42 +177,18 @@ impl VertexCutPartition {
     }
 }
 
-fn insert_sorted(v: &mut Vec<u16>, x: u16) {
-    if let Err(pos) = v.binary_search(&x) {
-        v.insert(pos, x);
-    }
-}
-
-fn common_least_loaded(a: &[u16], b: &[u16], load: &[u64]) -> Option<u16> {
-    let mut best: Option<u16> = None;
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Equal => {
-                let m = a[i];
-                if best.is_none_or(|cur| load[m as usize] < load[cur as usize]) {
-                    best = Some(m);
-                }
-                i += 1;
-                j += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-        }
-    }
-    best
-}
-
-fn least_loaded_of<'a>(machines: impl Iterator<Item = &'a u16>, load: &[u64]) -> Option<u16> {
-    machines.copied().min_by_key(|&m| load[m as usize])
-}
-
-fn least_loaded(load: &[u64]) -> u16 {
-    load.iter()
-        .enumerate()
-        .min_by_key(|&(_, &l)| l)
-        .map(|(i, _)| i as u16)
-        .expect("k > 0")
+/// The machines of a bitset (word `i` holds machines `64 i..64 i + 63`),
+/// ascending.
+fn machines(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u16> {
+    words.enumerate().flat_map(|(i, mut w)| {
+        std::iter::from_fn(move || {
+            (w != 0).then(|| {
+                let bit = w.trailing_zeros();
+                w &= w - 1;
+                (i as u32 * 64 + bit) as u16
+            })
+        })
+    })
 }
 
 /// 1D block (row) partitioning over contiguous vertex ranges, balanced by
@@ -294,7 +299,8 @@ mod tests {
     fn replicas_are_sorted_and_deduped() {
         let g = uniform(500, 5_000, 3);
         let p = VertexCutPartition::greedy(&g, 4);
-        for r in &p.replicas {
+        for v in 0..g.num_vertices() {
+            let r = p.replicas(v);
             assert!(r.windows(2).all(|w| w[0] < w[1]), "{r:?}");
         }
     }
@@ -304,8 +310,8 @@ mod tests {
         let g = uniform(500, 5_000, 3);
         let p = VertexCutPartition::greedy(&g, 4);
         for v in 0..g.num_vertices() {
-            if !p.replicas[v as usize].is_empty() {
-                assert!(p.replicas[v as usize].contains(&p.master_of(v)));
+            if !p.replicas(v).is_empty() {
+                assert!(p.replicas(v).contains(&p.master_of(v)));
             }
         }
     }

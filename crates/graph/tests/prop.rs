@@ -7,7 +7,12 @@ use gpsim_graph::gen::{datagen_like, uniform, with_uniform_weights, GenConfig};
 use gpsim_graph::{algos, EdgeCutPartition, Graph, VertexCutPartition};
 
 fn arb_edges() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
-    (2u32..80).prop_flat_map(|n| (Just(n), prop::collection::vec((0..n, 0..n), 0..300)))
+    edges_up_to(80, 300)
+}
+
+/// Graphs of 2 to `max_n - 1` vertices and fewer than `max_m` edges.
+fn edges_up_to(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
+    (2..max_n).prop_flat_map(move |n| (Just(n), prop::collection::vec((0..n, 0..n), 0..max_m)))
 }
 
 proptest! {
@@ -121,18 +126,30 @@ proptest! {
         prop_assert_eq!(p.sizes().iter().sum::<u64>(), n as u64);
     }
 
-    /// Greedy vertex-cut: every edge owned, every endpoint's replica set
-    /// contains the edge's machine, replication factor >= 1.
+    /// Greedy vertex-cut: every edge owned; every vertex's replicas are
+    /// exactly the sorted machines of its edges, and its master is the
+    /// first of them (the edge-cut hash for an isolated vertex); replication
+    /// factor in [1, k]. `k` spans bitsets of one, two and three words, and
+    /// graphs of up to 400 vertices open enough fresh machines to use them.
     #[test]
-    fn vertex_cut_invariants((n, edges) in arb_edges(), k in 1u16..10) {
+    fn vertex_cut_invariants((n, edges) in edges_up_to(400, 600), k in 1u16..=130) {
         let g = Graph::from_edges(n, &edges);
         let p = VertexCutPartition::greedy(&g, k);
         prop_assert_eq!(p.edge_owner.len() as u64, g.num_edges());
+        let mut owners: Vec<Vec<u16>> = vec![Vec::new(); n as usize];
         for (e, (u, v)) in g.edges().enumerate() {
             let m = p.edge_owner[e];
             prop_assert!(m < k);
-            prop_assert!(p.replicas[u as usize].contains(&m));
-            prop_assert!(p.replicas[v as usize].contains(&m));
+            owners[u as usize].push(m);
+            owners[v as usize].push(m);
+        }
+        let hash = EdgeCutPartition::hash(n, k);
+        for (v, mut want) in (0..n).zip(owners) {
+            want.sort_unstable();
+            want.dedup();
+            prop_assert_eq!(p.replicas(v), &want[..], "replicas of {}", v);
+            let master = want.first().copied().unwrap_or(hash.owner_of(v));
+            prop_assert_eq!(p.master_of(v), master, "master of {}", v);
         }
         if g.num_edges() > 0 {
             prop_assert!(p.replication_factor() >= 1.0);

@@ -12,7 +12,9 @@
 //!
 //! Besides the result, the engine records per-iteration, per-machine
 //! counters (gather/scatter edges, applies, replica-sync messages) — the
-//! inputs of the PowerGraph cost model.
+//! inputs of the PowerGraph cost model. Its state is flat: per-replica
+//! gather and scatter edge counts parallel to the partition's replica CSR,
+//! and two value buffers swapped each iteration.
 
 use std::collections::BTreeMap;
 
@@ -27,6 +29,16 @@ pub enum EdgeDir {
     Out,
     /// Both directions.
     Both,
+}
+
+impl EdgeDir {
+    /// `v`'s far ends and edge weights on each side this direction covers:
+    /// in-edges first, then out-edges.
+    fn sides(self, g: &Graph, v: VertexId) -> impl Iterator<Item = (&[VertexId], Option<&[f32]>)> {
+        let ins = (self != EdgeDir::Out).then(|| (g.in_neighbors(v), g.in_edge_weights(v)));
+        let outs = (self != EdgeDir::In).then(|| (g.neighbors(v), g.edge_weights(v)));
+        ins.into_iter().chain(outs)
+    }
 }
 
 /// How iterations are driven.
@@ -127,22 +139,26 @@ pub struct GasOutcome<V> {
     pub iterations: Vec<IterationStats>,
 }
 
-/// Per-vertex `(machine, edge_count)` lists for a direction.
-fn owner_counts(g: &Graph, part: &VertexCutPartition, dir: EdgeDir) -> Vec<Vec<(u16, u32)>> {
-    let n = g.num_vertices() as usize;
-    let mut maps: Vec<BTreeMap<u16, u32>> = vec![BTreeMap::new(); n];
+/// Per replica, in the partition's flat replica order (see
+/// [`VertexCutPartition::replica_offsets`]), how many of the vertex's `dir`
+/// edges its machine holds: with the replicas, a flat `(machine, count)` CSR.
+fn edge_counts(g: &Graph, part: &VertexCutPartition, dir: EdgeDir) -> Vec<u32> {
+    let offsets = part.replica_offsets();
+    let mut counts = vec![0u32; offsets[g.num_vertices() as usize]];
+    let mut count = |x: VertexId, m: u16| {
+        let i = part.replicas(x).partition_point(|&r| r < m);
+        counts[offsets[x as usize] + i] += 1;
+    };
     for (e, (u, v)) in g.edges().enumerate() {
-        let owner = part.edge_owner[e];
-        match dir {
-            EdgeDir::In => *maps[v as usize].entry(owner).or_insert(0) += 1,
-            EdgeDir::Out => *maps[u as usize].entry(owner).or_insert(0) += 1,
-            EdgeDir::Both => {
-                *maps[v as usize].entry(owner).or_insert(0) += 1;
-                *maps[u as usize].entry(owner).or_insert(0) += 1;
-            }
+        let m = part.edge_owner[e];
+        if dir != EdgeDir::Out {
+            count(v, m);
+        }
+        if dir != EdgeDir::In {
+            count(u, m);
         }
     }
-    maps.into_iter().map(|m| m.into_iter().collect()).collect()
+    counts
 }
 
 /// Executes a GAS program.
@@ -155,8 +171,11 @@ pub fn run<P: GasProgram>(
     let n = g.num_vertices() as usize;
     let k = part.k as usize;
     let mut values: Vec<P::Value> = (0..n as u32).map(|v| program.initial_value(v, g)).collect();
-    let gather_counts = owner_counts(g, part, program.gather_dir());
-    let scatter_counts = owner_counts(g, part, program.scatter_dir());
+    // The buffer applies write into; equal to `values` between iterations.
+    let mut next_values = values.clone();
+    let (gather_dir, scatter_dir) = (program.gather_dir(), program.scatter_dir());
+    let gather_counts = edge_counts(g, part, gather_dir);
+    let scatter_counts = edge_counts(g, part, scatter_dir);
 
     let (max_iters, fixed) = match mode {
         IterationMode::Fixed(i) => (i, true),
@@ -167,6 +186,7 @@ pub fn run<P: GasProgram>(
     } else {
         (0..n as u32).map(|v| program.initially_active(v)).collect()
     };
+    let mut next_active = vec![false; n];
 
     let mut stats = Vec::new();
     for iteration in 0..max_iters {
@@ -176,8 +196,6 @@ pub fn run<P: GasProgram>(
         program.pre_iteration(iteration, &values, g);
         let mut per_machine = vec![MachineIteration::default(); k];
         let mut sync_matrix = vec![vec![0u64; k]; k];
-        let mut next_values = values.clone();
-        let mut next_active = vec![false; n];
         let mut active_vertices = 0u64;
 
         for v in 0..n as u32 {
@@ -191,40 +209,15 @@ pub fn run<P: GasProgram>(
             // Gather: fold over the gather-direction edges, reading the
             // snapshot `values`.
             let mut acc: Option<P::Accum> = None;
-            let dir = program.gather_dir();
-            if matches!(dir, EdgeDir::In | EdgeDir::Both) {
-                let ins = g.in_neighbors(v);
-                for (i, &u) in ins.iter().enumerate() {
-                    let w = g.in_edge_weights(v).map_or(1.0, |ws| ws[i]);
+            for (others, weights) in gather_dir.sides(g, v) {
+                for (i, &u) in others.iter().enumerate() {
+                    let w = weights.map_or(1.0, |ws| ws[i]);
                     if let Some(c) = program.gather(v, u, &values[u as usize], w) {
                         acc = Some(match acc {
                             None => c,
                             Some(prev) => program.merge(prev, c),
                         });
                     }
-                }
-            }
-            if matches!(dir, EdgeDir::Out | EdgeDir::Both) {
-                let outs = g.neighbors(v);
-                for (i, &u) in outs.iter().enumerate() {
-                    let w = g.edge_weights(v).map_or(1.0, |ws| ws[i]);
-                    if let Some(c) = program.gather(v, u, &values[u as usize], w) {
-                        acc = Some(match acc {
-                            None => c,
-                            Some(prev) => program.merge(prev, c),
-                        });
-                    }
-                }
-            }
-
-            // Account gather work on the machines owning the edges, and the
-            // partial-sync traffic mirror -> master.
-            for &(m, cnt) in &gather_counts[vi] {
-                per_machine[m as usize].gather_edges += cnt as u64;
-                if m as usize != master {
-                    per_machine[m as usize].sync_sent += 1;
-                    per_machine[master].sync_received += 1;
-                    sync_matrix[m as usize][master] += 1;
                 }
             }
 
@@ -232,39 +225,47 @@ pub fn run<P: GasProgram>(
             per_machine[master].apply_vertices += 1;
             let changed = program.apply(v, &mut next_values[vi], acc, iteration);
 
-            // Value sync master -> mirrors (every replica gets the new value).
-            for &m in &part.replicas[vi] {
-                if m as usize != master {
-                    per_machine[master].sync_sent += 1;
-                    per_machine[m as usize].sync_received += 1;
-                    sync_matrix[master][m as usize] += 1;
+            // Per replica: gather work on the machines owning the edges,
+            // the partial sync mirror -> master, the value sync master ->
+            // mirror (every replica gets the new value) and, when the value
+            // changed, scatter work.
+            let first = part.replica_offsets()[vi];
+            for (i, &m) in part.replicas(v).iter().enumerate() {
+                let (m, gathered) = (m as usize, gather_counts[first + i]);
+                per_machine[m].gather_edges += gathered as u64;
+                if changed || fixed {
+                    per_machine[m].scatter_edges += scatter_counts[first + i] as u64;
+                }
+                if m != master {
+                    sync_matrix[m][master] += u64::from(gathered > 0);
+                    sync_matrix[master][m] += 1;
                 }
             }
 
             // Scatter: activate neighbours when the value changed.
-            if changed || fixed {
-                for &(m, cnt) in &scatter_counts[vi] {
-                    per_machine[m as usize].scatter_edges += cnt as u64;
-                }
-            }
             if changed && !fixed {
-                let dir = program.scatter_dir();
-                if matches!(dir, EdgeDir::Out | EdgeDir::Both) {
-                    for &t in g.neighbors(v) {
-                        next_active[t as usize] = true;
-                    }
-                }
-                if matches!(dir, EdgeDir::In | EdgeDir::Both) {
-                    for &t in g.in_neighbors(v) {
+                for (others, _) in scatter_dir.sides(g, v) {
+                    for &t in others {
                         next_active[t as usize] = true;
                     }
                 }
             }
         }
 
-        values = next_values;
+        // Publish the applied values; the old buffer differs from them only
+        // where this iteration applied.
+        std::mem::swap(&mut values, &mut next_values);
+        for v in (0..n).filter(|&v| active[v]) {
+            next_values[v].clone_from(&values[v]);
+        }
         if !fixed {
-            active = next_active;
+            std::mem::swap(&mut active, &mut next_active);
+            next_active.fill(false);
+        }
+
+        for (m, counters) in per_machine.iter_mut().enumerate() {
+            counters.sync_sent = sync_matrix[m].iter().sum();
+            counters.sync_received = sync_matrix.iter().map(|row| row[m]).sum();
         }
         stats.push(IterationStats {
             iteration,
