@@ -88,5 +88,5 @@ pub use shard::{
     DEFAULT_SHARDS,
 };
 pub use store::{ArchiveStore, ComparisonRow, DuplicateJobId, RunMeta};
-pub use swap::{ArcCell, CachedArc};
+pub use swap::ArcCell;
 pub use zerocopy::MappedStore;

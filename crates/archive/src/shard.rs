@@ -8,7 +8,7 @@
 //! * **Sharding.** Jobs are distributed over [`DEFAULT_SHARDS`] shards by
 //!   an FNV-1a hash of the job id ([`shard_of`]), so unrelated jobs never
 //!   contend on the same cache lock.
-//! * **Lock-free reads of shard contents.** Each shard's job table is an
+//! * **Snapshot reads of shard contents.** Each shard's job table is an
 //!   immutable [`ShardData`] snapshot behind an [`ArcCell`]; writers
 //!   publish a whole new snapshot (clone-and-swap), readers evaluate on
 //!   the `Arc` they grabbed and can never observe a half-applied upsert.

@@ -1,100 +1,43 @@
-//! Epoch-stamped `Arc` swapping for lock-free steady-state reads.
+//! Snapshot cells: `Arc` swapping for torn-free reads.
 //!
 //! The serving layer ([`crate::shard`]) publishes each shard as an
 //! immutable snapshot behind an `Arc`; writers replace the whole `Arc`
 //! rather than mutating in place, so readers never see a half-updated
-//! shard. The question is how readers *get* the current `Arc` cheaply.
-//! A bare `RwLock<Arc<T>>` makes every read take the lock — exactly the
-//! contention point a many-client server must avoid.
-//!
-//! [`ArcCell`] pairs the slot with a monotonically increasing **epoch**
-//! bumped on every swap. A reader holds a [`CachedArc`]: its own clone
-//! of the `Arc` plus the epoch it was cloned at. On each access it does
-//! one atomic load of the epoch; only when the epoch moved does it take
-//! the read lock to refresh its clone. Swaps are rare (archive upserts),
-//! reads are constant — so the steady-state read path is a single
-//! `Acquire` load and no lock, while a swap is immediately visible to
-//! every reader's next access.
+//! shard. [`ArcCell`] is that slot: a reader clones the current `Arc`
+//! under a read lock held only for the clone, then evaluates on its own
+//! snapshot without any lock, while a swap is visible to every later
+//! [`load`](ArcCell::load). Swaps are rare (archive upserts) and the read
+//! lock is never held across a query, so readers do not contend on it.
 //!
 //! The stress test for the serving layer
 //! (`crates/archive/tests/swap_stress.rs`) drives readers through this
 //! cell while a writer swaps mid-stream and asserts every observed
 //! snapshot is exactly one of the published generations — never torn.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
-/// A swappable `Arc<T>` slot with an epoch counter.
+/// A swappable `Arc<T>` slot.
 #[derive(Debug)]
 pub struct ArcCell<T> {
-    epoch: AtomicU64,
     slot: RwLock<Arc<T>>,
 }
 
 impl<T> ArcCell<T> {
-    /// A cell initially holding `value` at epoch 0.
+    /// A cell initially holding `value`.
     pub fn new(value: Arc<T>) -> Self {
         ArcCell {
-            epoch: AtomicU64::new(0),
             slot: RwLock::new(value),
         }
     }
 
-    /// The current epoch; bumped by every [`store`](Self::store).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Clones the current `Arc` (takes the read lock — use a
-    /// [`CachedArc`] on hot read paths).
+    /// Clones the current `Arc`.
     pub fn load(&self) -> Arc<T> {
         Arc::clone(&self.slot.read().expect("ArcCell lock poisoned"))
     }
 
-    /// Publishes `value`, bumping the epoch. Returns the new epoch.
-    ///
-    /// The bump happens while the write lock is held, so a reader that
-    /// observes the new epoch and then takes the read lock is guaranteed
-    /// to see the new value (the lock orders the two).
-    pub fn store(&self, value: Arc<T>) -> u64 {
-        let mut guard = self.slot.write().expect("ArcCell lock poisoned");
-        *guard = value;
-        self.epoch.fetch_add(1, Ordering::Release) + 1
-    }
-}
-
-/// A reader-local clone of an [`ArcCell`]'s contents, refreshed only
-/// when the cell's epoch moves. One atomic load per access in steady
-/// state.
-#[derive(Debug)]
-pub struct CachedArc<T> {
-    cached: Arc<T>,
-    epoch: u64,
-}
-
-impl<T> CachedArc<T> {
-    /// Snapshots `cell`'s current contents.
-    pub fn new(cell: &ArcCell<T>) -> Self {
-        // Order matters: read the epoch *before* the value, so a swap
-        // racing this constructor leaves us with a stale epoch + fresh
-        // value (refreshes harmlessly on next access), never the
-        // reverse (fresh epoch + stale value would pin the stale Arc).
-        let epoch = cell.epoch();
-        let cached = cell.load();
-        CachedArc { cached, epoch }
-    }
-
-    /// The current snapshot, refreshing from `cell` if it was swapped.
-    pub fn get(&mut self, cell: &ArcCell<T>) -> &Arc<T> {
-        let now = cell.epoch();
-        if now != self.epoch {
-            let guard = cell.slot.read().expect("ArcCell lock poisoned");
-            self.cached = Arc::clone(&guard);
-            // Re-read under the lock: the epoch cannot advance while we
-            // hold it, so this pairs exactly with the value we cloned.
-            self.epoch = cell.epoch();
-        }
-        &self.cached
+    /// Publishes `value`; every later [`load`](Self::load) returns it.
+    pub fn store(&self, value: Arc<T>) {
+        *self.slot.write().expect("ArcCell lock poisoned") = value;
     }
 }
 
@@ -103,24 +46,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn store_bumps_epoch_and_swaps_value() {
+    fn store_swaps_value() {
         let cell = ArcCell::new(Arc::new(1));
-        assert_eq!(cell.epoch(), 0);
         assert_eq!(*cell.load(), 1);
-        assert_eq!(cell.store(Arc::new(2)), 1);
-        assert_eq!(cell.epoch(), 1);
+        cell.store(Arc::new(2));
         assert_eq!(*cell.load(), 2);
-    }
-
-    #[test]
-    fn cached_arc_refreshes_only_on_epoch_change() {
-        let cell = ArcCell::new(Arc::new("gen0"));
-        let mut reader = CachedArc::new(&cell);
-        let first = Arc::clone(reader.get(&cell));
-        // No swap: the same Arc comes back.
-        assert!(Arc::ptr_eq(&first, reader.get(&cell)));
-        cell.store(Arc::new("gen1"));
-        assert_eq!(**reader.get(&cell), "gen1");
     }
 
     #[test]
@@ -138,10 +68,9 @@ mod tests {
             .map(|_| {
                 let cell = Arc::clone(&cell);
                 std::thread::spawn(move || {
-                    let mut reader = CachedArc::new(&cell);
                     let mut last = 0u64;
                     for _ in 0..10_000 {
-                        let seen = **reader.get(&cell);
+                        let seen = *cell.load();
                         assert!(seen <= 100, "only published generations are visible");
                         assert!(seen >= last, "generations never go backwards");
                         last = seen;
@@ -154,7 +83,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        let mut reader = CachedArc::new(&cell);
-        assert_eq!(**reader.get(&cell), 100, "final generation wins");
+        assert_eq!(*cell.load(), 100, "final generation wins");
     }
 }

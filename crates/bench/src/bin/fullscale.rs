@@ -1,10 +1,10 @@
 //! The dg1000 headline experiment at **full scale**: Giraph BFS on the
 //! real dataset volume — 103 M vertices + 927 M edges = 1.03e9 elements —
 //! with `scale_factor = 1.0`. No down-sampling, no demand scaling: the
-//! streamed generator materialises the out-CSR directly and the Pregel
-//! engine every pipeline uses traverses it, so this binary demonstrates
-//! that the simulation core carries the paper's experiment at the
-//! paper's scale.
+//! graph is `datagen_like`'s graph, built out-CSR only from two replays
+//! of its edge stream, and the Pregel engine every pipeline uses
+//! traverses it, so this binary demonstrates that the simulation core
+//! carries the paper's experiment at the paper's scale.
 //!
 //! ```text
 //! fullscale [--check] [--vertices N] [--archive-out store.gar]
@@ -13,9 +13,9 @@
 //!
 //! * `--check` — exit non-zero unless the measured makespan lands within
 //!   ±5 % of the paper's 81.59 s Giraph total (the CI acceptance band).
-//! * `--vertices N` — smoke variant: same streaming generator and Pregel
-//!   BFS on a smaller graph, scale factor re-adjusted to keep emulating
-//!   dg1000.
+//! * `--vertices N` — smoke variant: the same generator and Pregel BFS
+//!   on a smaller graph (the in-memory experiment graph of that size),
+//!   scale factor re-adjusted to keep emulating dg1000.
 //! * `--update-fixtures` — regenerate `tests/fixtures/history-full/`, the
 //!   six-run synthetic history `granula-cli regress` checks full-scale
 //!   archives against.

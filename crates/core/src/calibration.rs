@@ -77,20 +77,6 @@ pub fn dg_graph() -> Graph {
     })
 }
 
-/// Generates the **full-scale** dg1000 graph: 103 M vertices, 927 M edges,
-/// built as out-CSR only through the streaming generator (two alias-method
-/// passes, no edge list, no reverse CSR — ~6 GB high-water instead of
-/// ~17 GB). Takes minutes of real time and is deterministic in
-/// [`DG_SEED`]. Forward-traversal algorithms only (BFS).
-pub fn dg_graph_full() -> Graph {
-    gpsim_graph::gen::datagen_like_full(&GenConfig {
-        vertices: DG_FULL_VERTICES,
-        edges: DG_FULL_EDGES,
-        alpha: 2.2,
-        seed: DG_SEED,
-    })
-}
-
 /// A smaller variant of the experiment graph for fast tests; volumes are
 /// still scaled to dg1000 via an adjusted scale factor, preserving the
 /// Figure 5 shape at far lower logical cost.

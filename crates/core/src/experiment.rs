@@ -315,29 +315,23 @@ pub fn dg1000(platform: Platform) -> ExperimentResult {
     run_experiment(platform, &graph, &cfg).expect("dg1000 simulation is well-formed")
 }
 
-/// The paper's Giraph dg1000 experiment at **full scale**: the algorithm
-/// executes on the real dataset volume (103 M vertices, 927 M edges) with
-/// `scale_factor = 1.0` — no down-sampling, no demand scaling. The graph
-/// is built out-CSR-only via the streaming generator and BFS runs through
-/// the dense Pregel engine, so the dominant costs are one generator sweep
-/// and one O(n + m) traversal plus an O(n) scan per superstep; expect
-/// minutes of wall-clock and a ~7 GB high-water mark.
+/// The paper's Giraph dg1000 experiment at **full scale** (at
+/// [`calibration::DG_FULL_VERTICES`]) or at a smaller vertex count: the
+/// algorithm executes on the real dataset volume (103 M vertices, 927 M
+/// edges at full size) with `scale_factor = 1.0` and no demand scaling.
+/// Smaller counts keep the Datagen 9:1 edge ratio and adjust the scale
+/// factor so the job still emulates the 1.03e9-element dataset.
+///
+/// The graph is [`calibration::dg_graph_small`]'s graph for the same
+/// vertex count, built out-CSR only ([`gpsim_graph::gen::datagen_like_full`])
+/// so no edge list or reverse CSR is held, and BFS runs through the dense
+/// Pregel engine. The dominant costs are the two generator passes and one
+/// O(n + m) traversal plus an O(n) scan per superstep; at full size expect
+/// minutes of wall-clock and a ~6 GB high-water mark.
 ///
 /// Only Giraph is supported: PowerGraph's vertex-cut partitioner and the
-/// GAS gather phase need the reverse CSR, which the out-only full-scale
-/// graph deliberately does not carry.
-///
-/// # Panics
-/// For platforms other than [`Platform::Giraph`].
-pub fn dg1000_full() -> ExperimentResult {
-    dg1000_full_sized(calibration::DG_FULL_VERTICES)
-}
-
-/// [`dg1000_full`] with an adjustable vertex count, for smoke runs that
-/// exercise the same streaming generator and Pregel BFS at a fraction of
-/// the wall-clock. Edges keep the Datagen 9:1 ratio and the scale factor
-/// is adjusted so the job still emulates the 1.03e9-element dataset; at
-/// [`calibration::DG_FULL_VERTICES`] the factor is exactly 1.0.
+/// GAS gather phase need the reverse CSR, which the out-only graph
+/// deliberately does not carry.
 pub fn dg1000_full_sized(vertices: u32) -> ExperimentResult {
     let _span = granula_trace::span!("experiment", "dg1000_full giraph");
     let graph = {

@@ -5,10 +5,10 @@
 //! that shape: vertex "popularity" follows a truncated power law, sources
 //! are chosen uniformly-ish and destinations proportionally to popularity,
 //! which yields the hub structure that drives PowerGraph-style vertex-cuts
-//! and Pregel-style superstep imbalance. [`rmat`] and [`uniform`] cover the
-//! other common benchmark families.
+//! and Pregel-style superstep imbalance; [`datagen_like_full`] builds the
+//! same graph out-CSR only, for full-scale runs. [`rmat`] and [`uniform`]
+//! cover the other common benchmark families.
 
-use rand::distributions::{Distribution, WeightedIndex};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,11 +43,37 @@ impl GenConfig {
 
 /// Generates a Datagen-like directed graph with a power-law in-degree tail.
 pub fn datagen_like(cfg: &GenConfig) -> Graph {
+    let (sampler, rng) = popularity(cfg);
+    let mut edges = Vec::with_capacity(cfg.edges as usize);
+    stream_edges(cfg, &sampler, rng, true, |s, t| edges.push((s, t)));
+    // The table is not needed for the CSR build; free it before the peak.
+    drop(sampler);
+    Graph::from_edges(cfg.vertices, &edges)
+}
+
+/// Generates the same graph as [`datagen_like`] as out-CSR only, replaying
+/// its edge stream twice through [`Graph::from_out_edges`] instead of
+/// holding an edge list. The counting pass skips the target draws (the RNG
+/// still advances past them). Memory high-water is the out-CSR plus the
+/// sampler (~6 GB for dg1000's 103 M vertices / 927 M edges). No reverse
+/// CSR is built, so only forward traversals work on the result.
+pub fn datagen_like_full(cfg: &GenConfig) -> Graph {
+    let (sampler, rng) = popularity(cfg);
+    Graph::from_out_edges(
+        cfg.vertices,
+        |sink| stream_edges(cfg, &sampler, rng.clone(), false, |s, _| sink(s)),
+        |sink| stream_edges(cfg, &sampler, rng.clone(), true, sink),
+    )
+}
+
+/// The popularity weight of every vertex: `1/(rank+1)^(1/(alpha-1))`
+/// (Zipf-like) over a seed-determined random permutation of the vertices,
+/// so hubs are not clustered at low ids. Also returns the RNG positioned
+/// after the permutation, where the edge stream starts.
+pub fn popularity_weights(cfg: &GenConfig) -> (Vec<f64>, StdRng) {
     assert!(cfg.vertices > 0, "need at least one vertex");
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let n = cfg.vertices;
-    // Popularity ~ (rank)^(-1/(alpha-1)) (Zipf-like over a random permutation
-    // of vertices so hubs are not clustered at low ids).
     let exponent = 1.0 / (cfg.alpha - 1.0).max(0.1);
     let mut perm: Vec<u32> = (0..n).collect();
     for i in (1..n as usize).rev() {
@@ -58,126 +84,38 @@ pub fn datagen_like(cfg: &GenConfig) -> Graph {
     for (rank, &v) in perm.iter().enumerate() {
         weight[v as usize] = 1.0 / ((rank + 1) as f64).powf(exponent);
     }
-    let dist = WeightedIndex::new(&weight).expect("weights are positive");
-
-    let mut edges = Vec::with_capacity(cfg.edges as usize);
-    for _ in 0..cfg.edges {
-        // Sources mildly skewed too (active users post more).
-        let src = if rng.gen_bool(0.3) {
-            dist.sample(&mut rng) as VertexId
-        } else {
-            rng.gen_range(0..n)
-        };
-        let mut dst = dist.sample(&mut rng) as VertexId;
-        if dst == src {
-            dst = (dst + 1) % n;
-        }
-        edges.push((src, dst));
-    }
-    Graph::from_edges(n, &edges)
+    (weight, rng)
 }
 
-/// O(1)-per-draw sampling from a discrete distribution (Vose's alias
-/// method). [`WeightedIndex`] pays a `log n` binary search per draw, which
-/// at dg1000 scale (~10⁸ vertices, ~10⁹ draws) is the difference between
-/// seconds and hours of generation time.
-#[derive(Debug, Clone)]
-pub struct AliasSampler {
-    /// Acceptance probability of each slot's own index.
-    prob: Vec<f64>,
-    /// Fallback index when the slot's own index is rejected.
-    alias: Vec<u32>,
+fn popularity(cfg: &GenConfig) -> (WeightedSampler, StdRng) {
+    let (weight, rng) = popularity_weights(cfg);
+    (WeightedSampler::new(&weight), rng)
 }
 
-impl AliasSampler {
-    /// Builds the alias table in O(n). Weights must be non-negative and
-    /// sum to a positive finite value.
-    pub fn new(weights: &[f64]) -> AliasSampler {
-        let n = weights.len();
-        assert!(n > 0 && n <= u32::MAX as usize, "bad table size {n}");
-        let total: f64 = weights.iter().sum();
-        assert!(
-            total.is_finite() && total > 0.0,
-            "weights must sum to a positive finite value"
-        );
-        // Scaled weights; slots with p < 1 borrow mass from slots with
-        // p > 1 until every slot holds exactly one unit.
-        let scale = n as f64 / total;
-        let mut prob: Vec<f64> = weights.iter().map(|w| w * scale).collect();
-        let mut alias = vec![0u32; n];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
-        }
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-            alias[s as usize] = l;
-            let leftover = prob[l as usize] + prob[s as usize] - 1.0;
-            prob[l as usize] = leftover;
-            if leftover < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
-        }
-        // Float round-off can strand entries in either list; they hold
-        // (numerically) exactly one unit.
-        for i in small.into_iter().chain(large) {
-            prob[i as usize] = 1.0;
-            alias[i as usize] = i;
-        }
-        AliasSampler { prob, alias }
-    }
-
-    /// Draws one index: a uniform slot plus one accept/alias coin.
-    pub fn sample(&self, rng: &mut StdRng) -> u32 {
-        let i = rng.gen_range(0..self.prob.len() as u32);
-        if rng.gen::<f64>() < self.prob[i as usize] {
-            i
-        } else {
-            self.alias[i as usize]
-        }
-    }
-}
-
-/// The Zipf-like popularity table of [`datagen_like`], as an alias sampler:
-/// rank weights `1/(rank+1)^(1/(alpha-1))` over a seed-determined random
-/// permutation of the vertices.
-fn popularity_sampler(cfg: &GenConfig) -> AliasSampler {
-    let n = cfg.vertices;
-    let exponent = 1.0 / (cfg.alpha - 1.0).max(0.1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut perm: Vec<u32> = (0..n).collect();
-    for i in (1..n as usize).rev() {
-        let j = rng.gen_range(0..=i);
-        perm.swap(i, j);
-    }
-    let mut weight = vec![0.0f64; n as usize];
-    for (rank, &v) in perm.iter().enumerate() {
-        weight[v as usize] = 1.0 / ((rank + 1) as f64).powf(exponent);
-    }
-    AliasSampler::new(&weight)
-}
-
-/// Emits `cfg.edges` Datagen-like edges into `emit`, using `sampler` for
-/// popularity draws. Deterministic in `cfg.seed`: every call emits the
-/// identical sequence.
-fn stream_edges(cfg: &GenConfig, sampler: &AliasSampler, emit: &mut dyn FnMut(VertexId, VertexId)) {
-    // Edge stream gets its own generator so the table-construction draws
-    // (permutation) don't shift it.
-    let mut rng = StdRng::seed_from_u64(cfg.seed ^ 0x9E37_79B9_7F4A_7C15);
+/// Emits `cfg.edges` Datagen-like edges into `emit`, drawing from `rng`.
+/// Sources are mildly skewed too (active users post more); destinations
+/// follow popularity. Without `targets`, every target draw is skipped and
+/// 0 is emitted in its place; the sources stay the same.
+fn stream_edges<F: FnMut(VertexId, VertexId)>(
+    cfg: &GenConfig,
+    sampler: &WeightedSampler,
+    mut rng: StdRng,
+    targets: bool,
+    mut emit: F,
+) {
     let n = cfg.vertices;
     for _ in 0..cfg.edges {
         let src = if rng.gen_bool(0.3) {
-            sampler.sample(&mut rng)
+            sampler.sample(&mut rng) as VertexId
         } else {
             rng.gen_range(0..n)
         };
-        let mut dst = sampler.sample(&mut rng);
+        if !targets {
+            sampler.skip(&mut rng);
+            emit(src, 0);
+            continue;
+        }
+        let mut dst = sampler.sample(&mut rng) as VertexId;
         if dst == src {
             dst = (dst + 1) % n;
         }
@@ -185,26 +123,120 @@ fn stream_edges(cfg: &GenConfig, sampler: &AliasSampler, emit: &mut dyn FnMut(Ve
     }
 }
 
-/// Streams a Datagen-like edge sequence into `emit` without building a
-/// graph: the same hub structure as [`datagen_like`] (alias-method
-/// sampling, so O(1) per edge), deterministic in the seed. Pair with
-/// [`crate::Graph::from_out_edges`] — or use [`datagen_like_full`], which
-/// does exactly that — for full-scale datasets where an edge list or a
-/// reverse CSR would not be affordable.
-pub fn datagen_like_streamed<F: FnMut(VertexId, VertexId)>(cfg: &GenConfig, mut emit: F) {
-    let sampler = popularity_sampler(cfg);
-    stream_edges(cfg, &sampler, &mut emit);
+/// Guide-table buckets per weight. Draws are uniform over the buckets, so
+/// a draw reads on average at most `1 / BUCKETS_PER_WEIGHT` running sums.
+const BUCKETS_PER_WEIGHT: usize = 2;
+
+/// Draws an index with probability proportional to its weight, in O(1)
+/// expected time per draw.
+///
+/// For every RNG state it returns exactly the index `WeightedIndex` of
+/// the workspace's `rand` (`shims/rand`) returns: both take one
+/// `rng.gen::<f64>() * total` draw and look for the first index whose
+/// running sum exceeds it. Instead of a binary search, a guide table
+/// splits `[0, total)` into equal buckets; each bucket holds the first
+/// index whose running sum falls in it or above, which bounds the answer
+/// from below, and the next bucket's entry bounds it from above. A bucket
+/// that lies inside one index's interval thus yields the answer without
+/// touching the running sums. A draw that equals a running sum exactly
+/// falls back to `WeightedIndex`'s own binary search, so even its tie and
+/// clamp behaviour is reproduced.
+#[derive(Debug, Clone)]
+pub struct WeightedSampler {
+    /// Running sums of the weights, accumulated in index order.
+    cumulative: Vec<f64>,
+    /// The last running sum.
+    total: f64,
+    /// Buckets per unit of weight.
+    scale: f64,
+    /// Index of the last bucket.
+    last_bucket: usize,
+    /// `guide[b]`: the first index whose running sum lies in bucket `b` or
+    /// a later one (`cumulative.len()` if none); one entry per bucket plus
+    /// a final sentinel.
+    guide: Vec<u32>,
 }
 
-/// Generates a full-scale Datagen-like graph as out-CSR only, streaming
-/// the edges twice through [`crate::Graph::from_out_edges`] (the alias
-/// table is built once). Memory high-water is the out-CSR plus the
-/// sampler — ~6 GB for dg1000's 103 M vertices / 927 M edges — and no
-/// reverse CSR is built, so only forward traversals work on the result.
-pub fn datagen_like_full(cfg: &GenConfig) -> Graph {
-    assert!(cfg.vertices > 0, "need at least one vertex");
-    let sampler = popularity_sampler(cfg);
-    Graph::from_out_edges(cfg.vertices, |sink| stream_edges(cfg, &sampler, sink))
+impl WeightedSampler {
+    /// Builds the sampler in O(n). Weights must be finite and non-negative
+    /// and sum to a positive finite value.
+    pub fn new(weights: &[f64]) -> WeightedSampler {
+        let n = weights.len();
+        assert!(n > 0 && n < u32::MAX as usize, "bad table size {n}");
+        let mut cumulative = Vec::with_capacity(n);
+        let mut total = 0.0f64;
+        for &w in weights {
+            assert!(w.is_finite() && w >= 0.0, "invalid weight {w}");
+            total += w;
+            cumulative.push(total);
+        }
+        assert!(
+            total.is_finite() && total > 0.0,
+            "weights must sum to a positive finite value"
+        );
+        let buckets = n * BUCKETS_PER_WEIGHT;
+        let mut sampler = WeightedSampler {
+            cumulative,
+            total,
+            scale: buckets as f64 / total,
+            last_bucket: buckets - 1,
+            guide: Vec::with_capacity(buckets + 1),
+        };
+        let mut i = 0;
+        for b in 0..=buckets {
+            while i < n && sampler.bucket(sampler.cumulative[i]) < b {
+                i += 1;
+            }
+            sampler.guide.push(i as u32);
+        }
+        sampler
+    }
+
+    /// The bucket of a point in `[0, total]`: monotone in `x`, which is
+    /// all the guide's bounds rely on.
+    #[inline]
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.last_bucket)
+    }
+
+    /// Draws one index.
+    pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        let x = rng.gen::<f64>() * self.total;
+        let b = self.bucket(x);
+        let (mut i, end) = (self.guide[b] as usize, self.guide[b + 1] as usize);
+        // Every running sum before `guide[b]` is below `x` and the one at
+        // `guide[b + 1]` above it.
+        while i < end {
+            let c = self.cumulative[i];
+            if c > x {
+                break;
+            }
+            if c == x {
+                return self.search(x);
+            }
+            i += 1;
+        }
+        i
+    }
+
+    /// Advances `rng` exactly as [`WeightedSampler::sample`] does, without
+    /// the lookup.
+    pub fn skip<R: Rng + ?Sized>(&self, rng: &mut R) {
+        let _: f64 = rng.gen();
+    }
+
+    /// `WeightedIndex`'s lookup: a binary search, clamped to the last
+    /// index.
+    fn search(&self, x: f64) -> usize {
+        let last = self.cumulative.len() - 1;
+        match self
+            .cumulative
+            .binary_search_by(|c| c.partial_cmp(&x).expect("finite weights"))
+        {
+            Ok(i) => (i + 1).min(last),
+            Err(i) => i.min(last),
+        }
+    }
 }
 
 /// Generates an R-MAT (Kronecker) graph: `2^scale` vertices, `edges` edges,
@@ -296,66 +328,6 @@ mod tests {
     fn datagen_has_no_self_loops() {
         let g = datagen_like(&GenConfig::datagen(2_000, 3));
         assert!(g.edges().all(|(s, t)| s != t));
-    }
-
-    #[test]
-    fn alias_sampler_matches_weighted_index_distribution() {
-        // Chi-squared-ish check: alias draws land proportionally to weight.
-        let weights = [1.0, 2.0, 4.0, 8.0, 1.0];
-        let sampler = AliasSampler::new(&weights);
-        let mut rng = StdRng::seed_from_u64(77);
-        let mut counts = [0u64; 5];
-        const DRAWS: u64 = 200_000;
-        for _ in 0..DRAWS {
-            counts[sampler.sample(&mut rng) as usize] += 1;
-        }
-        let total: f64 = weights.iter().sum();
-        for (i, &w) in weights.iter().enumerate() {
-            let expected = DRAWS as f64 * w / total;
-            let got = counts[i] as f64;
-            assert!(
-                (got - expected).abs() < 0.05 * expected + 50.0,
-                "slot {i}: {got} vs {expected}"
-            );
-        }
-    }
-
-    #[test]
-    fn streamed_datagen_is_deterministic_and_replayable() {
-        let cfg = GenConfig::datagen(3_000, 17);
-        let mut a = Vec::new();
-        datagen_like_streamed(&cfg, |s, t| a.push((s, t)));
-        let mut b = Vec::new();
-        datagen_like_streamed(&cfg, |s, t| b.push((s, t)));
-        assert_eq!(a, b);
-        assert_eq!(a.len() as u64, cfg.edges);
-        assert!(a.iter().all(|&(s, t)| s != t && s < 3_000 && t < 3_000));
-    }
-
-    #[test]
-    fn full_graph_matches_streamed_edges() {
-        let cfg = GenConfig::datagen(2_000, 23);
-        let g = datagen_like_full(&cfg);
-        let mut edges = Vec::new();
-        datagen_like_streamed(&cfg, |s, t| edges.push((s, t)));
-        let reference = Graph::from_edges(cfg.vertices, &edges);
-        assert_eq!(g.num_edges(), reference.num_edges());
-        for v in 0..cfg.vertices {
-            assert_eq!(g.neighbors(v), reference.neighbors(v), "vertex {v}");
-        }
-    }
-
-    #[test]
-    fn full_datagen_in_degree_is_skewed() {
-        let g = datagen_like_full(&GenConfig::datagen(5_000, 7));
-        // No reverse CSR: measure skew on the forward direction's targets.
-        let mut indeg = vec![0u64; 5_000];
-        for (_, t) in g.edges() {
-            indeg[t as usize] += 1;
-        }
-        let max = *indeg.iter().max().unwrap() as f64;
-        let mean = g.num_edges() as f64 / 5_000.0;
-        assert!(max > 20.0 * mean, "max={max} mean={mean}");
     }
 
     #[test]

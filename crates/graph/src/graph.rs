@@ -89,9 +89,10 @@ impl Graph {
     /// Builds an **out-edges-only** graph from a replayable edge stream,
     /// without ever materializing an edge list.
     ///
-    /// `each_pass` is invoked twice with an edge sink and must emit the
-    /// identical edge sequence both times (pass 1 counts degrees, pass 2
-    /// fills the CSR). This is the full-scale loader: a dg1000-sized graph
+    /// `sources` emits the source of every edge and counts the
+    /// out-degrees; `edges` then emits the same edges in the same order and
+    /// fills the CSR, so a stream whose targets are costly can skip them in
+    /// the first pass. This is the full-scale loader: a dg1000-sized graph
     /// (~927 M edges) costs only the out-CSR itself (~4.5 GB) instead of
     /// the ~17 GB that [`Graph::from_edges`] needs for the edge list plus
     /// both CSR directions.
@@ -99,36 +100,38 @@ impl Graph {
     /// The reverse CSR is left empty: [`Graph::in_neighbors`] and
     /// [`Graph::in_degree`] report no in-edges. Use this constructor only
     /// for forward-traversal algorithms (BFS, PageRank-by-push, SSSP).
-    pub fn from_out_edges<F>(n: u32, mut each_pass: F) -> Graph
-    where
-        F: FnMut(&mut dyn FnMut(VertexId, VertexId)),
-    {
+    pub fn from_out_edges(
+        n: u32,
+        sources: impl FnOnce(&mut dyn FnMut(VertexId)),
+        edges: impl FnOnce(&mut dyn FnMut(VertexId, VertexId)),
+    ) -> Graph {
         let nu = n as usize;
-        let mut out_deg = vec![0u64; nu + 1];
+        let mut offsets = vec![0u64; nu + 1];
         let mut m = 0u64;
-        each_pass(&mut |s, t| {
-            assert!(
-                (s as usize) < nu && (t as usize) < nu,
-                "edge ({s},{t}) out of range"
-            );
-            out_deg[s as usize + 1] += 1;
+        sources(&mut |s| {
+            assert!((s as usize) < nu, "source {s} out of range");
+            offsets[s as usize + 1] += 1;
             m += 1;
         });
         for i in 0..nu {
-            out_deg[i + 1] += out_deg[i];
+            offsets[i + 1] += offsets[i];
         }
+        // Fill with `offsets[s]` as the cursor of `s`: afterwards it holds
+        // the start of `s + 1`, so one shift restores the offsets.
         let mut out_targets = vec![0 as VertexId; m as usize];
-        let mut cursor = out_deg.clone();
         let mut m2 = 0u64;
-        each_pass(&mut |s, t| {
-            let c = &mut cursor[s as usize];
+        edges(&mut |s, t| {
+            assert!((t as usize) < nu, "target {t} out of range");
+            let c = &mut offsets[s as usize];
             out_targets[*c as usize] = t;
             *c += 1;
             m2 += 1;
         });
         assert_eq!(m, m2, "edge stream must replay identically across passes");
+        offsets.copy_within(0..nu, 1);
+        offsets[0] = 0;
         Graph {
-            out_offsets: out_deg,
+            out_offsets: offsets,
             out_targets,
             in_offsets: vec![0u64; nu + 1],
             in_sources: Vec::new(),
@@ -200,13 +203,6 @@ impl Graph {
     pub fn edges(&self) -> impl Iterator<Item = (VertexId, VertexId)> + '_ {
         (0..self.num_vertices()).flat_map(move |v| self.neighbors(v).iter().map(move |&t| (v, t)))
     }
-
-    /// Total bytes a platform would ship for this graph in a simple text
-    /// edge-list encoding (used by the cost models: ~2 decimal ids + separators
-    /// per edge, ~20 bytes).
-    pub fn encoded_bytes(&self) -> f64 {
-        self.num_edges() as f64 * 20.0 + self.num_vertices() as f64 * 10.0
-    }
 }
 
 #[cfg(test)]
@@ -270,11 +266,11 @@ mod tests {
     fn from_out_edges_matches_from_edges_forward() {
         let edges = [(0u32, 1u32), (0, 2), (1, 3), (2, 3), (3, 3), (0, 1)];
         let dense = Graph::from_edges(4, &edges);
-        let streamed = Graph::from_out_edges(4, |sink| {
-            for &(s, t) in &edges {
-                sink(s, t);
-            }
-        });
+        let streamed = Graph::from_out_edges(
+            4,
+            |sink| edges.iter().for_each(|&(s, _)| sink(s)),
+            |sink| edges.iter().for_each(|&(s, t)| sink(s, t)),
+        );
         assert_eq!(streamed.num_vertices(), dense.num_vertices());
         assert_eq!(streamed.num_edges(), dense.num_edges());
         for v in 0..4 {
@@ -289,12 +285,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "replay identically")]
     fn from_out_edges_rejects_diverging_streams() {
-        let mut pass = 0;
-        Graph::from_out_edges(2, |sink| {
-            pass += 1;
-            if pass == 1 {
-                sink(0, 1);
-            }
-        });
+        Graph::from_out_edges(2, |sink| sink(0), |_| {});
     }
 }

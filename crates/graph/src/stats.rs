@@ -59,24 +59,6 @@ impl DegreeStats {
     }
 }
 
-/// Degree histogram in logarithmic buckets `[2^k, 2^(k+1))` — the data behind
-/// a degree-distribution plot.
-pub fn log_histogram(degrees: impl Iterator<Item = u32>) -> Vec<(u32, u64)> {
-    let mut buckets: Vec<u64> = Vec::new();
-    for d in degrees {
-        let b = if d == 0 { 0 } else { 32 - d.leading_zeros() } as usize;
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-        .into_iter()
-        .enumerate()
-        .map(|(b, c)| (if b == 0 { 0 } else { 1u32 << (b - 1) }, c))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,14 +85,5 @@ mod tests {
         let s = DegreeStats::from_degrees((1..=100).collect());
         assert!((s.mean - 50.5).abs() < 1e-9);
         assert_eq!(s.p99, 99);
-    }
-
-    #[test]
-    fn log_histogram_buckets_powers_of_two() {
-        let h = log_histogram([0u32, 1, 1, 2, 3, 4, 8, 9].into_iter());
-        // bucket 0: degree 0 (count 1); bucket 1 (start 1): degrees 1,1 (2);
-        // bucket 2 (start 2): 2,3 (2); bucket 3 (start 4): 4 (1);
-        // bucket 4 (start 8): 8,9 (2).
-        assert_eq!(h, vec![(0, 1), (1, 2), (2, 2), (4, 1), (8, 2)]);
     }
 }

@@ -1,9 +1,16 @@
 //! Property-based tests of the graph substrate: CSR consistency, algorithm
-//! invariants, partitioning guarantees.
+//! invariants, partitioning guarantees, and the Datagen sampler against
+//! rand's `WeightedIndex`, its oracle.
 
 use proptest::prelude::*;
+use rand::distributions::{Distribution, WeightedIndex};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use gpsim_graph::gen::{datagen_like, uniform, with_uniform_weights, GenConfig};
+use gpsim_graph::gen::{
+    datagen_like, datagen_like_full, popularity_weights, uniform, with_uniform_weights, GenConfig,
+    WeightedSampler,
+};
 use gpsim_graph::{algos, EdgeCutPartition, Graph, VertexCutPartition};
 
 fn arb_edges() -> impl Strategy<Value = (u32, Vec<(u32, u32)>)> {
@@ -15,7 +22,70 @@ fn edges_up_to(max_n: u32, max_m: usize) -> impl Strategy<Value = (u32, Vec<(u32
     (2..max_n).prop_flat_map(move |n| (Just(n), prop::collection::vec((0..n, 0..n), 0..max_m)))
 }
 
+/// Weight tables of 1–5 000 entries: about one weight in eight is zero and
+/// the rest spread over 14 orders of magnitude; one-entry tables; and
+/// tables of subnormal weights, whose total is a few ulps, so that draws
+/// land exactly on running sums and on the total (`WeightedIndex`'s tie
+/// and clamp paths). Every table has a positive weight.
+fn arb_weights() -> impl Strategy<Value = Vec<f64>> {
+    let spread = |len: std::ops::RangeInclusive<usize>| {
+        prop::collection::vec((0u32..8, -7.0f64..7.0), len).prop_map(|ws| {
+            ws.into_iter()
+                .map(|(k, e)| if k == 0 { 0.0 } else { 10f64.powf(e) })
+                .collect::<Vec<f64>>()
+        })
+    };
+    prop_oneof![
+        3 => spread(1..=5_000),
+        3 => spread(1..=40),
+        1 => (1e-3f64..1e3).prop_map(|w| vec![w]),
+        2 => prop::collection::vec(0u64..4, 1..=8)
+            .prop_map(|bits| bits.into_iter().map(f64::from_bits).collect::<Vec<f64>>()),
+    ]
+    .prop_map(|mut ws| {
+        if ws.iter().all(|&w| w == 0.0) {
+            let last = ws.len() - 1;
+            ws[last] = f64::from_bits(1);
+        }
+        ws
+    })
+}
+
+/// Draws `draws` indices from a `WeightedSampler` and from `WeightedIndex`
+/// over the same weights, each from its own copy of one seeded RNG, and
+/// returns the first draw where they disagree (draw, expected, got).
+fn first_disagreement(weights: &[f64], seed: u64, draws: usize) -> Option<(usize, usize, usize)> {
+    let oracle = WeightedIndex::new(weights).expect("valid weights");
+    let sampler = WeightedSampler::new(weights);
+    let mut a = StdRng::seed_from_u64(seed);
+    let mut b = a.clone();
+    (0..draws).find_map(|i| {
+        let (want, got) = (oracle.sample(&mut a), sampler.sample(&mut b));
+        (want != got).then_some((i, want, got))
+    })
+}
+
 proptest! {
+    /// The guide-table sampler returns `WeightedIndex`'s index draw for
+    /// draw.
+    #[test]
+    fn sampler_matches_weighted_index(weights in arb_weights(), seed in any::<u64>()) {
+        prop_assert_eq!(first_disagreement(&weights, seed, 4_000), None);
+    }
+
+    /// The full-scale builder yields `datagen_like`'s out-CSR.
+    #[test]
+    fn datagen_full_is_the_in_memory_out_csr(n in 1u32..3_000, seed in any::<u64>()) {
+        let cfg = GenConfig::datagen(n, seed);
+        let full = datagen_like_full(&cfg);
+        let memory = datagen_like(&cfg);
+        prop_assert_eq!(full.num_vertices(), n);
+        prop_assert_eq!(full.num_edges(), memory.num_edges());
+        for v in 0..n {
+            prop_assert_eq!(full.neighbors(v), memory.neighbors(v));
+        }
+    }
+
     /// CSR construction preserves every edge in both directions.
     #[test]
     fn csr_round_trips_edges((n, edges) in arb_edges()) {
@@ -155,6 +225,60 @@ proptest! {
             prop_assert!(p.replication_factor() >= 1.0);
             prop_assert!(p.replication_factor() <= k as f64);
         }
+    }
+}
+
+/// A million draws on the fig5 popularity table (100 k vertices, seed
+/// 1000), the table behind every golden.
+#[test]
+fn sampler_matches_weighted_index_on_the_fig5_table() {
+    let (weights, _) = popularity_weights(&GenConfig {
+        vertices: 100_000,
+        edges: 900_000,
+        alpha: 2.2,
+        seed: 1_000,
+    });
+    assert_eq!(first_disagreement(&weights, 1_000, 1_000_000), None);
+}
+
+/// Draws that equal a running sum: on a one-ulp total every draw is 0 or
+/// the total, so `WeightedIndex` resolves them by its binary search and
+/// its clamp to the last index.
+#[test]
+fn sampler_matches_weighted_index_on_exact_hits() {
+    let ulp = f64::from_bits(1);
+    for weights in [
+        vec![ulp],
+        vec![0.0, 0.0, ulp],
+        vec![ulp, 0.0, 0.0],
+        vec![0.0, ulp, 0.0, ulp],
+    ] {
+        for seed in 0..8 {
+            assert_eq!(
+                first_disagreement(&weights, seed, 1_000),
+                None,
+                "{weights:?}"
+            );
+        }
+    }
+}
+
+/// The full-scale builder on the sizes the benchmarks and tests run.
+#[test]
+fn datagen_full_is_the_in_memory_out_csr_at_experiment_sizes() {
+    for (n, seed) in [(20_000, 1_000), (100_000, 1_000), (50_000, 4_242)] {
+        let cfg = GenConfig {
+            vertices: n,
+            edges: n as u64 * 9,
+            alpha: 2.2,
+            seed,
+        };
+        let (full, memory) = (datagen_like_full(&cfg), datagen_like(&cfg));
+        assert_eq!(full.num_edges(), memory.num_edges());
+        assert!(
+            (0..n).all(|v| full.neighbors(v) == memory.neighbors(v)),
+            "n={n} seed={seed}"
+        );
     }
 }
 

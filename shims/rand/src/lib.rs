@@ -3,7 +3,8 @@
 //! so the real crate is replaced by this deterministic shim: a
 //! xoshiro256** generator seeded through SplitMix64, with the `Rng`,
 //! `SeedableRng`, and `distributions::{Distribution, WeightedIndex}`
-//! surfaces the graph generators call. Identical seeds produce identical
+//! surfaces the workspace calls (`WeightedIndex` only as the test oracle
+//! of the graph generator's sampler). Identical seeds produce identical
 //! streams on every platform, which is all the experiments require.
 
 /// Core entropy source: 64 random bits per call.
