@@ -24,12 +24,12 @@
 //! checkpoint/replay and PowerGraph's fail-stop restart.
 
 use gpsim_cluster::{
-    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
+    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
 };
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{JobConfig, PlatformRun};
+use crate::common::{AlgorithmOutput, JobConfig, PlatformRun};
 use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
 use crate::ops::OpSpec;
 use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
@@ -115,6 +115,24 @@ impl GraphXPlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
+        let (output, layout) = self.layout(g, cfg, cluster);
+        job::run_steps(&layout, cfg, cluster, plan, output)
+    }
+
+    /// The activity DAG a healthy run hands to the simulator: the layout
+    /// of [`GraphXPlatform::run_on`] without the simulation.
+    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
+        job::healthy_dag(&self.layout(g, cfg, cluster).1, cfg, cluster)
+    }
+
+    /// Runs the vertex program over the hash partition and sizes each
+    /// executor's share.
+    fn layout(
+        &self,
+        g: &Graph,
+        cfg: &JobConfig,
+        cluster: &ClusterSpec,
+    ) -> (AlgorithmOutput, Layout<'_>) {
         job::assert_fits(cfg, cluster);
         let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, iterations) = {
@@ -126,7 +144,7 @@ impl GraphXPlatform {
             iterations,
             shards: Shards::new(g, cfg, |v| part.owner_of(v)),
         };
-        job::run_steps(&layout, cfg, cluster, plan, output)
+        (output, layout)
     }
 }
 

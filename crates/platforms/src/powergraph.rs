@@ -152,40 +152,8 @@ impl PowerGraphPlatform {
         cluster: &ClusterSpec,
         plan: &FaultPlan,
     ) -> Result<PlatformRun, SimError> {
-        job::assert_fits(cfg, cluster);
         let k = cfg.nodes;
-        let part = {
-            let _span = granula_trace::span!("platform", "powergraph.partition {}", cfg.job_id);
-            VertexCutPartition::greedy(g, k)
-        };
-        let (output, iterations) = {
-            let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
-            run_program(g, &part, cfg.algorithm, self.max_iterations)
-        };
-
-        // Per-machine sizes.
-        let mut masters = vec![0u64; k as usize];
-        for v in 0..g.num_vertices() {
-            masters[part.master_of(v) as usize] += 1;
-        }
-        let layout = Layout {
-            p: self,
-            iterations,
-            edge_sizes: part.sizes(),
-            masters,
-            total_bytes: (g.num_vertices() as f64 * 10.0
-                + g.num_edges() as f64 * cfg.costs.bytes_per_edge_in)
-                * cfg.scale_factor,
-        };
-        let infos = vec![
-            ("Machines", InfoValue::Int(k as i64)),
-            (
-                "ReplicationFactor",
-                InfoValue::Float(part.replication_factor()),
-            ),
-        ];
-        let mut b = JobBuilder::new(cfg, cluster, "PowerGraphJob", "mpirun", "PowerGraph", infos);
-        layout.job(&mut b, "job/", "", &[]);
+        let (output, layout, mut b) = self.first_attempt(g, cfg, cluster);
         let n = layout.iterations.len();
         let memory = |b: &JobBuilder, sim: &SimResult| layout.memory(b, sim);
 
@@ -244,6 +212,57 @@ impl PowerGraphPlatform {
         // window.
         let exec_plan = job::executed_plan(plan, (0..k).map(NodeId), t_eff, self.failure_detect_us);
         job::finish(b, "powergraph", &exec_plan, output, n, memory)
+    }
+
+    /// The activity DAG a healthy run hands to the simulator: the first
+    /// attempt of [`PowerGraphPlatform::run_on`] without the simulation.
+    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
+        self.first_attempt(g, cfg, cluster).2.dag
+    }
+
+    /// Partitions, runs the GAS program and lays out the first attempt.
+    fn first_attempt<'a>(
+        &'a self,
+        g: &Graph,
+        cfg: &'a JobConfig,
+        cluster: &'a ClusterSpec,
+    ) -> (AlgorithmOutput, Layout<'a>, JobBuilder<'a>) {
+        job::assert_fits(cfg, cluster);
+        let k = cfg.nodes;
+
+        let part = {
+            let _span = granula_trace::span!("platform", "powergraph.partition {}", cfg.job_id);
+            VertexCutPartition::greedy(g, k)
+        };
+        let (output, iterations) = {
+            let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
+            run_program(g, &part, cfg.algorithm, self.max_iterations)
+        };
+
+        // Per-machine sizes.
+        let mut masters = vec![0u64; k as usize];
+        for v in 0..g.num_vertices() {
+            masters[part.master_of(v) as usize] += 1;
+        }
+        let layout = Layout {
+            p: self,
+            iterations,
+            edge_sizes: part.sizes(),
+            masters,
+            total_bytes: (g.num_vertices() as f64 * 10.0
+                + g.num_edges() as f64 * cfg.costs.bytes_per_edge_in)
+                * cfg.scale_factor,
+        };
+        let infos = vec![
+            ("Machines", InfoValue::Int(k as i64)),
+            (
+                "ReplicationFactor",
+                InfoValue::Float(part.replication_factor()),
+            ),
+        ];
+        let mut b = JobBuilder::new(cfg, cluster, "PowerGraphJob", "mpirun", "PowerGraph", infos);
+        layout.job(&mut b, "job/", "", &[]);
+        (output, layout, b)
     }
 }
 
