@@ -34,6 +34,6 @@ pub use fault::{DegradedChannel, FaultEvent, FaultPlan, NodeCrash, Slowdown};
 pub use fs::{DfsSpec, FileSystem, LocalFsSpec, SharedFsSpec};
 pub use intern::Symbol;
 pub use provision::{MpiLauncher, NativeLauncher, Provisioner, YarnProvisioner};
-pub use sim::{ActivityResult, SimError, SimResult, Simulation};
+pub use sim::{ActivityResult, RefillMode, SimError, SimResult, Simulation};
 pub use topology::{ClusterSpec, NodeId, NodeSpec};
 pub use trace::UsageTrace;

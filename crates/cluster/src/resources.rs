@@ -9,12 +9,15 @@
 //! TCP-like bandwidth sharing closely enough for the phenomena Granula
 //! observes (contention, stragglers, sequential bottlenecks).
 //!
-//! [`fill_rates`] is the one implementation: the incremental engine in
-//! `sched` calls it over each refill's affected set and the dense oracle
-//! in [`crate::sim`] over all running activities, both with caller-owned
-//! [`FillScratch`].
+//! One round loop serves both engines. The dense oracle in [`crate::sim`]
+//! calls [`fill_rates`] over all running activities from scratch. The
+//! incremental engine in `sched` fills each refill wave's closure through
+//! `Fill`, which keeps a trail of its last fill and, when the next
+//! closure covers the same resources, resumes at the first round a change
+//! can reach instead of starting over.
 
 use crate::activity::ActivityKind;
+use crate::sim::RefillMode;
 use crate::topology::{ClusterSpec, NodeId};
 
 /// A resource index in the flattened capacity table.
@@ -127,25 +130,20 @@ pub(crate) fn demand(table: &ResourceTable, kind: &ActivityKind) -> Demand {
     }
 }
 
+/// Saturation threshold, relative to a resource's capacity.
+const EPS: f64 = 1e-12;
+
+/// Freeze round of an item no fill has rated: a fixed-rate demand, or a
+/// slot that started or left since the engine's last fill.
+const UNFILLED: u32 = u32::MAX;
+
 /// Caller-owned scratch for [`fill_rates`]. Per-resource columns grow to
 /// the capacity table once; afterwards a call allocates nothing.
 #[derive(Debug, Default)]
 pub struct FillScratch {
-    /// Capacity not yet handed out, per resource.
-    rem: Vec<f64>,
-    /// Unfrozen users per resource; all zero between calls.
-    users: Vec<u32>,
-    /// Each involved resource's users are `members[first[r]..stop[r]]`.
-    first: Vec<u32>,
-    stop: Vec<u32>,
-    members: Vec<u32>,
-    /// Involved resources that still have unfrozen users.
-    live: Vec<u32>,
-    /// Demands with a finite cap, by ascending cap.
-    by_cap: Vec<u32>,
-    frozen: Vec<bool>,
-    /// Filling rounds run so far, summed over calls.
-    pub(crate) rounds: u64,
+    fill: Fill,
+    /// Demand indices per resource.
+    lists: Vec<Vec<u32>>,
 }
 
 /// Max-min fair rates by water filling: `rate[k]` for `demands[k]`
@@ -160,139 +158,402 @@ pub struct FillScratch {
 /// resource then loses `delta` once per unfrozen user — repeated
 /// subtraction, not `users * delta`, so `rem` keeps the bits of one
 /// subtraction per user. The users of saturated resources (walked through
-/// per-resource member lists) and the activities at their cap freeze at
-/// the current `level`, each once. The rates equal the per-activity sweep
-/// bit for bit.
+/// per-resource user lists) and the activities at their cap freeze at the
+/// current `level`, each once. The rates equal the per-activity sweep bit
+/// for bit, and depend on the set of demands, not on their order.
 ///
 /// Demands without resources take their cap (a delay's 1 µs/µs), or 1
 /// when uncapped.
 pub fn fill_rates(caps: &[f64], demands: &[Demand], rate: &mut Vec<f64>, s: &mut FillScratch) {
-    const EPS: f64 = 1e-12;
     rate.clear();
     rate.resize(demands.len(), 0.0);
-    s.frozen.clear();
-    s.frozen.resize(demands.len(), false);
-    if s.users.len() < caps.len() {
-        s.rem.resize(caps.len(), 0.0);
-        s.users.resize(caps.len(), 0);
-        s.first.resize(caps.len(), 0);
-        s.stop.resize(caps.len(), 0);
-    }
-    s.live.clear();
-    s.by_cap.clear();
-    let mut unfrozen = 0usize;
+    s.fill.round.clear();
+    s.fill.round.resize(demands.len(), UNFILLED);
+    s.lists.resize(caps.len(), Vec::new());
+    s.lists.iter_mut().for_each(Vec::clear);
     for (k, d) in demands.iter().enumerate() {
-        let res = &d.resources[..d.n_resources as usize];
-        if res.is_empty() {
+        if d.n_resources == 0 {
             rate[k] = if d.cap.is_finite() { d.cap } else { 1.0 };
-            s.frozen[k] = true;
-            continue;
         }
-        unfrozen += 1;
-        for &r in res {
-            if s.users[r] == 0 {
-                s.live.push(r as u32);
-            }
-            s.users[r] += 1;
-        }
-        // An infinite cap never binds: `inf - level` never wins the
-        // minimum and `level >= inf - EPS` never holds.
-        if d.cap.is_finite() {
-            s.by_cap.push(k as u32);
-        }
-    }
-    s.by_cap
-        .sort_unstable_by(|&a, &b| demands[a as usize].cap.total_cmp(&demands[b as usize].cap));
-
-    // Group demand indices by resource: `first[r]` starts at the end of
-    // r's run and counts down as members are placed.
-    let mut end = 0u32;
-    for &r in &s.live {
-        let r = r as usize;
-        end += s.users[r];
-        (s.first[r], s.stop[r]) = (end, end);
-        s.rem[r] = caps[r];
-    }
-    s.members.clear();
-    s.members.resize(end as usize, 0);
-    for (k, d) in demands.iter().enumerate() {
         for &r in &d.resources[..d.n_resources as usize] {
-            s.first[r] -= 1;
-            s.members[s.first[r] as usize] = k as u32;
+            s.lists[r].push(k as u32);
+        }
+    }
+    let items = s.lists.iter().flatten().copied();
+    s.fill.start(caps, demands, items);
+    let (lists, none) = (&s.lists, &[][..]);
+    let c = Closure {
+        caps,
+        demands,
+        resources: none,
+        lists,
+        dirty: none,
+    };
+    s.fill.run(&c, rate, 1);
+}
+
+/// What a fill reads: capacities, demands, per-resource user lists and,
+/// for a refill wave of the incremental engine, its closure of the dirty
+/// resources over shared users.
+pub(crate) struct Closure<'a> {
+    pub(crate) caps: &'a [f64],
+    pub(crate) demands: &'a [Demand],
+    pub(crate) resources: &'a [usize],
+    /// Every resource's users (slot indices).
+    pub(crate) lists: &'a [Vec<u32>],
+    /// Resources whose users or capacity changed since the last wave.
+    pub(crate) dirty: &'a [usize],
+}
+
+/// Water filling over items: demand indices for [`fill_rates`], slot
+/// indices for the incremental engine. The engine's fills leave a trail;
+/// a fill whose closure covers the same resources as the last one
+/// resumes from it at the first round a change can reach
+/// ([`Fill::resume`]), any other runs from round 1 and records a new one.
+#[derive(Debug, Default)]
+pub(crate) struct Fill {
+    /// Per resource: capacity not yet handed out, and unfrozen users (all
+    /// zero between fills).
+    rem: Vec<f64>,
+    users: Vec<u32>,
+    /// Involved resources that still have unfrozen users; unfrozen items
+    /// with a finite cap, by ascending cap; frozen items in freeze order.
+    live: Vec<u32>,
+    by_cap: Vec<u32>,
+    froze: Vec<u32>,
+    /// The rate every unfrozen item has reached.
+    level: f64,
+    unfrozen: usize,
+    /// Per item: the round it froze in, 0 while unfrozen.
+    round: Vec<u32>,
+    /// The trail: the filled resources and each one's column (`NONE`
+    /// outside); per round start (numbered from 1, the last following the
+    /// last round run) the level, a row of `(users, rem)` per column, and
+    /// where in `froze` the items frozen from then on begin; per round run
+    /// its delta.
+    set: Vec<usize>,
+    col: Vec<u32>,
+    levels: Vec<f64>,
+    rows: Vec<(u32, f64)>,
+    froze_at: Vec<usize>,
+    deltas: Vec<f64>,
+    /// The earliest freeze round of a slot that left since the last fill.
+    departed: u32,
+    pub(crate) mode: RefillMode,
+    /// The items a resumed fill rates again.
+    refilled: Vec<u32>,
+    pub(crate) rounds: u64,
+    pub(crate) resumed: u64,
+    pub(crate) skipped_rounds: u64,
+}
+
+impl Fill {
+    const NONE: u32 = u32::MAX;
+
+    /// The round-1 state of a fill from scratch of `items` (each with a
+    /// resource, listed once or more, none frozen at 0), with an empty
+    /// trail.
+    fn start(&mut self, caps: &[f64], demands: &[Demand], items: impl Iterator<Item = u32>) {
+        self.rem.resize(caps.len().max(self.rem.len()), 0.0);
+        self.users.resize(caps.len().max(self.users.len()), 0);
+        (self.level, self.unfrozen) = (0.0, 0);
+        self.live.clear();
+        self.by_cap.clear();
+        self.froze.clear();
+        self.refilled.clear();
+        self.cut(1);
+        for k in items {
+            if self.round[k as usize] != 0 {
+                self.thaw(demands, k);
+                let d = &demands[k as usize];
+                for &r in &d.resources[..d.n_resources as usize] {
+                    if self.users[r] == 0 {
+                        self.live.push(r as u32);
+                    }
+                    self.users[r] += 1;
+                }
+            }
+        }
+        self.sort_caps(demands);
+        for &r in &self.live {
+            self.rem[r as usize] = caps[r as usize];
         }
     }
 
-    let mut level = 0.0f64;
-    let mut cursor = 0usize;
-    while unfrozen > 0 {
-        let mut delta = f64::INFINITY;
-        for &r in &s.live {
-            let r = r as usize;
-            delta = delta.min(s.rem[r] / s.users[r] as f64);
-        }
-        while cursor < s.by_cap.len() && s.frozen[s.by_cap[cursor] as usize] {
-            cursor += 1;
-        }
-        if let Some(&k) = s.by_cap.get(cursor) {
-            delta = delta.min(demands[k as usize].cap - level);
-        }
-        if !delta.is_finite() || delta < 0.0 {
-            break; // nothing left to fill
-        }
-        s.rounds += 1;
-        level += delta;
-        for &r in &s.live {
-            let r = r as usize;
-            let mut rem = s.rem[r];
-            for _ in 0..s.users[r] {
-                rem -= delta;
-            }
-            s.rem[r] = rem;
-        }
+    fn sort_caps(&mut self, demands: &[Demand]) {
+        (self.by_cap)
+            .sort_unstable_by(|&a, &b| demands[a as usize].cap.total_cmp(&demands[b as usize].cap));
+    }
 
-        // Freeze the users of saturated resources, then the activities at
-        // their cap. `users` only falls while freezing, so a resource whose
-        // users are already all frozen is skipped.
-        let mut freeze = |k: usize, s: &mut FillScratch, rate: &mut [f64]| {
-            s.frozen[k] = true;
-            rate[k] = level;
-            unfrozen -= 1;
-            let d = &demands[k];
-            for &r in &d.resources[..d.n_resources as usize] {
-                s.users[r] -= 1;
+    /// The one water-filling round loop: runs rounds `j, j + 1, …` until
+    /// every item is frozen, marking each round start into the trail. An
+    /// item that freezes in round `j` gets `round[k] = j` and `rate[k]` =
+    /// the level after that round.
+    fn run(&mut self, c: &Closure, rate: &mut [f64], mut j: u32) {
+        let (caps, demands, lists) = (c.caps, c.demands, c.lists);
+        let mut cursor = 0usize;
+        loop {
+            self.mark();
+            if self.unfrozen == 0 {
+                break;
             }
-        };
-        for i in 0..s.live.len() {
-            let r = s.live[i] as usize;
-            if s.users[r] > 0 && s.rem[r] <= EPS * caps[r].max(1.0) {
-                for j in s.first[r] as usize..s.stop[r] as usize {
-                    let k = s.members[j] as usize;
-                    if !s.frozen[k] {
-                        freeze(k, s, rate);
+            let mut delta = f64::INFINITY;
+            for &r in &self.live {
+                let r = r as usize;
+                delta = delta.min(self.rem[r] / self.users[r] as f64);
+            }
+            while cursor < self.by_cap.len() && self.round[self.by_cap[cursor] as usize] != 0 {
+                cursor += 1;
+            }
+            if let Some(&k) = self.by_cap.get(cursor) {
+                delta = delta.min(demands[k as usize].cap - self.level);
+            }
+            if !delta.is_finite() || delta < 0.0 {
+                break; // nothing left to fill
+            }
+            self.rounds += 1;
+            self.deltas.push(delta);
+            self.level += delta;
+            for &r in &self.live {
+                let r = r as usize;
+                let mut rem = self.rem[r];
+                for _ in 0..self.users[r] {
+                    rem -= delta;
+                }
+                self.rem[r] = rem;
+            }
+
+            // Freeze the users of saturated resources, then the items at
+            // their cap. `users` only falls while freezing, so a resource
+            // whose users are already all frozen is skipped.
+            for i in 0..self.live.len() {
+                let r = self.live[i] as usize;
+                if self.users[r] > 0 && self.rem[r] <= EPS * caps[r].max(1.0) {
+                    for &k in &lists[r] {
+                        self.freeze(demands, k, j, rate);
                     }
                 }
             }
-        }
-        while let Some(&k) = s.by_cap.get(cursor) {
-            let k = k as usize;
-            if !s.frozen[k] {
-                if level < demands[k].cap - EPS {
+            while let Some(&k) = self.by_cap.get(cursor) {
+                if self.round[k as usize] == 0 && self.level < demands[k as usize].cap - EPS {
                     break;
                 }
-                freeze(k, s, rate);
+                self.freeze(demands, k, j, rate);
+                cursor += 1;
             }
-            cursor += 1;
+            let users = &self.users;
+            self.live.retain(|&r| users[r as usize] > 0);
+            j += 1;
         }
-        let users = &s.users;
-        s.live.retain(|&r| users[r as usize] > 0);
-    }
-    for (k, f) in s.frozen.iter().enumerate() {
-        if !f {
-            rate[k] = level;
+        // Whatever is still unfrozen takes the level reached.
+        for i in 0..self.live.len() {
+            let r = self.live[i] as usize;
+            for &k in &lists[r] {
+                self.freeze(demands, k, j, rate);
+            }
         }
     }
-    for &r in &s.live {
-        s.users[r as usize] = 0;
+
+    /// Makes item `k` unfrozen, to be rated by the coming rounds. An
+    /// infinite cap never binds (`inf - level` never wins the minimum and
+    /// `level >= inf - EPS` never holds), so only finite caps are queued.
+    fn thaw(&mut self, demands: &[Demand], k: u32) {
+        self.round[k as usize] = 0;
+        self.refilled.push(k);
+        self.unfrozen += 1;
+        if demands[k as usize].cap.is_finite() {
+            self.by_cap.push(k);
+        }
+    }
+
+    /// Freezes item `k`, unless frozen already, at the level of round `j`.
+    fn freeze(&mut self, demands: &[Demand], k: u32, j: u32, rate: &mut [f64]) {
+        if self.round[k as usize] == 0 {
+            (self.round[k as usize], rate[k as usize]) = (j, self.level);
+            self.froze.push(k);
+            self.unfrozen -= 1;
+            let d = &demands[k as usize];
+            for &r in &d.resources[..d.n_resources as usize] {
+                self.users[r] -= 1;
+            }
+        }
+    }
+
+    /// Records the state at the start of the next round.
+    fn mark(&mut self) {
+        self.levels.push(self.level);
+        let row = self.set.iter().map(|&r| (self.users[r], self.rem[r]));
+        self.rows.extend(row);
+        self.froze_at.push(self.froze.len());
+    }
+
+    /// Drops the round starts from `stop` on.
+    fn cut(&mut self, stop: usize) {
+        self.levels.truncate(stop - 1);
+        self.deltas.truncate(stop - 1);
+        self.froze_at.truncate(stop - 1);
+        self.rows.truncate((stop - 1) * self.set.len());
+        self.departed = UNFILLED;
+    }
+
+    /// Slot `si` started: no fill has rated it.
+    pub(crate) fn arrive(&mut self, si: usize) {
+        self.round.resize(self.round.len().max(si + 1), UNFILLED);
+        self.round[si] = UNFILLED;
+    }
+
+    /// Slot `si` left: the trail holds no later than its freeze round.
+    pub(crate) fn depart(&mut self, si: usize) {
+        self.departed = self.departed.min(self.round[si]);
+        self.round[si] = UNFILLED;
+    }
+
+    /// Rates the users of `c`'s resources into `rate` and returns the
+    /// ones it rated, in no set order: a resumed fill leaves the others'
+    /// rates as they were.
+    pub(crate) fn fill(&mut self, c: &Closure, rate: &mut [f64]) -> &[u32] {
+        let covers = c.resources.len() == self.set.len()
+            && c.resources
+                .iter()
+                .all(|&r| self.col.get(r).is_some_and(|&c| c != Fill::NONE));
+        let from = if covers && self.mode != RefillMode::Scratch {
+            let j = self.resume(c);
+            self.resumed += 1;
+            self.skipped_rounds += j as u64 - 1;
+            j
+        } else {
+            self.set.iter().for_each(|&r| self.col[r] = Fill::NONE);
+            self.col.resize(c.caps.len(), Fill::NONE);
+            self.set.clear();
+            for &r in c.resources {
+                self.col[r] = self.set.len() as u32;
+                self.set.push(r);
+            }
+            let items = c.resources.iter().flat_map(|&r| &c.lists[r]).copied();
+            self.start(c.caps, c.demands, items);
+            1
+        };
+        self.run(c, rate, from as u32);
+        if self.mode == RefillMode::Audit {
+            let mut ks: Vec<u32> = c
+                .resources
+                .iter()
+                .flat_map(|&r| c.lists[r].clone())
+                .collect();
+            ks.sort_unstable();
+            ks.dedup();
+            let demands: Vec<Demand> = ks.iter().map(|&k| c.demands[k as usize]).collect();
+            let mut want = Vec::new();
+            fill_rates(c.caps, &demands, &mut want, &mut FillScratch::default());
+            for (&k, w) in ks.iter().zip(&want) {
+                assert_eq!(
+                    rate[k as usize].to_bits(),
+                    w.to_bits(),
+                    "slot {k} from round {from}"
+                );
+            }
+        }
+        &self.refilled
+    }
+
+    /// Finds the first round `j*` that a change since the last fill can
+    /// reach, restores the state at its start and cuts the trail there.
+    ///
+    /// Arrivals and departures touch only dirty resources, so before `j*`
+    /// every other resource has the same users, `rem` and `delta` in both
+    /// fills, as long as in no earlier round
+    /// - a dirty resource's share, old or new, is at most `delta`, or its
+    ///   `rem` saturates (its new users: the old ones, less the departed,
+    ///   plus the arrived);
+    /// - a capped arrival's cap sets `delta` or is reached;
+    /// - a departed slot froze ([`Fill::depart`]).
+    ///
+    /// Each dirty resource's column is rewritten with its new state up to
+    /// `j*`, so the rows before `j*` stay those of a fill from scratch.
+    fn resume(&mut self, c: &Closure) -> usize {
+        let mut stop = self.levels.len().min(self.departed as usize);
+        self.unfrozen = 0;
+        self.refilled.clear();
+        self.by_cap.clear();
+        for &r in c.dirty {
+            stop = self.replay(r, c, stop);
+        }
+        let width = self.set.len();
+        self.level = self.levels[stop - 1];
+        self.live.clear();
+        for (&r, &(users, rem)) in self.set.iter().zip(&self.rows[(stop - 1) * width..]) {
+            if users > 0 {
+                (self.users[r], self.rem[r]) = (users, rem);
+                self.live.push(r as u32);
+            }
+        }
+        // The items frozen from round `stop` on fill again, with the
+        // arrivals. A slot that left holds `UNFILLED`; one listed twice
+        // (left, reused, refilled) is taken once.
+        let at = self.froze_at[stop - 1];
+        for i in at..self.froze.len() {
+            let (k, f) = (self.froze[i], self.round[self.froze[i] as usize]);
+            if f != UNFILLED && f as usize >= stop {
+                self.thaw(c.demands, k);
+            }
+        }
+        self.froze.truncate(at);
+        self.cut(stop);
+        self.sort_caps(c.demands);
+        stop
+    }
+
+    /// Replays dirty resource `r`'s new `(users, rem)` from round 1
+    /// against its old column, overwriting it, up to `stop` or to the
+    /// first round in which `r` or a capped arrival on it can change the
+    /// fill. Returns the round reached.
+    fn replay(&mut self, r: usize, c: &Closure, mut stop: usize) -> usize {
+        let (mut common, mut arrived) = (0u32, 0u32);
+        for &k in &c.lists[r] {
+            let f = self.round[k as usize];
+            if f != UNFILLED && f != 0 {
+                common += 1;
+                continue;
+            }
+            arrived += 1;
+            if f == UNFILLED {
+                // First sighting of an arrival (it may use two dirty
+                // resources).
+                self.thaw(c.demands, k);
+                let (cap, level) = (c.demands[k as usize].cap, &self.levels);
+                let binds =
+                    |&i: &usize| cap - level[i - 1] <= self.deltas[i - 1] || level[i] >= cap - EPS;
+                stop = (1..stop).find(binds).unwrap_or(stop);
+            }
+        }
+        // Round 1 holds the old users and capacity; the departed stay
+        // unfrozen in the old fill before `stop`.
+        let (width, col) = (self.set.len(), self.col[r] as usize);
+        let ((users0, old_cap), new_cap) = (self.rows[col], c.caps[r]);
+        let departed = users0 - common;
+        let mut rem = new_cap;
+        for i in 1..=stop {
+            let cell = &mut self.rows[(i - 1) * width + col];
+            let (old_users, old_rem) = *cell;
+            let users = old_users + arrived - departed;
+            *cell = (users, rem);
+            if i == stop {
+                break;
+            }
+            let d = self.deltas[i - 1];
+            let reaches = |rem: f64, users: u32| users > 0 && rem / users as f64 <= d;
+            if reaches(old_rem, old_users) || reaches(rem, users) {
+                return i;
+            }
+            for _ in 0..users {
+                rem -= d;
+            }
+            let full = |rem: f64, users: u32, cap: f64| users > 0 && rem <= EPS * cap.max(1.0);
+            if full(self.rows[i * width + col].1, old_users, old_cap) || full(rem, users, new_cap) {
+                return i;
+            }
+        }
+        stop
     }
 }
 

@@ -39,8 +39,8 @@ use std::collections::BinaryHeap;
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
-use crate::resources::{demand, fill_rates, Demand, FillScratch, ResourceTable};
-use crate::sim::{ActivityResult, SimError, SimResult};
+use crate::resources::{demand, Closure, Demand, Fill, ResourceTable};
+use crate::sim::{ActivityResult, RefillMode, SimError, SimResult};
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{Channel, UsageTrace};
 
@@ -337,10 +337,15 @@ impl Slots {
     }
 }
 
+/// A user list entry's other resource when the slot demands only one.
+const NO_RESOURCE: u32 = u32::MAX;
+
 /// Per-resource user lists (slot indices) and the resources whose user
 /// set or capacity changed since the last refill.
 struct ResUsers {
     lists: Vec<Vec<u32>>,
+    /// Parallel to `lists`: each user's other resource, or [`NO_RESOURCE`].
+    others: Vec<Vec<u32>>,
     dirty: Vec<bool>,
     dirty_list: Vec<usize>,
 }
@@ -356,9 +361,12 @@ impl ResUsers {
     /// Appends slot `si` to its resources' user lists.
     fn attach(&mut self, slots: &mut Slots, si: usize) {
         let d = slots.demand[si];
-        for (j, &r) in d.resources[..d.n_resources as usize].iter().enumerate() {
+        let res = &d.resources[..d.n_resources as usize];
+        for (j, &r) in res.iter().enumerate() {
             slots.res_pos[si][j] = self.lists[r].len() as u32;
             self.lists[r].push(si as u32);
+            let other = res.get(1 - j).map_or(NO_RESOURCE, |&o| o as u32);
+            self.others[r].push(other);
             self.mark(r);
         }
     }
@@ -382,6 +390,7 @@ impl ResUsers {
             let pos = slots.res_pos[si][j] as usize;
             debug_assert_eq!(list[pos] as usize, si);
             list.swap_remove(pos);
+            self.others[r].swap_remove(pos);
             if let Some(&moved) = list.get(pos) {
                 let md = slots.demand[moved as usize];
                 let j2 = md.resources[..md.n_resources as usize]
@@ -405,6 +414,8 @@ struct EngineStats {
     compactions: u64,
     heap_pops: u64,
     stale_pops: u64,
+    rate_changes: u64,
+    noop_waves: u64,
 }
 
 /// Records the node events of one fault boundary, restarts before
@@ -446,6 +457,7 @@ pub(crate) fn run_incremental(
     cluster: &ClusterSpec,
     graph: &ActivityGraph,
     plan: &FaultPlan,
+    mode: RefillMode,
 ) -> Result<SimResult, SimError> {
     let n = graph.len();
     let _span = granula_trace::span!("engine", "run_incremental activities={n}");
@@ -505,6 +517,7 @@ pub(crate) fn run_incremental(
 
     let mut users = ResUsers {
         lists: vec![Vec::new(); n_res],
+        others: vec![Vec::new(); n_res],
         dirty: vec![false; n_res],
         dirty_list: Vec::new(),
     };
@@ -515,13 +528,14 @@ pub(crate) fn run_incremental(
     let mut heap_stale = 0usize;
 
     // Run-owned scratch, reused across steps.
-    let mut affected: Vec<u32> = Vec::new();
-    let mut in_affected: Vec<bool> = Vec::new();
+    let mut changed: Vec<(u64, u32)> = Vec::new();
     let mut res_list: Vec<usize> = Vec::new();
     let mut res_seen = vec![false; n_res];
-    let mut aff_demand: Vec<Demand> = Vec::new();
+    // Each discovered resource's position in `res_list`.
+    let mut rank = vec![0u32; n_res];
     let mut new_rate: Vec<f64> = Vec::new();
-    let mut fill = FillScratch::default();
+    let mut refill = Fill::default();
+    refill.mode = mode;
     let mut completing: Vec<u32> = Vec::new();
     let mut usage = PairUsage::new(cluster.len());
 
@@ -573,7 +587,7 @@ pub(crate) fn run_incremental(
                 Some(s) => s as usize,
                 None => {
                     let s = slots.push_vacant();
-                    in_affected.push(false);
+                    new_rate.push(0.0);
                     s
                 }
             };
@@ -588,6 +602,7 @@ pub(crate) fn run_incremental(
             slots.live[si] = true;
             slots.trace[si] = trace_targets(kind);
             slots.res_pos[si] = [0; 2];
+            refill.arrive(si);
             occupied += 1;
             if d.n_resources == 0 {
                 // No shared resource: the rate is fixed for the slot's
@@ -615,62 +630,74 @@ pub(crate) fn run_incremental(
         if !users.dirty_list.is_empty() {
             stats.refill_waves += 1;
             // Transitive closure of the dirty resources over the
-            // activity↔resource bipartite graph: BFS alternating
-            // resource → users → their other resources.
-            affected.clear();
-            aff_demand.clear();
+            // activity↔resource bipartite graph, in BFS order: resources
+            // in discovery order, each user list scanned in order for its
+            // users' other resources.
             res_list.clear();
             for &r in &users.dirty_list {
                 if !res_seen[r] {
                     res_seen[r] = true;
+                    rank[r] = res_list.len() as u32;
                     res_list.push(r);
                 }
             }
             let mut head = 0;
-            while head < res_list.len() {
-                let r = res_list[head];
+            while let Some(&r) = res_list.get(head) {
                 head += 1;
-                for &si in &users.lists[r] {
-                    if !in_affected[si as usize] {
-                        in_affected[si as usize] = true;
-                        affected.push(si);
-                        // Copy the demand into a dense scratch row so the
-                        // fill rounds below iterate contiguously.
-                        let d = slots.demand[si as usize];
-                        aff_demand.push(d);
-                        for &r2 in &d.resources[..d.n_resources as usize] {
-                            if !res_seen[r2] {
-                                res_seen[r2] = true;
-                                res_list.push(r2);
-                            }
-                        }
+                for &r2 in &users.others[r] {
+                    if r2 != NO_RESOURCE && !res_seen[r2 as usize] {
+                        res_seen[r2 as usize] = true;
+                        rank[r2 as usize] = res_list.len() as u32;
+                        res_list.push(r2 as usize);
                     }
                 }
             }
-            for &r in &users.dirty_list {
-                users.dirty[r] = false;
-            }
-            users.dirty_list.clear();
-
             // Water filling restricted to the affected set. The closure
             // contains every user of every involved resource, so filling
             // against full capacities reproduces the joint fixpoint for
             // exactly these activities.
-            fill_rates(&table.caps, &aff_demand, &mut new_rate, &mut fill);
+            let closure = Closure {
+                caps: &table.caps,
+                demands: &slots.demand,
+                resources: &res_list,
+                lists: &users.lists,
+                dirty: &users.dirty_list,
+            };
+            let rated = refill.fill(&closure, &mut new_rate);
+            // The slots whose rate changed, in BFS order: by the first
+            // discovered of a slot's resources, then by its place in that
+            // resource's list.
+            changed.clear();
+            for &si in rated {
+                let si = si as usize;
+                if new_rate[si] != slots.rate[si] {
+                    let d = &slots.demand[si];
+                    let j = usize::from(
+                        d.n_resources == 2 && rank[d.resources[1]] < rank[d.resources[0]],
+                    );
+                    let key =
+                        u64::from(rank[d.resources[j]]) << 32 | u64::from(slots.res_pos[si][j]);
+                    changed.push((key, si as u32));
+                }
+            }
+            changed.sort_unstable();
+            for &r in &users.dirty_list {
+                users.dirty[r] = false;
+            }
+            users.dirty_list.clear();
             for &r in &res_list {
                 res_seen[r] = false;
             }
 
-            // Apply: re-anchor, bump generations, and re-key the heap for
+            // Apply in discovery order, so the usage deltas sum in a fixed
+            // order: re-anchor, bump generations, and re-key the heap for
             // slots whose rate actually changed; untouched slots keep
             // their (still valid) heap entries.
-            for (k, &si) in affected.iter().enumerate() {
+            stats.rate_changes += changed.len() as u64;
+            stats.noop_waves += u64::from(changed.is_empty());
+            for &(_, si) in &changed {
                 let si = si as usize;
-                in_affected[si] = false;
-                let r_new = new_rate[k];
-                if r_new == slots.rate[si] {
-                    continue;
-                }
+                let r_new = new_rate[si];
                 if slots.rate[si] > 0.0 && now > slots.anchor_us[si] {
                     slots.remaining[si] -= slots.rate[si] * (now - slots.anchor_us[si]);
                 }
@@ -783,6 +810,7 @@ pub(crate) fn run_incremental(
                 for &(si, node) in &doomed {
                     let si = si as usize;
                     let i = slots.id[si] as usize;
+                    refill.depart(si);
                     if users.retire(&mut slots, si, &mut usage) > 0.0 {
                         // Its heap entry is orphaned by the kill.
                         heap_stale += 1;
@@ -868,6 +896,7 @@ pub(crate) fn run_incremental(
         for &si in &completing {
             let si = si as usize;
             let i = slots.id[si] as usize;
+            refill.depart(si);
             users.retire(&mut slots, si, &mut usage);
             occupied -= 1;
             results[i].end_us = now;
@@ -884,7 +913,11 @@ pub(crate) fn run_incremental(
         granula_trace::counter_add("engine.heap_compactions", stats.compactions);
         granula_trace::counter_add("engine.heap_pops", stats.heap_pops);
         granula_trace::counter_add("engine.heap_stale_pops", stats.stale_pops);
-        granula_trace::counter_add("engine.fill_rounds", fill.rounds);
+        granula_trace::counter_add("engine.fill_rounds", refill.rounds);
+        granula_trace::counter_add("engine.rate_changes", stats.rate_changes);
+        granula_trace::counter_add("engine.noop_waves", stats.noop_waves);
+        granula_trace::counter_add("engine.resumed_refills", refill.resumed);
+        granula_trace::counter_add("engine.skipped_rounds", refill.skipped_rounds);
         if stats.heap_pops > 0 {
             granula_trace::gauge_set(
                 "engine.stale_entry_ratio",

@@ -128,6 +128,21 @@ impl SimResult {
     }
 }
 
+/// How the incremental engine rates a refill wave: a test hook, as
+/// [`Simulation::run`] always resumes.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum RefillMode {
+    /// Resume from the last fill's trail where the closure allows.
+    #[default]
+    Resume,
+    /// Fill every wave from scratch.
+    Scratch,
+    /// Resume, and panic unless every wave's rates equal a from-scratch
+    /// [`crate::resources::fill_rates`] over its closure, bit for bit.
+    Audit,
+}
+
 /// The engine. Construct with a cluster, then [`Simulation::run`] graphs.
 #[derive(Debug, Clone)]
 pub struct Simulation {
@@ -199,9 +214,20 @@ impl Simulation {
         graph: &ActivityGraph,
         plan: &FaultPlan,
     ) -> Result<SimResult, SimError> {
+        self.run_refills(graph, plan, RefillMode::Resume)
+    }
+
+    /// [`Simulation::run_with_faults`] with the refill mode chosen.
+    #[doc(hidden)]
+    pub fn run_refills(
+        &self,
+        graph: &ActivityGraph,
+        plan: &FaultPlan,
+        mode: RefillMode,
+    ) -> Result<SimResult, SimError> {
         self.check_nodes(graph)?;
         self.check_plan(plan)?;
-        crate::sched::run_incremental(&self.cluster, graph, plan)
+        crate::sched::run_incremental(&self.cluster, graph, plan, mode)
     }
 
     /// Executes the DAG with the naive reference engine: every event
