@@ -13,8 +13,13 @@
 //! - **dirty resources** — resources whose user set or capacity changed;
 //! - an **affected set** — the transitive closure of the dirty resources
 //!   over `resource → users → their resources`, found by BFS;
-//! - a **refill** of the affected set by the shared water-filling kernel
-//!   ([`crate::resources::fill_rates`]);
+//! - a **refill** of the affected set by the shared water-filling loop
+//!   (`resources::Fill`). A wave whose closure covers the last fill's
+//!   resources resumes from that fill's **trail** at the first round its
+//!   dirty resources or capped arrivals can reach (the certificate in
+//!   `Fill::resume`); any other wave falls back to a fill from round 1.
+//!   Changed slots are applied in BFS order, which fixes the order of the
+//!   floating-point usage sums;
 //! - a **lazy completion heap** of `(projected finish, slot, generation)`
 //!   entries. A slot's generation bumps whenever its rate changes, and
 //!   stale entries are skipped on pop.

@@ -60,21 +60,26 @@ impl Graph {
         let mut in_sources = vec![0 as VertexId; m];
         let mut out_w = weights.map(|_| vec![0.0f32; m]);
         let mut in_w = weights.map(|_| vec![0.0f32; m]);
-        let mut out_cursor = out_deg.clone();
-        let mut in_cursor = in_deg.clone();
+        // Fill with `out_deg[s]` and `in_deg[t]` as the cursors: afterwards
+        // each holds the start of the next vertex, so one shift restores
+        // the offsets (no cursor copies at the CSR-build peak).
         for (i, &(s, t)) in edges.iter().enumerate() {
-            let oc = &mut out_cursor[s as usize];
+            let oc = &mut out_deg[s as usize];
             out_targets[*oc as usize] = t;
             if let (Some(ws), Some(w)) = (&mut out_w, weights) {
                 ws[*oc as usize] = w[i];
             }
             *oc += 1;
-            let ic = &mut in_cursor[t as usize];
+            let ic = &mut in_deg[t as usize];
             in_sources[*ic as usize] = s;
             if let (Some(ws), Some(w)) = (&mut in_w, weights) {
                 ws[*ic as usize] = w[i];
             }
             *ic += 1;
+        }
+        for offsets in [&mut out_deg, &mut in_deg] {
+            offsets.copy_within(0..n, 1);
+            offsets[0] = 0;
         }
         Graph {
             out_offsets: out_deg,
