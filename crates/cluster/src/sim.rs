@@ -11,7 +11,7 @@
 //! [`Simulation::run_reference`] takes the dense loop, which re-rates every
 //! running activity at every event and rescans them for the earliest
 //! completion; it is the oracle the equivalence tests compare against.
-//! Both share one rate solver, the water-filling kernel
+//! Both run one water-filling round loop; the oracle calls it through
 //! [`crate::resources::fill_rates`].
 
 use std::fmt;
