@@ -1,31 +1,15 @@
-//! Versioned, self-describing **binary** archive format (`.gar`).
+//! Versioned, self-describing **binary** archive format (`.gar`), specified
+//! in `docs/ARCHIVE_FORMAT.md`.
 //!
 //! The JSON envelope of [`crate::format`] is the sharing format; this module
-//! is the *serving* format: fig5/fig6-scale stores are archived once and
-//! re-queried many times without re-simulation, so loading them must not pay
-//! JSON tokenization costs. The encoding goes through the serde shim's
-//! self-describing [`Value`] tree, so every type that serializes to JSON
-//! serializes to the binary format with identical semantics — and float
-//! info values survive bit-for-bit ([`f64::to_bits`] is stored verbatim).
+//! is the *serving* format: stores are archived once and re-queried many
+//! times without re-simulation, so loading them must not pay JSON
+//! tokenization costs.
 //!
-//! ## Layout (format v3)
-//!
-//! ```text
-//! +----------------+---------------------+
-//! | magic  b"GRNA" | version  u32 LE (=3)|
-//! +----------------+---------------------+
-//! | RUN frame      (run header)          |
-//! | JOB frame      (one per archive)     |
-//! | ...                                  |
-//! | TRAILER frame  (per-job offset table)|
-//! +--------------------------------------+
-//! | footer: trailer offset u64 LE        |
-//! |         + CRC32C(offset) u32 LE      |
-//! |         + end magic b"GREN"          |
-//! +--------------------------------------+
-//! ```
-//!
-//! Every frame is independently checksummed:
+//! A v3 file is a header (magic `b"GRNA"`, version `u32` LE), a RUN frame
+//! (the run header), one JOB frame per archive, a TRAILER frame (the
+//! per-job offset table) and a 16-byte footer (the trailer's offset, its
+//! CRC32C, and `b"GREN"`). Every frame is checksummed on its own:
 //!
 //! ```text
 //! frame := kind u8 | payload_len u32 LE | payload | crc32c u32 LE
@@ -35,17 +19,13 @@
 //! A bit flip, torn write, or truncation therefore damages *frames*, not
 //! the file. Every reader checks frames through one function,
 //! `check_frame`: the strict walk behind [`store_from_bytes`] and
-//! [`frame_table`], the salvage layer ([`crate::salvage`]), which recovers
-//! every job whose frame still verifies, and the mmap'd zero-copy reader
-//! ([`crate::zerocopy`]), which finds per-job extents through the
-//! trailer's offset table (reachable from the fixed footer even when
-//! mid-file frames are mangled).
+//! [`frame_table`], the salvage layer ([`crate::salvage`]), and the mmap'd
+//! reader ([`crate::zerocopy`]), which finds per-job extents through the
+//! trailer, reachable from the footer even when mid-file frames are
+//! mangled. Only v3 is read: the retired unframed v1/v2 headers are
+//! [`BinError::UnsupportedVersion`].
 //!
-//! Only v3 is read. The unframed v1/v2 layouts (one raw tagged value after
-//! the header, no checksums) were retired once the committed fixtures had
-//! been converted; their headers are [`BinError::UnsupportedVersion`].
-//!
-//! Tagged values (all lengths/counts are LEB128 varints):
+//! A payload is one tagged value (all lengths/counts are LEB128 varints):
 //!
 //! | tag  | variant | body                                        |
 //! |------|---------|---------------------------------------------|
@@ -53,26 +33,26 @@
 //! | 0x01 | Bool    | 1 byte (0/1)                                |
 //! | 0x02 | Int     | zig-zag varint                              |
 //! | 0x03 | UInt    | varint                                      |
-//! | 0x04 | Float   | 8 bytes, `f64::to_bits` LE                  |
+//! | 0x04 | Float   | 8 bytes, `f64::to_bits` LE (bit for bit)    |
 //! | 0x05 | Str     | varint byte length + UTF-8 bytes            |
 //! | 0x06 | Array   | varint count + that many values             |
 //! | 0x07 | Object  | varint count + that many (Str-body, value)  |
 //!
+//! Payloads take the serde shim's direct path: the derived
+//! [`Serialize::write_to`] writes a type straight into the file buffer,
+//! and [`Deserialize::read_from`] reads it back, with no [`serde::Value`]
+//! tree in between. The bytes are those of the tree (fields in declaration
+//! order, map keys sorted), so equal stores give byte-identical files.
 //! The decoder treats every length, count, and tag as **hostile**: counts
-//! are capped by the bytes actually remaining (a forged 4 GB header can
-//! never drive a 4 GB allocation), nesting depth is capped by
-//! [`MAX_VALUE_DEPTH`], and every malformed shape is a structured
-//! [`BinError`] — never a panic, hang, or abort.
-//!
-//! Encoding is a pure function of the value tree (the shim sorts map keys,
-//! struct fields encode in declaration order), so equal stores produce
-//! byte-identical files — the property the differential test suite pins.
+//! are capped by the bytes remaining before any allocation, nesting by
+//! [`MAX_VALUE_DEPTH`] (also inside a skipped unknown key's value), and
+//! every malformed shape is a structured [`BinError`], never a panic.
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use serde::{DeError, Deserialize, Serialize, Value};
+use serde::{DeError, Deserialize, Serialize, Sink, Source, Token};
 
 use crate::crc::crc32c;
 use crate::durable;
@@ -137,6 +117,8 @@ pub enum BinError {
     BadUtf8,
     /// A value nested deeper than [`MAX_VALUE_DEPTH`].
     TooDeep(usize),
+    /// A varint ran past 64 bits.
+    VarintOverflow,
     /// A frame's CRC32C did not match its bytes.
     FrameChecksum {
         /// Byte offset of the frame within the file.
@@ -174,6 +156,7 @@ impl fmt::Display for BinError {
             BinError::TooDeep(d) => {
                 write!(f, "value nesting exceeds depth limit {d}")
             }
+            BinError::VarintOverflow => write!(f, "varint overflows 64 bits"),
             BinError::FrameChecksum { offset } => {
                 write!(f, "frame at byte {offset} failed its CRC32C check")
             }
@@ -221,8 +204,9 @@ pub(crate) fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, BinError>
     loop {
         let byte = *bytes.get(*pos).ok_or(BinError::Truncated)?;
         *pos += 1;
-        if shift >= 64 {
-            return Err(BinError::Truncated);
+        // The tenth byte carries bit 63 only; anything above it overflows.
+        if shift == 63 && byte > 1 {
+            return Err(BinError::VarintOverflow);
         }
         v |= u64::from(byte & 0x7f) << shift;
         if byte & 0x80 == 0 {
@@ -232,150 +216,145 @@ pub(crate) fn get_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, BinError>
     }
 }
 
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-// ---------------------------------------------------------------- values
-
-/// Appends the tagged encoding of a value.
-pub fn encode_value(v: &Value, out: &mut Vec<u8>) {
-    match v {
-        Value::Null => out.push(TAG_NULL),
-        Value::Bool(b) => {
-            out.push(TAG_BOOL);
-            out.push(u8::from(*b));
-        }
-        Value::Int(i) => {
-            out.push(TAG_INT);
-            put_varint(out, zigzag(*i));
-        }
-        Value::UInt(u) => {
-            out.push(TAG_UINT);
-            put_varint(out, *u);
-        }
-        Value::Float(f) => {
-            out.push(TAG_FLOAT);
-            out.extend_from_slice(&f.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            out.push(TAG_STR);
-            put_varint(out, s.len() as u64);
-            out.extend_from_slice(s.as_bytes());
-        }
-        Value::Array(items) => {
-            out.push(TAG_ARRAY);
-            put_varint(out, items.len() as u64);
-            for item in items {
-                encode_value(item, out);
-            }
-        }
-        Value::Object(pairs) => {
-            out.push(TAG_OBJECT);
-            put_varint(out, pairs.len() as u64);
-            for (k, val) in pairs {
-                put_varint(out, k.len() as u64);
-                out.extend_from_slice(k.as_bytes());
-                encode_value(val, out);
-            }
-        }
-    }
-}
-
-pub(crate) fn get_str(bytes: &[u8], pos: &mut usize) -> Result<String, BinError> {
-    // The length prefix is untrusted: validate the slice *before* any
-    // allocation, so a forged 4 GB length is a `Truncated` error, not an
-    // allocation attempt.
+/// Reads a varint length and the bytes it covers. The length is
+/// untrusted: the slice is checked against the input before any copy.
+fn get_bytes<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], BinError> {
     let len = get_varint(bytes, pos)? as usize;
     let end = pos.checked_add(len).ok_or(BinError::Truncated)?;
     let slice = bytes.get(*pos..end).ok_or(BinError::Truncated)?;
     *pos = end;
-    String::from_utf8(slice.to_vec()).map_err(|_| BinError::BadUtf8)
+    Ok(slice)
 }
 
-/// Decodes one tagged value starting at `pos`, advancing it.
-///
-/// Hardened against hostile input: element counts are capped by the
-/// bytes remaining (each element costs at least one byte, each object
-/// pair at least two), and nesting past [`MAX_VALUE_DEPTH`] is a
-/// [`BinError::TooDeep`] rather than a stack overflow.
-pub fn decode_value(bytes: &[u8], pos: &mut usize) -> Result<Value, BinError> {
-    decode_value_at(bytes, pos, 0)
+fn get_str<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a str, BinError> {
+    std::str::from_utf8(get_bytes(bytes, pos)?).map_err(|_| BinError::BadUtf8)
 }
 
-fn decode_value_at(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Value, BinError> {
-    if depth >= MAX_VALUE_DEPTH {
-        return Err(BinError::TooDeep(MAX_VALUE_DEPTH));
+// ---------------------------------------------------------------- values
+
+/// Appends tagged values to a buffer: the serde shim's direct path.
+struct Writer<'a>(&'a mut Vec<u8>);
+
+impl Sink for Writer<'_> {
+    fn null(&mut self) {
+        self.0.push(TAG_NULL);
     }
-    let tag = *bytes.get(*pos).ok_or(BinError::Truncated)?;
-    *pos += 1;
-    match tag {
-        TAG_NULL => Ok(Value::Null),
-        TAG_BOOL => {
-            let b = *bytes.get(*pos).ok_or(BinError::Truncated)?;
-            *pos += 1;
-            Ok(Value::Bool(b != 0))
+    fn bool(&mut self, v: bool) {
+        self.0.extend_from_slice(&[TAG_BOOL, u8::from(v)]);
+    }
+    fn int(&mut self, v: i64) {
+        self.0.push(TAG_INT);
+        put_varint(self.0, ((v << 1) ^ (v >> 63)) as u64); // zig-zag
+    }
+    fn uint(&mut self, v: u64) {
+        self.0.push(TAG_UINT);
+        put_varint(self.0, v);
+    }
+    fn float(&mut self, v: f64) {
+        self.0.push(TAG_FLOAT);
+        self.0.extend_from_slice(&v.to_bits().to_le_bytes());
+    }
+    fn str(&mut self, v: &str) {
+        self.0.push(TAG_STR);
+        self.key(v);
+    }
+    fn array(&mut self, len: usize) {
+        self.0.push(TAG_ARRAY);
+        put_varint(self.0, len as u64);
+    }
+    fn object(&mut self, len: usize) {
+        self.0.push(TAG_OBJECT);
+        put_varint(self.0, len as u64);
+    }
+    fn key(&mut self, key: &str) {
+        put_varint(self.0, key.len() as u64);
+        self.0.extend_from_slice(key.as_bytes());
+    }
+}
+
+/// Reads tagged values from a payload, treating every byte as hostile:
+/// counts are capped by the bytes remaining (each array element costs at
+/// least one byte, each object pair two) and nesting by
+/// [`MAX_VALUE_DEPTH`].
+struct Reader<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+    /// Containers entered and not yet left.
+    depth: usize,
+}
+
+impl Reader<'_> {
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], BinError> {
+        let bytes = self.bytes.get(self.pos..self.pos + N);
+        let bytes = bytes.ok_or(BinError::Truncated)?;
+        self.pos += N;
+        Ok(bytes.try_into().expect("N bytes"))
+    }
+
+    /// Reads a container count that `min_bytes` per element must fit in.
+    fn count(&mut self, min_bytes: usize) -> Result<usize, BinError> {
+        let n = get_varint(self.bytes, &mut self.pos)? as usize;
+        if n > (self.bytes.len() - self.pos) / min_bytes {
+            return Err(BinError::Truncated);
         }
-        TAG_INT => Ok(Value::Int(unzigzag(get_varint(bytes, pos)?))),
-        TAG_UINT => Ok(Value::UInt(get_varint(bytes, pos)?)),
-        TAG_FLOAT => {
-            let end = pos.checked_add(8).ok_or(BinError::Truncated)?;
-            let slice = bytes.get(*pos..end).ok_or(BinError::Truncated)?;
-            *pos = end;
-            let bits = u64::from_le_bytes(slice.try_into().expect("8-byte slice"));
-            Ok(Value::Float(f64::from_bits(bits)))
+        self.depth += 1;
+        Ok(n)
+    }
+}
+
+impl Source for Reader<'_> {
+    type Error = BinError;
+
+    fn token(&mut self) -> Result<Token<'_>, BinError> {
+        if self.depth >= MAX_VALUE_DEPTH {
+            return Err(BinError::TooDeep(MAX_VALUE_DEPTH));
         }
-        TAG_STR => Ok(Value::Str(get_str(bytes, pos)?)),
-        TAG_ARRAY => {
-            let n = get_varint(bytes, pos)? as usize;
-            // Bound preallocation by what the input could possibly hold
-            // (every element is at least one tag byte), so a forged
-            // count can never drive an unbounded allocation.
-            let remaining = bytes.len().saturating_sub(*pos);
-            if n > remaining {
-                return Err(BinError::Truncated);
+        let [tag] = self.take()?;
+        Ok(match tag {
+            TAG_NULL => Token::Null,
+            TAG_BOOL => Token::Bool(self.take()? != [0]),
+            TAG_INT => {
+                let zz = get_varint(self.bytes, &mut self.pos)?;
+                Token::Int(((zz >> 1) as i64) ^ -((zz & 1) as i64))
             }
-            let mut items = Vec::with_capacity(n);
-            for _ in 0..n {
-                items.push(decode_value_at(bytes, pos, depth + 1)?);
-            }
-            Ok(Value::Array(items))
-        }
-        TAG_OBJECT => {
-            let n = get_varint(bytes, pos)? as usize;
-            // Every pair costs at least two bytes (key length + value tag).
-            let remaining = bytes.len().saturating_sub(*pos);
-            if n > remaining / 2 {
-                return Err(BinError::Truncated);
-            }
-            let mut pairs = Vec::with_capacity(n);
-            for _ in 0..n {
-                let key = get_str(bytes, pos)?;
-                let val = decode_value_at(bytes, pos, depth + 1)?;
-                pairs.push((key, val));
-            }
-            Ok(Value::Object(pairs))
-        }
-        other => Err(BinError::BadTag(other)),
+            TAG_UINT => Token::UInt(get_varint(self.bytes, &mut self.pos)?),
+            TAG_FLOAT => Token::Float(f64::from_le_bytes(self.take()?)),
+            TAG_STR => Token::Str(get_str(self.bytes, &mut self.pos)?),
+            TAG_ARRAY => Token::Array(self.count(1)?),
+            TAG_OBJECT => Token::Object(self.count(2)?),
+            other => return Err(BinError::BadTag(other)),
+        })
+    }
+
+    fn null(&mut self) -> Result<bool, BinError> {
+        // A null past the depth cap is not taken: `token` reports it.
+        let null = self.depth < MAX_VALUE_DEPTH && self.bytes.get(self.pos) == Some(&TAG_NULL);
+        self.pos += usize::from(null);
+        Ok(null)
+    }
+
+    fn key(&mut self) -> Result<&[u8], BinError> {
+        get_bytes(self.bytes, &mut self.pos)
+    }
+
+    fn end(&mut self) {
+        self.depth -= 1;
     }
 }
 
 // ---------------------------------------------------------------- frames
 
-/// Appends one checksummed frame, returning its byte offset in `out`.
-fn push_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) -> usize {
+/// Appends one checksummed frame whose payload `write` appends in place,
+/// returning the frame's byte offset in `out`. The length field is
+/// reserved, then patched once the payload is written.
+fn push_frame(out: &mut Vec<u8>, kind: u8, write: impl FnOnce(&mut Vec<u8>)) -> usize {
     let start = out.len();
-    assert!(
-        payload.len() < u32::MAX as usize,
-        "frame payloads are u32-sized"
-    );
-    out.push(kind);
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(payload);
+    out.extend_from_slice(&[kind, 0, 0, 0, 0]);
+    write(out);
+    let len = out.len() - start - FRAME_HEADER_LEN;
+    assert!(len < u32::MAX as usize, "frame payloads are u32-sized");
+    out[start + 1..start + FRAME_HEADER_LEN].copy_from_slice(&(len as u32).to_le_bytes());
     let crc = crc32c(&out[start..]);
     out.extend_from_slice(&crc.to_le_bytes());
     start
@@ -454,16 +433,13 @@ pub struct TrailerEntry {
     pub len: usize,
 }
 
-fn encode_trailer(entries: &[TrailerEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(entries.len() * 32 + 4);
-    put_varint(&mut out, entries.len() as u64);
+fn encode_trailer(entries: &[TrailerEntry], out: &mut Vec<u8>) {
+    put_varint(out, entries.len() as u64);
     for e in entries {
-        put_varint(&mut out, e.job_id.len() as u64);
-        out.extend_from_slice(e.job_id.as_bytes());
-        put_varint(&mut out, e.offset as u64);
-        put_varint(&mut out, e.len as u64);
+        Writer(out).key(&e.job_id);
+        put_varint(out, e.offset as u64);
+        put_varint(out, e.len as u64);
     }
-    out
 }
 
 pub(crate) fn decode_trailer(payload: &[u8]) -> Result<Vec<TrailerEntry>, BinError> {
@@ -475,7 +451,7 @@ pub(crate) fn decode_trailer(payload: &[u8]) -> Result<Vec<TrailerEntry>, BinErr
     }
     let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let job_id = get_str(payload, &mut pos)?;
+        let job_id = get_str(payload, &mut pos)?.to_owned();
         let offset = get_varint(payload, &mut pos)? as usize;
         let len = get_varint(payload, &mut pos)? as usize;
         entries.push(TrailerEntry {
@@ -638,20 +614,25 @@ pub fn frame_table(bytes: &[u8]) -> Result<Vec<FrameInfo>, BinError> {
 
 // -------------------------------------------------------------- envelopes
 
-fn encode_payload<T: Serialize>(payload: &T) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 * 1024);
-    encode_value(&payload.to_value(), &mut out);
-    out
+/// Appends `value` as one tagged value: a frame payload.
+pub fn encode_payload<T: Serialize + ?Sized>(value: &T, out: &mut Vec<u8>) {
+    value.write_to(&mut Writer(out));
 }
 
 /// Decodes one frame payload: exactly one tagged value, nothing after it.
-pub(crate) fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, BinError> {
-    let mut pos = 0;
-    let value = decode_value(payload, &mut pos)?;
-    if pos != payload.len() {
-        return Err(BinError::TrailingBytes(payload.len() - pos));
+/// Accepts and rejects exactly what decoding the payload to a
+/// [`serde::Value`] and then `T::from_value` would.
+pub fn decode_payload<T: Deserialize>(payload: &[u8]) -> Result<T, BinError> {
+    let mut reader = Reader {
+        bytes: payload,
+        pos: 0,
+        depth: 0,
+    };
+    let value = T::read_from(&mut reader)?;
+    match payload.len() - reader.pos {
+        0 => Ok(value),
+        trailing => Err(BinError::TrailingBytes(trailing)),
     }
-    Ok(T::from_value(&value)?)
 }
 
 /// Serializes a whole store (all archives) to the binary format.
@@ -659,18 +640,17 @@ pub fn store_to_bytes(store: &ArchiveStore) -> Vec<u8> {
     let mut out = Vec::with_capacity(64 * 1024);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-    push_frame(&mut out, FRAME_RUN, &encode_payload(store.run()));
+    push_frame(&mut out, FRAME_RUN, |out| encode_payload(store.run(), out));
     let mut entries = Vec::with_capacity(store.len());
     for archive in store.iter() {
-        let payload = encode_payload(archive);
-        let offset = push_frame(&mut out, FRAME_JOB, &payload);
+        let offset = push_frame(&mut out, FRAME_JOB, |out| encode_payload(archive, out));
         entries.push(TrailerEntry {
             job_id: archive.meta.job_id.clone(),
             offset,
-            len: payload.len() + FRAME_OVERHEAD,
+            len: out.len() - offset,
         });
     }
-    let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
+    let trailer_offset = push_frame(&mut out, FRAME_TRAILER, |out| encode_trailer(&entries, out));
     push_footer(&mut out, trailer_offset);
     out
 }
@@ -772,6 +752,12 @@ mod tests {
         store
     }
 
+    fn payload<T: Serialize + ?Sized>(value: &T) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_payload(value, &mut out);
+        out
+    }
+
     /// A complete, CRC-valid file around hand-made payloads: `run` as the
     /// RUN frame and one JOB frame per `jobs` row, each listed in the
     /// trailer. Hostile payloads built this way reach the value decoder
@@ -780,16 +766,16 @@ mod tests {
         let mut out = Vec::new();
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-        push_frame(&mut out, FRAME_RUN, run);
+        push_frame(&mut out, FRAME_RUN, |o| o.extend_from_slice(run));
         let entries: Vec<_> = jobs
             .iter()
             .map(|(id, payload)| TrailerEntry {
                 job_id: id.to_string(),
-                offset: push_frame(&mut out, FRAME_JOB, payload),
+                offset: push_frame(&mut out, FRAME_JOB, |o| o.extend_from_slice(payload)),
                 len: payload.len() + FRAME_OVERHEAD,
             })
             .collect();
-        let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
+        let trailer_offset = push_frame(&mut out, FRAME_TRAILER, |o| encode_trailer(&entries, o));
         push_footer(&mut out, trailer_offset);
         out
     }
@@ -880,18 +866,19 @@ mod tests {
 
     #[test]
     fn trailer_must_match_the_job_frames() {
-        let run = encode_payload(&crate::store::RunMeta::default());
-        let job = encode_payload(sample_store().get("g0").unwrap());
+        let run = payload(&crate::store::RunMeta::default());
+        let job = payload(sample_store().get("g0").unwrap());
         let build = |id: &str, shift: usize| {
             let mut out = MAGIC.to_vec();
             out.extend_from_slice(&BIN_FORMAT_VERSION.to_le_bytes());
-            push_frame(&mut out, FRAME_RUN, &run);
+            push_frame(&mut out, FRAME_RUN, |o| o.extend_from_slice(&run));
             let entries = [TrailerEntry {
                 job_id: id.into(),
-                offset: push_frame(&mut out, FRAME_JOB, &job) + shift,
+                offset: push_frame(&mut out, FRAME_JOB, |o| o.extend_from_slice(&job)) + shift,
                 len: job.len() + FRAME_OVERHEAD,
             }];
-            let trailer_offset = push_frame(&mut out, FRAME_TRAILER, &encode_trailer(&entries));
+            let trailer_offset =
+                push_frame(&mut out, FRAME_TRAILER, |o| encode_trailer(&entries, o));
             push_footer(&mut out, trailer_offset);
             out
         };
@@ -940,7 +927,7 @@ mod tests {
         // value: the decoder must bound `with_capacity` by the bytes
         // remaining and return Truncated instead of attempting the
         // allocation, in the RUN frame and in a JOB frame alike.
-        let empty_run = encode_payload(&crate::store::RunMeta::default());
+        let empty_run = payload(&crate::store::RunMeta::default());
         for tag in [TAG_ARRAY, TAG_OBJECT, TAG_STR] {
             let mut forged = vec![tag];
             put_varint(&mut forged, 4_000_000_000);
@@ -959,16 +946,35 @@ mod tests {
 
     #[test]
     fn hostile_nesting_depth_is_an_error_not_a_stack_overflow() {
-        let mut nested = Vec::new();
-        for _ in 0..10_000 {
-            nested.push(TAG_ARRAY);
-            nested.push(1); // varint count = 1
+        let nested = |levels: usize| {
+            let mut out = [TAG_ARRAY, 1].repeat(levels); // count = 1 each
+            out.push(TAG_NULL);
+            out
+        };
+        // The chain as the value of an unknown key in the run header: the
+        // decoder walks it while it skips the key, one level below the
+        // header object, so 62 arrays load and 63 reach the cap.
+        let run = payload(&crate::store::RunMeta::default());
+        assert_eq!(run[..2], [TAG_OBJECT, 3]);
+        let with_chain = |levels: usize| {
+            [
+                [TAG_OBJECT, 4, 1, b'x'].as_slice(),
+                &nested(levels),
+                &run[2..],
+            ]
+            .concat()
+        };
+        assert!(store_from_bytes(&framed_file(&with_chain(62), &[])).is_ok());
+        for levels in [63, 10_000] {
+            let bytes = framed_file(&with_chain(levels), &[]);
+            assert!(frame_table(&bytes).is_ok(), "every frame verifies");
+            assert!(matches!(
+                store_from_bytes(&bytes),
+                Err(BinError::TooDeep(MAX_VALUE_DEPTH))
+            ));
         }
-        nested.push(TAG_NULL);
-        let bytes = framed_file(&nested, &[]);
-        assert!(frame_table(&bytes).is_ok(), "every frame verifies");
         assert!(matches!(
-            store_from_bytes(&bytes),
+            decode_payload::<serde::Value>(&nested(10_000)),
             Err(BinError::TooDeep(MAX_VALUE_DEPTH))
         ));
     }
@@ -976,12 +982,7 @@ mod tests {
     #[test]
     fn floats_survive_bit_for_bit() {
         for f in [0.1 + 0.2, f64::MIN_POSITIVE, -0.0, 1e308, f64::NAN] {
-            let mut out = Vec::new();
-            encode_value(&Value::Float(f), &mut out);
-            let mut pos = 0;
-            let Value::Float(back) = decode_value(&out, &mut pos).unwrap() else {
-                panic!("float expected");
-            };
+            let back: f64 = decode_payload(&payload(&f)).unwrap();
             assert_eq!(back.to_bits(), f.to_bits());
         }
     }
@@ -995,7 +996,26 @@ mod tests {
             assert_eq!(get_varint(&out, &mut pos).unwrap(), v);
         }
         for v in [i64::MIN, -1, 0, 1, i64::MAX] {
-            assert_eq!(unzigzag(zigzag(v)), v);
+            assert_eq!(decode_payload::<i64>(&payload(&v)).unwrap(), v);
+        }
+    }
+
+    #[test]
+    fn varints_past_64_bits_are_rejected() {
+        // Ten bytes hold 70 bits; the tenth may only carry bit 63.
+        let max = [[0xFF; 9].as_slice(), &[0x01]].concat();
+        assert_eq!(get_varint(&max, &mut 0).unwrap(), u64::MAX);
+        for last in [0x02, 0x7F] {
+            let long = [[0xFF; 9].as_slice(), &[last]].concat();
+            assert!(matches!(
+                get_varint(&long, &mut 0),
+                Err(BinError::VarintOverflow)
+            ));
+            let uint = [[TAG_UINT].as_slice(), &long].concat();
+            assert!(matches!(
+                decode_payload::<serde::Value>(&uint),
+                Err(BinError::VarintOverflow)
+            ));
         }
     }
 

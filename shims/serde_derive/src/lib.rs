@@ -6,6 +6,10 @@
 //! field attribute honoured is `#[serde(skip)]` (omitted on serialize,
 //! `Default::default()` on deserialize); generics are rejected.
 //!
+//! Each derive emits both paths from the one parsed item: `to_value` /
+//! `from_value` through the `Value` tree, and `write_to` / `read_from`
+//! straight against a `Sink` / `Source`, in the same shape and key order.
+//!
 //! Implementation note: the input item is parsed directly from the raw
 //! `TokenStream` (no syn/quote in the container), and the impl is built
 //! as a source string and re-parsed — only field names, arities, and skip
@@ -314,11 +318,98 @@ fn gen_serialize(item: &Item) -> String {
             format!("match self {{ {arms} }}")
         }
     };
+    let write = gen_write(item);
     format!(
         "impl ::serde::Serialize for {name} {{\n\
              fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
+             fn write_to<__S: ::serde::Sink + ?Sized>(&self, __sink: &mut __S) {{ {write} }}\n\
          }}"
     )
+}
+
+/// Writes the non-skipped `fields` as an object; `access` turns a field
+/// name into an expression of a reference to it.
+fn write_fields(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let kept: Vec<&Field> = fields.iter().filter(|f| !f.skip).collect();
+    let mut out = format!("__sink.object({});", kept.len());
+    for f in kept {
+        let _ = write!(
+            out,
+            "__sink.key(\"{0}\"); ::serde::Serialize::write_to({1}, __sink);",
+            f.name,
+            access(&f.name)
+        );
+    }
+    out
+}
+
+/// Writes `binds` (references) as an array.
+fn write_items(binds: &[String]) -> String {
+    let mut out = format!("__sink.array({});", binds.len());
+    for b in binds {
+        let _ = write!(out, "::serde::Serialize::write_to({b}, __sink);");
+    }
+    out
+}
+
+fn gen_write(item: &Item) -> String {
+    let name = &item.name;
+    match &item.body {
+        Body::UnitStruct => "__sink.null();".to_string(),
+        Body::TupleStruct { arity: 1 } => "::serde::Serialize::write_to(&self.0, __sink);".into(),
+        Body::TupleStruct { arity } => write_items(
+            &(0..*arity)
+                .map(|i| format!("&self.{i}"))
+                .collect::<Vec<_>>(),
+        ),
+        Body::NamedStruct { fields } => write_fields(fields, |f| format!("&self.{f}")),
+        Body::Enum { variants } => {
+            let mut arms = String::new();
+            for v in variants {
+                let vn = &v.name;
+                let tagged = format!("__sink.object(1); __sink.key(\"{vn}\");");
+                match &v.kind {
+                    VariantKind::Unit => {
+                        let _ = write!(arms, "{name}::{vn} => __sink.str(\"{vn}\"),");
+                    }
+                    VariantKind::Tuple(1) => {
+                        let _ = write!(
+                            arms,
+                            "{name}::{vn}(__f0) => {{ {tagged} ::serde::Serialize::write_to(__f0, __sink); }}"
+                        );
+                    }
+                    VariantKind::Tuple(arity) => {
+                        let binds: Vec<String> = (0..*arity).map(|i| format!("__f{i}")).collect();
+                        let _ = write!(
+                            arms,
+                            "{name}::{vn}({}) => {{ {tagged} {} }}",
+                            binds.join(", "),
+                            write_items(&binds)
+                        );
+                    }
+                    VariantKind::Struct(fields) => {
+                        let binds: Vec<String> = fields
+                            .iter()
+                            .map(|f| {
+                                if f.skip {
+                                    format!("{}: _", f.name)
+                                } else {
+                                    f.name.clone()
+                                }
+                            })
+                            .collect();
+                        let _ = write!(
+                            arms,
+                            "{name}::{vn} {{ {} }} => {{ {tagged} {} }}",
+                            binds.join(", "),
+                            write_fields(fields, str::to_string)
+                        );
+                    }
+                }
+            }
+            format!("match self {{ {arms} }}")
+        }
+    }
 }
 
 fn gen_deserialize(item: &Item) -> String {
@@ -434,9 +525,144 @@ fn gen_deserialize(item: &Item) -> String {
             )
         }
     };
+    let read = gen_read(item);
     format!(
         "impl ::serde::Deserialize for {name} {{\n\
              fn from_value(__v: &::serde::Value) -> Result<Self, ::serde::DeError> {{ {body} }}\n\
+             fn read_from<__S: ::serde::Source + ?Sized>(__src: &mut __S) -> Result<Self, __S::Error> {{ {read} }}\n\
          }}"
     )
+}
+
+/// An expression reading an object into `ctor {{ fields }}`. Keys may come
+/// in any order; unknown keys are skipped and the first of two equal keys
+/// wins, as `from_field` finds it.
+fn read_fields(ctor: &str, fields: &[Field]) -> String {
+    let mut slots = String::new();
+    let mut arms = String::new();
+    let mut inits = Vec::new();
+    for (i, f) in fields.iter().enumerate() {
+        if f.skip {
+            inits.push(format!("{}: ::core::default::Default::default()", f.name));
+            continue;
+        }
+        let _ = write!(slots, "let mut __f{i} = ::core::option::Option::None;");
+        let _ = write!(
+            arms,
+            "b\"{0}\" if __f{i}.is_none() => __f{i} = ::core::option::Option::Some(::serde::Deserialize::read_from(__src)?),",
+            f.name
+        );
+        inits.push(format!(
+            "{0}: __f{i}.ok_or_else(|| ::serde::missing_field(\"{0}\"))?",
+            f.name
+        ));
+    }
+    format!(
+        "{{\n\
+             let ::serde::Token::Object(__n) = ::serde::Source::token(__src)? else {{\n\
+                 return Err(::serde::expected(\"object for {ctor}\"));\n\
+             }};\n\
+             {slots}\n\
+             for _ in 0..__n {{\n\
+                 match ::serde::Source::key(__src)? {{\n\
+                     {arms}\n\
+                     __k => {{\n\
+                         ::serde::key_str::<__S::Error>(__k)?;\n\
+                         ::serde::Source::skip(__src)?;\n\
+                     }}\n\
+                 }}\n\
+             }}\n\
+             ::serde::Source::end(__src);\n\
+             {ctor} {{ {} }}\n\
+         }}",
+        inits.join(", ")
+    )
+}
+
+/// An expression reading an array of exactly `arity` values into
+/// `ctor(..)`.
+fn read_items(ctor: &str, arity: usize) -> String {
+    let items: Vec<&str> = (0..arity)
+        .map(|_| "::serde::Deserialize::read_from(__src)?")
+        .collect();
+    format!(
+        "{{\n\
+             match ::serde::Source::token(__src)? {{\n\
+                 ::serde::Token::Array({arity}) => {{}}\n\
+                 ::serde::Token::Array(_) => return Err(::serde::expected(\"array of {arity} for {ctor}\")),\n\
+                 _ => return Err(::serde::expected(\"array for {ctor}\")),\n\
+             }}\n\
+             let __v = {ctor}({});\n\
+             ::serde::Source::end(__src);\n\
+             __v\n\
+         }}",
+        items.join(", ")
+    )
+}
+
+fn gen_read(item: &Item) -> String {
+    let name = &item.name;
+    match &item.body {
+        Body::UnitStruct => format!(
+            "match ::serde::Source::token(__src)? {{\n\
+                 ::serde::Token::Null => Ok({name}),\n\
+                 _ => Err(::serde::expected(\"null for unit struct {name}\")),\n\
+             }}"
+        ),
+        Body::TupleStruct { arity: 1 } => {
+            format!("Ok({name}(::serde::Deserialize::read_from(__src)?))")
+        }
+        Body::TupleStruct { arity } => format!("Ok({})", read_items(name, *arity)),
+        Body::NamedStruct { fields } => format!("Ok({})", read_fields(name, fields)),
+        Body::Enum { variants } => {
+            let mut unit_arms = String::new();
+            let mut tagged_arms = String::new();
+            for v in variants {
+                let vn = &v.name;
+                let ctor = format!("{name}::{vn}");
+                match &v.kind {
+                    VariantKind::Unit => {
+                        let _ = write!(unit_arms, "\"{vn}\" => Ok({ctor}),");
+                    }
+                    VariantKind::Tuple(1) => {
+                        let _ = write!(
+                            tagged_arms,
+                            "b\"{vn}\" => Ok({ctor}(::serde::Deserialize::read_from(__src)?)),"
+                        );
+                    }
+                    VariantKind::Tuple(arity) => {
+                        let _ = write!(
+                            tagged_arms,
+                            "b\"{vn}\" => Ok({}),",
+                            read_items(&ctor, *arity)
+                        );
+                    }
+                    VariantKind::Struct(fields) => {
+                        let _ = write!(
+                            tagged_arms,
+                            "b\"{vn}\" => Ok({}),",
+                            read_fields(&ctor, fields)
+                        );
+                    }
+                }
+            }
+            format!(
+                "match ::serde::Source::token(__src)? {{\n\
+                     ::serde::Token::Str(__s) => match __s {{\n\
+                         {unit_arms}\n\
+                         __other => Err(::serde::DeError(format!(\"unknown {name} variant `{{__other}}`\")).into()),\n\
+                     }},\n\
+                     ::serde::Token::Object(1) => {{\n\
+                         let __v: Self = match ::serde::Source::key(__src)? {{\n\
+                             {tagged_arms}\n\
+                             __other => Err(::serde::DeError(format!(\"unknown {name} variant `{{}}`\", ::std::string::String::from_utf8_lossy(__other)))),\n\
+                         }}?;\n\
+                         ::serde::Source::end(__src);\n\
+                         Ok(__v)\n\
+                     }}\n\
+                     _ => Err(::serde::expected(\"string or single-key object for {name}\")),\n\
+                 }}"
+            )
+        }
+    }
 }
