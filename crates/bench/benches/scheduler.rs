@@ -1,18 +1,21 @@
-//! Scheduler microbenchmarks: the incremental engine (`Simulation::run`)
-//! against the naive reference engine (`Simulation::run_reference`) on the
-//! workload shapes that separate them.
+//! Scheduler microbenchmarks: the incremental engine as it runs
+//! (`incremental`, `Simulation::run`, which resumes refills from the last
+//! fill's trail) against the same engine filling every refill wave from
+//! scratch (`scratch`, `RefillMode::Scratch`). The gap between the two arms
+//! prices resumed refills.
 //!
 //! - `wide_contention`: hundreds of readers on one saturated disk next to
 //!   hundreds of unrelated computes. Every reader completion dirties only
-//!   the disk's component; the reference engine refills and rescans *all*
-//!   running activities per event.
+//!   the disk's component.
 //! - `barrier_chain`: long chains of supersteps joined by barriers — the
 //!   BSP shape. Events are dense but components are small.
 //! - `mixed`: per-node read → compute → shuffle rounds at 8 and 32 nodes,
 //!   the simulator's steady-state diet.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use gpsim_cluster::{ActivityGraph, ActivityKind, ClusterSpec, NodeId, Simulation};
+use gpsim_cluster::{
+    ActivityGraph, ActivityKind, ClusterSpec, FaultPlan, NodeId, RefillMode, Simulation,
+};
 
 /// 32 nodes; node 0 serves `readers` disk reads with well-separated sizes
 /// while every other node runs 32 long computes.
@@ -129,8 +132,11 @@ fn bench_engines(
         graph,
         |b, graph| b.iter(|| sim.run(graph).unwrap()),
     );
-    g.bench_with_input(BenchmarkId::new("reference", &param), graph, |b, graph| {
-        b.iter(|| sim.run_reference(graph).unwrap())
+    g.bench_with_input(BenchmarkId::new("scratch", &param), graph, |b, graph| {
+        b.iter(|| {
+            sim.run_refills(graph, &FaultPlan::default(), RefillMode::Scratch)
+                .unwrap()
+        })
     });
     g.finish();
 }

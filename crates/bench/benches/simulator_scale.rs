@@ -1,13 +1,11 @@
-//! The scale sweep behind the full-scale dg1000 claim: island-structured
-//! DAGs from 1 k to 5 M activities over a 256-node cluster, comparing the
-//! incremental engine ([`Simulation::run`]) against the dense reference
-//! loop ([`Simulation::run_reference`]).
+//! The scale sweep behind the full-scale dg1000 claim: the incremental
+//! engine ([`Simulation::run`]) on island-structured DAGs from 1 k to 5 M
+//! activities over a 256-node cluster.
 //!
 //! Islands mirror what platform drivers emit: bursts of concurrent
 //! same-node work (loaders, compute threads, spills) joined by barriers.
-//! The dense loop re-solves fair shares over *every* running activity per
-//! event — cost grows with `islands × width` — while the incremental
-//! engine re-rates only the island whose event fired.
+//! The engine re-rates only the island whose event fired, so its cost per
+//! event stays flat as `islands × width` grows.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -85,10 +83,6 @@ fn bench_scale(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("auto", label), &dag, |b, dag| {
             let sim = Simulation::new(cluster.clone());
             b.iter(|| black_box(sim.run(black_box(dag)).unwrap().makespan_us))
-        });
-        group.bench_with_input(BenchmarkId::new("seed", label), &dag, |b, dag| {
-            let sim = Simulation::new(cluster.clone());
-            b.iter(|| black_box(sim.run_reference(black_box(dag)).unwrap().makespan_us))
         });
     }
     group.finish();

@@ -3,9 +3,8 @@
 //! A [`FaultPlan`] describes *when* the cluster misbehaves — a node crashes
 //! at simulated time `T` (optionally coming back after a restart delay), or
 //! a node's CPU/disk/NIC capacity is multiplied by a factor over a time
-//! window. Both engines ([`crate::sim::Simulation::run_with_faults`] and
-//! [`crate::sim::Simulation::run_reference_with_faults`]) honor the same
-//! plan with identical semantics:
+//! window. [`crate::sim::Simulation::run_with_faults`] honors a plan with
+//! these semantics (the dense oracle in the equivalence tests shares them):
 //!
 //! - At a crash, every in-flight activity touching the node is **killed**:
 //!   it is forced to complete at the crash instant (its unfinished work is
@@ -20,7 +19,7 @@
 //! - Slowdown windows scale resource capacities multiplicatively while
 //!   active; rates are re-derived at every window edge.
 //!
-//! An empty plan adds no floating-point work to either engine, so fault
+//! An empty plan adds no floating-point work to the engine, so fault
 //! support leaves healthy simulations bit-identical.
 
 use serde::{Deserialize, Serialize};
@@ -69,7 +68,7 @@ pub struct Slowdown {
     pub factor: f64,
 }
 
-/// A deterministic schedule of faults, honored identically by both engines.
+/// A deterministic schedule of faults for [`crate::sim::Simulation::run_with_faults`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultPlan {
     /// Node crashes.
@@ -175,7 +174,7 @@ impl FaultPlan {
         plan
     }
 
-    /// Largest node id referenced by the plan, if any — used by the engines
+    /// Largest node id referenced by the plan, if any — used by the engine
     /// to validate the plan against the cluster.
     pub(crate) fn max_node(&self) -> Option<NodeId> {
         self.crashes
@@ -235,7 +234,8 @@ pub(crate) fn touched_nodes(kind: &ActivityKind) -> [Option<NodeId>; 2] {
 /// unprocessed boundary. [`FaultClock::advance`] consumes boundaries up to
 /// `t` and reports which nodes crashed/restarted and whether capacities
 /// need re-deriving.
-pub(crate) struct FaultClock<'a> {
+#[doc(hidden)]
+pub struct FaultClock<'a> {
     plan: &'a FaultPlan,
     /// `(at_us, node)` sorted ascending.
     crash_events: Vec<(f64, NodeId)>,
@@ -253,7 +253,7 @@ pub(crate) struct FaultClock<'a> {
 }
 
 impl<'a> FaultClock<'a> {
-    pub(crate) fn new(plan: &'a FaultPlan, nodes: usize) -> Self {
+    pub fn new(plan: &'a FaultPlan, nodes: usize) -> Self {
         let mut crash_events: Vec<(f64, NodeId)> =
             plan.crashes.iter().map(|c| (c.at_us, c.node)).collect();
         crash_events.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -287,7 +287,7 @@ impl<'a> FaultClock<'a> {
     }
 
     /// The earliest unprocessed fault boundary, if any.
-    pub(crate) fn next_boundary(&self) -> Option<f64> {
+    pub fn next_boundary(&self) -> Option<f64> {
         let mut b = f64::INFINITY;
         if let Some(&(t, _)) = self.crash_events.get(self.ci) {
             b = b.min(t);
@@ -307,7 +307,7 @@ impl<'a> FaultClock<'a> {
     /// (capacities must be re-derived). Restarts are applied before crashes
     /// sharing the same instant, so a node crashed and restarted at the
     /// exact same time ends up down.
-    pub(crate) fn advance(
+    pub fn advance(
         &mut self,
         t: f64,
         crashed: &mut Vec<NodeId>,
@@ -351,12 +351,12 @@ impl<'a> FaultClock<'a> {
     }
 
     /// Whether a restart is still scheduled for `node`.
-    pub(crate) fn has_pending_restart(&self, node: NodeId) -> bool {
+    pub fn has_pending_restart(&self, node: NodeId) -> bool {
         self.pending_restarts[node.0 as usize] > 0
     }
 
     /// The first down node the activity kind touches, if any.
-    pub(crate) fn blocking_node(&self, kind: &ActivityKind) -> Option<NodeId> {
+    pub fn blocking_node(&self, kind: &ActivityKind) -> Option<NodeId> {
         touched_nodes(kind)
             .into_iter()
             .flatten()
@@ -367,7 +367,7 @@ impl<'a> FaultClock<'a> {
     /// applied multiplicatively, in plan order. Layout matches
     /// [`crate::resources::ResourceTable`]: cores, disk, NIC-in, NIC-out
     /// blocks of `nodes` entries each, then the shared-FS server.
-    pub(crate) fn refresh_caps(&self, base: &[f64], caps: &mut [f64], t: f64) {
+    pub fn refresh_caps(&self, base: &[f64], caps: &mut [f64], t: f64) {
         caps.copy_from_slice(base);
         let nodes = (base.len() - 1) / 4;
         for s in &self.plan.slowdowns {

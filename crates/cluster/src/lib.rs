@@ -24,7 +24,8 @@ pub mod fs;
 pub mod intern;
 pub mod provision;
 pub mod resources;
-pub(crate) mod sched;
+#[doc(hidden)]
+pub mod sched;
 pub mod sim;
 pub mod topology;
 pub mod trace;

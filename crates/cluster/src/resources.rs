@@ -9,12 +9,13 @@
 //! TCP-like bandwidth sharing closely enough for the phenomena Granula
 //! observes (contention, stragglers, sequential bottlenecks).
 //!
-//! One round loop serves both engines. The dense oracle in [`crate::sim`]
-//! calls [`fill_rates`] over all running activities from scratch. The
-//! incremental engine in `sched` fills each refill wave's closure through
-//! `Fill`, which keeps a trail of its last fill and, when the next
-//! closure covers the same resources, resumes at the first round a change
-//! can reach instead of starting over.
+//! One round loop serves both callers. [`fill_rates`] fills a set of
+//! demands from scratch: the dense oracle in the equivalence tests calls it
+//! over all running activities, and `RefillMode::Audit` checks each refill
+//! wave against it. The incremental engine in `sched` fills each refill
+//! wave's closure through `Fill`, which keeps a trail of its last fill and,
+//! when the next closure covers the same resources, resumes at the first
+//! round a change can reach instead of starting over.
 
 use crate::activity::ActivityKind;
 use crate::sim::RefillMode;
@@ -31,14 +32,15 @@ pub(crate) enum Res {
 }
 
 /// Flattened view of all cluster resources with capacities in unit/µs.
-pub(crate) struct ResourceTable {
+#[doc(hidden)]
+pub struct ResourceTable {
     /// Capacity per resource index.
-    pub(crate) caps: Vec<f64>,
+    pub caps: Vec<f64>,
     nodes: usize,
 }
 
 impl ResourceTable {
-    pub(crate) fn new(cluster: &ClusterSpec) -> Self {
+    pub fn new(cluster: &ClusterSpec) -> Self {
         let n = cluster.len();
         let mut caps = vec![0.0; 4 * n + 1];
         for (id, spec) in cluster.iter() {
@@ -79,7 +81,8 @@ pub struct Demand {
 }
 
 /// Builds the demand of one activity kind against the table.
-pub(crate) fn demand(table: &ResourceTable, kind: &ActivityKind) -> Demand {
+#[doc(hidden)]
+pub fn demand(table: &ResourceTable, kind: &ActivityKind) -> Demand {
     match kind {
         ActivityKind::Compute {
             node, parallelism, ..

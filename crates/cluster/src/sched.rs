@@ -1,10 +1,10 @@
 //! Incremental max-min scheduler: the engine behind
 //! [`crate::sim::Simulation::run`] for every DAG.
 //!
-//! The dense loop in [`crate::sim`], kept as the oracle behind
-//! `run_reference`, re-rates *all* running activities at every event and
-//! rescans them for the earliest completion. This engine exploits the
-//! component structure of max-min fairness instead: the fixpoint
+//! A dense loop re-rates *all* running activities at every event and
+//! rescans them for the earliest completion; the equivalence tests keep one
+//! as this engine's oracle (`tests/dense_oracle/`). This engine exploits
+//! the component structure of max-min fairness instead: the fixpoint
 //! decomposes over connected components of the bipartite
 //! activity↔resource graph, so an arrival or departure can only change the
 //! rates of activities *transitively coupled to it through shared
@@ -29,10 +29,10 @@
 //! 32-node choke-matrix job (3.4k–12.6k activities) is, and a PageRank
 //! refill couples about 490 activities.
 //!
-//! Slot state lives in [`Slots`], a struct-of-arrays. Remaining work is
+//! Slot state lives in `Slots`, a struct-of-arrays. Remaining work is
 //! accounted lazily: each slot stores `(anchor_us, remaining-at-anchor,
 //! rate)` and is re-anchored only when its rate changes. Usage is flushed
-//! per `(channel, node)` pair per event ([`PairUsage`]), not per activity.
+//! per `(channel, node)` pair per event (`PairUsage`), not per activity.
 //!
 //! Determinism: iteration orders (ready stack, BFS discovery, heap
 //! tie-breaks by slot index, kills by activity id) are pure functions of
@@ -84,12 +84,12 @@ impl Ord for HeapEntry {
 
 /// Where a slot's usage is charged (up to two `(channel, node)` targets).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct TraceTargets {
-    pub(crate) ch: [(Channel, NodeId); 2],
-    pub(crate) n: u8,
+pub struct TraceTargets {
+    pub ch: [(Channel, NodeId); 2],
+    pub n: u8,
 }
 
-pub(crate) fn trace_targets(kind: &ActivityKind) -> TraceTargets {
+pub fn trace_targets(kind: &ActivityKind) -> TraceTargets {
     let mut t = TraceTargets {
         ch: [(Channel::Cpu, NodeId(0)); 2],
         n: 0,
@@ -117,19 +117,6 @@ pub(crate) fn trace_targets(kind: &ActivityKind) -> TraceTargets {
     t
 }
 
-/// Dense per-`(channel, node)` accumulator batching [`UsageTrace`] spans.
-///
-/// Within one flush wave every pushed span ends at the same boundary, so
-/// spans sharing `(channel, node, start)` — the common case when a whole
-/// component re-anchors at once — merge into a single `UsageTrace::add`.
-pub(crate) struct FlushWave {
-    t0: Vec<f64>,
-    rate: Vec<f64>,
-    on: Vec<bool>,
-    touched: Vec<u32>,
-    nodes: usize,
-}
-
 fn channel_index(ch: Channel) -> usize {
     match ch {
         Channel::Cpu => 0,
@@ -145,64 +132,6 @@ fn channel_of(i: usize) -> Channel {
         1 => Channel::Disk,
         2 => Channel::NetIn,
         _ => Channel::NetOut,
-    }
-}
-
-impl FlushWave {
-    pub(crate) fn new(nodes: usize) -> Self {
-        FlushWave {
-            t0: vec![0.0; 4 * nodes],
-            rate: vec![0.0; 4 * nodes],
-            on: vec![false; 4 * nodes],
-            touched: Vec::new(),
-            nodes,
-        }
-    }
-
-    fn slot_index(&self, ch: Channel, node: NodeId) -> usize {
-        channel_index(ch) * self.nodes + node.0 as usize
-    }
-
-    /// Adds the span `[t0, t1) @ rate`; merges with a pending span of the
-    /// same `(channel, node, t0)`, else emits the pending one first.
-    pub(crate) fn push(
-        &mut self,
-        trace: &mut UsageTrace,
-        ch: Channel,
-        node: NodeId,
-        t0: f64,
-        t1: f64,
-        rate: f64,
-    ) {
-        let i = self.slot_index(ch, node);
-        if self.on[i] {
-            if self.t0[i] == t0 {
-                self.rate[i] += rate;
-                return;
-            }
-            trace.add(ch, node, self.t0[i], t1, self.rate[i]);
-            self.t0[i] = t0;
-            self.rate[i] = rate;
-        } else {
-            self.on[i] = true;
-            self.t0[i] = t0;
-            self.rate[i] = rate;
-            self.touched.push(i as u32);
-        }
-    }
-
-    /// Emits every pending span, all ending at `t1`.
-    pub(crate) fn flush_all(&mut self, trace: &mut UsageTrace, t1: f64) {
-        for k in 0..self.touched.len() {
-            let i = self.touched[k] as usize;
-            if self.on[i] {
-                let ch = channel_of(i / self.nodes);
-                let node = NodeId((i % self.nodes) as u16);
-                trace.add(ch, node, self.t0[i], t1, self.rate[i]);
-                self.on[i] = false;
-            }
-        }
-        self.touched.clear();
     }
 }
 
@@ -289,7 +218,7 @@ struct Slots {
     anchor_us: Vec<f64>,
     remaining: Vec<f64>,
     /// Completion tolerance in work units (`1e-6 × amount`, floored at
-    /// `1e-6`), matching the reference engine's epsilon grouping.
+    /// `1e-6`), matching the dense oracle's epsilon grouping.
     eps_work: Vec<f64>,
     gen: Vec<u32>,
     live: Vec<bool>,
@@ -424,8 +353,8 @@ struct EngineStats {
 }
 
 /// Records the node events of one fault boundary, restarts before
-/// crashes — the order both engines share.
-pub(crate) fn record_node_events(
+/// crashes — the order the dense oracle shares with this engine.
+pub fn record_node_events(
     faults: &mut Vec<FaultEvent>,
     restarted: &[NodeId],
     crashed: &[NodeId],
@@ -455,7 +384,7 @@ fn release(dependents: &[u32], indeg: &mut [u32], ready: &mut Vec<u32>) {
 /// responsibility ([`crate::sim::Simulation::run`] checks before calling
 /// here).
 ///
-/// Fault events are recorded inline in the dense loop's order: at each
+/// Fault events are recorded inline in the dense oracle's order: at each
 /// boundary `NodeRestarted`, then `NodeCrashed`, then `ActivityKilled` in
 /// activity id order.
 pub(crate) fn run_incremental(
@@ -549,7 +478,7 @@ pub(crate) fn run_incremental(
 
     // Faults scheduled at t=0 take effect before anything starts, so
     // activities bound to a node that is dead from the outset park instead
-    // of starting (mirrors the reference engine).
+    // of starting (mirrors the dense oracle).
     if active && matches!(clock.next_boundary(), Some(b) if b <= 0.0) {
         let caps_changed = clock.advance(0.0, &mut crashed_buf, &mut restarted_buf);
         record_node_events(&mut faults, &restarted_buf, &crashed_buf, 0.0);
@@ -766,7 +695,7 @@ pub(crate) fn run_incremental(
         let boundary = if active { clock.next_boundary() } else { None };
         let take_boundary = match (&top, boundary) {
             // A completion at exactly a boundary instant wins (strict `<`),
-            // matching the reference engine.
+            // matching the dense oracle.
             (Some(e), Some(b)) => b < e.finish_us,
             (None, Some(_)) => true,
             (Some(_), None) => false,
@@ -878,7 +807,7 @@ pub(crate) fn run_incremental(
 
         // Complete the popped slot plus every further slot projected to
         // land within its own tolerance of `now` — the heap-shaped
-        // equivalent of the reference engine's epsilon sweep.
+        // equivalent of the dense oracle's epsilon sweep.
         completing.clear();
         completing.push(top.slot);
         while let Some(&e) = heap.peek() {
@@ -943,7 +872,6 @@ pub(crate) fn run_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::NodeSpec;
 
     #[test]
     fn heap_orders_by_finish_then_slot() {
@@ -968,55 +896,5 @@ mod tests {
         let b = h.pop().unwrap();
         assert_eq!((b.finish_us, b.slot), (3.0, 9));
         assert_eq!(h.pop().unwrap().slot, 2);
-    }
-
-    #[test]
-    fn flush_wave_merges_same_span() {
-        let cluster = ClusterSpec::homogeneous(
-            2,
-            NodeSpec {
-                name: String::new(),
-                cores: 8,
-                disk_bps: 1e8,
-                nic_bps: 1e8,
-                mem_bytes: 1,
-            },
-        );
-        let mut trace = UsageTrace::new(&cluster);
-        let mut wave = FlushWave::new(2);
-        // Three readers on node 0's disk over the same span merge into one
-        // accumulation; a fourth on node 1 stays separate.
-        for _ in 0..3 {
-            wave.push(&mut trace, Channel::Disk, NodeId(0), 0.0, 10.0, 5.0);
-        }
-        wave.push(&mut trace, Channel::Disk, NodeId(1), 0.0, 10.0, 7.0);
-        wave.flush_all(&mut trace, 10.0);
-        let s0 = trace.series(Channel::Disk, NodeId(0));
-        let s1 = trace.series(Channel::Disk, NodeId(1));
-        assert!((s0[0].1 - 150.0).abs() < 1e-9, "{s0:?}");
-        assert!((s1[0].1 - 70.0).abs() < 1e-9, "{s1:?}");
-    }
-
-    #[test]
-    fn flush_wave_splits_differing_starts() {
-        let cluster = ClusterSpec::homogeneous(
-            1,
-            NodeSpec {
-                name: String::new(),
-                cores: 8,
-                disk_bps: 1e8,
-                nic_bps: 1e8,
-                mem_bytes: 1,
-            },
-        );
-        let mut trace = UsageTrace::new(&cluster);
-        let mut wave = FlushWave::new(1);
-        // Same (channel, node), different anchors: both spans must land.
-        wave.push(&mut trace, Channel::Disk, NodeId(0), 0.0, 20.0, 1.0);
-        wave.push(&mut trace, Channel::Disk, NodeId(0), 10.0, 20.0, 1.0);
-        wave.flush_all(&mut trace, 20.0);
-        let s = trace.series(Channel::Disk, NodeId(0));
-        // 1.0 over [0,20) plus 1.0 over [10,20) = 30 units in the bucket.
-        assert!((s[0].1 - 30.0).abs() < 1e-9, "{s:?}");
     }
 }

@@ -69,7 +69,8 @@ impl UsageTrace {
     /// Accumulates a constant-rate usage of `rate` (unit/µs) on `node` over
     /// `[t0_us, t1_us)` into the channel. For CPU the rate is in cores, so a
     /// bucket's value is busy core-seconds within that second.
-    pub(crate) fn add(&mut self, ch: Channel, node: NodeId, t0_us: f64, t1_us: f64, rate: f64) {
+    #[doc(hidden)]
+    pub fn add(&mut self, ch: Channel, node: NodeId, t0_us: f64, t1_us: f64, rate: f64) {
         if t1_us <= t0_us || rate <= 0.0 {
             return;
         }

@@ -1,17 +1,22 @@
 //! Property tests: the incremental scheduler ([`Simulation::run`]) against
-//! the dense reference loop ([`Simulation::run_reference`]), with and
-//! without fault plans.
+//! the dense reference loop ([`run_reference`], kept in
+//! `dense_oracle/`), with and without fault plans.
 //!
 //! Random DAGs over heterogeneous clusters must produce the same
 //! per-activity timings, makespan, and usage traces from both engines (up
 //! to floating-point noise: the engines accumulate remaining work in
 //! different orders), and the incremental engine must be bit-identical
-//! across repeated runs of the same input.
+//! across repeated runs of the same input. Fixed cases pin crashes,
+//! parking, permanent loss and slowdowns in both engines. `PROPTEST_CASES`
+//! scales the properties.
 
+mod dense_oracle;
+
+use dense_oracle::{run_reference, run_reference_with_faults};
 use gpsim_cluster::trace::Channel;
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, DegradedChannel, FaultPlan, NodeId,
-    NodeSpec, SimError, Simulation,
+    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, DegradedChannel, FaultEvent, FaultPlan,
+    NodeId, NodeSpec, SimError, Simulation,
 };
 use proptest::prelude::*;
 
@@ -173,7 +178,7 @@ proptest! {
     fn incremental_matches_reference(w in arb_world()) {
         let sim = Simulation::new(w.cluster.clone());
         let inc = sim.run(&w.graph);
-        let reference = sim.run_reference(&w.graph);
+        let reference = run_reference(&sim, &w.graph);
         match (inc, reference) {
             (Ok(inc), Ok(reference)) => {
                 prop_assert!(
@@ -250,7 +255,7 @@ proptest! {
         let plan = build_plan(raw, w.cluster.len() as u16);
         let sim = Simulation::new(w.cluster.clone());
         let inc = sim.run_with_faults(&w.graph, &plan);
-        let reference = sim.run_reference_with_faults(&w.graph, &plan);
+        let reference = run_reference_with_faults(&sim, &w.graph, &plan);
         match (inc, reference) {
             (Ok(inc), Ok(reference)) => {
                 prop_assert!(
@@ -382,7 +387,7 @@ fn stall_reported_by_both_engines() {
         other => panic!("expected Stalled, got {other:?}"),
     }
     assert!(matches!(
-        sim.run_reference(&g),
+        run_reference(&sim, &g),
         Err(SimError::Stalled { .. })
     ));
 }
@@ -418,7 +423,7 @@ fn wide_contention_engines_agree() {
     }
     let sim = Simulation::new(cluster);
     let a = sim.run(&g).unwrap();
-    let b = sim.run_reference(&g).unwrap();
+    let b = run_reference(&sim, &g).unwrap();
     assert!(
         (a.makespan_us - b.makespan_us).abs() <= REL * b.makespan_us,
         "{} vs {}",
@@ -427,5 +432,197 @@ fn wide_contention_engines_agree() {
     );
     for (x, y) in a.results.iter().zip(&b.results) {
         assert!(close(x.end_us, y.end_us), "{} vs {}", x.end_us, y.end_us);
+    }
+}
+
+/// `nodes` 8-core nodes with a 100 bytes/µs disk and a 10 bytes/µs NIC.
+fn small_cluster(nodes: u16) -> ClusterSpec {
+    ClusterSpec::homogeneous(
+        nodes,
+        NodeSpec {
+            name: String::new(),
+            cores: 8,
+            disk_bps: 100e6, // 100 bytes/µs
+            nic_bps: 10e6,   // 10 bytes/µs
+            mem_bytes: 1 << 30,
+        },
+    )
+}
+
+#[test]
+fn reference_engine_agrees_with_incremental() {
+    // A mixed DAG exercising contention, fan-in, and chained phases on
+    // a 3-node cluster; both engines must tell the same story.
+    let sim = Simulation::new(small_cluster(3));
+    let mut g = ActivityGraph::new();
+    let mut loads = Vec::new();
+    for node in 0..3u16 {
+        let r = g.add(
+            ActivityKind::DiskRead {
+                node: NodeId(node),
+                bytes: 3e6 + node as f64 * 1e6,
+            },
+            &[],
+            format!("load/{node}"),
+        );
+        loads.push(r);
+    }
+    let join = g.barrier(&loads, "join");
+    let mut computes = Vec::new();
+    for node in 0..3u16 {
+        for k in 0..4 {
+            computes.push(g.add(
+                ActivityKind::Compute {
+                    node: NodeId(node),
+                    work_core_us: 1e6 * (1.0 + k as f64),
+                    parallelism: 4,
+                },
+                &[join],
+                format!("proc/{node}/{k}"),
+            ));
+        }
+    }
+    let sync = g.barrier(&computes, "sync");
+    g.add(
+        ActivityKind::Transfer {
+            src: NodeId(0),
+            dst: NodeId(2),
+            bytes: 5e6,
+        },
+        &[sync],
+        "ship",
+    );
+    let a = sim.run(&g).unwrap();
+    let b = run_reference(&sim, &g).unwrap();
+    assert!(
+        (a.makespan_us - b.makespan_us).abs() <= 1e-6 * b.makespan_us,
+        "{} vs {}",
+        a.makespan_us,
+        b.makespan_us
+    );
+    for (x, y) in a.results.iter().zip(&b.results) {
+        assert!((x.start_us - y.start_us).abs() <= 1e-6 * y.start_us.max(1.0));
+        assert!((x.end_us - y.end_us).abs() <= 1e-6 * y.end_us.max(1.0));
+    }
+    // Bitwise determinism of the incremental engine.
+    let a2 = sim.run(&g).unwrap();
+    assert_eq!(a.makespan_us.to_bits(), a2.makespan_us.to_bits());
+    for (x, y) in a.results.iter().zip(&a2.results) {
+        assert_eq!(x.start_us.to_bits(), y.start_us.to_bits());
+        assert_eq!(x.end_us.to_bits(), y.end_us.to_bits());
+    }
+}
+
+#[test]
+fn crash_kills_in_flight_work_in_both_engines() {
+    // A 1e6-µs compute on node 1 is killed by a crash at 4e5; its
+    // dependent (a delay) is released at the crash instant.
+    let mut g = ActivityGraph::new();
+    let c = g.add(
+        ActivityKind::Compute {
+            node: NodeId(1),
+            work_core_us: 8e6,
+            parallelism: 8,
+        },
+        &[],
+        "c",
+    );
+    g.add(ActivityKind::Delay { duration_us: 100.0 }, &[c], "after");
+    let plan = FaultPlan::new().crash(NodeId(1), 4e5);
+    let sim = Simulation::new(small_cluster(2));
+    for res in [
+        sim.run_with_faults(&g, &plan).unwrap(),
+        run_reference_with_faults(&sim, &g, &plan).unwrap(),
+    ] {
+        assert!((res.of(c).end_us - 4e5).abs() < 1e-6, "{:?}", res.of(c));
+        assert!((res.makespan_us - 4e5 - 100.0).abs() < 1e-6);
+        assert!(res.faults.iter().any(|f| matches!(
+            f,
+            FaultEvent::ActivityKilled { activity, node, .. }
+                if *activity == c && *node == NodeId(1)
+        )));
+    }
+}
+
+#[test]
+fn ready_work_parks_until_restart() {
+    // Node 0 is down over [0, 5e5); a compute ready at t=0 must wait
+    // for the replacement and then run at full speed.
+    let mut g = ActivityGraph::new();
+    let c = g.add(
+        ActivityKind::Compute {
+            node: NodeId(0),
+            work_core_us: 8e5,
+            parallelism: 8,
+        },
+        &[],
+        "c",
+    );
+    let plan = FaultPlan::new().crash_with_restart(NodeId(0), 0.0, 5e5);
+    let sim = Simulation::new(small_cluster(1));
+    for res in [
+        sim.run_with_faults(&g, &plan).unwrap(),
+        run_reference_with_faults(&sim, &g, &plan).unwrap(),
+    ] {
+        assert!((res.of(c).start_us - 5e5).abs() < 1e-6, "{:?}", res.of(c));
+        assert!((res.makespan_us - 6e5).abs() < 1.0, "{}", res.makespan_us);
+    }
+}
+
+#[test]
+fn permanent_loss_is_an_error_with_timestamp() {
+    let mut g = ActivityGraph::new();
+    let gate = g.add(ActivityKind::Delay { duration_us: 300.0 }, &[], "gate");
+    g.add(
+        ActivityKind::DiskRead {
+            node: NodeId(0),
+            bytes: 1e6,
+        },
+        &[gate],
+        "read",
+    );
+    let plan = FaultPlan::new().crash(NodeId(0), 100.0);
+    let sim = Simulation::new(small_cluster(1));
+    for res in [
+        sim.run_with_faults(&g, &plan),
+        run_reference_with_faults(&sim, &g, &plan),
+    ] {
+        match res {
+            Err(SimError::NodeLost { node, at_us, .. }) => {
+                assert_eq!(node, NodeId(0));
+                assert_eq!(at_us, 300);
+            }
+            other => panic!("expected NodeLost, got {other:?}"),
+        }
+    }
+    let msg = SimError::NodeLost {
+        node: NodeId(0),
+        activity: ActivityId(1),
+        at_us: 300,
+    }
+    .to_string();
+    assert!(msg.contains("t=300"), "{msg}");
+}
+
+#[test]
+fn slowdown_window_stretches_work() {
+    // Disk at half speed over the whole read: 1e6 bytes at an effective
+    // 50 bytes/µs take 2e4 µs instead of 1e4.
+    let mut g = ActivityGraph::new();
+    g.add(
+        ActivityKind::DiskRead {
+            node: NodeId(0),
+            bytes: 1e6,
+        },
+        &[],
+        "r",
+    );
+    let plan = FaultPlan::new().slow(NodeId(0), DegradedChannel::Disk, 0.0, 1e9, 0.5);
+    let sim = Simulation::new(small_cluster(1));
+    for res in [
+        sim.run_with_faults(&g, &plan).unwrap(),
+        run_reference_with_faults(&sim, &g, &plan).unwrap(),
+    ] {
+        assert!((res.makespan_us - 2e4).abs() < 10.0, "{}", res.makespan_us);
     }
 }
