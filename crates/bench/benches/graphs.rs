@@ -6,7 +6,7 @@ use std::hint::black_box;
 
 use gpsim_graph::gen::{datagen_like, GenConfig};
 use gpsim_graph::{algos, EdgeCutPartition, VertexCutPartition};
-use gpsim_platforms::gas::{self, BfsGas, IterationMode};
+use gpsim_platforms::gas::{self, BfsGas, IterationMode, WccGas};
 use gpsim_platforms::pregel::{self, BfsProgram, PageRankProgram};
 
 fn bench_generation(c: &mut Criterion) {
@@ -79,16 +79,34 @@ fn bench_pregel_engine(c: &mut Criterion) {
 }
 
 /// PowerGraph's BFS on the fig5 graph (dg1000 down-sampled to 100k
-/// vertices, 900k edges) over 8 machines.
+/// vertices, 900k edges) over 8 machines: the program alone, and the
+/// partition plus the program as the job runs them. WCC gathers and
+/// scatters over both directions.
 fn bench_gas_engine(c: &mut Criterion) {
     let g = datagen_like(&GenConfig::datagen(100_000, 1_000));
     let part = VertexCutPartition::greedy(&g, 8);
+    let mode = IterationMode::Converge { max: 10_000 };
     let mut group = c.benchmark_group("gas_bfs");
     group.sample_size(10);
     group.bench_function("900k_edges", |b| {
         b.iter(|| {
-            let mode = IterationMode::Converge { max: 10_000 };
             let out = gas::run(&g, &part, &mut BfsGas { source: 1 }, mode);
+            black_box(out.iterations.len())
+        })
+    });
+    group.bench_function("partition_and_run_900k_edges", |b| {
+        b.iter(|| {
+            let part = VertexCutPartition::greedy(&g, 8);
+            let out = gas::run(&g, &part, &mut BfsGas { source: 1 }, mode);
+            black_box(out.iterations.len())
+        })
+    });
+    group.finish();
+    let mut group = c.benchmark_group("gas_wcc");
+    group.sample_size(10);
+    group.bench_function("900k_edges", |b| {
+        b.iter(|| {
+            let out = gas::run(&g, &part, &mut WccGas, mode);
             black_box(out.iterations.len())
         })
     });

@@ -7,10 +7,12 @@
 //! the master (the vertex cut). The replication factor drives PowerGraph's
 //! sync traffic, which is why it wins on power-law graphs.
 //!
-//! The greedy vertex-cut keeps every vertex's machines as a bitset of
-//! `ceil(k / 64)` words in one flat array while it places edges, and ends
-//! with a flat replica CSR. Every choice takes the first least-loaded
-//! machine in ascending order, the source's replicas before the target's.
+//! The greedy vertex-cut walks the CSR and keeps every vertex's machines as
+//! a bitset of `ceil(k / 64)` words in one flat array while it places
+//! edges. It ends with a flat replica CSR and, parallel to it, how many of
+//! the vertex's in- and out-edges each replica holds. Every choice takes
+//! the first least-loaded machine in ascending order, the source's replicas
+//! before the target's.
 
 use crate::graph::{Graph, VertexId};
 
@@ -90,6 +92,10 @@ pub struct VertexCutPartition {
     replica_offsets: Vec<usize>,
     /// Every vertex's replicas, ascending per vertex.
     replicas: Vec<u16>,
+    /// Per replica, the vertex's in-edges its machine holds.
+    in_edges: Vec<u32>,
+    /// Per replica, the vertex's out-edges its machine holds.
+    out_edges: Vec<u32>,
 }
 
 impl VertexCutPartition {
@@ -104,36 +110,81 @@ impl VertexCutPartition {
         let mut load = vec![0u64; k as usize];
         let mut edge_owner = Vec::with_capacity(g.num_edges() as usize);
 
-        for (s, t) in g.edges() {
-            let (s, t) = (s as usize * words, t as usize * words);
-            let rs = &bits[s..s + words];
-            let rt = &bits[t..t + words];
-            let common = machines(rs.iter().zip(rt).map(|(a, b)| a & b));
-            let either = machines(rs.iter().copied()).chain(machines(rt.iter().copied()));
-            let load_of = |&m: &u16| load[m as usize];
-            let choice = common
-                .min_by_key(load_of)
-                .or_else(|| either.min_by_key(load_of))
-                .or_else(|| (0..k).min_by_key(load_of))
-                .expect("k > 0");
-            edge_owner.push(choice);
-            load[choice as usize] += 1;
-            let (word, bit) = (choice as usize / 64, 1u64 << (choice % 64));
-            bits[s + word] |= bit;
-            bits[t + word] |= bit;
+        for s in 0..n {
+            for &t in g.neighbors(s as VertexId) {
+                let (s, t) = (s * words, t as usize * words);
+                let (rs, rt) = (&bits[s..s + words], &bits[t..t + words]);
+                let mut best = None;
+                for (i, (a, b)) in rs.iter().zip(rt).enumerate() {
+                    least_loaded(&mut best, i, a & b, &load);
+                }
+                if best.is_none() {
+                    for (i, &a) in rs.iter().enumerate() {
+                        least_loaded(&mut best, i, a, &load);
+                    }
+                    for (i, &b) in rt.iter().enumerate() {
+                        least_loaded(&mut best, i, b, &load);
+                    }
+                }
+                let choice = match best {
+                    Some((_, m)) => m,
+                    None => (0..k).min_by_key(|&m| load[m as usize]).expect("k > 0"),
+                };
+                edge_owner.push(choice);
+                load[choice as usize] += 1;
+                let (word, bit) = (choice as usize / 64, 1u64 << (choice % 64));
+                bits[s + word] |= bit;
+                bits[t + word] |= bit;
+            }
         }
 
-        let mut replica_offsets = vec![0; n + 1];
+        let mut replica_offsets = Vec::with_capacity(n + 1);
+        replica_offsets.push(0);
         let mut replicas = Vec::new();
-        for (v, set) in bits.chunks_exact(words).enumerate() {
-            replicas.extend(machines(set.iter().copied()));
-            replica_offsets[v + 1] = replicas.len();
+        for set in bits.chunks_exact(words) {
+            for (i, &word) in set.iter().enumerate() {
+                let mut w = word;
+                while w != 0 {
+                    replicas.push((i * 64) as u16 + w.trailing_zeros() as u16);
+                    w &= w - 1;
+                }
+            }
+            replica_offsets.push(replicas.len());
         }
+
+        // Per replica, the vertex's in- and out-edges its machine holds, in
+        // one more walk over the edges. A source's out-edges are tallied per
+        // machine and spread over its replicas once its edges are done; a
+        // target's replica index is the number of its machines below the
+        // edge's.
+        let rank = |v: usize, m: u16| {
+            let (set, (w, b)) = (&bits[v * words..], (m as usize / 64, m % 64));
+            let below: u32 = set[..w].iter().map(|x| x.count_ones()).sum();
+            below as usize + (set[w] & ((1u64 << b) - 1)).count_ones() as usize
+        };
+        let mut in_edges = vec![0u32; replicas.len()];
+        let mut out_edges = vec![0u32; replicas.len()];
+        let mut tally = vec![0u32; k as usize];
+        let mut owners = edge_owner.iter();
+        for s in 0..n {
+            for &t in g.neighbors(s as VertexId) {
+                let m = *owners.next().expect("one owner per edge");
+                tally[m as usize] += 1;
+                in_edges[replica_offsets[t as usize] + rank(t as usize, m)] += 1;
+            }
+            let (first, end) = (replica_offsets[s], replica_offsets[s + 1]);
+            for (count, &m) in out_edges[first..end].iter_mut().zip(&replicas[first..end]) {
+                *count = std::mem::take(&mut tally[m as usize]);
+            }
+        }
+
         VertexCutPartition {
             edge_owner,
             k,
             replica_offsets,
             replicas,
+            in_edges,
+            out_edges,
         }
     }
 
@@ -148,6 +199,18 @@ impl VertexCutPartition {
     /// live in flat arrays indexed the same way.
     pub fn replica_offsets(&self) -> &[usize] {
         &self.replica_offsets
+    }
+
+    /// Per replica, in the flat replica order, how many of the vertex's
+    /// in-edges its machine holds (a self-loop counts on both sides).
+    pub fn in_edge_counts(&self) -> &[u32] {
+        &self.in_edges
+    }
+
+    /// Per replica, in the flat replica order, how many of the vertex's
+    /// out-edges its machine holds.
+    pub fn out_edge_counts(&self) -> &[u32] {
+        &self.out_edges
     }
 
     /// The master machine of a vertex: its first replica (or a hash when the
@@ -177,18 +240,17 @@ impl VertexCutPartition {
     }
 }
 
-/// The machines of a bitset (word `i` holds machines `64 i..64 i + 63`),
-/// ascending.
-fn machines(words: impl Iterator<Item = u64>) -> impl Iterator<Item = u16> {
-    words.enumerate().flat_map(|(i, mut w)| {
-        std::iter::from_fn(move || {
-            (w != 0).then(|| {
-                let bit = w.trailing_zeros();
-                w &= w - 1;
-                (i as u32 * 64 + bit) as u16
-            })
-        })
-    })
+/// Lowers `best`, a `(load, machine)` pair, to each machine of bitset word
+/// `i` (machines `64 i..64 i + 63`) that is strictly less loaded, in
+/// ascending order: the first least-loaded machine wins a tie.
+fn least_loaded(best: &mut Option<(u64, u16)>, i: usize, mut word: u64, load: &[u64]) {
+    while word != 0 {
+        let m = i * 64 + word.trailing_zeros() as usize;
+        word &= word - 1;
+        if best.is_none_or(|(l, _)| load[m] < l) {
+            *best = Some((load[m], m as u16));
+        }
+    }
 }
 
 /// 1D block (row) partitioning over contiguous vertex ranges, balanced by

@@ -199,27 +199,47 @@ proptest! {
     /// Greedy vertex-cut: every edge owned; every vertex's replicas are
     /// exactly the sorted machines of its edges, and its master is the
     /// first of them (the edge-cut hash for an isolated vertex); replication
-    /// factor in [1, k]. `k` spans bitsets of one, two and three words, and
-    /// graphs of up to 400 vertices open enough fresh machines to use them.
+    /// factor in [1, k]; each replica's in- and out-edge counts are those of
+    /// a brute-force count over `edge_owner`. `k` spans bitsets of one, two
+    /// and three words, and graphs of up to 400 vertices open enough fresh
+    /// machines to use them. Every graph with an edge gets one more copy of
+    /// its first edge and a self-loop.
     #[test]
     fn vertex_cut_invariants((n, edges) in edges_up_to(400, 600), k in 1u16..=130) {
+        let mut edges = edges.clone();
+        if let Some(&(u, v)) = edges.first() {
+            edges.extend([(u, v), (v, v)]);
+        }
         let g = Graph::from_edges(n, &edges);
         let p = VertexCutPartition::greedy(&g, k);
         prop_assert_eq!(p.edge_owner.len() as u64, g.num_edges());
         let mut owners: Vec<Vec<u16>> = vec![Vec::new(); n as usize];
+        // `[v][m]`: v's in- and out-edges on machine m.
+        let mut ins = vec![vec![0u32; k as usize]; n as usize];
+        let mut outs = ins.clone();
         for (e, (u, v)) in g.edges().enumerate() {
             let m = p.edge_owner[e];
             prop_assert!(m < k);
             owners[u as usize].push(m);
             owners[v as usize].push(m);
+            outs[u as usize][m as usize] += 1;
+            ins[v as usize][m as usize] += 1;
         }
         let hash = EdgeCutPartition::hash(n, k);
+        prop_assert_eq!(p.in_edge_counts().len(), p.replica_offsets()[n as usize]);
+        prop_assert_eq!(p.out_edge_counts().len(), p.replica_offsets()[n as usize]);
         for (v, mut want) in (0..n).zip(owners) {
             want.sort_unstable();
             want.dedup();
             prop_assert_eq!(p.replicas(v), &want[..], "replicas of {}", v);
             let master = want.first().copied().unwrap_or(hash.owner_of(v));
             prop_assert_eq!(p.master_of(v), master, "master of {}", v);
+            let first = p.replica_offsets()[v as usize];
+            for (r, &m) in (first..).zip(&want) {
+                let (vi, mi) = (v as usize, m as usize);
+                prop_assert_eq!(p.in_edge_counts()[r], ins[vi][mi], "in-edges of {} on {}", v, m);
+                prop_assert_eq!(p.out_edge_counts()[r], outs[vi][mi], "out-edges of {} on {}", v, m);
+            }
         }
         if g.num_edges() > 0 {
             prop_assert!(p.replication_factor() >= 1.0);

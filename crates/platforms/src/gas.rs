@@ -12,9 +12,12 @@
 //!
 //! Besides the result, the engine records per-iteration, per-machine
 //! counters (gather/scatter edges, applies, replica-sync messages) — the
-//! inputs of the PowerGraph cost model. Its state is flat: per-replica
-//! gather and scatter edge counts parallel to the partition's replica CSR,
-//! and two value buffers swapped each iteration.
+//! inputs of the PowerGraph cost model. Its state is flat: the partition's
+//! per-replica in- and out-edge counts, parallel to its replica CSR, and
+//! two value buffers swapped each iteration. Min-combining programs in
+//! converge mode also keep two accumulator buffers, for PowerGraph's delta
+//! caching (see [`GasProgram::delta_gather`]). The counters still count
+//! every gather edge, so the cost model sees the same work either way.
 
 use std::collections::BTreeMap;
 
@@ -39,6 +42,16 @@ impl EdgeDir {
         let outs = (self != EdgeDir::In).then(|| (g.neighbors(v), g.edge_weights(v)));
         ins.into_iter().chain(outs)
     }
+
+    /// The direction that reaches the vertices whose edges in this
+    /// direction end at `v`.
+    fn reverse(self) -> EdgeDir {
+        match self {
+            EdgeDir::In => EdgeDir::Out,
+            EdgeDir::Out => EdgeDir::In,
+            EdgeDir::Both => EdgeDir::Both,
+        }
+    }
 }
 
 /// How iterations are driven.
@@ -47,7 +60,10 @@ pub enum IterationMode {
     /// All vertices active for exactly `n` iterations (PageRank, CDLP).
     Fixed(u32),
     /// Frontier-driven until quiescence, capped at `max` iterations
-    /// (BFS, WCC, SSSP).
+    /// (BFS, WCC, SSSP). A program whose values can oscillate never
+    /// quiesces and runs to the cap, keeping a `k × k` sync matrix for
+    /// every iteration: [`CdlpGas`] does on some graphs, which is why
+    /// PowerGraph drives CDLP in `Fixed` mode.
     Converge {
         /// Iteration cap.
         max: u32,
@@ -100,6 +116,33 @@ pub trait GasProgram {
     /// Hook run before each iteration with a snapshot of all values; used
     /// for global aggregates such as PageRank's dangling mass.
     fn pre_iteration(&mut self, _iteration: u32, _values: &[Self::Value], _g: &Graph) {}
+
+    /// Whether converge mode may cache gathers (PowerGraph's delta
+    /// caching). A vertex whose value changed then pushes its contribution
+    /// to the vertices that gather from it, into their accumulators for the
+    /// next iteration; from iteration 1 on an active vertex applies that
+    /// accumulator instead of folding all its gather edges.
+    ///
+    /// Return `true` only for a min-combining program, where the edges
+    /// whose far end did not change cannot alter an apply. That holds when:
+    /// - `merge` is the minimum of a total order, and no accumulator
+    ///   (`None`) counts as above every accumulator;
+    /// - `gather` depends only on the far end's value and the edge;
+    /// - `apply` sets the value to the smaller of it and a candidate, which
+    ///   is the accumulator or a constant of `v` (a source's distance), and
+    ///   reports a change exactly when the value fell;
+    /// - `scatter_dir` activates every vertex that gathers from a changed
+    ///   one (it covers the reverse of `gather_dir`);
+    /// - a vertex that is not initially active gathers nothing below its
+    ///   initial value from the initial values.
+    ///
+    /// Then the values and activations equal the full fold's: a minimum is
+    /// idempotent, and an unchanged neighbour's contribution is no smaller
+    /// than the value it last helped set, which has only fallen since.
+    /// `Fixed` mode always folds.
+    fn delta_gather(&self) -> bool {
+        false
+    }
 }
 
 /// Counters of one machine within one iteration.
@@ -139,26 +182,12 @@ pub struct GasOutcome<V> {
     pub iterations: Vec<IterationStats>,
 }
 
-/// Per replica, in the partition's flat replica order (see
-/// [`VertexCutPartition::replica_offsets`]), how many of the vertex's `dir`
-/// edges its machine holds: with the replicas, a flat `(machine, count)` CSR.
-fn edge_counts(g: &Graph, part: &VertexCutPartition, dir: EdgeDir) -> Vec<u32> {
-    let offsets = part.replica_offsets();
-    let mut counts = vec![0u32; offsets[g.num_vertices() as usize]];
-    let mut count = |x: VertexId, m: u16| {
-        let i = part.replicas(x).partition_point(|&r| r < m);
-        counts[offsets[x as usize] + i] += 1;
-    };
-    for (e, (u, v)) in g.edges().enumerate() {
-        let m = part.edge_owner[e];
-        if dir != EdgeDir::Out {
-            count(v, m);
-        }
-        if dir != EdgeDir::In {
-            count(u, m);
-        }
-    }
-    counts
+/// Merges a contribution into an accumulator.
+fn fold<P: GasProgram>(program: &P, acc: &mut Option<P::Accum>, c: P::Accum) {
+    *acc = Some(match acc.take() {
+        None => c,
+        Some(prev) => program.merge(prev, c),
+    });
 }
 
 /// Executes a GAS program.
@@ -174,13 +203,26 @@ pub fn run<P: GasProgram>(
     // The buffer applies write into; equal to `values` between iterations.
     let mut next_values = values.clone();
     let (gather_dir, scatter_dir) = (program.gather_dir(), program.scatter_dir());
-    let gather_counts = edge_counts(g, part, gather_dir);
-    let scatter_counts = edge_counts(g, part, scatter_dir);
+    // Per replica, in the partition's flat replica order, how many of the
+    // vertex's `dir` edges its machine holds.
+    let (ins, outs) = (part.in_edge_counts(), part.out_edge_counts());
+    let edge_count = |dir: EdgeDir, r: usize| match dir {
+        EdgeDir::In => ins[r],
+        EdgeDir::Out => outs[r],
+        EdgeDir::Both => ins[r] + outs[r],
+    };
 
     let (max_iters, fixed) = match mode {
         IterationMode::Fixed(i) => (i, true),
         IterationMode::Converge { max } => (max, false),
     };
+    let delta = !fixed && program.delta_gather();
+    // With delta caching: per vertex, what its changed neighbours pushed in
+    // the previous iteration, and what this iteration's changes push. An
+    // active vertex takes its slot, and every push target is active next,
+    // so both buffers are empty again at each swap.
+    let mut pushed: Vec<Option<P::Accum>> = vec![None; if delta { n } else { 0 }];
+    let mut next_pushed = pushed.clone();
     let mut active: Vec<bool> = if fixed {
         vec![true; n]
     } else {
@@ -206,17 +248,18 @@ pub fn run<P: GasProgram>(
             let vi = v as usize;
             let master = part.master_of(v) as usize;
 
-            // Gather: fold over the gather-direction edges, reading the
-            // snapshot `values`.
+            // Gather: the pushed deltas, or a fold over the gather-direction
+            // edges reading the snapshot `values`.
             let mut acc: Option<P::Accum> = None;
-            for (others, weights) in gather_dir.sides(g, v) {
-                for (i, &u) in others.iter().enumerate() {
-                    let w = weights.map_or(1.0, |ws| ws[i]);
-                    if let Some(c) = program.gather(v, u, &values[u as usize], w) {
-                        acc = Some(match acc {
-                            None => c,
-                            Some(prev) => program.merge(prev, c),
-                        });
+            if delta && iteration > 0 {
+                acc = pushed[vi].take();
+            } else {
+                for (others, weights) in gather_dir.sides(g, v) {
+                    for (i, &u) in others.iter().enumerate() {
+                        let w = weights.map_or(1.0, |ws| ws[i]);
+                        if let Some(c) = program.gather(v, u, &values[u as usize], w) {
+                            fold(program, &mut acc, c);
+                        }
                     }
                 }
             }
@@ -231,10 +274,10 @@ pub fn run<P: GasProgram>(
             // changed, scatter work.
             let first = part.replica_offsets()[vi];
             for (i, &m) in part.replicas(v).iter().enumerate() {
-                let (m, gathered) = (m as usize, gather_counts[first + i]);
+                let (m, gathered) = (m as usize, edge_count(gather_dir, first + i));
                 per_machine[m].gather_edges += gathered as u64;
                 if changed || fixed {
-                    per_machine[m].scatter_edges += scatter_counts[first + i] as u64;
+                    per_machine[m].scatter_edges += edge_count(scatter_dir, first + i) as u64;
                 }
                 if m != master {
                     sync_matrix[m][master] += u64::from(gathered > 0);
@@ -242,11 +285,23 @@ pub fn run<P: GasProgram>(
                 }
             }
 
-            // Scatter: activate neighbours when the value changed.
+            // Scatter: activate neighbours when the value changed, and push
+            // the new value's contribution to the vertices gathering it.
             if changed && !fixed {
                 for (others, _) in scatter_dir.sides(g, v) {
                     for &t in others {
                         next_active[t as usize] = true;
+                    }
+                }
+                if delta {
+                    let value = &next_values[vi];
+                    for (others, weights) in gather_dir.reverse().sides(g, v) {
+                        for (i, &t) in others.iter().enumerate() {
+                            let w = weights.map_or(1.0, |ws| ws[i]);
+                            if let Some(c) = program.gather(t, v, value, w) {
+                                fold(program, &mut next_pushed[t as usize], c);
+                            }
+                        }
                     }
                 }
             }
@@ -261,6 +316,7 @@ pub fn run<P: GasProgram>(
         if !fixed {
             std::mem::swap(&mut active, &mut next_active);
             next_active.fill(false);
+            std::mem::swap(&mut pushed, &mut next_pushed);
         }
 
         for (m, counters) in per_machine.iter_mut().enumerate() {
@@ -331,6 +387,10 @@ impl GasProgram for BfsGas {
             false
         }
     }
+
+    fn delta_gather(&self) -> bool {
+        true
+    }
 }
 
 /// SSSP as pull-style GAS over weighted in-edges.
@@ -379,6 +439,10 @@ impl GasProgram for SsspGas {
             false
         }
     }
+
+    fn delta_gather(&self) -> bool {
+        true
+    }
 }
 
 /// WCC: minimum-label propagation over both edge directions.
@@ -420,6 +484,10 @@ impl GasProgram for WccGas {
             }
             _ => false,
         }
+    }
+
+    fn delta_gather(&self) -> bool {
+        true
     }
 }
 
@@ -483,6 +551,12 @@ pub fn run_pagerank_gas(
 
 /// CDLP as fixed-iteration GAS: gather the label multiset over both
 /// directions, apply the most frequent label (ties to the smallest).
+///
+/// Labels can oscillate (two neighbours swapping labels each iteration),
+/// so in [`IterationMode::Converge`] CDLP may never quiesce: it then runs
+/// to the cap and keeps a `k × k` sync matrix for every iteration, which
+/// at a 10 000 cap and 70 machines is about 390 MB. PowerGraph drives it
+/// in `Fixed` mode. It keeps the full fold: a label count is no minimum.
 pub struct CdlpGas;
 
 impl GasProgram for CdlpGas {

@@ -8,8 +8,10 @@
 //! counts per vertex and direction, and a fresh clone of the values every
 //! iteration), plus `run_pagerank_gas`, whose program calls `run`. The
 //! current partition keeps a machine bitset per vertex and a flat replica
-//! CSR, and the current engine a flat per-replica count table, so the
-//! property below checks on random graphs that:
+//! CSR with per-replica in- and out-edge counts, and the current engine
+//! reads those counts and, for BFS, WCC and SSSP in converge mode, caches
+//! gathers (`GasProgram::delta_gather`). The property below checks on
+//! random graphs that:
 //!
 //! - the partition places every edge on the same machine and gives every
 //!   vertex the same replicas, master and replication factor;
@@ -18,7 +20,8 @@
 //!   the same `Vec<IterationStats>`. The PowerGraph DAG is built from
 //!   those counters, so any divergence would move a makespan.
 //!
-//! `PROPTEST_CASES` scales the property.
+//! Fixed cases cover what the delta-cached gather must get right on small
+//! hand-built graphs. `PROPTEST_CASES` scales the property.
 //!
 //! The pins hash the partition and the five algorithms' values and
 //! counters on the 20k-vertex dg1000 down-sample at 8 and 32 machines.
@@ -520,6 +523,69 @@ proptest! {
             prop_assert_eq!(&got.1, &want.1, "{} iterations", name);
         }
     }
+}
+
+/// Fixed cases for the delta-cached gather of BFS, WCC and SSSP in
+/// converge mode, against the oracle's full fold. From source 0, which has
+/// no in-edges:
+/// - 0 → 2 reaches 2 in iteration 1; 1 → 2 re-activates it in iteration
+///   2, when BFS's level is already final and SSSP's distance falls from 5
+///   to 2. 4 is final after iteration 1 and re-activated by 2 → 4;
+/// - 1 → 3 twice, with weights 4 and 0.5; self-loops on 2, 3 and 8;
+/// - 6 is never reached, so its edge 6 → 4 carries a value that never
+///   changes; in WCC, 0 and 7 hold their components' minima throughout.
+///
+/// Each graph runs unweighted and weighted, at caps of 1, 2 and 400
+/// iterations and on 1, 2, 3 and 65 machines.
+#[test]
+fn delta_gather_fixed_cases_match_oracle() {
+    let edges: [(u32, u32, f32); 15] = [
+        (0, 1, 1.0),
+        (0, 2, 5.0),
+        (1, 2, 1.0),
+        (0, 4, 1.0),
+        (2, 4, 0.25),
+        (1, 3, 4.0),
+        (1, 3, 0.5),
+        (2, 2, 0.5),
+        (3, 3, 0.25),
+        (6, 4, 1.0),
+        (4, 5, 2.0),
+        (5, 1, 0.5),
+        (7, 8, 1.0),
+        (8, 7, 1.0),
+        (8, 8, 1.0),
+    ];
+    let (pairs, weights): (Vec<(u32, u32)>, Vec<f32>) =
+        edges.iter().map(|&(u, v, w)| ((u, v), w)).unzip();
+    for weighted in [false, true] {
+        let g = Graph::from_edges_weighted(9, &pairs, weighted.then_some(&weights[..]));
+        for cap in [1, 2, 400] {
+            for k in [1, 2, 3, 65] {
+                let a = Params {
+                    source: 0,
+                    iterations: 2,
+                    max_iterations: cap,
+                };
+                let (got_layout, got) = engine(&g, k, a);
+                let (want_layout, want) = reference(&g, k, a);
+                assert_eq!(got_layout, want_layout, "weighted {weighted}, k {k}");
+                assert_eq!(got, want, "weighted {weighted}, cap {cap}, k {k}");
+            }
+        }
+    }
+    // The cases above hold: the reached vertices' final levels and
+    // distances, and the unreached 6, 7 and 8.
+    let g = Graph::from_edges_weighted(9, &pairs, Some(&weights));
+    let p = VertexCutPartition::greedy(&g, 2);
+    let mode = IterationMode::Converge { max: 400 };
+    let bfs = gas::run(&g, &p, &mut gas::BfsGas { source: 0 }, mode).values;
+    assert_eq!(bfs[..6], [0, 1, 1, 2, 1, 2]);
+    assert!(bfs[6..].iter().all(|&l| l == u32::MAX));
+    let sssp = gas::run(&g, &p, &mut gas::SsspGas { source: 0 }, mode).values;
+    assert_eq!(sssp[..6], [0.0, 1.0, 2.0, 1.5, 1.0, 3.0]);
+    let wcc = gas::run(&g, &p, &mut gas::WccGas, mode).values;
+    assert_eq!(wcc, [0, 0, 0, 0, 0, 0, 0, 7, 7]);
 }
 
 /// FNV-1a-64 over the debug rendering of a value.
