@@ -1,8 +1,9 @@
 //! Scheduler microbenchmarks: the incremental engine as it runs
 //! (`incremental`, `Simulation::run`, which resumes refills from the last
 //! fill's trail) against the same engine filling every refill wave from
-//! scratch (`scratch`, `RefillMode::Scratch`). The gap between the two arms
-//! prices resumed refills.
+//! scratch (`scratch`, `RefillMode::Scratch`), which also scans every
+//! closure in full. The gap between the two arms prices resumed refills
+//! and the closure scan's early stop.
 //!
 //! - `wide_contention`: hundreds of readers on one saturated disk next to
 //!   hundreds of unrelated computes. Every reader completion dirties only
@@ -11,11 +12,19 @@
 //!   BSP shape. Events are dense but components are small.
 //! - `mixed`: per-node read → compute → shuffle rounds at 8 and 32 nodes,
 //!   the simulator's steady-state diet.
+//! - `matrix32`: the ten platform DAGs of perfbench's matrix32 workload
+//!   (five choke-matrix rows × {BFS, PageRank-10} on the 20k-vertex matrix
+//!   graph over 32 nodes), all ten per iteration.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpsim_cluster::{
     ActivityGraph, ActivityKind, ClusterSpec, FaultPlan, NodeId, RefillMode, Simulation,
 };
+use gpsim_platforms::{
+    Algorithm, GiraphPlatform, GrapePartitioner, GrapePlatform, GraphXPlatform, PowerGraphPlatform,
+};
+use granula::calibration;
+use granula::experiment::Platform;
 
 /// 32 nodes; node 0 serves `readers` disk reads with well-separated sizes
 /// while every other node runs 32 long computes.
@@ -160,5 +169,61 @@ fn mixed(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, wide_contention, barrier_chain, mixed);
+/// The matrix32 DAGs at the default seed, configured as perfbench's
+/// `matrix32_jobs` configures them.
+fn matrix32_dags(cluster: &ClusterSpec) -> Vec<ActivityGraph> {
+    let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
+    let rows = [
+        (Platform::Giraph, GrapePartitioner::Hash),
+        (Platform::PowerGraph, GrapePartitioner::Hash),
+        (Platform::Grape, GrapePartitioner::Hash),
+        (Platform::Grape, GrapePartitioner::Block),
+        (Platform::GraphX, GrapePartitioner::Hash),
+    ];
+    let mut dags = Vec::new();
+    for (platform, partitioner) in rows {
+        for algorithm in [
+            Algorithm::Bfs { source: 1 },
+            Algorithm::PageRank { iterations: 10 },
+        ] {
+            let mut cfg = platform.dg1000_job();
+            (cfg.algorithm, cfg.nodes, cfg.scale_factor) = (algorithm, 32, scale);
+            let (g, c) = (&graph, &cfg);
+            dags.push(match platform {
+                Platform::Giraph => GiraphPlatform::default().healthy_dag(g, c, cluster),
+                Platform::PowerGraph => PowerGraphPlatform::default().healthy_dag(g, c, cluster),
+                Platform::Grape => GrapePlatform {
+                    partitioner,
+                    ..GrapePlatform::default()
+                }
+                .healthy_dag(g, c, cluster),
+                _ => GraphXPlatform::default().healthy_dag(g, c, cluster),
+            });
+        }
+    }
+    dags
+}
+
+fn matrix32(c: &mut Criterion) {
+    let cluster = ClusterSpec::das5(32);
+    let dags = matrix32_dags(&cluster);
+    let sim = Simulation::new(cluster);
+    let mut g = c.benchmark_group("matrix32");
+    g.sample_size(10);
+    for (arm, mode) in [
+        ("incremental", RefillMode::Resume),
+        ("scratch", RefillMode::Scratch),
+    ] {
+        g.bench_with_input(BenchmarkId::new(arm, "10dags"), &dags, |b, dags| {
+            b.iter(|| {
+                for dag in dags {
+                    sim.run_refills(dag, &FaultPlan::default(), mode).unwrap();
+                }
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(benches, wide_contention, barrier_chain, mixed, matrix32);
 criterion_main!(benches);

@@ -399,6 +399,24 @@ impl Fill {
         self.departed = UNFILLED;
     }
 
+    fn holds(&self, r: usize) -> bool {
+        self.col.get(r).is_some_and(|&c| c != Fill::NONE)
+    }
+
+    /// How many resources the closure of `dirty` can hold: the size of the
+    /// last fill's set if that holds every dirty resource, else unbounded.
+    /// The set was closed when it was filled; since then only arrivals add
+    /// users, and an arrival marks both its resources dirty, so the closure
+    /// lies inside the set. `RefillMode::Scratch` scans in full, the
+    /// oracle of the bound.
+    pub(crate) fn closure_bound(&self, dirty: &[usize]) -> usize {
+        if self.mode != RefillMode::Scratch && dirty.iter().all(|&r| self.holds(r)) {
+            self.set.len()
+        } else {
+            usize::MAX
+        }
+    }
+
     /// Slot `si` started: no fill has rated it.
     pub(crate) fn arrive(&mut self, si: usize) {
         self.round.resize(self.round.len().max(si + 1), UNFILLED);
@@ -415,10 +433,8 @@ impl Fill {
     /// ones it rated, in no set order: a resumed fill leaves the others'
     /// rates as they were.
     pub(crate) fn fill(&mut self, c: &Closure, rate: &mut [f64]) -> &[u32] {
-        let covers = c.resources.len() == self.set.len()
-            && c.resources
-                .iter()
-                .all(|&r| self.col.get(r).is_some_and(|&c| c != Fill::NONE));
+        let covers =
+            c.resources.len() == self.set.len() && c.resources.iter().all(|&r| self.holds(r));
         let from = if covers && self.mode != RefillMode::Scratch {
             let j = self.resume(c);
             self.resumed += 1;

@@ -12,7 +12,10 @@
 //!
 //! - **dirty resources** — resources whose user set or capacity changed;
 //! - an **affected set** — the transitive closure of the dirty resources
-//!   over `resource → users → their resources`, found by BFS;
+//!   over `resource → users → their resources`, found by BFS. When every
+//!   dirty resource lies in the last fill's resource set, the closure lies
+//!   inside it, and the BFS stops once it has found as many resources
+//!   (`Fill::closure_bound`);
 //! - a **refill** of the affected set by the shared water-filling loop
 //!   (`resources::Fill`). A wave whose closure covers the last fill's
 //!   resources resumes from that fill's **trail** at the first round its
@@ -20,14 +23,15 @@
 //!   `Fill::resume`); any other wave falls back to a fill from round 1.
 //!   Changed slots are applied in BFS order, which fixes the order of the
 //!   floating-point usage sums;
-//! - a **lazy completion heap** of `(projected finish, slot, generation)`
-//!   entries. A slot's generation bumps whenever its rate changes, and
-//!   stale entries are skipped on pop.
+//! - an **indexed completion heap** (`CompletionHeap`) holding one
+//!   `(projected finish, slot)` entry per slot with a positive rate. A rate
+//!   change re-keys the slot's entry in place; a zero rate or a kill
+//!   removes it.
 //!
 //! The whole graph runs as one simulation. Platform DAGs are one connected
 //! component over `dependency ∪ shared-resource` edges anyway: every
-//! 32-node choke-matrix job (3.4k–12.6k activities) is, and a PageRank
-//! refill couples about 490 activities.
+//! 32-node choke-matrix job (3.4k–12.6k activities) is. A matrix32 refill
+//! wave's closure holds about 50 resources and 760 user-list entries.
 //!
 //! Slot state lives in `Slots`, a struct-of-arrays. Remaining work is
 //! accounted lazily: each slot stores `(anchor_us, remaining-at-anchor,
@@ -39,9 +43,6 @@
 //! the input graph, so a given `(cluster, graph, plan)` triple always
 //! produces bit-identical results.
 
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::fault::{FaultClock, FaultEvent, FaultPlan};
 use crate::resources::{demand, Closure, Demand, Fill, ResourceTable};
@@ -49,36 +50,82 @@ use crate::sim::{ActivityResult, RefillMode, SimError, SimResult};
 use crate::topology::{ClusterSpec, NodeId};
 use crate::trace::{Channel, UsageTrace};
 
-/// One pending completion: `slot` is projected to finish at `finish_us`
-/// under the rate it had at generation `gen`. Entries whose generation no
-/// longer matches the slot's are stale and skipped on pop.
-#[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    finish_us: f64,
-    slot: u32,
-    gen: u32,
+/// A slot that has no entry in the [`CompletionHeap`].
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// Indexed binary min-heap of projected completions: one `(finish_us,
+/// slot)` entry per slot that runs at a positive rate, the earliest finish
+/// first and ties toward the lowest slot, plus each slot's position. With
+/// one entry per slot the key orders the entries totally, so the pops are
+/// a pure function of the keys.
+#[derive(Default)]
+struct CompletionHeap {
+    entries: Vec<(f64, u32)>,
+    /// Per slot: its entry's index in `entries`, or [`NOT_QUEUED`].
+    pos: Vec<u32>,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
+impl CompletionHeap {
+    fn before(a: (f64, u32), b: (f64, u32)) -> bool {
+        a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
     }
-}
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+    fn peek(&self) -> Option<(f64, u32)> {
+        self.entries.first().copied()
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed so the std max-heap pops the earliest finish; ties break
-        // toward the lowest slot index for determinism.
-        other
-            .finish_us
-            .total_cmp(&self.finish_us)
-            .then_with(|| other.slot.cmp(&self.slot))
-            .then_with(|| other.gen.cmp(&self.gen))
+
+    /// Sets slot `si`'s projected finish: re-keys its entry in place, or
+    /// queues one.
+    fn set(&mut self, si: usize, finish_us: f64) {
+        if self.pos.len() <= si {
+            self.pos.resize(si + 1, NOT_QUEUED);
+        }
+        let i = match self.pos[si] {
+            NOT_QUEUED => {
+                self.entries.push((finish_us, si as u32));
+                self.entries.len() - 1
+            }
+            i => i as usize,
+        };
+        self.sift(i, (finish_us, si as u32));
+    }
+
+    /// Drops slot `si`'s entry, if it has one.
+    fn remove(&mut self, si: usize) {
+        let i = match self.pos.get_mut(si) {
+            Some(p) if *p != NOT_QUEUED => std::mem::replace(p, NOT_QUEUED) as usize,
+            _ => return,
+        };
+        let last = self.entries.pop().expect("a queued slot has an entry");
+        if i < self.entries.len() {
+            self.sift(i, last);
+        }
+    }
+
+    /// Places entry `e` at index `i` or, moving others aside, above or
+    /// below it where the heap order wants it.
+    fn sift(&mut self, mut i: usize, e: (f64, u32)) {
+        while i > 0 && Self::before(e, self.entries[(i - 1) / 2]) {
+            self.place(i, self.entries[(i - 1) / 2]);
+            i = (i - 1) / 2;
+        }
+        loop {
+            let mut c = 2 * i + 1;
+            if c + 1 < self.entries.len() && Self::before(self.entries[c + 1], self.entries[c]) {
+                c += 1;
+            }
+            if c >= self.entries.len() || !Self::before(self.entries[c], e) {
+                break;
+            }
+            self.place(i, self.entries[c]);
+            i = c;
+        }
+        self.place(i, e);
+    }
+
+    fn place(&mut self, i: usize, e: (f64, u32)) {
+        self.entries[i] = e;
+        self.pos[e.1 as usize] = i as u32;
     }
 }
 
@@ -203,13 +250,10 @@ impl PairUsage {
 ///
 /// Each array is indexed by slot; slots are recycled through a free list so
 /// the arrays stay dense at O(peak concurrency). The hot loops each touch
-/// only the arrays they need: heap-validity checks read `live`/`gen`, the
-/// refill wave reads `demand`, re-anchoring reads/writes the four `f64`
-/// columns — contiguous scans instead of striding over a 100-byte struct.
-///
-/// `gen` survives slot reuse (it is incremented, never reset), so heap
-/// entries from a slot's previous occupant can never validate against the
-/// new one.
+/// only the arrays they need: the completion sweep reads `rate` and
+/// `eps_work`, the refill wave reads `demand`, re-anchoring reads/writes
+/// the four `f64` columns — contiguous scans instead of striding over a
+/// 100-byte struct.
 struct Slots {
     /// Activity id occupying the slot.
     id: Vec<u32>,
@@ -220,7 +264,6 @@ struct Slots {
     /// Completion tolerance in work units (`1e-6 × amount`, floored at
     /// `1e-6`), matching the dense oracle's epsilon grouping.
     eps_work: Vec<f64>,
-    gen: Vec<u32>,
     live: Vec<bool>,
     trace: Vec<TraceTargets>,
     /// Position of this slot inside each of its resources' user lists,
@@ -237,7 +280,6 @@ impl Slots {
             anchor_us: Vec::new(),
             remaining: Vec::new(),
             eps_work: Vec::new(),
-            gen: Vec::new(),
             live: Vec::new(),
             trace: Vec::new(),
             res_pos: Vec::new(),
@@ -260,7 +302,6 @@ impl Slots {
         self.anchor_us.push(0.0);
         self.remaining.push(0.0);
         self.eps_work.push(0.0);
-        self.gen.push(0);
         self.live.push(false);
         self.trace.push(TraceTargets {
             ch: [(Channel::Cpu, NodeId(0)); 2],
@@ -307,9 +348,8 @@ impl ResUsers {
 
     /// Retires slot `si`: its usage stops and it leaves its user lists in
     /// O(1) — the slot knows its position in each list, and the entry
-    /// swapped into its place gets its back-pointer fixed up. Returns the
-    /// slot's rate.
-    fn retire(&mut self, slots: &mut Slots, si: usize, usage: &mut PairUsage) -> f64 {
+    /// swapped into its place gets its back-pointer fixed up.
+    fn retire(&mut self, slots: &mut Slots, si: usize, usage: &mut PairUsage) {
         slots.live[si] = false;
         let rate = slots.rate[si];
         if rate > 0.0 {
@@ -335,7 +375,6 @@ impl ResUsers {
             }
             self.mark(r);
         }
-        rate
     }
 }
 
@@ -345,9 +384,7 @@ impl ResUsers {
 struct EngineStats {
     events: u64,
     refill_waves: u64,
-    compactions: u64,
     heap_pops: u64,
-    stale_pops: u64,
     rate_changes: u64,
     noop_waves: u64,
 }
@@ -455,11 +492,7 @@ pub(crate) fn run_incremental(
         dirty: vec![false; n_res],
         dirty_list: Vec::new(),
     };
-    let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::new();
-    // Entries orphaned by generation bumps. When they outnumber the live
-    // entries the heap is compacted in one O(n) pass, keeping pushes and
-    // pops near O(log live) instead of O(log total-ever-pushed).
-    let mut heap_stale = 0usize;
+    let mut heap = CompletionHeap::default();
 
     // Run-owned scratch, reused across steps.
     let mut changed: Vec<(u64, u32)> = Vec::new();
@@ -525,14 +558,12 @@ pub(crate) fn run_incremental(
                     s
                 }
             };
-            let gen = slots.gen[si].wrapping_add(1);
             slots.id[si] = i as u32;
             slots.demand[si] = d;
             slots.rate[si] = 0.0;
             slots.anchor_us[si] = now;
             slots.remaining[si] = amount;
             slots.eps_work[si] = 1e-6 * amount.max(1.0);
-            slots.gen[si] = gen;
             slots.live[si] = true;
             slots.trace[si] = trace_targets(kind);
             slots.res_pos[si] = [0; 2];
@@ -543,11 +574,7 @@ pub(crate) fn run_incremental(
                 // lifetime (a delay's 1 µs/µs), so it never refills.
                 let rate = if d.cap.is_finite() { d.cap } else { 1.0 };
                 slots.rate[si] = rate;
-                heap.push(HeapEntry {
-                    finish_us: now + amount / rate,
-                    slot: si as u32,
-                    gen,
-                });
+                heap.set(si, now + amount / rate);
             } else {
                 users.attach(&mut slots, si);
             }
@@ -566,7 +593,8 @@ pub(crate) fn run_incremental(
             // Transitive closure of the dirty resources over the
             // activity↔resource bipartite graph, in BFS order: resources
             // in discovery order, each user list scanned in order for its
-            // users' other resources.
+            // users' other resources. The scan stops once it has found
+            // `bound` resources, all the closure can hold.
             res_list.clear();
             for &r in &users.dirty_list {
                 if !res_seen[r] {
@@ -575,8 +603,10 @@ pub(crate) fn run_incremental(
                     res_list.push(r);
                 }
             }
+            let bound = refill.closure_bound(&users.dirty_list);
             let mut head = 0;
-            while let Some(&r) = res_list.get(head) {
+            while head < res_list.len() && res_list.len() < bound {
+                let r = res_list[head];
                 head += 1;
                 for &r2 in &users.others[r] {
                     if r2 != NO_RESOURCE && !res_seen[r2 as usize] {
@@ -624,9 +654,8 @@ pub(crate) fn run_incremental(
             }
 
             // Apply in discovery order, so the usage deltas sum in a fixed
-            // order: re-anchor, bump generations, and re-key the heap for
-            // slots whose rate actually changed; untouched slots keep
-            // their (still valid) heap entries.
+            // order: re-anchor and re-key the heap for slots whose rate
+            // actually changed; untouched slots keep their heap entries.
             stats.rate_changes += changed.len() as u64;
             stats.noop_waves += u64::from(changed.is_empty());
             for &(_, si) in &changed {
@@ -641,62 +670,24 @@ pub(crate) fn run_incremental(
                     usage.defer(ch, node, r_new - slots.rate[si]);
                 }
                 slots.anchor_us[si] = now;
-                if slots.rate[si] > 0.0 {
-                    // The slot's previous heap entry (one exists whenever it
-                    // had a positive rate) is orphaned by the gen bump.
-                    heap_stale += 1;
-                }
                 slots.rate[si] = r_new;
-                slots.gen[si] = slots.gen[si].wrapping_add(1);
                 if r_new > 0.0 {
-                    heap.push(HeapEntry {
-                        finish_us: now + slots.remaining[si].max(0.0) / r_new,
-                        slot: si as u32,
-                        gen: slots.gen[si],
-                    });
+                    heap.set(si, now + slots.remaining[si].max(0.0) / r_new);
+                } else {
+                    heap.remove(si);
                 }
             }
             usage.commit(&mut trace, now);
         }
 
-        // Compact the heap once stale entries outnumber valid ones, so the
-        // working set stays O(live) instead of O(total pushes).
-        if heap_stale > 128 && heap_stale * 2 > heap.len() {
-            stats.compactions += 1;
-            let mut entries = std::mem::take(&mut heap).into_vec();
-            entries.retain(|e| {
-                let si = e.slot as usize;
-                slots.live[si] && slots.gen[si] == e.gen
-            });
-            heap = BinaryHeap::from(entries);
-            heap_stale = 0;
-        }
-
-        // Next event: the earliest valid projected completion, weighed
-        // against the next fault boundary when a plan is active.
-        let top: Option<HeapEntry> = if occupied == 0 {
-            None
-        } else {
-            loop {
-                match heap.pop() {
-                    None => break None,
-                    Some(e) => {
-                        stats.heap_pops += 1;
-                        let si = e.slot as usize;
-                        if slots.live[si] && slots.gen[si] == e.gen {
-                            break Some(e);
-                        }
-                        heap_stale -= 1;
-                        stats.stale_pops += 1;
-                    }
-                }
-            }
-        };
+        // Next event: the earliest projected completion, weighed against
+        // the next fault boundary when a plan is active.
+        let top = heap.peek();
         let boundary = if active { clock.next_boundary() } else { None };
-        let take_boundary = match (&top, boundary) {
+        let take_boundary = match (top, boundary) {
             // A completion at exactly a boundary instant wins (strict `<`),
             // matching the dense oracle.
-            (Some(e), Some(b)) => b < e.finish_us,
+            (Some((finish_us, _)), Some(b)) => b < finish_us,
             (None, Some(_)) => true,
             (Some(_), None) => false,
             (None, None) => {
@@ -716,11 +707,8 @@ pub(crate) fn run_incremental(
         stats.events += 1;
 
         if take_boundary {
-            // The popped completion (if any) lies beyond the boundary; put
-            // it back and process the fault instead.
-            if let Some(e) = top {
-                heap.push(e);
-            }
+            // The earliest completion (if any) lies beyond the boundary;
+            // process the fault instead.
             let b = boundary.expect("take_boundary implies a boundary");
             now = now.max(b);
             crashed_buf.clear();
@@ -745,10 +733,8 @@ pub(crate) fn run_incremental(
                     let si = si as usize;
                     let i = slots.id[si] as usize;
                     refill.depart(si);
-                    if users.retire(&mut slots, si, &mut usage) > 0.0 {
-                        // Its heap entry is orphaned by the kill.
-                        heap_stale += 1;
-                    }
+                    users.retire(&mut slots, si, &mut usage);
+                    heap.remove(si);
                     occupied -= 1;
                     results[i].end_us = now;
                     done += 1;
@@ -802,26 +788,18 @@ pub(crate) fn run_incremental(
             continue;
         }
 
-        let top = top.expect("take_boundary is false, so a completion was popped");
-        now = now.max(top.finish_us);
+        let (finish_us, _) = top.expect("take_boundary is false, so a completion is queued");
+        now = now.max(finish_us);
 
-        // Complete the popped slot plus every further slot projected to
+        // Complete the earliest slot plus every further slot projected to
         // land within its own tolerance of `now` — the heap-shaped
         // equivalent of the dense oracle's epsilon sweep.
         completing.clear();
-        completing.push(top.slot);
-        while let Some(&e) = heap.peek() {
-            let si = e.slot as usize;
-            if !(slots.live[si] && slots.gen[si] == e.gen) {
-                heap.pop();
-                heap_stale -= 1;
-                stats.heap_pops += 1;
-                stats.stale_pops += 1;
-                continue;
-            }
-            if (e.finish_us - now) * slots.rate[si] <= slots.eps_work[si] {
-                completing.push(e.slot);
-                heap.pop();
+        while let Some((finish_us, si)) = heap.peek() {
+            let si = si as usize;
+            if completing.is_empty() || (finish_us - now) * slots.rate[si] <= slots.eps_work[si] {
+                completing.push(si as u32);
+                heap.remove(si);
                 stats.heap_pops += 1;
             } else {
                 break;
@@ -844,20 +822,12 @@ pub(crate) fn run_incremental(
     if granula_trace::enabled() {
         granula_trace::counter_add("engine.events_processed", stats.events);
         granula_trace::counter_add("engine.refill_waves", stats.refill_waves);
-        granula_trace::counter_add("engine.heap_compactions", stats.compactions);
         granula_trace::counter_add("engine.heap_pops", stats.heap_pops);
-        granula_trace::counter_add("engine.heap_stale_pops", stats.stale_pops);
         granula_trace::counter_add("engine.fill_rounds", refill.rounds);
         granula_trace::counter_add("engine.rate_changes", stats.rate_changes);
         granula_trace::counter_add("engine.noop_waves", stats.noop_waves);
         granula_trace::counter_add("engine.resumed_refills", refill.resumed);
         granula_trace::counter_add("engine.skipped_rounds", refill.skipped_rounds);
-        if stats.heap_pops > 0 {
-            granula_trace::gauge_set(
-                "engine.stale_entry_ratio",
-                stats.stale_pops as f64 / stats.heap_pops as f64,
-            );
-        }
     }
 
     let makespan_us = results.iter().map(|r| r.end_us).fold(0.0, f64::max);
@@ -872,29 +842,100 @@ pub(crate) fn run_incremental(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    #[test]
-    fn heap_orders_by_finish_then_slot() {
-        let mut h = BinaryHeap::new();
-        h.push(HeapEntry {
-            finish_us: 5.0,
-            slot: 2,
-            gen: 0,
-        });
-        h.push(HeapEntry {
-            finish_us: 3.0,
-            slot: 9,
-            gen: 0,
-        });
-        h.push(HeapEntry {
-            finish_us: 3.0,
-            slot: 1,
-            gen: 0,
-        });
-        let a = h.pop().unwrap();
-        assert_eq!((a.finish_us, a.slot), (3.0, 1));
-        let b = h.pop().unwrap();
-        assert_eq!((b.finish_us, b.slot), (3.0, 9));
-        assert_eq!(h.pop().unwrap().slot, 2);
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        /// Queue slot `.0` at `.1`, or re-key it there.
+        Set(u8, f64),
+        /// Re-key the `.0`-th queued slot (mod their count) by `±.2`,
+        /// later when `.1`.
+        Shift(u8, bool, f64),
+        Remove(u8),
+        Pop,
+    }
+
+    /// Few distinct values, so finishes tie often.
+    fn finish() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            4 => (0u8..5).prop_map(f64::from),
+            2 => 0.0f64..8.0,
+            1 => Just(-0.0),
+            1 => Just(f64::INFINITY),
+        ]
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        let slot = 0u8..12;
+        prop_oneof![
+            4 => (slot.clone(), finish()).prop_map(|(s, f)| Op::Set(s, f)),
+            3 => (any::<u8>(), 0u8..2, finish()).prop_map(|(k, up, d)| Op::Shift(k, up == 1, d)),
+            2 => slot.prop_map(Op::Remove),
+            3 => Just(Op::Pop),
+        ]
+    }
+
+    /// The model's earliest `(finish, slot)` by `(finish.total_cmp, slot)`.
+    fn earliest(model: &[Option<f64>]) -> Option<(f64, u32)> {
+        (0..model.len() as u32)
+            .filter_map(|s| model[s as usize].map(|f| (f, s)))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+    }
+
+    fn bits(e: Option<(f64, u32)>) -> Option<(u64, u32)> {
+        e.map(|(f, s)| (f.to_bits(), s))
+    }
+
+    proptest! {
+        /// Random set / re-key up / re-key down / remove / pop sequences,
+        /// with tied finishes and slots reused after removal, against a
+        /// per-slot model: the same earliest entry after every step, the
+        /// same pops in the same order, and positions that match.
+        #[test]
+        fn heap_matches_sorted_model(ops in prop::collection::vec(op(), 0..80)) {
+            let mut heap = CompletionHeap::default();
+            let mut model = vec![None; 12];
+            for op in ops {
+                match op {
+                    Op::Set(s, f) => {
+                        heap.set(s as usize, f);
+                        model[s as usize] = Some(f);
+                    }
+                    Op::Shift(k, later, d) => {
+                        let queued: Vec<usize> = (0..12).filter(|&s| model[s].is_some()).collect();
+                        if let Some(&s) = queued.get(k as usize % queued.len().max(1)) {
+                            let old = model[s].unwrap();
+                            let f = if later { old + d } else { old - d };
+                            heap.set(s, f);
+                            model[s] = Some(f);
+                        }
+                    }
+                    Op::Remove(s) => {
+                        heap.remove(s as usize);
+                        model[s as usize] = None;
+                    }
+                    Op::Pop => {
+                        let want = earliest(&model);
+                        prop_assert_eq!(bits(heap.peek()), bits(want));
+                        if let Some((_, s)) = want {
+                            heap.remove(s as usize);
+                            model[s as usize] = None;
+                        }
+                    }
+                }
+                prop_assert_eq!(bits(heap.peek()), bits(earliest(&model)), "after {:?}", op);
+                prop_assert_eq!(heap.entries.len(), model.iter().flatten().count());
+                for (i, &e) in heap.entries.iter().enumerate() {
+                    prop_assert_eq!(heap.pos[e.1 as usize] as usize, i);
+                    prop_assert!(i == 0 || !CompletionHeap::before(e, heap.entries[(i - 1) / 2]));
+                }
+            }
+            while let Some(want) = earliest(&model) {
+                prop_assert_eq!(bits(heap.peek()), bits(Some(want)));
+                heap.remove(want.1 as usize);
+                model[want.1 as usize] = None;
+            }
+            prop_assert!(heap.peek().is_none());
+        }
     }
 }

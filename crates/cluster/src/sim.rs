@@ -131,7 +131,7 @@ pub enum RefillMode {
     /// Resume from the last fill's trail where the closure allows.
     #[default]
     Resume,
-    /// Fill every wave from scratch.
+    /// Fill every wave from round 1 over a closure scanned in full.
     Scratch,
     /// Resume, and panic unless every wave's rates equal a from-scratch
     /// [`crate::resources::fill_rates`] over its closure, bit for bit.

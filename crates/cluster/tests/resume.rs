@@ -321,3 +321,69 @@ fn component_split_and_merge() {
     check(&c, &g, &plan);
     assert!(check(&c, &g, &FaultPlan::new()) > 0);
 }
+
+// The closure scan stops once it has found as many resources as the last
+// fill's set when every dirty resource lies in that set; the cases below
+// aim at the edges of that bound. `check` compares each run with
+// `RefillMode::Scratch`, which always scans in full.
+
+#[test]
+fn departure_leaves_a_strict_subset_of_the_trail() {
+    // A bridge couples two fan-ins and ends first, so the next fill's set
+    // holds both halves; then a left transfer ends, and its closure is the
+    // left half alone.
+    let c = cluster(&[(8, 1e8, 1e7); 6], 1e9);
+    let mut g = ActivityGraph::new();
+    g.add(transfer(1, 3, 5e4), &[], "bridge");
+    for i in 0..4 {
+        g.add(transfer(1 + i % 2, 0, 1e5 * (i + 2) as f64), &[], "left");
+        g.add(transfer(4 + i % 2, 3, 4e5 * (i + 2) as f64), &[], "right");
+    }
+    assert!(check(&c, &g, &FaultPlan::new()) > 0);
+}
+
+#[test]
+fn arrival_bridges_out_of_the_trail() {
+    // A left transfer ends alone, leaving the fill's set at the left
+    // fan-in. The next one to end starts a transfer into node 5, whose
+    // NIC-in is shared with transfers from node 4's slow NIC-out: the
+    // closure leaves the set through the arrival and grows past its size.
+    let c = cluster(
+        &[
+            (8, 1e8, 1e7),
+            (8, 1e8, 1e7),
+            (8, 1e8, 1e7),
+            (8, 1e8, 1e7),
+            (8, 1e8, 2e6),
+            (8, 1e8, 1e7),
+            (8, 1e8, 1e7),
+        ],
+        1e9,
+    );
+    let mut g = ActivityGraph::new();
+    g.add(transfer(1, 0, 1e5), &[], "left");
+    let second = g.add(transfer(2, 0, 2e5), &[], "left");
+    g.add(transfer(1, 0, 8e5), &[], "left");
+    g.add(transfer(1, 5, 3e5), &[second], "bridge");
+    g.add(transfer(4, 5, 2e6), &[], "right");
+    g.add(transfer(4, 6, 2.5e6), &[], "right");
+    check(&c, &g, &FaultPlan::new());
+}
+
+#[test]
+fn fault_kill_dirties_a_resource_in_the_trail() {
+    // Everything starts at once, so the first fill's set is the whole
+    // fan-in. Node 3 crashes before anything ends: the kill dirties only
+    // resources of that set, and the transfer parked behind it arrives
+    // when node 3 restarts.
+    let c = cluster(&[(8, 1e8, 1e7); 4], 1e9);
+    let mut g = ActivityGraph::new();
+    for src in 1..4 {
+        g.add(transfer(src, 0, 1e6 * src as f64), &[], "fan");
+    }
+    let doomed = g.add(transfer(3, 0, 2e6), &[], "fan");
+    g.add(transfer(2, 1, 1.5e6), &[], "side");
+    g.add(transfer(3, 0, 5e5), &[doomed], "after");
+    let plan = FaultPlan::new().crash_with_restart(NodeId(3), 5e4, 1e5);
+    assert!(check(&c, &g, &plan) > 0);
+}
