@@ -30,9 +30,14 @@ fn bench_partitioning(c: &mut Criterion) {
     group.bench_function("450k_edges", |b| {
         b.iter(|| black_box(VertexCutPartition::greedy(&g, 8).replication_factor()))
     });
+    // fig5's graph over 8 machines, and matrix32's over 32.
     let fig5 = datagen_like(&GenConfig::datagen(100_000, 1_000));
     group.bench_function("900k_edges", |b| {
         b.iter(|| black_box(VertexCutPartition::greedy(&fig5, 8).replication_factor()))
+    });
+    let matrix32 = datagen_like(&GenConfig::datagen(20_000, 1_000));
+    group.bench_function("180k_edges_32_machines", |b| {
+        b.iter(|| black_box(VertexCutPartition::greedy(&matrix32, 32).replication_factor()))
     });
     group.finish();
 }

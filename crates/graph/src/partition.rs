@@ -8,8 +8,9 @@
 //! sync traffic, which is why it wins on power-law graphs.
 //!
 //! The greedy vertex-cut walks the CSR and keeps every vertex's machines as
-//! a bitset of `ceil(k / 64)` words in one flat array while it places
-//! edges. It ends with a flat replica CSR and, parallel to it, how many of
+//! a bitset row of `W` words, the smallest power of two that holds `k`
+//! bits, while it places edges, and files each edge's machine under its
+//! target. It ends with a flat replica CSR and, parallel to it, how many of
 //! the vertex's in- and out-edges each replica holds. Every choice takes
 //! the first least-loaded machine in ascending order, the source's replicas
 //! before the target's.
@@ -84,9 +85,11 @@ fn mix(v: u32) -> u32 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct VertexCutPartition {
     /// Machine of each edge, in [`Graph::edges`] order.
-    pub edge_owner: Vec<u16>,
+    edge_owner: Vec<u16>,
     /// Number of machines.
     pub k: u16,
+    /// Edges per machine.
+    loads: Vec<u64>,
     /// `replicas[replica_offsets[v]..replica_offsets[v + 1]]` are the
     /// replicas of `v`; length `n + 1`.
     replica_offsets: Vec<usize>,
@@ -102,45 +105,44 @@ impl VertexCutPartition {
     /// Greedy placement: for each edge pick, in order of preference, (1) a
     /// machine both endpoints already live on, (2) the least-loaded machine
     /// one endpoint lives on, (3) the least-loaded machine overall.
+    ///
+    /// Reads only the out-CSR. Panics when `k` is 0 or the graph has
+    /// 2^32 edges or more.
     pub fn greedy(g: &Graph, k: u16) -> VertexCutPartition {
         assert!(k > 0, "need at least one machine");
+        // One placement body, instantiated for rows of 1, 2, 4, ..., 1024
+        // words: the smallest power of two that holds `k` bits.
+        let Placed {
+            edge_owner,
+            loads,
+            bits,
+            words,
+            filed,
+            in_offsets,
+        } = match (k as usize).div_ceil(64).next_power_of_two() {
+            1 => place::<1>(g, k),
+            2 => place::<2>(g, k),
+            4 => place::<4>(g, k),
+            8 => place::<8>(g, k),
+            16 => place::<16>(g, k),
+            32 => place::<32>(g, k),
+            64 => place::<64>(g, k),
+            128 => place::<128>(g, k),
+            256 => place::<256>(g, k),
+            512 => place::<512>(g, k),
+            _ => place::<1024>(g, k),
+        };
+
+        // The replica CSR, sized by a first pass over the bitsets.
         let n = g.num_vertices() as usize;
-        let words = (k as usize).div_ceil(64);
-        let mut bits = vec![0u64; n * words];
-        let mut load = vec![0u64; k as usize];
-        let mut edge_owner = Vec::with_capacity(g.num_edges() as usize);
-
-        for s in 0..n {
-            for &t in g.neighbors(s as VertexId) {
-                let (s, t) = (s * words, t as usize * words);
-                let (rs, rt) = (&bits[s..s + words], &bits[t..t + words]);
-                let mut best = None;
-                for (i, (a, b)) in rs.iter().zip(rt).enumerate() {
-                    least_loaded(&mut best, i, a & b, &load);
-                }
-                if best.is_none() {
-                    for (i, &a) in rs.iter().enumerate() {
-                        least_loaded(&mut best, i, a, &load);
-                    }
-                    for (i, &b) in rt.iter().enumerate() {
-                        least_loaded(&mut best, i, b, &load);
-                    }
-                }
-                let choice = match best {
-                    Some((_, m)) => m,
-                    None => (0..k).min_by_key(|&m| load[m as usize]).expect("k > 0"),
-                };
-                edge_owner.push(choice);
-                load[choice as usize] += 1;
-                let (word, bit) = (choice as usize / 64, 1u64 << (choice % 64));
-                bits[s + word] |= bit;
-                bits[t + word] |= bit;
-            }
-        }
-
         let mut replica_offsets = Vec::with_capacity(n + 1);
         replica_offsets.push(0);
-        let mut replicas = Vec::new();
+        let mut total = 0;
+        for set in bits.chunks_exact(words) {
+            total += set.iter().map(|w| w.count_ones() as usize).sum::<usize>();
+            replica_offsets.push(total);
+        }
+        let mut replicas = Vec::with_capacity(total);
         for set in bits.chunks_exact(words) {
             for (i, &word) in set.iter().enumerate() {
                 let mut w = word;
@@ -149,43 +151,36 @@ impl VertexCutPartition {
                     w &= w - 1;
                 }
             }
-            replica_offsets.push(replicas.len());
         }
+        drop(bits);
 
-        // Per replica, the vertex's in- and out-edges its machine holds, in
-        // one more walk over the edges. A source's out-edges are tallied per
-        // machine and spread over its replicas once its edges are done; a
-        // target's replica index is the number of its machines below the
-        // edge's.
-        let rank = |v: usize, m: u16| {
-            let (set, (w, b)) = (&bits[v * words..], (m as usize / 64, m % 64));
-            let below: u32 = set[..w].iter().map(|x| x.count_ones()).sum();
-            below as usize + (set[w] & ((1u64 << b) - 1)).count_ones() as usize
-        };
-        let mut in_edges = vec![0u32; replicas.len()];
-        let mut out_edges = vec![0u32; replicas.len()];
-        let mut tally = vec![0u32; k as usize];
-        let mut owners = edge_owner.iter();
-        for s in 0..n {
-            for &t in g.neighbors(s as VertexId) {
-                let m = *owners.next().expect("one owner per edge");
-                tally[m as usize] += 1;
-                in_edges[replica_offsets[t as usize] + rank(t as usize, m)] += 1;
-            }
-            let (first, end) = (replica_offsets[s], replica_offsets[s + 1]);
-            for (count, &m) in out_edges[first..end].iter_mut().zip(&replicas[first..end]) {
-                *count = std::mem::take(&mut tally[m as usize]);
-            }
-        }
+        // Per replica, the vertex's in-edges its machine holds, from its run
+        // of `filed`; the filing is freed before the out-edge counts, from
+        // its run of `edge_owner`, are allocated.
+        let run = |v: usize| &filed[in_offsets[v] as usize..in_offsets[v + 1] as usize];
+        let in_edges = replica_counts(&replica_offsets, &replicas, k, run);
+        drop((filed, in_offsets));
+        let (owners, mut out_first) = (&edge_owner[..], 0);
+        let out_edges = replica_counts(&replica_offsets, &replicas, k, |v| {
+            let first = out_first;
+            out_first += g.out_degree(v as VertexId) as usize;
+            &owners[first..out_first]
+        });
 
         VertexCutPartition {
             edge_owner,
             k,
+            loads,
             replica_offsets,
             replicas,
             in_edges,
             out_edges,
         }
+    }
+
+    /// Machine of each edge, in [`Graph::edges`] order.
+    pub fn edge_owner(&self) -> &[u16] {
+        &self.edge_owner
     }
 
     /// The sorted machines holding at least one of `v`'s edges (its
@@ -232,24 +227,141 @@ impl VertexCutPartition {
 
     /// Edges per machine.
     pub fn sizes(&self) -> Vec<u64> {
-        let mut sizes = vec![0u64; self.k as usize];
-        for &o in &self.edge_owner {
-            sizes[o as usize] += 1;
-        }
-        sizes
+        self.loads.clone()
     }
 }
 
-/// Lowers `best`, a `(load, machine)` pair, to each machine of bitset word
-/// `i` (machines `64 i..64 i + 63`) that is strictly less loaded, in
-/// ascending order: the first least-loaded machine wins a tie.
-fn least_loaded(best: &mut Option<(u64, u16)>, i: usize, mut word: u64, load: &[u64]) {
-    while word != 0 {
-        let m = i * 64 + word.trailing_zeros() as usize;
-        word &= word - 1;
-        if best.is_none_or(|(l, _)| load[m] < l) {
-            *best = Some((load[m], m as u16));
+/// Per replica, how many edges of the vertex's run `run(v)` of edge
+/// owners its machine holds: each run is tallied by machine, and each
+/// replica takes its machine's tally.
+fn replica_counts<'a>(
+    offsets: &[usize],
+    replicas: &[u16],
+    k: u16,
+    mut run: impl FnMut(usize) -> &'a [u16],
+) -> Vec<u32> {
+    let mut tally = vec![0u32; k as usize];
+    let mut counts = vec![0u32; replicas.len()];
+    for (v, span) in offsets.windows(2).enumerate() {
+        for &m in run(v) {
+            tally[m as usize] += 1;
         }
+        let (first, end) = (span[0], span[1]);
+        for (count, &m) in counts[first..end].iter_mut().zip(&replicas[first..end]) {
+            *count = std::mem::take(&mut tally[m as usize]);
+        }
+    }
+    counts
+}
+
+/// What placement hands to the replica CSR and the edge counts.
+struct Placed {
+    /// Machine of each edge, in [`Graph::edges`] order.
+    edge_owner: Vec<u16>,
+    /// Edges per machine.
+    loads: Vec<u64>,
+    /// Every vertex's machines as a bitset of `words` words.
+    bits: Vec<u64>,
+    words: usize,
+    /// Every edge's machine filed under its target: the owners of `t`'s
+    /// in-edges are `filed[in_offsets[t]..in_offsets[t + 1]]`.
+    filed: Vec<u16>,
+    in_offsets: Vec<u32>,
+}
+
+/// A placement key is `load << LOAD_SHIFT | target_only << 16 | machine`.
+const LOAD_SHIFT: u32 = 17;
+
+/// Places every edge of `g` on one of `k` machines, holding each vertex's
+/// machines as a row of `W` bitset words, and files each edge's machine
+/// under its target.
+///
+/// An edge takes the least key `(load, target-only, machine)` over a mask:
+/// the machines its endpoints share, else those of either endpoint, else
+/// all `k`. The middle bit is set on a machine only the target lives on,
+/// so on equal loads the source's machines win, then the lower index. The
+/// set-bit loop keeps the least key with a `min`, not a branch, and the
+/// source's row stays in a local while its out-edges are placed.
+fn place<const W: usize>(g: &Graph, k: u16) -> Placed {
+    let n = g.num_vertices() as usize;
+    let m = u32::try_from(g.num_edges()).expect("fewer than 2^32 edges") as usize;
+    // Where each target's filed owners start, from in-degrees counted over
+    // the out-CSR, so that a graph without a reverse CSR files the same.
+    let mut cursor = vec![0u32; n + 1];
+    for s in 0..n as VertexId {
+        for &t in g.neighbors(s) {
+            cursor[t as usize + 1] += 1;
+        }
+    }
+    for v in 0..n {
+        cursor[v + 1] += cursor[v];
+    }
+    let mut filed = vec![0u16; m];
+    let all: [u64; W] = std::array::from_fn(|i| match (k as usize).saturating_sub(i * 64) {
+        0 => 0,
+        rest => u64::MAX >> 64usize.saturating_sub(rest),
+    });
+    // Padded to whole rows, so that a spent mask's index (bit 0 of its
+    // word) stays in bounds; its key is never taken.
+    let mut keys: Vec<u64> = (0..u64::from(k)).collect();
+    keys.resize(W * 64, u64::MAX);
+    let mut bits = vec![[0u64; W]; n];
+    let mut edge_owner = Vec::with_capacity(m);
+
+    for s in 0..n {
+        let mut row = bits[s];
+        for &t in g.neighbors(s as VertexId) {
+            let t = t as usize;
+            // A self-loop's target is the held row.
+            let rt = if t == s { &row } else { &bits[t] };
+            let shared: [u64; W] = std::array::from_fn(|i| row[i] & rt[i]);
+            let either: [u64; W] = std::array::from_fn(|i| row[i] | rt[i]);
+            // All ones when a machine is shared, when an endpoint has one.
+            let on_shared = 0u64.wrapping_sub(u64::from(shared.iter().any(|&w| w != 0)));
+            let on_either = 0u64.wrapping_sub(u64::from(either.iter().any(|&w| w != 0)));
+            let mut best = u64::MAX;
+            for i in 0..W {
+                let mut mask =
+                    ((either[i] & on_either) | (all[i] & !on_either)) & (shared[i] | !on_shared);
+                let target_only = rt[i] & !row[i];
+                // Four set bits a round, taken without a branch (a spent
+                // mask offers `u64::MAX`), so that the loop's one branch
+                // rarely goes back: most masks hold at most four machines.
+                while mask != 0 {
+                    for _ in 0..4 {
+                        let b = mask.trailing_zeros() & 63;
+                        let key = keys[i * 64 + b as usize] | ((target_only >> b) & 1) << 16;
+                        best = best.min(if mask != 0 { key } else { u64::MAX });
+                        mask &= mask.wrapping_sub(1);
+                    }
+                }
+            }
+            let choice = (best & 0xffff) as u16;
+            edge_owner.push(choice);
+            keys[choice as usize] += 1 << LOAD_SHIFT;
+            let (word, bit) = (choice as usize / 64, 1u64 << (choice % 64));
+            row[word] |= bit;
+            bits[t][word] |= bit;
+            let at = &mut cursor[t];
+            filed[*at as usize] = choice;
+            *at += 1;
+        }
+        bits[s] = row;
+    }
+
+    // Each cursor now holds the next target's start.
+    cursor.copy_within(0..n, 1);
+    cursor[0] = 0;
+    Placed {
+        edge_owner,
+        loads: keys[..k as usize]
+            .iter()
+            .map(|&key| key >> LOAD_SHIFT)
+            .collect(),
+        bits: bits.into_flattened(),
+        words: W,
+        filed,
+        in_offsets: cursor,
     }
 }
 

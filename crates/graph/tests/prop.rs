@@ -212,13 +212,13 @@ proptest! {
         }
         let g = Graph::from_edges(n, &edges);
         let p = VertexCutPartition::greedy(&g, k);
-        prop_assert_eq!(p.edge_owner.len() as u64, g.num_edges());
+        prop_assert_eq!(p.edge_owner().len() as u64, g.num_edges());
         let mut owners: Vec<Vec<u16>> = vec![Vec::new(); n as usize];
         // `[v][m]`: v's in- and out-edges on machine m.
         let mut ins = vec![vec![0u32; k as usize]; n as usize];
         let mut outs = ins.clone();
         for (e, (u, v)) in g.edges().enumerate() {
-            let m = p.edge_owner[e];
+            let m = p.edge_owner()[e];
             prop_assert!(m < k);
             owners[u as usize].push(m);
             owners[v as usize].push(m);
@@ -245,6 +245,28 @@ proptest! {
             prop_assert!(p.replication_factor() >= 1.0);
             prop_assert!(p.replication_factor() <= k as f64);
         }
+        let mut loads = vec![0u64; k as usize];
+        for &m in p.edge_owner() {
+            loads[m as usize] += 1;
+        }
+        prop_assert_eq!(p.sizes(), loads);
+    }
+
+    /// The greedy vertex-cut reads only the out-CSR: on a graph built
+    /// without a reverse CSR ([`Graph::from_out_edges`]) it places every
+    /// edge, and counts every replica's edges, as on the same edges with
+    /// one.
+    #[test]
+    fn vertex_cut_ignores_the_reverse_csr((n, edges) in edges_up_to(400, 600), k in 1u16..=130) {
+        let g = Graph::from_edges(n, &edges);
+        let out_only = Graph::from_out_edges(
+            n,
+            |sink| edges.iter().for_each(|&(s, _)| sink(s)),
+            |sink| edges.iter().for_each(|&(s, t)| sink(s, t)),
+        );
+        prop_assert!(out_only.edges().eq(g.edges()));
+        prop_assert!((0..n).all(|v| out_only.in_degree(v) == 0));
+        prop_assert_eq!(VertexCutPartition::greedy(&out_only, k), VertexCutPartition::greedy(&g, k));
     }
 }
 

@@ -13,11 +13,13 @@
 //! Besides the result, the engine records per-iteration, per-machine
 //! counters (gather/scatter edges, applies, replica-sync messages) — the
 //! inputs of the PowerGraph cost model. Its state is flat: the partition's
-//! per-replica in- and out-edge counts, parallel to its replica CSR, and
-//! two value buffers swapped each iteration. Min-combining programs in
-//! converge mode also keep two accumulator buffers, for PowerGraph's delta
-//! caching (see [`GasProgram::delta_gather`]). The counters still count
-//! every gather edge, so the cost model sees the same work either way.
+//! per-replica in- and out-edge counts, parallel to its replica CSR, two
+//! value buffers swapped each iteration, the ascending list of active
+//! vertices, and one `k × k` sync array, copied out into the iteration's
+//! [`IterationStats`]. Min-combining programs in converge mode also keep
+//! two accumulator buffers, for PowerGraph's delta caching (see
+//! [`GasProgram::delta_gather`]). The counters still count every gather
+//! edge, so the cost model sees the same work either way.
 
 use std::collections::BTreeMap;
 
@@ -131,8 +133,9 @@ pub trait GasProgram {
     /// - `apply` sets the value to the smaller of it and a candidate, which
     ///   is the accumulator or a constant of `v` (a source's distance), and
     ///   reports a change exactly when the value fell;
-    /// - `scatter_dir` activates every vertex that gathers from a changed
-    ///   one (it covers the reverse of `gather_dir`);
+    /// - `scatter_dir` is the reverse of `gather_dir`, so that it activates
+    ///   exactly the vertices that gather from a changed one (`run` checks
+    ///   this and otherwise folds);
     /// - a vertex that is not initially active gathers nothing below its
     ///   initial value from the initial values.
     ///
@@ -216,36 +219,36 @@ pub fn run<P: GasProgram>(
         IterationMode::Fixed(i) => (i, true),
         IterationMode::Converge { max } => (max, false),
     };
-    let delta = !fixed && program.delta_gather();
+    // Delta caching needs the scatter edges to reach exactly the vertices
+    // that gather from `v`; one walk over them then activates and pushes.
+    let delta = !fixed && program.delta_gather() && scatter_dir == gather_dir.reverse();
     // With delta caching: per vertex, what its changed neighbours pushed in
     // the previous iteration, and what this iteration's changes push. An
     // active vertex takes its slot, and every push target is active next,
     // so both buffers are empty again at each swap.
     let mut pushed: Vec<Option<P::Accum>> = vec![None; if delta { n } else { 0 }];
     let mut next_pushed = pushed.clone();
-    let mut active: Vec<bool> = if fixed {
-        vec![true; n]
-    } else {
-        (0..n as u32).map(|v| program.initially_active(v)).collect()
-    };
-    let mut next_active = vec![false; n];
+    // The active vertices, ascending: all of them in `Fixed` mode. In
+    // converge mode a scatter sets bit `t` of `queued` to activate `t`,
+    // and the next frontier is read off those words in ascending order.
+    let mut frontier = Vec::with_capacity(n);
+    frontier.extend((0..n as u32).filter(|&v| fixed || program.initially_active(v)));
+    let mut queued = vec![0u64; if fixed { 0 } else { n.div_ceil(64) }];
+    // `sync[from * k + to]`: this iteration's replica-sync messages.
+    let mut sync = vec![0u64; k * k];
 
     let mut stats = Vec::new();
     for iteration in 0..max_iters {
-        if !fixed && !active.iter().any(|&a| a) {
+        if !fixed && frontier.is_empty() {
             break;
         }
         program.pre_iteration(iteration, &values, g);
         let mut per_machine = vec![MachineIteration::default(); k];
-        let mut sync_matrix = vec![vec![0u64; k]; k];
-        let mut active_vertices = 0u64;
+        sync.fill(0);
 
-        for v in 0..n as u32 {
-            if !active[v as usize] {
-                continue;
-            }
-            active_vertices += 1;
+        for &v in &frontier {
             let vi = v as usize;
+            let replicas = part.replicas(v);
             let master = part.master_of(v) as usize;
 
             // Gather: the pushed deltas, or a fold over the gather-direction
@@ -273,34 +276,32 @@ pub fn run<P: GasProgram>(
             // mirror (every replica gets the new value) and, when the value
             // changed, scatter work.
             let first = part.replica_offsets()[vi];
-            for (i, &m) in part.replicas(v).iter().enumerate() {
-                let (m, gathered) = (m as usize, edge_count(gather_dir, first + i));
+            for (r, &m) in (first..).zip(replicas) {
+                let (m, gathered) = (m as usize, edge_count(gather_dir, r));
                 per_machine[m].gather_edges += gathered as u64;
                 if changed || fixed {
-                    per_machine[m].scatter_edges += edge_count(scatter_dir, first + i) as u64;
+                    per_machine[m].scatter_edges += edge_count(scatter_dir, r) as u64;
                 }
                 if m != master {
-                    sync_matrix[m][master] += u64::from(gathered > 0);
-                    sync_matrix[master][m] += 1;
+                    sync[m * k + master] += u64::from(gathered > 0);
+                    sync[master * k + m] += 1;
                 }
             }
 
             // Scatter: activate neighbours when the value changed, and push
             // the new value's contribution to the vertices gathering it.
             if changed && !fixed {
-                for (others, _) in scatter_dir.sides(g, v) {
-                    for &t in others {
-                        next_active[t as usize] = true;
+                let value = &next_values[vi];
+                let mut push = |t: VertexId, w: Option<&[f32]>, i: usize| {
+                    if let Some(c) = program.gather(t, v, value, w.map_or(1.0, |ws| ws[i])) {
+                        fold(program, &mut next_pushed[t as usize], c);
                     }
-                }
-                if delta {
-                    let value = &next_values[vi];
-                    for (others, weights) in gather_dir.reverse().sides(g, v) {
-                        for (i, &t) in others.iter().enumerate() {
-                            let w = weights.map_or(1.0, |ws| ws[i]);
-                            if let Some(c) = program.gather(t, v, value, w) {
-                                fold(program, &mut next_pushed[t as usize], c);
-                            }
+                };
+                for (others, weights) in scatter_dir.sides(g, v) {
+                    for (i, &t) in others.iter().enumerate() {
+                        queued[t as usize / 64] |= 1 << (t % 64);
+                        if delta {
+                            push(t, weights, i);
                         }
                     }
                 }
@@ -310,15 +311,23 @@ pub fn run<P: GasProgram>(
         // Publish the applied values; the old buffer differs from them only
         // where this iteration applied.
         std::mem::swap(&mut values, &mut next_values);
-        for v in (0..n).filter(|&v| active[v]) {
-            next_values[v].clone_from(&values[v]);
+        for &v in &frontier {
+            next_values[v as usize].clone_from(&values[v as usize]);
         }
+        let active_vertices = frontier.len() as u64;
         if !fixed {
-            std::mem::swap(&mut active, &mut next_active);
-            next_active.fill(false);
+            frontier.clear();
+            for (i, word) in queued.iter_mut().enumerate() {
+                let mut w = std::mem::take(word);
+                while w != 0 {
+                    frontier.push((i * 64) as VertexId + w.trailing_zeros());
+                    w &= w - 1;
+                }
+            }
             std::mem::swap(&mut pushed, &mut next_pushed);
         }
 
+        let sync_matrix: Vec<Vec<u64>> = sync.chunks_exact(k).map(<[u64]>::to_vec).collect();
         for (m, counters) in per_machine.iter_mut().enumerate() {
             counters.sync_sent = sync_matrix[m].iter().sum();
             counters.sync_received = sync_matrix.iter().map(|row| row[m]).sum();

@@ -20,8 +20,9 @@
 //!   the same `Vec<IterationStats>`. The PowerGraph DAG is built from
 //!   those counters, so any divergence would move a makespan.
 //!
-//! Fixed cases cover what the delta-cached gather must get right on small
-//! hand-built graphs. `PROPTEST_CASES` scales the property.
+//! Fixed cases cover what the delta-cached gather and the greedy's
+//! placement kernel must get right on small hand-built graphs.
+//! `PROPTEST_CASES` scales the property.
 //!
 //! The pins hash the partition and the five algorithms' values and
 //! counters on the 20k-vertex dg1000 down-sample at 8 and 32 machines.
@@ -90,6 +91,11 @@ mod oracle {
                 replicas,
                 k,
             }
+        }
+
+        /// Machine of each edge, in [`Graph::edges`] order.
+        pub fn edge_owner(&self) -> &[u16] {
+            &self.edge_owner
         }
 
         /// The master machine of a vertex: its first replica (or a hash when the
@@ -180,7 +186,7 @@ mod oracle {
         let n = g.num_vertices() as usize;
         let mut maps: Vec<BTreeMap<u16, u32>> = vec![BTreeMap::new(); n];
         for (e, (u, v)) in g.edges().enumerate() {
-            let owner = part.edge_owner[e];
+            let owner = part.edge_owner()[e];
             match dir {
                 EdgeDir::In => *maps[v as usize].entry(owner).or_insert(0) += 1,
                 EdgeDir::Out => *maps[u as usize].entry(owner).or_insert(0) += 1,
@@ -415,7 +421,7 @@ macro_rules! runs {
     ($engine:ident, $g:expr, $p:expr, $a:expr, $replicas:expr) => {{
         let (g, p, a) = ($g, $p, $a);
         let layout: Layout = (
-            p.edge_owner.clone(),
+            p.edge_owner().to_vec(),
             (0..g.num_vertices())
                 .map(|v| ($replicas(p, v), p.master_of(v)))
                 .collect(),
@@ -586,6 +592,84 @@ fn delta_gather_fixed_cases_match_oracle() {
     assert_eq!(sssp[..6], [0.0, 1.0, 2.0, 1.5, 1.0, 3.0]);
     let wcc = gas::run(&g, &p, &mut gas::WccGas, mode).values;
     assert_eq!(wcc, [0, 0, 0, 0, 0, 0, 0, 7, 7]);
+}
+
+/// Fixed cases for the greedy vertex-cut's traps, against the oracle:
+/// - disjoint endpoints on equally loaded machines, the target's of lower
+///   index: the source's machine wins, in one word (`k` = 2) and across
+///   words (machine 64 against machine 3 at `k` = 65);
+/// - a self-loop and a repeated edge in the middle of a source's
+///   out-edges, after the source gained a machine among them: both read
+///   the source's machines as they stand, not as the source had them
+///   before its own out-edges;
+/// - 64, 65, 128 and 129 machines on a graph that opens every one.
+#[test]
+fn greedy_fixed_cases_match_oracle() {
+    let owners = |n: u32, edges: &[(u32, u32)], k: u16| {
+        let g = Graph::from_edges(n, edges);
+        let got = VertexCutPartition::greedy(&g, k);
+        let want = oracle::VertexCutPartition::greedy(&g, k);
+        assert_eq!(
+            got.edge_owner(),
+            want.edge_owner(),
+            "k {k}, edges {edges:?}"
+        );
+        for v in 0..n {
+            assert_eq!(
+                got.replicas(v),
+                &want.replicas[v as usize][..],
+                "k {k}, replicas of {v}"
+            );
+        }
+        assert_eq!(got.sizes(), want.sizes(), "k {k}");
+        got.edge_owner().to_vec()
+    };
+
+    // (0, 1) and (2, 3) open machines 0 and 1; (3, 0) then joins 3 on
+    // machine 1 to 0 on machine 0, both at load 1.
+    assert_eq!(owners(4, &[(0, 1), (2, 3), (3, 0)], 2), [0, 1, 1]);
+    // Edge `i` of the matching opens machine `i`; then 64's second edge
+    // joins it (machine 64) to 3 (machine 3), all loads 1.
+    let mut edges: Vec<(u32, u32)> = (0..65).map(|i| (i, 65 + i)).collect();
+    edges.push((64, 3));
+    assert_eq!(owners(130, &edges, 65)[64..], [64, 64]);
+
+    // 0's three edges go to machine 0 and (1, 3) to machine 1. Vertex 2
+    // holds machine 0 from (0, 2); its edge to 3 takes the less loaded
+    // machine 1, which the self-loop and the repeat of (2, 3) must see;
+    // (2, 4) then takes machine 0, now the less loaded.
+    let edges = [
+        (0, 2),
+        (0, 5),
+        (0, 6),
+        (1, 3),
+        (2, 3),
+        (2, 2),
+        (2, 3),
+        (2, 4),
+    ];
+    assert_eq!(owners(7, &edges, 2), [0, 0, 0, 1, 1, 1, 1, 0]);
+    for k in [3, 65] {
+        owners(7, &edges, k);
+    }
+
+    // 130 edges of a matching open every machine, then 400 edges among
+    // the matched targets meet on shared machines in every word.
+    let h = 130u32;
+    let mut edges: Vec<(u32, u32)> = (0..h).map(|i| (i, h + i)).collect();
+    edges.extend((0..400).map(|i| (h + i * 7 % h, h + i * 13 % h)));
+    edges.extend([(h + 5, h + 5), (h + 5, h + 5)]);
+    let g = Graph::from_edges(2 * h, &edges);
+    let a = Params {
+        source: 0,
+        iterations: 3,
+        max_iterations: 400,
+    };
+    for k in [64, 65, 128, 129] {
+        let top = owners(2 * h, &edges, k).into_iter().max();
+        assert_eq!(top, Some(k - 1), "k {k}: every machine opened");
+        assert_eq!(engine(&g, k, a), reference(&g, k, a), "k {k}");
+    }
 }
 
 /// FNV-1a-64 over the debug rendering of a value.
