@@ -7,7 +7,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use gpsim_platforms::GiraphPlatform;
+use gpsim_cluster::{ClusterSpec, FaultPlan};
+use gpsim_platforms::{Engine, GiraphPlatform};
 use granula::calibration;
 use granula::experiment::{run_experiment, Platform};
 use granula::models::giraph_model;
@@ -42,8 +43,13 @@ fn bench_evaluation_only(c: &mut Criterion) {
     let (graph, scale) = calibration::dg_graph_small(4_000, calibration::DG_SEED);
     let mut cfg = calibration::giraph_dg1000_job();
     cfg.scale_factor = scale;
-    let run = GiraphPlatform::default()
-        .run(&graph, &cfg)
+    let run = Engine::Giraph(GiraphPlatform::default())
+        .run(
+            &graph,
+            &cfg,
+            &ClusterSpec::das5(cfg.nodes),
+            &FaultPlan::new(),
+        )
         .expect("simulation runs");
     let meta = JobMeta {
         job_id: "bench".into(),

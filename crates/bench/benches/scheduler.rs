@@ -20,9 +20,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpsim_cluster::{
     ActivityGraph, ActivityKind, ClusterSpec, FaultPlan, NodeId, RefillMode, Simulation,
 };
-use gpsim_platforms::{
-    Algorithm, GiraphPlatform, GrapePartitioner, GrapePlatform, GraphXPlatform, PowerGraphPlatform,
-};
+use gpsim_platforms::{Algorithm, Engine, GrapePartitioner, GrapePlatform};
 use granula::calibration;
 use granula::experiment::Platform;
 
@@ -173,32 +171,28 @@ fn mixed(c: &mut Criterion) {
 /// `matrix32_jobs` configures them.
 fn matrix32_dags(cluster: &ClusterSpec) -> Vec<ActivityGraph> {
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
+    let grape = |partitioner| {
+        Engine::Grape(GrapePlatform {
+            partitioner,
+            ..GrapePlatform::default()
+        })
+    };
     let rows = [
-        (Platform::Giraph, GrapePartitioner::Hash),
-        (Platform::PowerGraph, GrapePartitioner::Hash),
-        (Platform::Grape, GrapePartitioner::Hash),
-        (Platform::Grape, GrapePartitioner::Block),
-        (Platform::GraphX, GrapePartitioner::Hash),
+        Platform::Giraph.engine(),
+        Platform::PowerGraph.engine(),
+        grape(GrapePartitioner::Hash),
+        grape(GrapePartitioner::Block),
+        Platform::GraphX.engine(),
     ];
     let mut dags = Vec::new();
-    for (platform, partitioner) in rows {
+    for engine in rows {
         for algorithm in [
             Algorithm::Bfs { source: 1 },
             Algorithm::PageRank { iterations: 10 },
         ] {
-            let mut cfg = platform.dg1000_job();
+            let mut cfg = Platform::of(&engine).dg1000_job();
             (cfg.algorithm, cfg.nodes, cfg.scale_factor) = (algorithm, 32, scale);
-            let (g, c) = (&graph, &cfg);
-            dags.push(match platform {
-                Platform::Giraph => GiraphPlatform::default().healthy_dag(g, c, cluster),
-                Platform::PowerGraph => PowerGraphPlatform::default().healthy_dag(g, c, cluster),
-                Platform::Grape => GrapePlatform {
-                    partitioner,
-                    ..GrapePlatform::default()
-                }
-                .healthy_dag(g, c, cluster),
-                _ => GraphXPlatform::default().healthy_dag(g, c, cluster),
-            });
+            dags.push(engine.healthy_dag(&graph, &cfg, cluster));
         }
     }
     dags

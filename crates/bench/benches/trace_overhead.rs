@@ -8,9 +8,9 @@
 //! being collected.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use gpsim_cluster::{ActivityGraph, ActivityKind, ClusterSpec, NodeId, Simulation};
+use gpsim_cluster::{ActivityGraph, ActivityKind, ClusterSpec, FaultPlan, NodeId, Simulation};
 use gpsim_graph::gen::{datagen_like, GenConfig};
-use gpsim_platforms::{Algorithm, CostModel, GiraphPlatform, JobConfig};
+use gpsim_platforms::{Algorithm, CostModel, Engine, GiraphPlatform, JobConfig};
 
 /// The BSP-shaped scheduler workload: dense events, heavy span traffic in
 /// the platform builders when enabled.
@@ -69,11 +69,29 @@ fn platform_disabled_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead/platform");
     g.sample_size(10);
     g.bench_function("disabled", |b| {
-        b.iter(|| GiraphPlatform::default().run(&graph, &cfg).unwrap())
+        b.iter(|| {
+            Engine::Giraph(GiraphPlatform::default())
+                .run(
+                    &graph,
+                    &cfg,
+                    &ClusterSpec::das5(cfg.nodes),
+                    &FaultPlan::new(),
+                )
+                .unwrap()
+        })
     });
     g.bench_function("enabled", |b| {
         granula_trace::enable();
-        b.iter(|| GiraphPlatform::default().run(&graph, &cfg).unwrap());
+        b.iter(|| {
+            Engine::Giraph(GiraphPlatform::default())
+                .run(
+                    &graph,
+                    &cfg,
+                    &ClusterSpec::das5(cfg.nodes),
+                    &FaultPlan::new(),
+                )
+                .unwrap()
+        });
         granula_trace::disable();
         granula_trace::reset();
     });

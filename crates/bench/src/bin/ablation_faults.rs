@@ -12,10 +12,11 @@
 //! fail-stop restarts the whole job, GRAPE reloads and replays only the
 //! lost fragment, and GraphX recomputes the lost partition's lineage.
 
-use gpsim_cluster::{FaultPlan, NodeId};
+use gpsim_cluster::{ClusterSpec, FaultPlan, NodeId};
+use gpsim_platforms::{Engine, GiraphPlatform};
 use granula::analysis::{find_choke_points, ChokePointConfig, ChokePointKind};
 use granula::calibration;
-use granula::experiment::{run_experiment, run_experiment_with_faults, Platform};
+use granula::experiment::{run_experiment, run_experiment_on, Platform};
 use granula_archive::JobArchive;
 use granula_bench::header;
 
@@ -77,21 +78,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     header("Ablation — fault injection (BFS, dg1000, 8 nodes, crash at 40%)");
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
 
-    for platform in [
-        Platform::Giraph,
-        Platform::PowerGraph,
-        Platform::Grape,
-        Platform::GraphX,
+    // Giraph checkpoints every 2 supersteps; PowerGraph has none.
+    let giraph = Engine::Giraph(GiraphPlatform {
+        checkpoint_interval: Some(2),
+        ..GiraphPlatform::default()
+    });
+    for engine in [
+        giraph,
+        Platform::PowerGraph.engine(),
+        Platform::Grape.engine(),
+        Platform::GraphX.engine(),
     ] {
+        let platform = Platform::of(&engine);
         let mut cfg = platform.dg1000_job();
         cfg.scale_factor = scale;
 
         let healthy = run_experiment(platform, &graph, &cfg)?;
         let crash_at = healthy.run.makespan_us as f64 * 0.4;
         let plan = FaultPlan::new().crash(NodeId(2), crash_at);
-        // Giraph checkpoints every 2 supersteps; PowerGraph has none.
-        let interval = (platform == Platform::Giraph).then_some(2);
-        let faulty = run_experiment_with_faults(platform, &graph, &cfg, &plan, interval)?;
+        let cluster = ClusterSpec::das5(cfg.nodes);
+        let faulty = run_experiment_on(&engine, &graph, &cfg, &cluster, &plan)?;
 
         let delta_us = faulty.run.makespan_us - healthy.run.makespan_us;
         let b = decompose(&faulty.report.archive);

@@ -8,12 +8,10 @@
 //! LoadGraph until the shared-filesystem/NIC bandwidth becomes the
 //! bottleneck.
 
-use gpsim_platforms::PowerGraphPlatform;
+use gpsim_cluster::{ClusterSpec, FaultPlan};
+use gpsim_platforms::{Engine, PowerGraphPlatform};
 use granula::calibration;
-use granula::metrics::DomainBreakdown;
-use granula::models::powergraph_model;
-use granula::process::EvaluationProcess;
-use granula_archive::JobMeta;
+use granula::experiment::run_experiment_on;
 use granula_bench::header;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -26,25 +24,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "  {:<16} {:>12} {:>12} {:>12} {:>10}",
         "loader threads", "LoadGraph", "total", "I/O frac", "speedup"
     );
+    let cluster = ClusterSpec::das5(cfg.nodes);
     let mut baseline_total = None;
     for threads in [1u32, 2, 4, 8, 16, 32] {
-        let platform = PowerGraphPlatform {
+        let engine = Engine::PowerGraph(PowerGraphPlatform {
             loader_threads: threads,
             ..Default::default()
-        };
-        let run = platform.run(&graph, &cfg)?;
-        let report = EvaluationProcess::new(powergraph_model()).evaluate(
-            &run,
-            JobMeta {
-                job_id: format!("loader-{threads}"),
-                platform: "PowerGraph".into(),
-                algorithm: "BFS".into(),
-                dataset: "dg1000".into(),
-                nodes: 8,
-                model: String::new(),
-            },
-        );
-        let b = DomainBreakdown::from_archive(&report.archive).expect("runtime present");
+        });
+        let b = run_experiment_on(&engine, &graph, &cfg, &cluster, &FaultPlan::new())?.breakdown;
         let baseline = *baseline_total.get_or_insert(b.total_us);
         println!(
             "  {:<16} {:>10.1}s {:>10.1}s {:>11.1}% {:>9.2}x",

@@ -7,7 +7,7 @@
 //! per-worker Compute durations skew, the imbalance choke-point fires, and
 //! the slowest worker maps to the degraded node.
 
-use gpsim_cluster::ClusterSpec;
+use gpsim_cluster::{ClusterSpec, FaultPlan};
 use granula::analysis::{find_choke_points, ChokePointConfig, ChokePointKind};
 use granula::calibration;
 use granula::experiment::{run_experiment_on, Platform};
@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         if let Some(i) = straggler {
             cluster.nodes[i as usize].cores /= 4;
         }
-        let result = run_experiment_on(Platform::Giraph, &graph, &cfg, &cluster)?;
+        let giraph = Platform::Giraph.engine();
+        let result = run_experiment_on(&giraph, &graph, &cfg, &cluster, &FaultPlan::new())?;
         println!("\n--- {label} ---");
         println!("total runtime: {:.2}s", result.breakdown.total_s());
 

@@ -26,12 +26,12 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
+use gpsim_cluster::{ClusterSpec, FaultPlan};
 use gpsim_platforms::common::reference_output;
-use gpsim_platforms::{Algorithm, GrapePartitioner, GrapePlatform};
+use gpsim_platforms::{Algorithm, Engine, GrapePartitioner, GrapePlatform};
 use granula::calibration;
-use granula::experiment::{run_experiment, Platform};
-use granula::process::EvaluationProcess;
-use granula_archive::{ArchiveStore, JobArchive, JobMeta, RunMeta};
+use granula::experiment::{run_experiment_on, Platform};
+use granula_archive::{ArchiveStore, JobArchive, RunMeta};
 use granula_bench::{header, save_figure};
 use granula_regress::scaled_store;
 use granula_viz::{MatrixCell, MatrixChart};
@@ -53,14 +53,37 @@ const HOUR_US: u64 = 3_600_000_000;
 
 /// One engine row of the matrix.
 struct EngineRow {
-    platform: Platform,
-    /// Partitioner label; also selects GRAPE's partitioner variant.
+    engine: Engine,
+    /// Label of the engine's partitioner.
     partitioner: &'static str,
 }
 
 impl EngineRow {
+    /// A row running `platform` with default knobs.
+    fn default_knobs(platform: Platform, partitioner: &'static str) -> Self {
+        EngineRow {
+            engine: platform.engine(),
+            partitioner,
+        }
+    }
+
+    /// A GRAPE row under `partitioner`.
+    fn grape(partitioner: GrapePartitioner) -> Self {
+        EngineRow {
+            engine: Engine::Grape(GrapePlatform {
+                partitioner,
+                ..GrapePlatform::default()
+            }),
+            partitioner: partitioner.name(),
+        }
+    }
+
+    fn platform(&self) -> Platform {
+        Platform::of(&self.engine)
+    }
+
     fn label(&self) -> String {
-        format!("{}/{}", self.platform.name(), self.partitioner)
+        format!("{}/{}", self.platform().name(), self.partitioner)
     }
 }
 
@@ -88,59 +111,29 @@ fn grape_fixtures_dir() -> PathBuf {
 /// Runs one (engine row, algorithm) job through the full pipeline.
 fn run_cell(row: &EngineRow, algorithm: Algorithm, graph: &gpsim_graph::Graph) -> CellResult {
     let scale = 1.03e9 / (graph.num_vertices() as f64 * 10.0);
-    let mut cfg = row.platform.dg1000_job();
+    let platform = row.platform();
+    let mut cfg = platform.dg1000_job();
     cfg.algorithm = algorithm;
     cfg.scale_factor = scale;
     cfg.job_id = format!(
         "matrix-{}-{}-{}",
-        row.platform.name().to_lowercase(),
+        platform.name().to_lowercase(),
         row.partitioner,
         algorithm.name().to_lowercase()
     );
-    // GRAPE's partitioner is a platform knob, so its block-partitioned row
-    // runs the platform directly and evaluates through the same process
-    // `run_experiment` uses.
-    let (archive, run_output, iterations, makespan_us) = if row.platform == Platform::Grape {
-        let p = GrapePlatform {
-            partitioner: match row.partitioner {
-                "block-ec" => GrapePartitioner::Block,
-                _ => GrapePartitioner::Hash,
-            },
-            ..GrapePlatform::default()
-        };
-        let run = p
-            .run(graph, &cfg)
-            .expect("matrix simulations are well-formed");
-        let report = EvaluationProcess::new(row.platform.model()).evaluate(
-            &run,
-            JobMeta {
-                job_id: cfg.job_id.clone(),
-                platform: row.platform.name().into(),
-                algorithm: cfg.algorithm.name().into(),
-                dataset: cfg.dataset.clone(),
-                nodes: cfg.nodes as u32,
-                model: String::new(),
-            },
-        );
-        assert!(
-            report.assembly_warnings.is_empty(),
-            "{}: {:?}",
-            cfg.job_id,
-            &report.assembly_warnings[..3.min(report.assembly_warnings.len())]
-        );
-        (report.archive, run.output, run.iterations, run.makespan_us)
-    } else {
-        let r =
-            run_experiment(row.platform, graph, &cfg).expect("matrix simulations are well-formed");
-        (
-            r.report.archive,
-            r.run.output,
-            r.run.iterations,
-            r.run.makespan_us,
-        )
-    };
-    let validated = run_output.matches(&reference_output(graph, algorithm));
-    let total_us = archive.total_runtime_us().unwrap_or(makespan_us);
+    let cluster = ClusterSpec::das5(cfg.nodes);
+    let r = run_experiment_on(&row.engine, graph, &cfg, &cluster, &FaultPlan::new())
+        .expect("matrix simulations are well-formed");
+    let warnings = &r.report.assembly_warnings;
+    assert!(
+        warnings.is_empty(),
+        "{}: {:?}",
+        cfg.job_id,
+        &warnings[..3.min(warnings.len())]
+    );
+    let archive = r.report.archive;
+    let validated = r.run.output.matches(&reference_output(graph, algorithm));
+    let total_us = archive.total_runtime_us().unwrap_or(r.run.makespan_us);
     let (bottleneck, dominant_us) = DOMAIN_KINDS
         .iter()
         .map(|k| (*k, archive.total_duration_of_us(k)))
@@ -153,7 +146,7 @@ fn run_cell(row: &EngineRow, algorithm: Algorithm, graph: &gpsim_graph::Graph) -
             bottleneck_frac: dominant_us as f64 / total_us.max(1) as f64,
         },
         archive,
-        iterations,
+        iterations: r.run.iterations,
         validated,
     }
 }
@@ -194,26 +187,11 @@ fn main() {
     let (graph, _) = calibration::dg_graph_small(vertices, calibration::DG_SEED);
 
     let rows = [
-        EngineRow {
-            platform: Platform::Giraph,
-            partitioner: "hash-ec",
-        },
-        EngineRow {
-            platform: Platform::PowerGraph,
-            partitioner: "greedy-vc",
-        },
-        EngineRow {
-            platform: Platform::Grape,
-            partitioner: "hash-ec",
-        },
-        EngineRow {
-            platform: Platform::Grape,
-            partitioner: "block-ec",
-        },
-        EngineRow {
-            platform: Platform::GraphX,
-            partitioner: "hash-ec",
-        },
+        EngineRow::default_knobs(Platform::Giraph, "hash-ec"),
+        EngineRow::default_knobs(Platform::PowerGraph, "greedy-vc"),
+        EngineRow::grape(GrapePartitioner::Hash),
+        EngineRow::grape(GrapePartitioner::Block),
+        EngineRow::default_knobs(Platform::GraphX, "hash-ec"),
     ];
     let algorithms = [
         Algorithm::Bfs { source: 1 },
@@ -262,7 +240,7 @@ fn main() {
                 "\n    {{\"platform\": \"{}\", \"partitioner\": \"{}\", \"algorithm\": \"{}\", \
                  \"total_us\": {}, \"bottleneck\": \"{}\", \"bottleneck_frac\": {:.4}, \
                  \"iterations\": {}, \"validated\": {}}}{sep}",
-                json_escape(rows[*r].platform.name()),
+                json_escape(rows[*r].platform().name()),
                 json_escape(rows[*r].partitioner),
                 json_escape(&chart_col(&algorithms, *c)),
                 cell.cell.total_us,
@@ -295,7 +273,7 @@ fn main() {
             store = store.with_run(granula_bench::run_meta_from_env());
             let path = Path::new(&dir).join(format!(
                 "matrix_{}_{}.gar",
-                row.platform.name().to_lowercase(),
+                row.platform().name().to_lowercase(),
                 row.partitioner
             ));
             store.save(&path).expect("write archive store");

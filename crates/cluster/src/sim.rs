@@ -56,6 +56,12 @@ pub enum SimError {
         /// Simulated time of the attempt, microseconds (rounded).
         at_us: u64,
     },
+    /// A fault plan was given to a platform whose fault behavior is not
+    /// modeled, so the faulted job cannot be laid out.
+    FaultsNotModeled {
+        /// The platform's display name.
+        platform: &'static str,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -81,6 +87,9 @@ impl fmt::Display for SimError {
                     "activity {activity:?} cannot run: node {node:?} was lost \
                      at t={at_us} µs (simulated) with no restart scheduled"
                 )
+            }
+            SimError::FaultsNotModeled { platform } => {
+                write!(f, "fault injection is not modeled for {platform}")
             }
         }
     }

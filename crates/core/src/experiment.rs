@@ -1,14 +1,15 @@
 //! Experiment drivers: run a platform job through the full Granula pipeline.
 //!
 //! These are the entry points the figure-regeneration binaries and examples
-//! use: pick a platform, a graph, and a job config; get back the archive,
-//! the environment log, the domain breakdown, and all feedback.
+//! use: pick an engine (a platform and its knobs), a graph, a job config, a
+//! cluster and a fault plan; get back the archive, the environment log, the
+//! domain breakdown, and all feedback.
 
-use gpsim_cluster::{FaultPlan, SimError};
+use gpsim_cluster::{ClusterSpec, FaultPlan, SimError};
 use gpsim_graph::Graph;
 use gpsim_platforms::{
-    GiraphPlatform, GrapePlatform, GraphMatPlatform, GraphXPlatform, JobConfig, PlatformRun,
-    PowerGraphPlatform,
+    Engine, GiraphPlatform, GrapePlatform, GraphMatPlatform, GraphXPlatform, JobConfig,
+    PlatformRun, PowerGraphPlatform,
 };
 use granula_archive::JobMeta;
 
@@ -35,6 +36,28 @@ pub enum Platform {
 }
 
 impl Platform {
+    /// The platform `engine` runs.
+    pub fn of(engine: &Engine) -> Platform {
+        match engine {
+            Engine::Giraph(_) => Platform::Giraph,
+            Engine::PowerGraph(_) => Platform::PowerGraph,
+            Engine::GraphMat(_) => Platform::GraphMat,
+            Engine::Grape(_) => Platform::Grape,
+            Engine::GraphX(_) => Platform::GraphX,
+        }
+    }
+
+    /// The platform's engine with default knobs.
+    pub fn engine(self) -> Engine {
+        match self {
+            Platform::Giraph => Engine::Giraph(GiraphPlatform::default()),
+            Platform::PowerGraph => Engine::PowerGraph(PowerGraphPlatform::default()),
+            Platform::GraphMat => Engine::GraphMat(GraphMatPlatform::default()),
+            Platform::Grape => Engine::Grape(GrapePlatform::default()),
+            Platform::GraphX => Engine::GraphX(GraphXPlatform::default()),
+        }
+    }
+
     /// Display name.
     pub fn name(self) -> &'static str {
         match self {
@@ -70,15 +93,14 @@ impl Platform {
 
     /// The platform's model extended with checkpoint/recovery operation
     /// types — required when evaluating a run under fault injection, or the
-    /// model-driven event filter drops the recovery events.
-    ///
-    /// # Panics
-    /// For [`Platform::GraphMat`], whose fault behavior is not modeled.
+    /// model-driven event filter drops the recovery events. GraphMat models
+    /// no recovery, so its fault model is its plain model (and a fault plan
+    /// on GraphMat is an error, [`SimError::FaultsNotModeled`]).
     pub fn fault_model(self) -> granula_model::PerformanceModel {
         match self {
             Platform::Giraph => models::giraph_fault_model(),
             Platform::PowerGraph => models::powergraph_fault_model(),
-            Platform::GraphMat => panic!("fault injection is not modeled for GraphMat"),
+            Platform::GraphMat => models::graphmat_model(),
             Platform::Grape => models::grape_fault_model(),
             Platform::GraphX => models::graphx_fault_model(),
         }
@@ -96,91 +118,41 @@ pub struct ExperimentResult {
     pub breakdown: DomainBreakdown,
 }
 
-/// Runs one job on one platform and evaluates it with the platform's full
-/// model, on the default DAS5-like cluster.
+/// Runs one job on `platform` with default knobs and no faults, on the
+/// default DAS5-like cluster, and evaluates it with the platform's full
+/// model: [`run_experiment_on`] in its most common form.
 pub fn run_experiment(
     platform: Platform,
     graph: &Graph,
     cfg: &JobConfig,
 ) -> Result<ExperimentResult, SimError> {
-    run_experiment_on(
-        platform,
-        graph,
-        cfg,
-        &gpsim_cluster::ClusterSpec::das5(cfg.nodes),
-    )
+    let cluster = ClusterSpec::das5(cfg.nodes);
+    run_experiment_on(&platform.engine(), graph, cfg, &cluster, &FaultPlan::new())
 }
 
-/// Like [`run_experiment`], on an explicit (possibly heterogeneous)
-/// cluster — e.g. one with a straggler node.
+/// Runs one job on `engine` over `cluster` (possibly heterogeneous, e.g.
+/// with a straggler node) under `plan` (possibly empty), and evaluates it.
+///
+/// The run is evaluated against [`Platform::fault_model`] when the plan
+/// crashes a node or the engine is Giraph with checkpointing on, so the
+/// recovery and checkpoint operations survive the model-driven event
+/// filter; otherwise against [`Platform::model`].
+///
+/// # Errors
+/// The errors of [`Engine::run`]: the simulator's, and
+/// [`SimError::FaultsNotModeled`] for GraphMat under a non-empty plan.
 pub fn run_experiment_on(
-    platform: Platform,
+    engine: &Engine,
     graph: &Graph,
     cfg: &JobConfig,
-    cluster: &gpsim_cluster::ClusterSpec,
-) -> Result<ExperimentResult, SimError> {
-    let process = {
-        let _span = granula_trace::span!("modeling", "build_model {}", platform.name());
-        EvaluationProcess::new(platform.model())
-    };
-    let run = {
-        let _span = granula_trace::span!(
-            "monitoring",
-            "platform_run {} ({})",
-            cfg.job_id,
-            platform.name()
-        );
-        match platform {
-            Platform::Giraph => GiraphPlatform::default().run_on(graph, cfg, cluster)?,
-            Platform::PowerGraph => PowerGraphPlatform::default().run_on(graph, cfg, cluster)?,
-            Platform::GraphMat => GraphMatPlatform::default().run_on(graph, cfg, cluster)?,
-            Platform::Grape => GrapePlatform::default().run_on(graph, cfg, cluster)?,
-            Platform::GraphX => GraphXPlatform::default().run_on(graph, cfg, cluster)?,
-        }
-    };
-    let meta = JobMeta {
-        job_id: cfg.job_id.clone(),
-        platform: platform.name().into(),
-        algorithm: cfg.algorithm.name().into(),
-        dataset: cfg.dataset.clone(),
-        nodes: cfg.nodes as u32,
-        model: String::new(),
-    };
-    let report = process.evaluate(&run, meta);
-    let breakdown = DomainBreakdown::from_archive(&report.archive)
-        .expect("archive of a simulated run always has a runtime");
-    Ok(ExperimentResult {
-        report,
-        run,
-        breakdown,
-    })
-}
-
-/// Like [`run_experiment`], under an injected fault plan on the default
-/// DAS5-like cluster.
-///
-/// `giraph_checkpoint_interval` enables Giraph's checkpointing (every K
-/// supersteps) so recovery can replay from the last checkpoint instead of
-/// superstep zero; it is ignored by other platforms. When the plan contains
-/// crashes or checkpointing is on, the run is evaluated against
-/// [`Platform::fault_model`] so the recovery operations survive the
-/// model-driven event filter.
-///
-/// # Panics
-/// For [`Platform::GraphMat`] with a non-empty plan — its fault behavior is
-/// not modeled.
-pub fn run_experiment_with_faults(
-    platform: Platform,
-    graph: &Graph,
-    cfg: &JobConfig,
+    cluster: &ClusterSpec,
     plan: &FaultPlan,
-    giraph_checkpoint_interval: Option<u32>,
 ) -> Result<ExperimentResult, SimError> {
+    let platform = Platform::of(engine);
     let process = {
         let _span = granula_trace::span!("modeling", "build_model {}", platform.name());
-        let faulted = !plan.crashes.is_empty()
-            || (platform == Platform::Giraph && giraph_checkpoint_interval.is_some());
-        let model = if faulted {
+        let checkpointing = matches!(engine, Engine::Giraph(p) if p.checkpoint_interval.is_some());
+        let model = if !plan.crashes.is_empty() || checkpointing {
             platform.fault_model()
         } else {
             platform.model()
@@ -194,27 +166,7 @@ pub fn run_experiment_with_faults(
             cfg.job_id,
             platform.name()
         );
-        match platform {
-            Platform::Giraph => {
-                let p = GiraphPlatform {
-                    checkpoint_interval: giraph_checkpoint_interval,
-                    ..GiraphPlatform::default()
-                };
-                p.run_with_faults(graph, cfg, plan)?
-            }
-            Platform::PowerGraph => {
-                PowerGraphPlatform::default().run_with_faults(graph, cfg, plan)?
-            }
-            Platform::GraphMat => {
-                assert!(
-                    plan.crashes.is_empty() && plan.slowdowns.is_empty(),
-                    "fault injection is not modeled for GraphMat"
-                );
-                GraphMatPlatform::default().run(graph, cfg)?
-            }
-            Platform::Grape => GrapePlatform::default().run_with_faults(graph, cfg, plan)?,
-            Platform::GraphX => GraphXPlatform::default().run_with_faults(graph, cfg, plan)?,
-        }
+        engine.run(graph, cfg, cluster, plan)?
     };
     let meta = JobMeta {
         job_id: cfg.job_id.clone(),
@@ -439,9 +391,15 @@ mod tests {
             cfg.scale_factor = scale;
             let healthy = run_experiment(platform, &graph, &cfg).unwrap();
             let plan = FaultPlan::new().crash(NodeId(2), healthy.run.makespan_us as f64 * 0.4);
-            let interval = (platform == Platform::Giraph).then_some(2);
-            let faulty =
-                run_experiment_with_faults(platform, &graph, &cfg, &plan, interval).unwrap();
+            let engine = match platform.engine() {
+                Engine::Giraph(p) => Engine::Giraph(GiraphPlatform {
+                    checkpoint_interval: Some(2),
+                    ..p
+                }),
+                engine => engine,
+            };
+            let cluster = ClusterSpec::das5(cfg.nodes);
+            let faulty = run_experiment_on(&engine, &graph, &cfg, &cluster, &plan).unwrap();
             assert!(
                 faulty.run.makespan_us > healthy.run.makespan_us,
                 "{}: recovery must cost time",
@@ -474,12 +432,35 @@ mod tests {
         let mut cfg = crate::calibration::giraph_dg1000_job();
         cfg.scale_factor = scale;
         let plain = run_experiment(Platform::Giraph, &graph, &cfg).unwrap();
+        let engine = Platform::Giraph.engine();
+        let cluster = ClusterSpec::das5(cfg.nodes);
         let faulted =
-            run_experiment_with_faults(Platform::Giraph, &graph, &cfg, &FaultPlan::new(), None)
-                .unwrap();
+            run_experiment_on(&engine, &graph, &cfg, &cluster, &FaultPlan::new()).unwrap();
         assert_eq!(plain.run.makespan_us, faulted.run.makespan_us);
         assert_eq!(plain.run.events, faulted.run.events);
         assert_eq!(plain.breakdown, faulted.breakdown);
+    }
+
+    #[test]
+    fn graphmat_fault_plans_are_an_error() {
+        use gpsim_cluster::{DegradedChannel, NodeId};
+
+        let (graph, scale) = crate::calibration::dg_graph_small(2_000, crate::calibration::DG_SEED);
+        let mut cfg = Platform::GraphMat.dg1000_job();
+        cfg.scale_factor = scale;
+        let cluster = ClusterSpec::das5(cfg.nodes);
+        let crash = FaultPlan::new().crash(NodeId(2), 1e6);
+        let slowdown = FaultPlan::new().slow(NodeId(2), DegradedChannel::Nic, 0.0, 1e6, 0.5);
+        for plan in [crash, slowdown] {
+            let engine = Platform::GraphMat.engine();
+            let err = run_experiment_on(&engine, &graph, &cfg, &cluster, &plan).unwrap_err();
+            assert_eq!(
+                err,
+                SimError::FaultsNotModeled {
+                    platform: "GraphMat"
+                }
+            );
+        }
     }
 
     #[test]

@@ -24,7 +24,11 @@
 //!   paper §3.4 and Figure 5),
 //! * the platform-diversity registry ([`registry`], paper Table 1),
 //! * the calibrated dg1000/DAS5 experiment setup ([`calibration`],
-//!   [`experiment`]) used to regenerate the paper's figures,
+//!   [`experiment`]) used to regenerate the paper's figures: one
+//!   experiment path, [`run_experiment_on`], runs any [`Engine`] (a
+//!   platform and its knobs) on a cluster under a fault plan and
+//!   evaluates the run; [`run_experiment`] is its default-knob,
+//!   fault-free form on the DAS5-like cluster,
 //! * a performance-regression harness ([`regression`], paper §6).
 
 pub mod analysis;
@@ -41,5 +45,6 @@ pub mod regression;
 pub use analysis::{diagnose, find_choke_points, ChokePoint, ChokePointConfig, FailureReport};
 pub use benchmark::{BenchmarkReport, BenchmarkRow, BenchmarkSuite};
 pub use experiment::{run_experiment, run_experiment_on, ExperimentResult, Platform};
+pub use gpsim_platforms::Engine;
 pub use metrics::{DomainBreakdown, Phase};
 pub use process::{EvaluationProcess, EvaluationReport};

@@ -143,8 +143,11 @@ impl EvaluationProcess {
 mod tests {
     use super::*;
     use crate::models::{giraph_model, powergraph_model};
+    use gpsim_cluster::{ClusterSpec, FaultPlan};
     use gpsim_graph::gen::{datagen_like, GenConfig};
-    use gpsim_platforms::{Algorithm, CostModel, GiraphPlatform, JobConfig, PowerGraphPlatform};
+    use gpsim_platforms::{
+        Algorithm, CostModel, Engine, GiraphPlatform, JobConfig, PowerGraphPlatform,
+    };
     use granula_model::AbstractionLevel;
 
     fn giraph_run() -> PlatformRun {
@@ -161,7 +164,9 @@ mod tests {
             CostModel::giraph_like(),
         )
         .with_scale(scale);
-        GiraphPlatform::default().run(&g, &cfg).unwrap()
+        Engine::Giraph(GiraphPlatform::default())
+            .run(&g, &cfg, &ClusterSpec::das5(cfg.nodes), &FaultPlan::new())
+            .unwrap()
     }
 
     fn meta() -> JobMeta {
@@ -250,7 +255,9 @@ mod tests {
             8,
             CostModel::powergraph_like(),
         );
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = Engine::PowerGraph(PowerGraphPlatform::default())
+            .run(&g, &cfg, &ClusterSpec::das5(cfg.nodes), &FaultPlan::new())
+            .unwrap();
         let report = EvaluationProcess::new(powergraph_model()).evaluate(
             &run,
             JobMeta {
@@ -277,7 +284,9 @@ mod tests {
             4,
             CostModel::powergraph_like(),
         );
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = Engine::PowerGraph(PowerGraphPlatform::default())
+            .run(&g, &cfg, &ClusterSpec::das5(cfg.nodes), &FaultPlan::new())
+            .unwrap();
         let report = EvaluationProcess::new(giraph_model()).evaluate(&run, meta());
         // Domain kinds overlap (Startup etc.), but the PowerGraph root and
         // machine-level ops do not: coverage must be imperfect and the

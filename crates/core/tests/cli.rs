@@ -139,6 +139,28 @@ fn html_report_written() {
 }
 
 #[test]
+fn breakdown_rejects_deeply_nested_json() {
+    // Unbounded recursion in the JSON parser used to overflow the stack
+    // and abort the process on these files.
+    let dir = workdir("deep-json");
+    for (name, text) in [
+        ("arrays", "[".repeat(200_000)),
+        ("objects", "{\"a\":".repeat(200_000)),
+    ] {
+        let path = dir.join(format!("{name}.json"));
+        fs::write(&path, text).expect("write deep json");
+        let out = cli()
+            .args(["breakdown", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains("recursion limit"), "{name}: {stderr}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn unknown_subcommand_errors() {
     let out = cli().arg("frobnicate").output().unwrap();
     assert!(!out.status.success());

@@ -4,29 +4,39 @@
 //! after the job finishes. This module writes event streams out in exactly
 //! that layout (platform log lines mixed with whatever else the process
 //! printed) and collects a directory of such files back into events,
-//! tolerating unknown files and non-Granula lines.
+//! tolerating unknown files, non-Granula lines, lines that are not UTF-8
+//! and lines longer than [`MAX_LINE`] bytes.
 //!
 //! Environment samples use a sibling line format:
 //! `GRANULA-ENV <time_us> <node> <cpu|memory|network|disk> <value>`.
 
 use std::fs;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 use crate::env::{ResourceKind, ResourceSample};
 use crate::event::{parse_line, LogEvent};
+
+/// The longest log line [`collect_dir`] parses, in bytes without the line
+/// break: the line cap of the archive daemon's protocol. Longer lines are
+/// skipped without being buffered.
+pub const MAX_LINE: usize = 64 * 1024;
 
 /// Statistics of one collection pass.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CollectStats {
     /// Log files read.
     pub files: usize,
-    /// Total lines scanned.
+    /// Total lines scanned, skipped ones included.
     pub lines: usize,
     /// Granula events recovered.
     pub events: usize,
     /// Environment samples recovered.
     pub samples: usize,
+    /// Lines skipped because they are not valid UTF-8.
+    pub invalid_lines: usize,
+    /// Lines skipped because they are longer than [`MAX_LINE`] bytes.
+    pub overlong_lines: usize,
 }
 
 fn kind_name(kind: ResourceKind) -> &'static str {
@@ -116,9 +126,47 @@ pub fn write_env_logs(samples: &[ResourceSample], dir: &Path) -> io::Result<usiz
     Ok(per_node.len())
 }
 
+/// Reads the next line of `reader` into `line`, without its line break.
+/// Returns `None` at the end of the input and `Some(false)` for a line
+/// longer than [`MAX_LINE`] bytes, which is consumed but not kept.
+fn read_bounded_line(reader: &mut impl BufRead, line: &mut Vec<u8>) -> io::Result<Option<bool>> {
+    line.clear();
+    if reader
+        .by_ref()
+        .take(MAX_LINE as u64 + 1)
+        .read_until(b'\n', line)?
+        == 0
+    {
+        return Ok(None);
+    }
+    if line.last() == Some(&b'\n') {
+        line.pop();
+    } else if line.len() > MAX_LINE {
+        // Skip the rest of the line, one buffer at a time.
+        loop {
+            let buf = reader.fill_buf()?;
+            match buf.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    reader.consume(i + 1);
+                    break;
+                }
+                None if buf.is_empty() => break,
+                None => {
+                    let n = buf.len();
+                    reader.consume(n);
+                }
+            }
+        }
+        return Ok(Some(false));
+    }
+    Ok(Some(true))
+}
+
 /// Scrapes every `*.log` file under `dir` (non-recursive), recovering
 /// Granula events and environment samples; all other lines are skipped,
-/// like the platform noise in real logs.
+/// like the platform noise in real logs. Lines that are not UTF-8 or are
+/// longer than [`MAX_LINE`] bytes are skipped and counted in the stats;
+/// only I/O errors fail the pass.
 pub fn collect_dir(dir: &Path) -> io::Result<(Vec<LogEvent>, Vec<ResourceSample>, CollectStats)> {
     let mut events = Vec::new();
     let mut samples = Vec::new();
@@ -131,16 +179,19 @@ pub fn collect_dir(dir: &Path) -> io::Result<(Vec<LogEvent>, Vec<ResourceSample>
     entries.sort_by_key(|e| e.path());
     for entry in entries {
         stats.files += 1;
-        let reader = BufReader::new(fs::File::open(entry.path())?);
-        let mut line = String::new();
-        let mut reader = reader;
-        loop {
-            line.clear();
-            if reader.read_line(&mut line)? == 0 {
-                break;
-            }
+        let mut reader = BufReader::new(fs::File::open(entry.path())?);
+        let mut line = Vec::new();
+        while let Some(kept) = read_bounded_line(&mut reader, &mut line)? {
             stats.lines += 1;
-            let trimmed = line.trim_end_matches(['\n', '\r']);
+            if !kept {
+                stats.overlong_lines += 1;
+                continue;
+            }
+            let Ok(text) = std::str::from_utf8(&line) else {
+                stats.invalid_lines += 1;
+                continue;
+            };
+            let trimmed = text.trim_end_matches(['\n', '\r']);
             if let Some(event) = parse_line(trimmed) {
                 events.push(event);
                 stats.events += 1;
@@ -242,6 +293,49 @@ mod tests {
         assert_eq!(parse_env_line("GRANULA-ENV x n0 cpu 1.0"), None);
         assert_eq!(parse_env_line("GRANULA-ENV 1 n0 gpu 1.0"), None);
         assert_eq!(parse_env_line("not env"), None);
+    }
+
+    #[test]
+    fn bad_lines_are_counted_not_fatal() {
+        let dir = tmp("bad-lines");
+        assert_eq!(write_logs(&events(), &dir).unwrap(), 2);
+        assert_eq!(write_env_logs(&samples(), &dir).unwrap(), 2);
+        // One non-UTF-8 byte between two good lines, then a 1 MiB line
+        // with no line break at all.
+        let mut bad = b"GRANULA 5 n0 client START Job-0@Job-0\n".to_vec();
+        bad.extend_from_slice(b"noise \xFF noise\n");
+        bad.extend_from_slice(b"GRANULA-ENV 0 n0 cpu 1.0\n");
+        bad.extend(std::iter::repeat_n(b'x', 1 << 20));
+        fs::write(dir.join("n9__bad.log"), bad).unwrap();
+        let (mut collected, env, stats) = collect_dir(&dir).unwrap();
+        assert_eq!(stats.files, 5);
+        assert_eq!((stats.invalid_lines, stats.overlong_lines), (1, 1));
+        assert_eq!((stats.events, stats.samples), (4, 3));
+        // Every event of the good files is kept.
+        collected.retain(|e| e.process != "client" || e.node != "n0" || e.time_us != 5);
+        collected.sort_by_key(|e| e.time_us);
+        assert_eq!(collected, events());
+        assert_eq!(env.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn lines_up_to_the_cap_are_kept() {
+        let dir = tmp("cap");
+        fs::create_dir_all(&dir).unwrap();
+        let event = "GRANULA 5 n0 client START Job-0@Job-0";
+        // Padded with trailing spaces to exactly MAX_LINE bytes, then one
+        // byte over, each followed by a good line.
+        let padded = |len: usize| format!("{event}{}", " ".repeat(len - event.len()));
+        let at_cap = format!("{}\n{event}\n", padded(MAX_LINE));
+        let over = format!("{}\n{event}\n", padded(MAX_LINE + 1));
+        fs::write(dir.join("a.log"), at_cap).unwrap();
+        fs::write(dir.join("b.log"), over).unwrap();
+        let (events, _, stats) = collect_dir(&dir).unwrap();
+        assert_eq!(stats.lines, 4);
+        assert_eq!(stats.overlong_lines, 1);
+        assert_eq!(events.len(), 3);
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

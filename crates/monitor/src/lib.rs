@@ -38,7 +38,7 @@ pub mod filter;
 
 pub use assemble::{Assembler, AssemblyOutcome, AssemblyWarning};
 pub use clock::SkewCorrector;
-pub use collect::{collect_dir, write_env_logs, write_logs, CollectStats};
+pub use collect::{collect_dir, write_env_logs, write_logs, CollectStats, MAX_LINE};
 pub use env::{EnvLog, NodeUsage, ResourceKind, ResourceSample};
 pub use event::{parse_line, EventPayload, LogEvent};
 pub use filter::EventFilter;

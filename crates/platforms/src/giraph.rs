@@ -16,14 +16,14 @@
 //!    environment samples through the shared driver skeleton (`job.rs`).
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
-    YarnProvisioner,
+    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError, YarnProvisioner,
 };
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
 use crate::common::{AlgorithmOutput, JobConfig, PlatformRun};
-use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
+use crate::engine::Engine;
+use crate::job::{JobBuilder, Recovery, Shards, StepLayout};
 use crate::ops::OpSpec;
 use crate::pregel::{self, SuperstepStats};
 
@@ -31,6 +31,21 @@ use crate::pregel::{self, SuperstepStats};
 const LOAD_CHUNKS: u32 = 8;
 
 /// Giraph-like platform: configuration knobs beyond the job's cost model.
+///
+/// Under a fault plan ([`Engine::run`]), slowdown windows pass straight
+/// through to the simulator. A node crash triggers the Giraph recovery
+/// protocol: the master detects the lost worker through missed ZooKeeper
+/// heartbeats, re-provisions a YARN container, every worker rolls back to
+/// the latest checkpoint (or the original input when
+/// [`GiraphPlatform::checkpoint_interval`] is `None`), and the lost
+/// supersteps are replayed. The recovery is emitted as first-class Granula
+/// operations (`Checkpoint`, `FailedSuperstep`, `Recover` with
+/// `DetectFailure` / `Provision` / `LoadCheckpoint` / `Replay` children)
+/// so the archive can decompose the slowdown.
+///
+/// Only the earliest crash in the plan is modeled; Giraph's single-failure
+/// recovery does not compose with further crashes, so later ones are
+/// dropped from the executed plan.
 #[derive(Debug, Clone)]
 pub struct GiraphPlatform {
     /// Client ↔ ResourceManager negotiation latency, µs.
@@ -74,74 +89,20 @@ impl Default for GiraphPlatform {
 }
 
 impl GiraphPlatform {
-    /// Runs a job on a DAS5-like cluster with `cfg.nodes` nodes.
-    pub fn run(&self, g: &Graph, cfg: &JobConfig) -> Result<PlatformRun, SimError> {
-        self.run_on(g, cfg, &ClusterSpec::das5(cfg.nodes))
-    }
-
-    /// Runs a job on a DAS5-like cluster under an injected fault plan.
-    pub fn run_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
-    }
-
-    /// Runs a job on an explicit cluster (must have at least `cfg.nodes`
-    /// nodes).
+    /// Runs a job on an explicit cluster with no faults: [`Engine::run`]
+    /// with an empty plan. Kept because perfbench's pipeline calls it.
     pub fn run_on(
         &self,
         g: &Graph,
         cfg: &JobConfig,
         cluster: &ClusterSpec,
     ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, cluster, &FaultPlan::default())
-    }
-
-    /// Runs a job on an explicit cluster under an injected fault plan.
-    ///
-    /// Slowdown windows pass straight through to the simulator. A node
-    /// crash triggers the Giraph recovery protocol: the master detects the
-    /// lost worker through missed ZooKeeper heartbeats, re-provisions a
-    /// YARN container, every worker rolls back to the latest checkpoint
-    /// (or the original input when [`GiraphPlatform::checkpoint_interval`]
-    /// is `None`), and the lost supersteps are replayed. The recovery is
-    /// emitted as first-class Granula operations (`Checkpoint`,
-    /// `FailedSuperstep`, `Recover` with `DetectFailure` / `Provision` /
-    /// `LoadCheckpoint` / `Replay` children) so the archive can decompose
-    /// the slowdown.
-    ///
-    /// Only the earliest crash in the plan is modeled; Giraph's
-    /// single-failure recovery does not compose with further crashes, so
-    /// later ones are dropped from the executed plan.
-    pub fn run_on_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        let (output, layout) = self.layout(g, cfg, cluster);
-        job::run_steps(&layout, cfg, cluster, plan, output)
-    }
-
-    /// The activity DAG a healthy run hands to the simulator: the layout
-    /// of [`GiraphPlatform::run_on`] without the simulation.
-    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
-        job::healthy_dag(&self.layout(g, cfg, cluster).1, cfg, cluster)
+        Engine::Giraph(self.clone()).run(g, cfg, cluster, &FaultPlan::default())
     }
 
     /// Runs the vertex program over the hash partition and sizes each
     /// worker's share.
-    fn layout(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-    ) -> (AlgorithmOutput, Layout<'_>) {
-        job::assert_fits(cfg, cluster);
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
         let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, supersteps) = {
             let _span = granula_trace::span!("platform", "giraph.vertex_program {}", cfg.job_id);
@@ -159,7 +120,7 @@ impl GiraphPlatform {
 
 /// A Giraph job's layout inputs: the per-superstep counters and the
 /// per-worker sizes.
-struct Layout<'a> {
+pub(crate) struct Layout<'a> {
     p: &'a GiraphPlatform,
     supersteps: Vec<SuperstepStats>,
     shards: Shards,
@@ -820,10 +781,17 @@ mod tests {
         (g, cfg)
     }
 
+    /// Runs `p`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+    fn run(p: &GiraphPlatform, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+        Engine::Giraph(p.clone())
+            .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+            .unwrap()
+    }
+
     #[test]
     fn bfs_run_produces_correct_output() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GiraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         assert!(run.output.matches(&reference_output(&g, cfg.algorithm)));
         assert!(run.makespan_us > 0);
         assert!(run.iterations > 2);
@@ -832,7 +800,7 @@ mod tests {
     #[test]
     fn events_assemble_into_a_clean_tree() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GiraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let outcome = Assembler::new().assemble(run.events);
         assert!(
             outcome.warnings.is_empty(),
@@ -864,7 +832,7 @@ mod tests {
     #[test]
     fn domain_phases_are_ordered() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GiraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events).tree;
         let root = tree.root().unwrap();
         let phase = |m: &str| {
@@ -888,7 +856,7 @@ mod tests {
     #[test]
     fn environment_samples_cover_all_nodes() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GiraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let nodes: std::collections::BTreeSet<&str> =
             run.env_samples.iter().map(|s| s.node.as_str()).collect();
         assert_eq!(nodes.len(), 8);
@@ -897,10 +865,13 @@ mod tests {
     #[test]
     fn scale_factor_stretches_runtime() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let small = GiraphPlatform::default().run(&g, &cfg).unwrap();
-        let big = GiraphPlatform::default()
-            .run(&g, &cfg.clone().with_scale(50.0))
-            .unwrap();
+        let small = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
+        let big = run(
+            &GiraphPlatform::default(),
+            &g,
+            &cfg.clone().with_scale(50.0),
+            &FaultPlan::new(),
+        );
         assert!(
             big.makespan_us > small.makespan_us,
             "scaled run should be slower: {} vs {}",
@@ -913,8 +884,8 @@ mod tests {
     fn empty_fault_plan_is_identical_to_plain_run() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GiraphPlatform::default();
-        let plain = p.run(&g, &cfg).unwrap();
-        let faultless = p.run_with_faults(&g, &cfg, &FaultPlan::new()).unwrap();
+        let plain = p.run_on(&g, &cfg, &ClusterSpec::das5(cfg.nodes)).unwrap();
+        let faultless = run(&p, &g, &cfg, &FaultPlan::new());
         assert_eq!(plain.makespan_us, faultless.makespan_us);
         assert_eq!(plain.events, faultless.events);
     }
@@ -926,7 +897,7 @@ mod tests {
             checkpoint_interval: Some(2),
             ..GiraphPlatform::default()
         };
-        let run = p.run(&g, &cfg).unwrap();
+        let run = run(&p, &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events).tree;
         let root = tree.root().unwrap();
         let proc_ = tree.child_by_mission(root, "ProcessGraph").unwrap();
@@ -945,9 +916,9 @@ mod tests {
             checkpoint_interval: Some(2),
             ..GiraphPlatform::default()
         };
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(2), healthy.makespan_us as f64 * 0.5);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         assert!(
             faulty.makespan_us > healthy.makespan_us,
             "recovery must cost time: {} vs {}",
@@ -990,9 +961,9 @@ mod tests {
     fn crash_without_checkpoints_replays_from_superstep_zero() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GiraphPlatform::default(); // checkpointing disabled
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(1), healthy.makespan_us as f64 * 0.6);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         let tree = Assembler::new().assemble(faulty.events).tree;
         let root = tree.root().unwrap();
         let proc_ = tree.child_by_mission(root, "ProcessGraph").unwrap();
@@ -1016,7 +987,7 @@ mod tests {
     fn pagerank_and_wcc_also_validate() {
         for algorithm in [Algorithm::PageRank { iterations: 5 }, Algorithm::Wcc] {
             let (g, cfg) = job(algorithm);
-            let run = GiraphPlatform::default().run(&g, &cfg).unwrap();
+            let run = run(&GiraphPlatform::default(), &g, &cfg, &FaultPlan::new());
             assert!(
                 run.output.matches(&reference_output(&g, algorithm)),
                 "{algorithm:?}"

@@ -29,14 +29,13 @@
 
 use std::collections::VecDeque;
 
-use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError,
-};
+use gpsim_cluster::{ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError};
 use gpsim_graph::{BlockPartition, EdgeCutPartition, Graph, VertexId};
 use granula_model::{Actor, InfoValue, Mission};
 
 use crate::common::{reference_output, Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
-use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
+use crate::engine::Engine;
+use crate::job::{JobBuilder, Recovery, Shards, StepLayout};
 use crate::ops::OpSpec;
 
 /// How vertices are assigned to edge-cut fragments.
@@ -72,6 +71,20 @@ impl GrapePartitioner {
 }
 
 /// GRAPE-like platform: configuration knobs beyond the job's cost model.
+///
+/// Under a fault plan ([`Engine::run`]), slowdown windows pass straight
+/// through to the simulator. A node crash triggers GRAPE's fragment-local
+/// recovery: the coordinator detects the lost worker, a replacement
+/// re-reads *only the lost fragment* from shared storage, replays that
+/// fragment's evaluations for the committed rounds using the boundary
+/// updates its peers logged, and the interrupted round re-runs in full.
+/// The recovery is emitted as first-class Granula operations
+/// (`FailedRound`, `Recover` with `DetectFailure` / `ReloadFragment` /
+/// `Replay` children) so the archive can decompose the slowdown.
+///
+/// Only the earliest crash in the plan is modeled; later crashes are
+/// dropped from the executed plan (single-failure model, as for the other
+/// platforms).
 #[derive(Debug, Clone)]
 pub struct GrapePlatform {
     /// Coordinator + metadata-service startup latency, µs.
@@ -351,72 +364,19 @@ fn run_program(
 }
 
 impl GrapePlatform {
-    /// Runs a job on a DAS5-like cluster with `cfg.nodes` nodes.
-    pub fn run(&self, g: &Graph, cfg: &JobConfig) -> Result<PlatformRun, SimError> {
-        self.run_on(g, cfg, &ClusterSpec::das5(cfg.nodes))
-    }
-
-    /// Runs a job on a DAS5-like cluster under an injected fault plan.
-    pub fn run_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
-    }
-
-    /// Runs a job on an explicit cluster (must have at least `cfg.nodes`
-    /// nodes).
+    /// Runs a job on an explicit cluster with no faults: [`Engine::run`]
+    /// with an empty plan. Kept because perfbench's pipeline calls it.
     pub fn run_on(
         &self,
         g: &Graph,
         cfg: &JobConfig,
         cluster: &ClusterSpec,
     ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, cluster, &FaultPlan::default())
-    }
-
-    /// Runs a job on an explicit cluster under an injected fault plan.
-    ///
-    /// Slowdown windows pass straight through to the simulator. A node
-    /// crash triggers GRAPE's fragment-local recovery: the coordinator
-    /// detects the lost worker, a replacement re-reads *only the lost
-    /// fragment* from shared storage, replays that fragment's evaluations
-    /// for the committed rounds using the boundary updates its peers
-    /// logged, and the interrupted round re-runs in full. The recovery is
-    /// emitted as first-class Granula operations (`FailedRound`, `Recover`
-    /// with `DetectFailure` / `ReloadFragment` / `Replay` children) so the
-    /// archive can decompose the slowdown.
-    ///
-    /// Only the earliest crash in the plan is modeled; later crashes are
-    /// dropped from the executed plan (single-failure model, as for the
-    /// other platforms).
-    pub fn run_on_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        let (output, layout) = self.layout(g, cfg, cluster);
-        job::run_steps(&layout, cfg, cluster, plan, output)
-    }
-
-    /// The activity DAG a healthy run hands to the simulator: the layout
-    /// of [`GrapePlatform::run_on`] without the simulation.
-    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
-        job::healthy_dag(&self.layout(g, cfg, cluster).1, cfg, cluster)
+        Engine::Grape(self.clone()).run(g, cfg, cluster, &FaultPlan::default())
     }
 
     /// Runs the algorithm over the fragments and sizes each fragment.
-    fn layout(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-    ) -> (AlgorithmOutput, Layout<'_>) {
-        job::assert_fits(cfg, cluster);
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
         let owner = self.partitioner.owners(g, cfg.nodes);
         let (output, rounds) = {
             let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
@@ -434,7 +394,7 @@ impl GrapePlatform {
 
 /// A GRAPE job's layout inputs: the per-round counters and the
 /// per-fragment sizes.
-struct Layout<'a> {
+pub(crate) struct Layout<'a> {
     p: &'a GrapePlatform,
     rounds: Vec<RoundStats>,
     shards: Shards,
@@ -900,6 +860,13 @@ mod tests {
         (g, cfg)
     }
 
+    /// Runs `p`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+    fn run(p: &GrapePlatform, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+        Engine::Grape(p.clone())
+            .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+            .unwrap()
+    }
+
     #[test]
     fn all_algorithms_validate() {
         for algorithm in [
@@ -915,7 +882,7 @@ mod tests {
                     partitioner,
                     ..GrapePlatform::default()
                 };
-                let run = p.run(&g, &cfg).unwrap();
+                let run = run(&p, &g, &cfg, &FaultPlan::new());
                 assert!(
                     run.output.matches(&reference_output(&g, algorithm)),
                     "{algorithm:?} under {partitioner:?}"
@@ -930,14 +897,13 @@ mod tests {
         // propagation, so BFS needs fewer sync rounds than BSP supersteps
         // (which need one per level).
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let grape = GrapePlatform {
+        let block = GrapePlatform {
             partitioner: GrapePartitioner::Block,
             ..GrapePlatform::default()
-        }
-        .run(&g, &cfg)
-        .unwrap();
-        let giraph = crate::giraph::GiraphPlatform::default()
-            .run(&g, &cfg)
+        };
+        let grape = run(&block, &g, &cfg, &FaultPlan::new());
+        let giraph = Engine::Giraph(crate::giraph::GiraphPlatform::default())
+            .run(&g, &cfg, &ClusterSpec::das5(cfg.nodes), &FaultPlan::new())
             .unwrap();
         assert!(
             grape.iterations < giraph.iterations,
@@ -950,7 +916,7 @@ mod tests {
     #[test]
     fn events_assemble_into_a_clean_tree() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GrapePlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GrapePlatform::default(), &g, &cfg, &FaultPlan::new());
         let outcome = Assembler::new().assemble(run.events);
         assert!(
             outcome.warnings.is_empty(),
@@ -984,8 +950,8 @@ mod tests {
     fn empty_fault_plan_is_identical_to_plain_run() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GrapePlatform::default();
-        let plain = p.run(&g, &cfg).unwrap();
-        let faultless = p.run_with_faults(&g, &cfg, &FaultPlan::new()).unwrap();
+        let plain = p.run_on(&g, &cfg, &ClusterSpec::das5(cfg.nodes)).unwrap();
+        let faultless = run(&p, &g, &cfg, &FaultPlan::new());
         assert_eq!(plain.makespan_us, faultless.makespan_us);
         assert_eq!(plain.events, faultless.events);
     }
@@ -994,9 +960,9 @@ mod tests {
     fn crash_recovery_reloads_and_replays_only_the_lost_fragment() {
         let (g, cfg) = job(Algorithm::PageRank { iterations: 6 });
         let p = GrapePlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(2), healthy.makespan_us as f64 * 0.6);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         assert!(
             faulty.makespan_us > healthy.makespan_us,
             "recovery must cost time: {} vs {}",
@@ -1048,10 +1014,13 @@ mod tests {
     #[test]
     fn scale_factor_stretches_runtime() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let small = GrapePlatform::default().run(&g, &cfg).unwrap();
-        let big = GrapePlatform::default()
-            .run(&g, &cfg.clone().with_scale(50.0))
-            .unwrap();
+        let small = run(&GrapePlatform::default(), &g, &cfg, &FaultPlan::new());
+        let big = run(
+            &GrapePlatform::default(),
+            &g,
+            &cfg.clone().with_scale(50.0),
+            &FaultPlan::new(),
+        );
         assert!(big.makespan_us > small.makespan_us);
     }
 }

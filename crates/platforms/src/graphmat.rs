@@ -8,19 +8,21 @@
 //! matrix-vector products with an all-to-all message exchange and an
 //! MPI-allreduce barrier.
 
-use gpsim_cluster::{
-    ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError, SimResult,
-};
+use gpsim_cluster::{ActivityId, ActivityKind, ClusterSpec, NodeId, SimResult};
 use gpsim_graph::{BlockPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
-use crate::common::{Algorithm, AlgorithmOutput, JobConfig, PlatformRun};
+use crate::common::{Algorithm, AlgorithmOutput, JobConfig, MemoryPhase};
 use crate::gas::IterationMode;
-use crate::job::{self, load_window_phases, JobBuilder, Shards};
+use crate::job::{load_window_phases, JobBuilder, Shards};
 use crate::ops::OpSpec;
 use crate::spmv::{self, SpmvIteration};
 
 /// GraphMat-like platform configuration.
+///
+/// GraphMat's fault behavior is not modeled: under a non-empty fault plan
+/// [`Engine::run`](crate::Engine::run) returns
+/// [`SimError::FaultsNotModeled`](gpsim_cluster::SimError::FaultsNotModeled).
 #[derive(Debug, Clone)]
 pub struct GraphMatPlatform {
     /// `mpiexec` + daemon startup latency, µs.
@@ -106,19 +108,15 @@ fn run_program(
 }
 
 impl GraphMatPlatform {
-    /// Runs a job on a DAS5-like cluster with `cfg.nodes` nodes.
-    pub fn run(&self, g: &Graph, cfg: &JobConfig) -> Result<PlatformRun, SimError> {
-        self.run_on(g, cfg, &ClusterSpec::das5(cfg.nodes))
-    }
-
-    /// Runs a job on an explicit cluster.
-    pub fn run_on(
+    /// Runs the SpMV program over the block rows and lays out the whole
+    /// job. GraphMat models no fault recovery, so this is the job
+    /// [`Engine::run`](crate::Engine::run) simulates.
+    pub(crate) fn build<'a>(
         &self,
         g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-    ) -> Result<PlatformRun, SimError> {
-        job::assert_fits(cfg, cluster);
+        cfg: &'a JobConfig,
+        cluster: &'a ClusterSpec,
+    ) -> (AlgorithmOutput, Layout, JobBuilder<'a>) {
         let k = cfg.nodes;
         let costs = &cfg.costs;
         let scale = cfg.scale_factor;
@@ -413,17 +411,21 @@ impl GraphMatPlatform {
             &head,
             "mpiexec",
         ));
+        (output, Layout { iterations, shards }, b)
+    }
+}
 
-        let memory =
-            |b: &JobBuilder, sim: &SimResult| load_window_phases(b, sim, "m", &shards.edges);
-        job::finish(
-            b,
-            "graphmat",
-            &FaultPlan::default(),
-            output,
-            iterations.len(),
-            memory,
-        )
+/// A GraphMat job's per-iteration counters and per-machine sizes.
+pub(crate) struct Layout {
+    pub(crate) iterations: Vec<SpmvIteration>,
+    shards: Shards,
+}
+
+impl Layout {
+    /// Memory view: each machine's edges are resident from its load until
+    /// cleanup.
+    pub(crate) fn memory(&self, b: &JobBuilder, sim: &SimResult) -> Vec<MemoryPhase> {
+        load_window_phases(b, sim, "m", &self.shards.edges)
     }
 }
 
@@ -431,6 +433,8 @@ impl GraphMatPlatform {
 mod tests {
     use super::*;
     use crate::common::{reference_output, CostModel};
+    use crate::{Engine, PlatformRun};
+    use gpsim_cluster::{DegradedChannel, FaultPlan, SimError};
     use gpsim_graph::gen::{datagen_like, GenConfig};
     use granula_monitor::Assembler;
 
@@ -442,6 +446,13 @@ mod tests {
         (g, cfg)
     }
 
+    /// Runs `p`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+    fn run(p: &GraphMatPlatform, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+        Engine::GraphMat(p.clone())
+            .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+            .unwrap()
+    }
+
     #[test]
     fn all_algorithms_validate() {
         for algorithm in [
@@ -451,7 +462,7 @@ mod tests {
             Algorithm::Cdlp { iterations: 3 },
         ] {
             let (g, cfg) = job(algorithm);
-            let run = GraphMatPlatform::default().run(&g, &cfg).unwrap();
+            let run = run(&GraphMatPlatform::default(), &g, &cfg, &FaultPlan::new());
             assert!(
                 run.output.matches(&reference_output(&g, algorithm)),
                 "{algorithm:?}"
@@ -462,7 +473,7 @@ mod tests {
     #[test]
     fn events_assemble_into_a_clean_tree() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GraphMatPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GraphMatPlatform::default(), &g, &cfg, &FaultPlan::new());
         let outcome = Assembler::new().assemble(run.events);
         assert!(
             outcome.warnings.is_empty(),
@@ -489,7 +500,7 @@ mod tests {
     fn load_is_parallel_across_machines() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let cfg = cfg.with_scale(1_000.0);
-        let run = GraphMatPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GraphMatPlatform::default(), &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events).tree;
         // All 8 LocalLoads overlap in time (parallel, unlike PowerGraph).
         let loads: Vec<(u64, u64)> = tree
@@ -500,5 +511,22 @@ mod tests {
         let max_start = loads.iter().map(|&(s, _)| s).max().unwrap();
         let min_end = loads.iter().map(|&(_, e)| e).min().unwrap();
         assert!(max_start < min_end, "loads should overlap: {loads:?}");
+    }
+
+    #[test]
+    fn fault_plans_are_an_error() {
+        let (g, cfg) = job(Algorithm::Bfs { source: 3 });
+        let engine = Engine::GraphMat(GraphMatPlatform::default());
+        let cluster = ClusterSpec::das5(cfg.nodes);
+        let crash = FaultPlan::new().crash(NodeId(2), 1e6);
+        let slowdown = FaultPlan::new().slow(NodeId(2), DegradedChannel::Cpu, 0.0, 1e6, 0.5);
+        for plan in [crash, slowdown] {
+            assert_eq!(
+                engine.run(&g, &cfg, &cluster, &plan).unwrap_err(),
+                SimError::FaultsNotModeled {
+                    platform: "GraphMat"
+                }
+            );
+        }
     }
 }

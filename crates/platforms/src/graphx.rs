@@ -24,17 +24,33 @@
 //! checkpoint/replay and PowerGraph's fail-stop restart.
 
 use gpsim_cluster::{
-    ActivityGraph, ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
+    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
 };
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
 use crate::common::{AlgorithmOutput, JobConfig, PlatformRun};
-use crate::job::{self, JobBuilder, Recovery, Shards, StepLayout};
+use crate::engine::Engine;
+use crate::job::{JobBuilder, Recovery, Shards, StepLayout};
 use crate::ops::OpSpec;
 use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 
 /// GraphX-like platform: configuration knobs beyond the job's cost model.
+///
+/// Under a fault plan ([`Engine::run`]), slowdown windows pass straight
+/// through to the simulator. A node crash triggers Spark's lineage
+/// recovery: the driver detects the lost executor, relaunches it and
+/// reschedules the lost tasks, and the lost partition's lineage is
+/// recomputed — its input split re-read, its stage chain re-executed
+/// against the shuffle outputs surviving on the healthy executors — before
+/// the interrupted stage pair re-runs. The recovery is emitted as
+/// first-class Granula operations (`FailedStage`, `Recover` with
+/// `DetectFailure` / `Reschedule` / `Recompute` children) so the archive
+/// can decompose the slowdown.
+///
+/// Only the earliest crash in the plan is modeled; later crashes are
+/// dropped from the executed plan (single-failure model, as for the other
+/// platforms).
 #[derive(Debug, Clone)]
 pub struct GraphXPlatform {
     /// Spark context + driver JVM startup latency, µs.
@@ -66,74 +82,20 @@ impl Default for GraphXPlatform {
 }
 
 impl GraphXPlatform {
-    /// Runs a job on a DAS5-like cluster with `cfg.nodes` nodes.
-    pub fn run(&self, g: &Graph, cfg: &JobConfig) -> Result<PlatformRun, SimError> {
-        self.run_on(g, cfg, &ClusterSpec::das5(cfg.nodes))
-    }
-
-    /// Runs a job on a DAS5-like cluster under an injected fault plan.
-    pub fn run_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
-    }
-
-    /// Runs a job on an explicit cluster (must have at least `cfg.nodes`
-    /// nodes).
+    /// Runs a job on an explicit cluster with no faults: [`Engine::run`]
+    /// with an empty plan. Kept because perfbench's pipeline calls it.
     pub fn run_on(
         &self,
         g: &Graph,
         cfg: &JobConfig,
         cluster: &ClusterSpec,
     ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, cluster, &FaultPlan::default())
-    }
-
-    /// Runs a job on an explicit cluster under an injected fault plan.
-    ///
-    /// Slowdown windows pass straight through to the simulator. A node
-    /// crash triggers Spark's lineage recovery: the driver detects the
-    /// lost executor, relaunches it and reschedules the lost tasks, and
-    /// the lost partition's lineage is recomputed — its input split
-    /// re-read, its stage chain re-executed against the shuffle outputs
-    /// surviving on the healthy executors — before the interrupted stage
-    /// pair re-runs. The recovery is emitted as first-class Granula
-    /// operations (`FailedStage`, `Recover` with `DetectFailure` /
-    /// `Reschedule` / `Recompute` children) so the archive can decompose
-    /// the slowdown.
-    ///
-    /// Only the earliest crash in the plan is modeled; later crashes are
-    /// dropped from the executed plan (single-failure model, as for the
-    /// other platforms).
-    pub fn run_on_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        let (output, layout) = self.layout(g, cfg, cluster);
-        job::run_steps(&layout, cfg, cluster, plan, output)
-    }
-
-    /// The activity DAG a healthy run hands to the simulator: the layout
-    /// of [`GraphXPlatform::run_on`] without the simulation.
-    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
-        job::healthy_dag(&self.layout(g, cfg, cluster).1, cfg, cluster)
+        Engine::GraphX(self.clone()).run(g, cfg, cluster, &FaultPlan::default())
     }
 
     /// Runs the vertex program over the hash partition and sizes each
     /// executor's share.
-    fn layout(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-    ) -> (AlgorithmOutput, Layout<'_>) {
-        job::assert_fits(cfg, cluster);
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
         let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "graphx.vertex_program {}", cfg.job_id);
@@ -150,7 +112,7 @@ impl GraphXPlatform {
 
 /// A GraphX job's layout inputs: the per-iteration counters and the
 /// per-executor sizes.
-struct Layout<'a> {
+pub(crate) struct Layout<'a> {
     p: &'a GraphXPlatform,
     iterations: Vec<SuperstepStats>,
     shards: Shards,
@@ -728,6 +690,13 @@ mod tests {
         (g, cfg)
     }
 
+    /// Runs `p`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+    fn run(p: &GraphXPlatform, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+        Engine::GraphX(p.clone())
+            .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+            .unwrap()
+    }
+
     #[test]
     fn all_algorithms_validate() {
         for algorithm in [
@@ -738,7 +707,7 @@ mod tests {
             Algorithm::Cdlp { iterations: 3 },
         ] {
             let (g, cfg) = job(algorithm);
-            let run = GraphXPlatform::default().run(&g, &cfg).unwrap();
+            let run = run(&GraphXPlatform::default(), &g, &cfg, &FaultPlan::new());
             assert!(
                 run.output.matches(&reference_output(&g, algorithm)),
                 "{algorithm:?}"
@@ -749,7 +718,7 @@ mod tests {
     #[test]
     fn events_assemble_into_a_clean_tree() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = GraphXPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&GraphXPlatform::default(), &g, &cfg, &FaultPlan::new());
         let outcome = Assembler::new().assemble(run.events);
         assert!(
             outcome.warnings.is_empty(),
@@ -789,8 +758,8 @@ mod tests {
     fn empty_fault_plan_is_identical_to_plain_run() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GraphXPlatform::default();
-        let plain = p.run(&g, &cfg).unwrap();
-        let faultless = p.run_with_faults(&g, &cfg, &FaultPlan::new()).unwrap();
+        let plain = p.run_on(&g, &cfg, &ClusterSpec::das5(cfg.nodes)).unwrap();
+        let faultless = run(&p, &g, &cfg, &FaultPlan::new());
         assert_eq!(plain.makespan_us, faultless.makespan_us);
         assert_eq!(plain.events, faultless.events);
     }
@@ -799,9 +768,9 @@ mod tests {
     fn crash_recovery_recomputes_only_the_lost_lineage() {
         let (g, cfg) = job(Algorithm::PageRank { iterations: 6 });
         let p = GraphXPlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(2), healthy.makespan_us as f64 * 0.6);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         assert!(
             faulty.makespan_us > healthy.makespan_us,
             "recovery must cost time: {} vs {}",
@@ -848,10 +817,13 @@ mod tests {
     #[test]
     fn scale_factor_stretches_runtime() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let small = GraphXPlatform::default().run(&g, &cfg).unwrap();
-        let big = GraphXPlatform::default()
-            .run(&g, &cfg.clone().with_scale(50.0))
-            .unwrap();
+        let small = run(&GraphXPlatform::default(), &g, &cfg, &FaultPlan::new());
+        let big = run(
+            &GraphXPlatform::default(),
+            &g,
+            &cfg.clone().with_scale(50.0),
+            &FaultPlan::new(),
+        );
         assert!(big.makespan_us > small.makespan_us);
     }
 }

@@ -469,11 +469,10 @@ pub(crate) fn healthy_dag<L: StepLayout>(
 /// doomed attempt, the `Recover` head and the platform's recovery tail,
 /// and the remaining units.
 pub(crate) fn run_steps<L: StepLayout>(
-    layout: &L,
+    (output, layout): (AlgorithmOutput, L),
     cfg: &JobConfig,
     cluster: &ClusterSpec,
     plan: &FaultPlan,
-    output: AlgorithmOutput,
 ) -> Result<PlatformRun, SimError> {
     let (name, job_id, n) = (L::NAME, &cfg.job_id, layout.units());
     let memory =

@@ -36,8 +36,15 @@
 //! The differential suites (`tests/prop.rs`,
 //! `tests/engines.rs`) hold the engines to one semantics and one
 //! instrumentation contract.
+//!
+//! Every job runs through one value, [`Engine`]: a platform's knob struct
+//! wrapped in its variant. [`Engine::run`] runs a job on a cluster under a
+//! fault plan, and [`Engine::healthy_dag`] returns the DAG a healthy run
+//! simulates. The knob structs carry no run methods of their own, except
+//! a `run_on` forwarder on four of them that perfbench calls.
 
 pub mod common;
+mod engine;
 pub mod gas;
 pub mod giraph;
 pub mod grape;
@@ -50,6 +57,7 @@ pub mod pregel;
 pub mod spmv;
 
 pub use common::{Algorithm, AlgorithmOutput, CostModel, JobConfig, PlatformRun};
+pub use engine::Engine;
 pub use giraph::GiraphPlatform;
 pub use grape::{GrapePartitioner, GrapePlatform};
 pub use graphmat::GraphMatPlatform;

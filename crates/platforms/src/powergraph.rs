@@ -16,6 +16,7 @@ use gpsim_graph::{Graph, VertexCutPartition};
 use granula_model::{Actor, InfoValue, Mission};
 
 use crate::common::{Algorithm, AlgorithmOutput, JobConfig, MemoryPhase, PlatformRun};
+use crate::engine::Engine;
 use crate::gas::{self, IterationMode, IterationStats};
 use crate::job::{self, JobBuilder, Recovery};
 use crate::ops::OpSpec;
@@ -24,6 +25,18 @@ use crate::ops::OpSpec;
 const LOAD_CHUNKS: u32 = 16;
 
 /// PowerGraph-like platform configuration.
+///
+/// Under a fault plan ([`Engine::run`]): PowerGraph has no checkpointing.
+/// MPI is fail-stop, so a node crash aborts the whole job once the runtime
+/// notices the dead rank, and the job is resubmitted from scratch. The
+/// aborted attempt keeps its original operation tags (truncated at the
+/// abort), the restart runs under `job/r1/` with `:r1`-suffixed mission
+/// ids, and the abort + respawn window is emitted as a `Recover` operation
+/// (with `DetectFailure` and `Respawn` children) carrying the lost node and
+/// the wasted first-attempt time.
+///
+/// Only the earliest crash in the plan is modeled (one restart); later
+/// crashes are dropped from the executed plan.
 #[derive(Debug, Clone)]
 pub struct PowerGraphPlatform {
     /// `mpirun` + daemon startup latency, µs.
@@ -107,127 +120,24 @@ fn run_program(
 }
 
 impl PowerGraphPlatform {
-    /// Runs a job on a DAS5-like cluster with `cfg.nodes` nodes.
-    pub fn run(&self, g: &Graph, cfg: &JobConfig) -> Result<PlatformRun, SimError> {
-        self.run_on(g, cfg, &ClusterSpec::das5(cfg.nodes))
-    }
-
-    /// Runs a job on a DAS5-like cluster under an injected fault plan.
-    pub fn run_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
-    }
-
-    /// Runs a job on an explicit cluster.
+    /// Runs a job on an explicit cluster with no faults: [`Engine::run`]
+    /// with an empty plan. Kept because perfbench's pipeline calls it.
     pub fn run_on(
         &self,
         g: &Graph,
         cfg: &JobConfig,
         cluster: &ClusterSpec,
     ) -> Result<PlatformRun, SimError> {
-        self.run_on_with_faults(g, cfg, cluster, &FaultPlan::default())
-    }
-
-    /// Runs a job on an explicit cluster under an injected fault plan.
-    ///
-    /// PowerGraph has no checkpointing: MPI is fail-stop, so a node crash
-    /// aborts the whole job once the runtime notices the dead rank, and the
-    /// job is resubmitted from scratch. The aborted attempt keeps its
-    /// original operation tags (truncated at the abort), the restart runs
-    /// under `job/r1/` with `:r1`-suffixed mission ids, and the abort +
-    /// respawn window is emitted as a `Recover` operation (with
-    /// `DetectFailure` and `Respawn` children) carrying the lost node and
-    /// the wasted first-attempt time.
-    ///
-    /// Only the earliest crash in the plan is modeled (one restart); later
-    /// crashes are dropped from the executed plan.
-    pub fn run_on_with_faults(
-        &self,
-        g: &Graph,
-        cfg: &JobConfig,
-        cluster: &ClusterSpec,
-        plan: &FaultPlan,
-    ) -> Result<PlatformRun, SimError> {
-        let k = cfg.nodes;
-        let (output, layout, mut b) = self.first_attempt(g, cfg, cluster);
-        let n = layout.iterations.len();
-        let memory = |b: &JobBuilder, sim: &SimResult| layout.memory(b, sim);
-
-        let Some(crash) = job::earliest_crash(plan) else {
-            return job::finish(b, "powergraph", plan, output, n, memory);
-        };
-
-        // Fail-stop: simulate the first attempt under slowdowns only to
-        // learn which activities had started when the job aborted.
-        let recovery_span =
-            granula_trace::span!("platform", "powergraph.recovery.build {}", cfg.job_id);
-        let probe_sim =
-            Simulation::new(cluster.clone()).run_with_faults(&b.dag, &job::slowdowns_only(plan))?;
-        let t_eff = crash
-            .at_us
-            .clamp(1.0, (probe_sim.makespan_us - 1.0).max(1.0));
-
-        // Truncate the first attempt to the activities that had started
-        // before the abort. The kept set is dependency-closed (an activity
-        // starts only after its dependencies ended), so ids remap cleanly.
-        // Specs keep their tags: operations that never started have no span
-        // and are skipped at emission.
-        let mut kept = ActivityGraph::new();
-        let mut map: Vec<Option<ActivityId>> = Vec::with_capacity(b.dag.len());
-        for a in b.dag.iter() {
-            if probe_sim.results[a.id.0 as usize].start_us >= t_eff {
-                map.push(None);
-                continue;
-            }
-            let deps: Vec<ActivityId> = a.deps.iter().filter_map(|d| map[d.0 as usize]).collect();
-            map.push(Some(kept.add(*a.kind, &deps, a.tag_symbol())));
-        }
-        b.dag = kept;
-
-        // Abort + resubmit: detection of the dead rank, then a full MPI
-        // respawn, then the whole job again under `job/r1/`. The whole
-        // first attempt is wasted.
-        let rec = Recovery::new(("Master", "mpirun"), crash.node);
-        let job_key = b.job_key.clone();
-        let detect = rec.head(
-            &mut b,
-            job_key,
-            "job/fail/",
-            t_eff,
-            t_eff,
-            self.failure_detect_us,
-        );
-        let respawned = layout.mpi_setup(&mut b, "job/fail/respawn/", &[detect]);
-        b.specs
-            .push(rec.op(&b, "Respawn", "0", "job/fail/respawn/"));
-        layout.job(&mut b, "job/r1/", ":r1", &[respawned]);
-        drop(recovery_span);
-
-        // Every rank dies with the job at the abort instant and is back for
-        // the restart; the lost node itself is replaced within the same
-        // window.
-        let exec_plan = job::executed_plan(plan, (0..k).map(NodeId), t_eff, self.failure_detect_us);
-        job::finish(b, "powergraph", &exec_plan, output, n, memory)
-    }
-
-    /// The activity DAG a healthy run hands to the simulator: the first
-    /// attempt of [`PowerGraphPlatform::run_on`] without the simulation.
-    pub fn healthy_dag(&self, g: &Graph, cfg: &JobConfig, cluster: &ClusterSpec) -> ActivityGraph {
-        self.first_attempt(g, cfg, cluster).2.dag
+        Engine::PowerGraph(self.clone()).run(g, cfg, cluster, &FaultPlan::default())
     }
 
     /// Partitions, runs the GAS program and lays out the first attempt.
-    fn first_attempt<'a>(
+    pub(crate) fn first_attempt<'a>(
         &'a self,
         g: &Graph,
         cfg: &'a JobConfig,
         cluster: &'a ClusterSpec,
     ) -> (AlgorithmOutput, Layout<'a>, JobBuilder<'a>) {
-        job::assert_fits(cfg, cluster);
         let k = cfg.nodes;
 
         let part = {
@@ -268,15 +178,72 @@ impl PowerGraphPlatform {
 
 /// A PowerGraph job's layout inputs; the fail-stop path lays out two
 /// attempts into the same graph.
-struct Layout<'a> {
+pub(crate) struct Layout<'a> {
     p: &'a PowerGraphPlatform,
-    iterations: Vec<IterationStats>,
+    pub(crate) iterations: Vec<IterationStats>,
     edge_sizes: Vec<u64>,
     masters: Vec<u64>,
     total_bytes: f64,
 }
 
 impl Layout<'_> {
+    /// PowerGraph's fail-stop restart: turns the first attempt in `b` into
+    /// the aborted attempt plus the resubmitted job when `plan` holds a
+    /// crash, and returns the plan the simulator then executes. `None`
+    /// when the plan has no crash and `b` runs as laid out.
+    pub(crate) fn restart(
+        &self,
+        b: &mut JobBuilder,
+        plan: &FaultPlan,
+    ) -> Result<Option<FaultPlan>, SimError> {
+        let Some(crash) = job::earliest_crash(plan) else {
+            return Ok(None);
+        };
+
+        // Fail-stop: simulate the first attempt under slowdowns only to
+        // learn which activities had started when the job aborted.
+        let _span = granula_trace::span!("platform", "powergraph.recovery.build {}", b.cfg.job_id);
+        let probe_sim = Simulation::new(b.cluster.clone())
+            .run_with_faults(&b.dag, &job::slowdowns_only(plan))?;
+        let t_eff = crash
+            .at_us
+            .clamp(1.0, (probe_sim.makespan_us - 1.0).max(1.0));
+
+        // Truncate the first attempt to the activities that had started
+        // before the abort. The kept set is dependency-closed (an activity
+        // starts only after its dependencies ended), so ids remap cleanly.
+        // Specs keep their tags: operations that never started have no span
+        // and are skipped at emission.
+        let mut kept = ActivityGraph::new();
+        let mut map: Vec<Option<ActivityId>> = Vec::with_capacity(b.dag.len());
+        for a in b.dag.iter() {
+            if probe_sim.results[a.id.0 as usize].start_us >= t_eff {
+                map.push(None);
+                continue;
+            }
+            let deps: Vec<ActivityId> = a.deps.iter().filter_map(|d| map[d.0 as usize]).collect();
+            map.push(Some(kept.add(*a.kind, &deps, a.tag_symbol())));
+        }
+        b.dag = kept;
+
+        // Abort + resubmit: detection of the dead rank, then a full MPI
+        // respawn, then the whole job again under `job/r1/`. The whole
+        // first attempt is wasted.
+        let rec = Recovery::new(("Master", "mpirun"), crash.node);
+        let job_key = b.job_key.clone();
+        let detect_us = self.p.failure_detect_us;
+        let detect = rec.head(b, job_key, "job/fail/", t_eff, t_eff, detect_us);
+        let respawned = self.mpi_setup(b, "job/fail/respawn/", &[detect]);
+        b.specs.push(rec.op(b, "Respawn", "0", "job/fail/respawn/"));
+        self.job(b, "job/r1/", ":r1", &[respawned]);
+
+        // Every rank dies with the job at the abort instant and is back for
+        // the restart; the lost node itself is replaced within the same
+        // window.
+        let ranks = (0..b.cfg.nodes).map(NodeId);
+        Ok(Some(job::executed_plan(plan, ranks, t_eff, detect_us)))
+    }
+
     /// `mpirun` daemon startup plus one handshake per rank under
     /// `{tag}mpi/`; returns the barrier `{tag}ready`.
     fn mpi_setup(&self, b: &mut JobBuilder, tag: &str, deps: &[ActivityId]) -> ActivityId {
@@ -698,7 +665,7 @@ impl Layout<'_> {
     /// of the single-loader design. Partitions then stay resident until
     /// MPI finalize. A restarted attempt repeats the pattern under its
     /// own tag prefix.
-    fn memory(&self, b: &JobBuilder, sim: &SimResult) -> Vec<MemoryPhase> {
+    pub(crate) fn memory(&self, b: &JobBuilder, sim: &SimResult) -> Vec<MemoryPhase> {
         let costs = &b.cfg.costs;
         let scale = b.cfg.scale_factor;
         let mut phases = Vec::with_capacity(2 * (b.cfg.nodes as usize + 1));
@@ -761,10 +728,17 @@ mod tests {
         (g, cfg)
     }
 
+    /// Runs `p`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+    fn run(p: &PowerGraphPlatform, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+        Engine::PowerGraph(p.clone())
+            .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+            .unwrap()
+    }
+
     #[test]
     fn bfs_run_produces_correct_output() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&PowerGraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         assert!(run.output.matches(&reference_output(&g, cfg.algorithm)));
         assert!(run.makespan_us > 0);
     }
@@ -772,7 +746,7 @@ mod tests {
     #[test]
     fn events_assemble_into_a_clean_tree() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&PowerGraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let outcome = Assembler::new().assemble(run.events);
         assert!(
             outcome.warnings.is_empty(),
@@ -797,7 +771,7 @@ mod tests {
     fn loading_is_sequential_on_one_machine() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let cfg = cfg.with_scale(1_000.0);
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&PowerGraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events.clone()).tree;
         let root = tree.root().unwrap();
         let load = tree.child_by_mission(root, "LoadGraph").unwrap();
@@ -830,7 +804,7 @@ mod tests {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         // Emulate a dg1000-sized input from the small logical graph.
         let cfg = cfg.with_scale(25_000.0);
-        let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+        let run = run(&PowerGraphPlatform::default(), &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events).tree;
         let root = tree.root().unwrap();
         let total = tree.op(root).duration_us().unwrap() as f64;
@@ -850,7 +824,7 @@ mod tests {
             Algorithm::Cdlp { iterations: 3 },
         ] {
             let (g, cfg) = job(algorithm);
-            let run = PowerGraphPlatform::default().run(&g, &cfg).unwrap();
+            let run = run(&PowerGraphPlatform::default(), &g, &cfg, &FaultPlan::new());
             assert!(
                 run.output.matches(&reference_output(&g, algorithm)),
                 "{algorithm:?}"
@@ -862,8 +836,8 @@ mod tests {
     fn empty_fault_plan_is_identical_to_plain_run() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = PowerGraphPlatform::default();
-        let plain = p.run(&g, &cfg).unwrap();
-        let faulted = p.run_with_faults(&g, &cfg, &FaultPlan::new()).unwrap();
+        let plain = p.run_on(&g, &cfg, &ClusterSpec::das5(cfg.nodes)).unwrap();
+        let faulted = run(&p, &g, &cfg, &FaultPlan::new());
         assert_eq!(plain.makespan_us, faulted.makespan_us);
         assert_eq!(plain.events, faulted.events);
     }
@@ -872,9 +846,9 @@ mod tests {
     fn crash_triggers_full_restart() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = PowerGraphPlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(2), healthy.makespan_us as f64 * 0.5);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         assert!(
             faulty.makespan_us > healthy.makespan_us,
             "fail-stop restart must cost time: {} vs {}",
@@ -934,10 +908,10 @@ mod tests {
     fn crash_during_load_wastes_only_partial_load() {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = PowerGraphPlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         // Crash early, while machine 0 is still parsing.
         let plan = FaultPlan::new().crash(NodeId(0), healthy.makespan_us as f64 * 0.1);
-        let faulty = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulty = run(&p, &g, &cfg, &plan);
         let tree = Assembler::new().assemble(faulty.events).tree;
         let root = tree.root().unwrap();
         // The doomed attempt never reached processing.

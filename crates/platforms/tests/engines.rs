@@ -11,8 +11,9 @@
 //! * every emitted op tree is dependency-closed (each `parent=` reference
 //!   resolves to an emitted op), single-rooted, and has monotone
 //!   timestamps with children nested inside their parents;
-//! * an empty `FaultPlan` is indistinguishable from no plan at all, bit
-//!   for bit, across repeated invocations;
+//! * an empty `FaultPlan` gives the same run, bit for bit, across
+//!   repeated invocations, and that run simulates the DAG
+//!   `Engine::healthy_dag` returns;
 //! * Giraph, GRAPE and GraphX crash recovery neither loses nor duplicates
 //!   a superstep/round/stage: the committed ops plus the failed attempt
 //!   cover each unit exactly once, and the replayed/recomputed lineage
@@ -27,11 +28,11 @@ use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use gpsim_cluster::FaultPlan;
+use gpsim_cluster::{ClusterSpec, FaultPlan, Simulation};
 use gpsim_graph::Graph;
 use gpsim_platforms::{
-    Algorithm, CostModel, GiraphPlatform, GrapePlatform, GraphXPlatform, JobConfig, PlatformRun,
-    PowerGraphPlatform,
+    Algorithm, CostModel, Engine, GiraphPlatform, GrapePlatform, GraphXPlatform, JobConfig,
+    PlatformRun, PowerGraphPlatform,
 };
 use granula_monitor::{EventPayload, LogEvent};
 
@@ -61,11 +62,32 @@ fn arb_checkpoint_interval() -> impl Strategy<Value = Option<u32>> {
     prop_oneof![Just(None), (1u32..4).prop_map(Some)]
 }
 
-fn giraph(checkpoint_interval: Option<u32>) -> GiraphPlatform {
-    GiraphPlatform {
+fn giraph(checkpoint_interval: Option<u32>) -> Engine {
+    Engine::Giraph(GiraphPlatform {
         checkpoint_interval,
         ..GiraphPlatform::default()
-    }
+    })
+}
+
+/// The four engines under test, labeled: Giraph with
+/// `checkpoint_interval`, then PowerGraph, GRAPE and GraphX.
+fn engines(checkpoint_interval: Option<u32>) -> [(&'static str, Engine); 4] {
+    [
+        ("giraph", giraph(checkpoint_interval)),
+        (
+            "powergraph",
+            Engine::PowerGraph(PowerGraphPlatform::default()),
+        ),
+        ("grape", Engine::Grape(GrapePlatform::default())),
+        ("graphx", Engine::GraphX(GraphXPlatform::default())),
+    ]
+}
+
+/// Runs `engine`'s job on a DAS5-like cluster of `cfg.nodes` nodes.
+fn run(engine: &Engine, g: &Graph, cfg: &JobConfig, plan: &FaultPlan) -> PlatformRun {
+    engine
+        .run(g, cfg, &ClusterSpec::das5(cfg.nodes), plan)
+        .unwrap()
 }
 
 /// The superstep Giraph replays from after a crash at `failed`: the one
@@ -275,30 +297,28 @@ proptest! {
         interval in arb_checkpoint_interval(),
     ) {
         let cfg = cfg(algorithm, k);
-        let runs = [
-            giraph(interval).run(&g, &cfg).unwrap(),
-            PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
-            GrapePlatform::default().run(&g, &cfg).unwrap(),
-            GraphXPlatform::default().run(&g, &cfg).unwrap(),
-        ];
+        let engines = engines(interval);
+        let runs = engines
+            .each_ref()
+            .map(|(_, engine)| run(engine, &g, &cfg, &FaultPlan::default()));
         for run in &runs {
             check_op_tree(run)?;
         }
         // The same holds under an arbitrary fault schedule.
         let horizon = runs[2].makespan_us.max(1) as f64;
         let plan = FaultPlan::seeded(seed, k, horizon);
-        check_op_tree(&giraph(interval).run_with_faults(&g, &cfg, &plan).unwrap())?;
-        check_op_tree(&PowerGraphPlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
-        check_op_tree(&GrapePlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
-        check_op_tree(&GraphXPlatform::default().run_with_faults(&g, &cfg, &plan).unwrap())?;
+        for (_, engine) in &engines {
+            check_op_tree(&run(engine, &g, &cfg, &plan))?;
+        }
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(260))]
 
-    /// `run_with_faults` with an empty plan is bit-identical to `run`,
-    /// and repeated invocations are bit-identical to each other.
+    /// `Engine::run` with an empty plan is bit-identical across repeated
+    /// invocations and fresh engine values, and simulates the DAG
+    /// `Engine::healthy_dag` returns.
     #[test]
     fn empty_fault_plan_is_bit_identical(
         g in arb_graph(),
@@ -307,34 +327,20 @@ proptest! {
         interval in arb_checkpoint_interval(),
     ) {
         let cfg = cfg(algorithm, k);
-        for (label, a, b, c) in [
-            (
-                "giraph",
-                giraph(interval).run(&g, &cfg).unwrap(),
-                giraph(interval).run_with_faults(&g, &cfg, &FaultPlan::default()).unwrap(),
-                giraph(interval).run(&g, &cfg).unwrap(),
-            ),
-            (
-                "powergraph",
-                PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
-                PowerGraphPlatform::default()
-                    .run_with_faults(&g, &cfg, &FaultPlan::default())
-                    .unwrap(),
-                PowerGraphPlatform::default().run(&g, &cfg).unwrap(),
-            ),
-            (
-                "grape",
-                GrapePlatform::default().run(&g, &cfg).unwrap(),
-                GrapePlatform::default().run_with_faults(&g, &cfg, &FaultPlan::default()).unwrap(),
-                GrapePlatform::default().run(&g, &cfg).unwrap(),
-            ),
-            (
-                "graphx",
-                GraphXPlatform::default().run(&g, &cfg).unwrap(),
-                GraphXPlatform::default().run_with_faults(&g, &cfg, &FaultPlan::default()).unwrap(),
-                GraphXPlatform::default().run(&g, &cfg).unwrap(),
-            ),
-        ] {
+        for (label, engine) in engines(interval) {
+            let a = run(&engine, &g, &cfg, &FaultPlan::default());
+            let b = run(&engine.clone(), &g, &cfg, &FaultPlan::new());
+            let c = run(&engine, &g, &cfg, &FaultPlan::default());
+            let cluster = ClusterSpec::das5(k);
+            let healthy = Simulation::new(cluster.clone())
+                .run(&engine.healthy_dag(&g, &cfg, &cluster))
+                .unwrap();
+            prop_assert_eq!(
+                healthy.makespan_us.round() as u64,
+                a.makespan_us,
+                "{}: healthy_dag diverged from run",
+                label
+            );
             prop_assert_eq!(&a.events, &b.events, "{}: empty plan diverged", label);
             prop_assert_eq!(&a.events, &c.events, "{}: reinvocation diverged", label);
             prop_assert_eq!(a.makespan_us, b.makespan_us, "{}", label);
@@ -357,10 +363,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(algorithm, k);
-        let p = GrapePlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let p = Engine::Grape(GrapePlatform::default());
+        let healthy = run(&p, &g, &cfg, &FaultPlan::default());
         let plan = FaultPlan::seeded(seed, k, healthy.makespan_us.max(1) as f64);
-        let faulted = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulted = run(&p, &g, &cfg, &plan);
         prop_assert!(faulted.output.matches(&healthy.output), "recovery changed the result");
         check_recovery_ledger(
             &faulted,
@@ -386,10 +392,10 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let cfg = cfg(algorithm, k);
-        let p = GraphXPlatform::default();
-        let healthy = p.run(&g, &cfg).unwrap();
+        let p = Engine::GraphX(GraphXPlatform::default());
+        let healthy = run(&p, &g, &cfg, &FaultPlan::default());
         let plan = FaultPlan::seeded(seed, k, healthy.makespan_us.max(1) as f64);
-        let faulted = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulted = run(&p, &g, &cfg, &plan);
         prop_assert!(faulted.output.matches(&healthy.output), "recovery changed the result");
         check_recovery_ledger(
             &faulted,
@@ -417,9 +423,9 @@ proptest! {
     ) {
         let cfg = cfg(algorithm, k);
         let p = giraph(interval);
-        let healthy = p.run(&g, &cfg).unwrap();
+        let healthy = run(&p, &g, &cfg, &FaultPlan::default());
         let plan = FaultPlan::seeded(seed, k, healthy.makespan_us.max(1) as f64);
-        let faulted = p.run_with_faults(&g, &cfg, &plan).unwrap();
+        let faulted = run(&p, &g, &cfg, &plan);
         prop_assert!(faulted.output.matches(&healthy.output), "recovery changed the result");
         check_recovery_ledger(
             &faulted,

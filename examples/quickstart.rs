@@ -8,8 +8,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use gpsim_cluster::{ClusterSpec, FaultPlan};
 use gpsim_graph::gen::{datagen_like, GenConfig};
-use gpsim_platforms::{Algorithm, GiraphPlatform, JobConfig};
+use gpsim_platforms::{Algorithm, Engine, GiraphPlatform, JobConfig};
 use granula::metrics::{DomainBreakdown, Phase};
 use granula::models::giraph_model;
 use granula::process::EvaluationProcess;
@@ -30,7 +31,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     .with_scale(1.03e9 / 200_000.0);
 
     // 2. Monitoring (P2): run the instrumented platform.
-    let run = GiraphPlatform::default().run(&graph, &cfg)?;
+    let run = Engine::Giraph(GiraphPlatform::default()).run(
+        &graph,
+        &cfg,
+        &ClusterSpec::das5(cfg.nodes),
+        &FaultPlan::new(),
+    )?;
     println!(
         "platform run: {} log events, {} env samples, {} supersteps, output verified: {}",
         run.events.len(),

@@ -41,11 +41,13 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parses JSON text into any [`Deserialize`] type.
+/// Parses JSON text into any [`Deserialize`] type. Arrays and objects
+/// nested deeper than [`RECURSION_LIMIT`] are an error.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.parse_value()?;
@@ -152,9 +154,17 @@ fn write_string(out: &mut String, s: &str) {
 
 // ---------------------------------------------------------------- parsing
 
+/// The deepest nesting of arrays and objects the parser accepts, the
+/// default recursion limit of the real crate. The parser recurses once per
+/// level, so without a cap a few hundred kilobytes of `[` overflow the
+/// stack.
+pub const RECURSION_LIMIT: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -200,11 +210,26 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(Error(format!("unexpected input at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object with `parse`, one level deeper.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == RECURSION_LIMIT {
+            return Err(Error(format!(
+                "recursion limit exceeded at byte {}: more than {RECURSION_LIMIT} nested \
+                 arrays or objects",
+                self.pos
+            )));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<Value, Error> {
@@ -421,6 +446,29 @@ mod tests {
     fn pretty_output_is_indented() {
         let v: Vec<u64> = vec![1, 2];
         assert_eq!(to_string_pretty(&v).unwrap(), "[\n  1,\n  2\n]");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_the_recursion_limit() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&arrays(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&arrays(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Deep enough to overflow the stack without the cap; unclosed, as
+        // hostile input would be.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+    }
+
+    #[test]
+    fn object_nesting_is_capped_at_the_recursion_limit() {
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        assert!(from_str::<Value>(&objects(RECURSION_LIMIT)).is_ok());
+        let err = from_str::<Value>(&objects(RECURSION_LIMIT + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Arrays and objects count against the same limit.
+        let mixed = "[{\"a\":".repeat(RECURSION_LIMIT) + "1";
+        assert!(from_str::<Value>(&mixed).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]

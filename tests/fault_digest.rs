@@ -1,7 +1,7 @@
 //! Pins every platform driver's fault path bit for bit.
 //!
 //! Each driver runs the dg1000 BFS job (20k-vertex down-sample, 8 nodes)
-//! through `run_with_faults` under five plans: healthy, one crash of
+//! through `Engine::run` under five plans: healthy, one crash of
 //! node 2 at 40 % of the healthy makespan, and three seeded plans (one
 //! crash plus two slowdown windows each). The digest hashes the run's
 //! events, environment samples, makespan and iteration count, so any
@@ -17,12 +17,8 @@
 //!
 //! and copy the `got` digests from the failure message.
 
-use gpsim_cluster::{FaultPlan, NodeId, SimError};
-use gpsim_graph::Graph;
-use gpsim_platforms::{
-    GiraphPlatform, GrapePlatform, GraphMatPlatform, GraphXPlatform, JobConfig, PlatformRun,
-    PowerGraphPlatform,
-};
+use gpsim_cluster::{ClusterSpec, FaultPlan, NodeId};
+use gpsim_platforms::{Engine, GiraphPlatform, PlatformRun};
 use granula::calibration;
 use granula::experiment::Platform;
 
@@ -40,22 +36,22 @@ fn run_digest(run: &PlatformRun) -> u64 {
     h
 }
 
-type Runner<'a> = dyn Fn(&Graph, &JobConfig, &FaultPlan) -> Result<PlatformRun, SimError> + 'a;
-
-/// Digests of the healthy, `crash40`, `seed1`, `seed2` and `seed3` runs,
-/// plus the `crash40` makespan.
-fn digests(platform: Platform, run: &Runner) -> ([u64; 5], u64) {
+/// Digests of `engine`'s healthy, `crash40`, `seed1`, `seed2` and
+/// `seed3` runs, plus the `crash40` makespan.
+fn digests(engine: &Engine) -> ([u64; 5], u64) {
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
-    let mut cfg = platform.dg1000_job();
+    let mut cfg = Platform::of(engine).dg1000_job();
     cfg.scale_factor = scale;
-    let healthy = run(&graph, &cfg, &FaultPlan::default()).unwrap();
+    let cluster = ClusterSpec::das5(cfg.nodes);
+    let run = |plan: &FaultPlan| engine.run(&graph, &cfg, &cluster, plan).unwrap();
+    let healthy = run(&FaultPlan::default());
     let horizon = healthy.makespan_us as f64;
     let crash40 = FaultPlan::new().crash(NodeId(2), 0.4 * horizon);
-    let crashed = run(&graph, &cfg, &crash40).unwrap();
+    let crashed = run(&crash40);
     let mut out = [run_digest(&healthy), run_digest(&crashed), 0, 0, 0];
     for (seed, slot) in (1..).zip(&mut out[2..]) {
         let plan = FaultPlan::seeded(seed, cfg.nodes, horizon);
-        *slot = run_digest(&run(&graph, &cfg, &plan).unwrap());
+        *slot = run_digest(&run(&plan));
     }
     (out, crashed.makespan_us)
 }
@@ -76,12 +72,9 @@ fn assert_digests(name: &str, (got, crash40_us): ([u64; 5], u64), pinned: [u64; 
 
 #[test]
 fn giraph_fault_runs_are_bit_identical() {
-    let p = GiraphPlatform::default();
     assert_digests(
         "giraph",
-        digests(Platform::Giraph, &|g, c, plan| {
-            p.run_with_faults(g, c, plan)
-        }),
+        digests(&Platform::Giraph.engine()),
         [
             0x0c2a_819a_2e77_8fdf,
             0xa4f1_d8c8_4aad_8a69,
@@ -95,15 +88,13 @@ fn giraph_fault_runs_are_bit_identical() {
 
 #[test]
 fn giraph_checkpointed_fault_runs_are_bit_identical() {
-    let p = GiraphPlatform {
+    let engine = Engine::Giraph(GiraphPlatform {
         checkpoint_interval: Some(2),
         ..GiraphPlatform::default()
-    };
+    });
     assert_digests(
         "giraph checkpoint_interval=2",
-        digests(Platform::Giraph, &|g, c, plan| {
-            p.run_with_faults(g, c, plan)
-        }),
+        digests(&engine),
         [
             0xe283_218f_ac79_646f,
             0xb724_1edd_583f_dd85,
@@ -117,12 +108,9 @@ fn giraph_checkpointed_fault_runs_are_bit_identical() {
 
 #[test]
 fn powergraph_fault_runs_are_bit_identical() {
-    let p = PowerGraphPlatform::default();
     assert_digests(
         "powergraph",
-        digests(Platform::PowerGraph, &|g, c, plan| {
-            p.run_with_faults(g, c, plan)
-        }),
+        digests(&Platform::PowerGraph.engine()),
         [
             0x2549_66b8_e622_0550,
             0xee72_e20e_d7ff_5ae9,
@@ -136,10 +124,9 @@ fn powergraph_fault_runs_are_bit_identical() {
 
 #[test]
 fn grape_fault_runs_are_bit_identical() {
-    let p = GrapePlatform::default();
     assert_digests(
         "grape",
-        digests(Platform::Grape, &|g, c, plan| p.run_with_faults(g, c, plan)),
+        digests(&Platform::Grape.engine()),
         [
             0x4142_5429_9432_5590,
             0x5fb6_95f4_9788_3ace,
@@ -153,12 +140,9 @@ fn grape_fault_runs_are_bit_identical() {
 
 #[test]
 fn graphx_fault_runs_are_bit_identical() {
-    let p = GraphXPlatform::default();
     assert_digests(
         "graphx",
-        digests(Platform::GraphX, &|g, c, plan| {
-            p.run_with_faults(g, c, plan)
-        }),
+        digests(&Platform::GraphX.engine()),
         [
             0x8ea5_629f_337e_9157,
             0xdf49_3333_ce66_426b,
@@ -175,7 +159,11 @@ fn graphmat_healthy_run_is_bit_identical() {
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
     let mut cfg = Platform::GraphMat.dg1000_job();
     cfg.scale_factor = scale;
-    let run = GraphMatPlatform::default().run(&graph, &cfg).unwrap();
+    let cluster = ClusterSpec::das5(cfg.nodes);
+    let run = Platform::GraphMat
+        .engine()
+        .run(&graph, &cfg, &cluster, &FaultPlan::default())
+        .unwrap();
     assert_eq!(
         run_digest(&run),
         0x93f4_bd63_fada_c179,

@@ -4,8 +4,9 @@
 
 use std::fs;
 
+use gpsim_cluster::{ClusterSpec, FaultPlan};
 use gpsim_graph::gen::{datagen_like, GenConfig};
-use gpsim_platforms::{Algorithm, CostModel, GiraphPlatform, JobConfig, PlatformRun};
+use gpsim_platforms::{Algorithm, CostModel, Engine, GiraphPlatform, JobConfig, PlatformRun};
 use granula::models::giraph_model;
 use granula::process::EvaluationProcess;
 use granula_archive::JobMeta;
@@ -20,8 +21,8 @@ fn platform_run() -> PlatformRun {
         4,
         CostModel::giraph_like(),
     );
-    GiraphPlatform::default()
-        .run(&g, &cfg)
+    Engine::Giraph(GiraphPlatform::default())
+        .run(&g, &cfg, &ClusterSpec::das5(cfg.nodes), &FaultPlan::new())
         .expect("simulation runs")
 }
 

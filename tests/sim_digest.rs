@@ -27,11 +27,7 @@
 
 use gpsim_cluster::trace::Channel;
 use gpsim_cluster::{ActivityGraph, ClusterSpec, NodeId, SimResult, Simulation, UsageTrace};
-use gpsim_graph::Graph;
-use gpsim_platforms::{
-    Algorithm, GiraphPlatform, GrapePartitioner, GrapePlatform, GraphXPlatform, JobConfig,
-    PowerGraphPlatform,
-};
+use gpsim_platforms::{Algorithm, Engine, GrapePartitioner, GrapePlatform};
 use granula::calibration;
 use granula::experiment::Platform;
 
@@ -107,16 +103,14 @@ fn grape_pagerank_at_32_nodes_schedules_bit_identically() {
     cfg.nodes = 32;
     cfg.scale_factor = scale;
     let cluster = ClusterSpec::das5(cfg.nodes);
-    let grape = GrapePlatform {
-        partitioner: GrapePartitioner::Hash,
-        ..GrapePlatform::default()
-    }
-    .healthy_dag(&graph, &cfg, &cluster);
+    let grape = grape(GrapePartitioner::Hash).healthy_dag(&graph, &cfg, &cluster);
 
     let graph = calibration::dg_graph();
     let cfg = Platform::Giraph.dg1000_job();
     let fig5_cluster = ClusterSpec::das5(cfg.nodes);
-    let giraph = GiraphPlatform::default().healthy_dag(&graph, &cfg, &fig5_cluster);
+    let giraph = Platform::Giraph
+        .engine()
+        .healthy_dag(&graph, &cfg, &fig5_cluster);
 
     assert_pinned(
         "grape pagerank 32 nodes",
@@ -156,12 +150,18 @@ const PINNED_MATRIX32_GRAPHX: [(u64, u64); 2] = [
     (0xbb33_ae4f_b99d_335b, 0xdec9_d397_81f1_38ce),
 ];
 
-/// One choke-matrix row's DAG builder.
-type DagOf<'a> = dyn Fn(&Graph, &JobConfig, &ClusterSpec) -> ActivityGraph + 'a;
+/// The GRAPE engine under `partitioner`.
+fn grape(partitioner: GrapePartitioner) -> Engine {
+    Engine::Grape(GrapePlatform {
+        partitioner,
+        ..GrapePlatform::default()
+    })
+}
 
 /// Runs one matrix32 row, BFS then PageRank-10, configured as
 /// perfbench's `matrix32_jobs` configures it, and checks its digests.
-fn matrix32_row(platform: Platform, label: &str, dag_of: &DagOf<'_>, pinned: [(u64, u64); 2]) {
+fn matrix32_row(engine: &Engine, label: &str, pinned: [(u64, u64); 2]) {
+    let platform = Platform::of(engine);
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
     let algorithms = [
         Algorithm::Bfs { source: 1 },
@@ -178,56 +178,35 @@ fn matrix32_row(platform: Platform, label: &str, dag_of: &DagOf<'_>, pinned: [(u
             algorithm.name().to_lowercase()
         );
         let cluster = ClusterSpec::das5(cfg.nodes);
-        let dag = dag_of(&graph, &cfg, &cluster);
+        let dag = engine.healthy_dag(&graph, &cfg, &cluster);
         assert_pinned(&cfg.job_id, cluster, &dag, pinned);
     }
 }
 
 #[test]
 fn matrix32_giraph_schedules_bit_identically() {
-    let p = GiraphPlatform::default();
-    let dag = |g: &Graph, cfg: &JobConfig, c: &ClusterSpec| p.healthy_dag(g, cfg, c);
-    matrix32_row(Platform::Giraph, "hash-ec", &dag, PINNED_MATRIX32_GIRAPH);
+    let engine = Platform::Giraph.engine();
+    matrix32_row(&engine, "hash-ec", PINNED_MATRIX32_GIRAPH);
 }
 
 #[test]
 fn matrix32_powergraph_schedules_bit_identically() {
-    let p = PowerGraphPlatform::default();
-    let dag = |g: &Graph, cfg: &JobConfig, c: &ClusterSpec| p.healthy_dag(g, cfg, c);
-    matrix32_row(
-        Platform::PowerGraph,
-        "greedy-vc",
-        &dag,
-        PINNED_MATRIX32_POWERGRAPH,
-    );
+    let engine = Platform::PowerGraph.engine();
+    matrix32_row(&engine, "greedy-vc", PINNED_MATRIX32_POWERGRAPH);
 }
 
 #[test]
 fn matrix32_grape_schedules_bit_identically() {
-    for (partitioner, label, pinned) in [
-        (
-            GrapePartitioner::Hash,
-            "hash-ec",
-            PINNED_MATRIX32_GRAPE_HASH,
-        ),
-        (
-            GrapePartitioner::Block,
-            "block-ec",
-            PINNED_MATRIX32_GRAPE_BLOCK,
-        ),
+    for (partitioner, pinned) in [
+        (GrapePartitioner::Hash, PINNED_MATRIX32_GRAPE_HASH),
+        (GrapePartitioner::Block, PINNED_MATRIX32_GRAPE_BLOCK),
     ] {
-        let p = GrapePlatform {
-            partitioner,
-            ..GrapePlatform::default()
-        };
-        let dag = |g: &Graph, cfg: &JobConfig, c: &ClusterSpec| p.healthy_dag(g, cfg, c);
-        matrix32_row(Platform::Grape, label, &dag, pinned);
+        matrix32_row(&grape(partitioner), partitioner.name(), pinned);
     }
 }
 
 #[test]
 fn matrix32_graphx_schedules_bit_identically() {
-    let p = GraphXPlatform::default();
-    let dag = |g: &Graph, cfg: &JobConfig, c: &ClusterSpec| p.healthy_dag(g, cfg, c);
-    matrix32_row(Platform::GraphX, "hash-ec", &dag, PINNED_MATRIX32_GRAPHX);
+    let engine = Platform::GraphX.engine();
+    matrix32_row(&engine, "hash-ec", PINNED_MATRIX32_GRAPHX);
 }

@@ -1,10 +1,12 @@
 //! Straggler detection end-to-end: a degraded node must be identifiable
 //! from the archive alone, on every platform.
 
-use gpsim_cluster::ClusterSpec;
+use gpsim_cluster::{ClusterSpec, FaultPlan};
+use gpsim_graph::Graph;
+use gpsim_platforms::JobConfig;
 use granula::analysis::{find_choke_points, ChokePointConfig, ChokePointKind};
 use granula::calibration;
-use granula::experiment::{run_experiment_on, Platform};
+use granula::experiment::{run_experiment_on, ExperimentResult, Platform};
 use granula_archive::Query;
 
 fn degraded_cluster(victim: usize) -> ClusterSpec {
@@ -13,13 +15,23 @@ fn degraded_cluster(victim: usize) -> ClusterSpec {
     cluster
 }
 
+/// Runs `platform` with default knobs and no faults on `cluster`.
+fn run_on(
+    platform: Platform,
+    graph: &Graph,
+    cfg: &JobConfig,
+    cluster: &ClusterSpec,
+) -> ExperimentResult {
+    run_experiment_on(&platform.engine(), graph, cfg, cluster, &FaultPlan::new())
+        .expect("simulation runs")
+}
+
 #[test]
 fn giraph_straggler_named_by_imbalance_choke_point() {
     let (graph, scale) = calibration::dg_graph_small(8_000, calibration::DG_SEED);
     let mut cfg = calibration::giraph_dg1000_job();
     cfg.scale_factor = scale;
-    let result = run_experiment_on(Platform::Giraph, &graph, &cfg, &degraded_cluster(5))
-        .expect("simulation runs");
+    let result = run_on(Platform::Giraph, &graph, &cfg, &degraded_cluster(5));
 
     let findings = find_choke_points(&result.report.archive, &ChokePointConfig::default());
     let imbalance = findings
@@ -38,10 +50,8 @@ fn straggler_slows_the_job_but_not_correctness() {
     let (graph, scale) = calibration::dg_graph_small(5_000, calibration::DG_SEED);
     let mut cfg = calibration::giraph_dg1000_job();
     cfg.scale_factor = scale;
-    let healthy = run_experiment_on(Platform::Giraph, &graph, &cfg, &ClusterSpec::das5(8))
-        .expect("simulation runs");
-    let degraded = run_experiment_on(Platform::Giraph, &graph, &cfg, &degraded_cluster(3))
-        .expect("simulation runs");
+    let healthy = run_on(Platform::Giraph, &graph, &cfg, &ClusterSpec::das5(8));
+    let degraded = run_on(Platform::Giraph, &graph, &cfg, &degraded_cluster(3));
     assert!(degraded.breakdown.total_us > healthy.breakdown.total_us * 11 / 10);
     assert_eq!(healthy.run.output, degraded.run.output, "results identical");
 }
@@ -55,10 +65,8 @@ fn powergraph_straggling_loader_node_is_catastrophic() {
     let mut cfg = calibration::powergraph_dg1000_job();
     cfg.scale_factor = scale;
 
-    let loader_slow = run_experiment_on(Platform::PowerGraph, &graph, &cfg, &degraded_cluster(0))
-        .expect("simulation runs");
-    let other_slow = run_experiment_on(Platform::PowerGraph, &graph, &cfg, &degraded_cluster(6))
-        .expect("simulation runs");
+    let loader_slow = run_on(Platform::PowerGraph, &graph, &cfg, &degraded_cluster(0));
+    let other_slow = run_on(Platform::PowerGraph, &graph, &cfg, &degraded_cluster(6));
     // The single-threaded parse isn't core-count-bound, so degrade cores
     // hits the finalize/processing; but the loader node's work still
     // dominates: check the relationship holds directionally.
