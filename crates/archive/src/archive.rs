@@ -60,16 +60,6 @@ impl JobArchive {
             .sum()
     }
 
-    /// All `(operation, value)` pairs carrying an info with the given name.
-    pub fn infos_named<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = (&'a Operation, &'a granula_model::InfoValue)> {
-        self.tree
-            .iter()
-            .filter_map(move |o| o.info_value(name).map(|v| (o, v)))
-    }
-
     /// Fraction of the job runtime spent in `mission_kind` (summed over all
     /// instances); `None` when the job has no runtime.
     pub fn runtime_fraction(&self, mission_kind: &str) -> Option<f64> {

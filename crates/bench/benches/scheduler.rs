@@ -171,12 +171,7 @@ fn mixed(c: &mut Criterion) {
 /// `matrix32_jobs` configures them.
 fn matrix32_dags(cluster: &ClusterSpec) -> Vec<ActivityGraph> {
     let (graph, scale) = calibration::dg_graph_small(20_000, calibration::DG_SEED);
-    let grape = |partitioner| {
-        Engine::Grape(GrapePlatform {
-            partitioner,
-            ..GrapePlatform::default()
-        })
-    };
+    let grape = |partitioner| Engine::Grape(GrapePlatform { partitioner });
     let rows = [
         Platform::Giraph.engine(),
         Platform::PowerGraph.engine(),

@@ -81,7 +81,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Giraph checkpoints every 2 supersteps; PowerGraph has none.
     let giraph = Engine::Giraph(GiraphPlatform {
         checkpoint_interval: Some(2),
-        ..GiraphPlatform::default()
     });
     for engine in [
         giraph,

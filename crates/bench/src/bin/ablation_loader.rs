@@ -29,7 +29,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for threads in [1u32, 2, 4, 8, 16, 32] {
         let engine = Engine::PowerGraph(PowerGraphPlatform {
             loader_threads: threads,
-            ..Default::default()
         });
         let b = run_experiment_on(&engine, &graph, &cfg, &cluster, &FaultPlan::new())?.breakdown;
         let baseline = *baseline_total.get_or_insert(b.total_us);

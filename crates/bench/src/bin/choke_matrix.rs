@@ -70,10 +70,7 @@ impl EngineRow {
     /// A GRAPE row under `partitioner`.
     fn grape(partitioner: GrapePartitioner) -> Self {
         EngineRow {
-            engine: Engine::Grape(GrapePlatform {
-                partitioner,
-                ..GrapePlatform::default()
-            }),
+            engine: Engine::Grape(GrapePlatform { partitioner }),
             partitioner: partitioner.name(),
         }
     }

@@ -248,11 +248,6 @@ impl ActivityGraph {
         &self.dep_buf[self.dep_off[i] as usize..self.dep_off[i + 1] as usize]
     }
 
-    /// The interned tag of one activity.
-    pub fn tag_of(&self, id: ActivityId) -> Symbol {
-        self.tags[id.0 as usize]
-    }
-
     /// Iterates over all activities in id order.
     pub fn iter(&self) -> impl Iterator<Item = ActivityRef<'_>> {
         (0..self.kinds.len() as u32).map(move |i| self.get(ActivityId(i)))

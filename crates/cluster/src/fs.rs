@@ -1,163 +1,114 @@
-//! Filesystem models: how logical reads/writes decompose into activities.
+//! The HDFS-like distributed file system: how a logical read or write
+//! decomposes into disk and network activities.
 //!
-//! Table 1 of the paper distinguishes platforms by their file system:
-//! Giraph/Hadoop use HDFS, PowerGraph/GraphMat use local or shared storage.
-//! Each model turns a logical `read(node, bytes)` into the disk and network
-//! activities that storage system would actually perform.
-
-use serde::{Deserialize, Serialize};
+//! Table 1 of the paper distinguishes platforms by their file system.
+//! Giraph and GraphX read their input from and write their output to
+//! HDFS, which this module models: data-local reads with a remainder
+//! served by a remote replica, and a replication pipeline on writes.
+//! Platforms on local or shared storage add
+//! [`ActivityKind::DiskRead`] or [`ActivityKind::SharedRead`] activities
+//! directly.
 
 use crate::activity::{ActivityGraph, ActivityId, ActivityKind};
 use crate::topology::{ClusterSpec, NodeId};
 
-/// Local-disk filesystem: every node reads only its own disk.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct LocalFsSpec;
+/// Fraction of a node's read that local replicas satisfy (data-local task
+/// placement usually achieves 0.7–0.95).
+const LOCALITY: f64 = 0.85;
 
-/// NFS-like shared filesystem: all reads go to one server whose aggregate
-/// bandwidth is [`ClusterSpec::shared_fs_bps`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct SharedFsSpec;
+/// Replication factor of writes (the HDFS default).
+const REPLICATION: u32 = 3;
 
-/// HDFS-like distributed filesystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DfsSpec {
-    /// Fraction of a node's read that is satisfied by local replicas
-    /// (data-local task placement usually achieves 0.7–0.95).
-    pub locality: f64,
-    /// Replication factor for writes (HDFS default 3).
-    pub replication: u32,
+/// The replica holder after `node`: a deterministic neighbour choice.
+fn next_node(cluster: &ClusterSpec, node: NodeId) -> NodeId {
+    NodeId(((node.0 as usize + 1) % cluster.len()) as u16)
 }
 
-impl Default for DfsSpec {
-    fn default() -> Self {
-        DfsSpec {
-            locality: 0.85,
-            replication: 3,
-        }
+/// Plans an HDFS read of `bytes` on `node`: the local share from the
+/// node's own disk, the rest from the next node's disk over the network.
+/// Returns the activity whose completion means the read is done (a
+/// barrier when the read has a remote part).
+pub fn hdfs_read(
+    cluster: &ClusterSpec,
+    g: &mut ActivityGraph,
+    node: NodeId,
+    bytes: f64,
+    deps: &[ActivityId],
+    tag: &str,
+) -> ActivityId {
+    let local_bytes = bytes * LOCALITY;
+    let remote_bytes = bytes - local_bytes;
+    let local = g.add(
+        ActivityKind::DiskRead {
+            node,
+            bytes: local_bytes,
+        },
+        deps,
+        format!("{tag}/local"),
+    );
+    if remote_bytes <= 0.0 || cluster.len() < 2 {
+        return local;
     }
+    let replica = next_node(cluster, node);
+    let remote_disk = g.add(
+        ActivityKind::DiskRead {
+            node: replica,
+            bytes: remote_bytes,
+        },
+        deps,
+        format!("{tag}/replica-disk"),
+    );
+    let xfer = g.add(
+        ActivityKind::Transfer {
+            src: replica,
+            dst: node,
+            bytes: remote_bytes,
+        },
+        &[remote_disk],
+        format!("{tag}/replica-xfer"),
+    );
+    g.barrier(&[local, xfer], format!("{tag}/done"))
 }
 
-/// A storage backend that can plan reads and writes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum FileSystem {
-    /// Node-local disks.
-    Local(LocalFsSpec),
-    /// Single shared server.
-    Shared(SharedFsSpec),
-    /// HDFS-like distributed store.
-    Dfs(DfsSpec),
-}
-
-impl FileSystem {
-    /// Convenience: an HDFS-like store with default parameters.
-    pub fn hdfs() -> Self {
-        FileSystem::Dfs(DfsSpec::default())
-    }
-
-    /// Plans a logical read of `bytes` on `node`. Returns the activity whose
-    /// completion means the read is done (a barrier when the read decomposed
-    /// into several parts).
-    pub fn read(
-        &self,
-        cluster: &ClusterSpec,
-        g: &mut ActivityGraph,
-        node: NodeId,
-        bytes: f64,
-        deps: &[ActivityId],
-        tag: &str,
-    ) -> ActivityId {
-        match self {
-            FileSystem::Local(_) => g.add(ActivityKind::DiskRead { node, bytes }, deps, tag),
-            FileSystem::Shared(_) => g.add(ActivityKind::SharedRead { node, bytes }, deps, tag),
-            FileSystem::Dfs(spec) => {
-                let local_bytes = bytes * spec.locality.clamp(0.0, 1.0);
-                let remote_bytes = bytes - local_bytes;
-                let local = g.add(
-                    ActivityKind::DiskRead {
-                        node,
-                        bytes: local_bytes,
-                    },
-                    deps,
-                    format!("{tag}/local"),
-                );
-                if remote_bytes <= 0.0 || cluster.len() < 2 {
-                    return local;
-                }
-                // The nearest replica: deterministic neighbour choice.
-                let replica = NodeId(((node.0 as usize + 1) % cluster.len()) as u16);
-                let remote_disk = g.add(
-                    ActivityKind::DiskRead {
-                        node: replica,
-                        bytes: remote_bytes,
-                    },
-                    deps,
-                    format!("{tag}/replica-disk"),
-                );
-                let xfer = g.add(
-                    ActivityKind::Transfer {
-                        src: replica,
-                        dst: node,
-                        bytes: remote_bytes,
-                    },
-                    &[remote_disk],
-                    format!("{tag}/replica-xfer"),
-                );
-                g.barrier(&[local, xfer], format!("{tag}/done"))
-            }
+/// Plans an HDFS write of `bytes` from `node`: the replication pipeline
+/// of a local write, then a transfer and a write per further replica.
+/// Returns the last replica's write.
+pub fn hdfs_write(
+    cluster: &ClusterSpec,
+    g: &mut ActivityGraph,
+    node: NodeId,
+    bytes: f64,
+    deps: &[ActivityId],
+    tag: &str,
+) -> ActivityId {
+    let mut last = g.add(
+        ActivityKind::DiskWrite { node, bytes },
+        deps,
+        format!("{tag}/replica0"),
+    );
+    let mut holder = node;
+    for r in 1..REPLICATION {
+        if cluster.len() < 2 {
+            break;
         }
+        let next = next_node(cluster, holder);
+        let xfer = g.add(
+            ActivityKind::Transfer {
+                src: holder,
+                dst: next,
+                bytes,
+            },
+            &[last],
+            format!("{tag}/replica{r}-xfer"),
+        );
+        last = g.add(
+            ActivityKind::DiskWrite { node: next, bytes },
+            &[xfer],
+            format!("{tag}/replica{r}"),
+        );
+        holder = next;
     }
-
-    /// Plans a logical write of `bytes` from `node`. For the DFS this builds
-    /// the replication pipeline: local write, then transfer + write per
-    /// additional replica.
-    pub fn write(
-        &self,
-        cluster: &ClusterSpec,
-        g: &mut ActivityGraph,
-        node: NodeId,
-        bytes: f64,
-        deps: &[ActivityId],
-        tag: &str,
-    ) -> ActivityId {
-        match self {
-            FileSystem::Local(_) => g.add(ActivityKind::DiskWrite { node, bytes }, deps, tag),
-            FileSystem::Shared(_) => {
-                // Writing to the shared server crosses the NIC like a read.
-                g.add(ActivityKind::SharedRead { node, bytes }, deps, tag)
-            }
-            FileSystem::Dfs(spec) => {
-                let mut last = g.add(
-                    ActivityKind::DiskWrite { node, bytes },
-                    deps,
-                    format!("{tag}/replica0"),
-                );
-                let mut holder = node;
-                for r in 1..spec.replication.max(1) {
-                    if cluster.len() < 2 {
-                        break;
-                    }
-                    let next = NodeId(((holder.0 as usize + 1) % cluster.len()) as u16);
-                    let xfer = g.add(
-                        ActivityKind::Transfer {
-                            src: holder,
-                            dst: next,
-                            bytes,
-                        },
-                        &[last],
-                        format!("{tag}/replica{r}-xfer"),
-                    );
-                    last = g.add(
-                        ActivityKind::DiskWrite { node: next, bytes },
-                        &[xfer],
-                        format!("{tag}/replica{r}"),
-                    );
-                    holder = next;
-                }
-                last
-            }
-        }
-    }
+    last
 }
 
 #[cfg(test)]
@@ -180,22 +131,19 @@ mod tests {
     }
 
     #[test]
-    fn local_read_is_one_disk_activity() {
-        let c = cluster(2);
-        let mut g = ActivityGraph::new();
-        let id = FileSystem::Local(LocalFsSpec).read(&c, &mut g, NodeId(0), 1e6, &[], "r");
-        assert_eq!(g.len(), 1);
-        let res = Simulation::new(c).run(&g).unwrap();
-        assert!((res.of(id).end_us - 10_000.0).abs() < 1.0);
-    }
-
-    #[test]
     fn shared_reads_contend_on_server() {
         let mut c = cluster(2);
         c.shared_fs_bps = 100e6; // 100 B/µs server
         let mut g = ActivityGraph::new();
         for node in 0..2u16 {
-            FileSystem::Shared(SharedFsSpec).read(&c, &mut g, NodeId(node), 1e6, &[], "r");
+            g.add(
+                ActivityKind::SharedRead {
+                    node: NodeId(node),
+                    bytes: 1e6,
+                },
+                &[],
+                "r",
+            );
         }
         let res = Simulation::new(c).run(&g).unwrap();
         // Two 1e6-byte readers share 100 B/µs -> 20_000 µs, vs 10_000 alone.
@@ -209,49 +157,29 @@ mod tests {
     #[test]
     fn dfs_read_splits_local_and_remote() {
         let c = cluster(2);
-        let fs = FileSystem::Dfs(DfsSpec {
-            locality: 0.5,
-            replication: 2,
-        });
         let mut g = ActivityGraph::new();
-        fs.read(&c, &mut g, NodeId(0), 1e6, &[], "r");
+        hdfs_read(&c, &mut g, NodeId(0), 1e6, &[], "r");
         // local disk read + replica disk read + transfer + barrier
         assert_eq!(g.len(), 4);
         let res = Simulation::new(c).run(&g).unwrap();
-        // Remote path: 0.5e6 B disk (5_000 µs) + 0.5e6 B transfer (5_000 µs).
+        // Local path: 0.85e6 B disk (8_500 µs); the remote path, 0.15e6 B
+        // disk (1_500 µs) + transfer (1_500 µs), ends first.
         assert!(
-            (res.makespan_us - 10_000.0).abs() < 10.0,
+            (res.makespan_us - 8_500.0).abs() < 10.0,
             "{}",
             res.makespan_us
         );
     }
 
     #[test]
-    fn dfs_full_locality_has_no_network() {
-        let c = cluster(2);
-        let fs = FileSystem::Dfs(DfsSpec {
-            locality: 1.0,
-            replication: 2,
-        });
-        let mut g = ActivityGraph::new();
-        fs.read(&c, &mut g, NodeId(0), 1e6, &[], "r");
-        assert_eq!(g.len(), 1);
-    }
-
-    #[test]
     fn dfs_write_builds_replication_pipeline() {
         let c = cluster(3);
-        let fs = FileSystem::Dfs(DfsSpec {
-            locality: 1.0,
-            replication: 3,
-        });
         let mut g = ActivityGraph::new();
-        let last = fs.write(&c, &mut g, NodeId(0), 1e6, &[], "w");
+        let last = hdfs_write(&c, &mut g, NodeId(0), 1e6, &[], "w");
         // write + (xfer + write) * 2
         assert_eq!(g.len(), 5);
         let res = Simulation::new(c).run(&g).unwrap();
-        // Pipeline is sequential here: 10_000 * 5? No: each stage 10_000 µs,
-        // 5 activities in a chain = 50_000 µs.
+        // Each stage takes 10_000 µs; five of them in a chain.
         assert!(
             (res.of(last).end_us - 50_000.0).abs() < 10.0,
             "{}",
@@ -262,14 +190,11 @@ mod tests {
     #[test]
     fn single_node_cluster_degrades_gracefully() {
         let c = cluster(1);
-        let fs = FileSystem::Dfs(DfsSpec {
-            locality: 0.5,
-            replication: 3,
-        });
         let mut g = ActivityGraph::new();
-        fs.read(&c, &mut g, NodeId(0), 1e6, &[], "r");
-        fs.write(&c, &mut g, NodeId(0), 1e6, &[], "w");
+        hdfs_read(&c, &mut g, NodeId(0), 1e6, &[], "r");
+        hdfs_write(&c, &mut g, NodeId(0), 1e6, &[], "w");
         // No remote peers available: plain local read + single write.
+        assert_eq!(g.len(), 2);
         assert!(Simulation::new(c).run(&g).is_ok());
     }
 }

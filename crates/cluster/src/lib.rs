@@ -13,16 +13,13 @@
 //! (platform logs and environment logs) the Granula monitoring stage
 //! consumes.
 //!
-//! Also provided: filesystem models ([`fs`]) that decompose logical reads
-//! into disk/network activities (local, NFS-like shared, HDFS-like
-//! distributed), and provisioning models ([`provision`]) for YARN-like and
-//! MPI-like worker deployment latencies.
+//! Also provided: the HDFS-like distributed file system ([`fs`]), which
+//! decomposes a logical read or write into disk and network activities.
 
 pub mod activity;
 pub mod fault;
 pub mod fs;
 pub mod intern;
-pub mod provision;
 pub mod resources;
 #[doc(hidden)]
 pub mod sched;
@@ -32,9 +29,7 @@ pub mod trace;
 
 pub use activity::{ActivityGraph, ActivityId, ActivityKind, ActivityRef};
 pub use fault::{DegradedChannel, FaultEvent, FaultPlan, NodeCrash, Slowdown};
-pub use fs::{DfsSpec, FileSystem, LocalFsSpec, SharedFsSpec};
 pub use intern::Symbol;
-pub use provision::{MpiLauncher, NativeLauncher, Provisioner, YarnProvisioner};
 pub use sim::{ActivityResult, RefillMode, SimError, SimResult, Simulation};
 pub use topology::{ClusterSpec, NodeId, NodeSpec};
 pub use trace::UsageTrace;

@@ -29,7 +29,7 @@ pub struct ClusterSpec {
     /// All nodes, indexed by [`NodeId`].
     pub nodes: Vec<NodeSpec>,
     /// Aggregate bandwidth of the shared-filesystem server, bytes/second.
-    /// Used by [`crate::fs::SharedFsSpec`] reads.
+    /// Used by [`crate::ActivityKind::SharedRead`] activities.
     pub shared_fs_bps: f64,
 }
 

@@ -136,6 +136,27 @@ fn flag(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A regression-gate flag when present: `--alpha` must lie in (0, 1) and
+/// `--tolerance` must be finite and at least 0. NaN, infinite or negative
+/// values would switch the gate off or fail every run, so they are errors
+/// naming the flag.
+fn gate_flag(args: &[String], name: &str) -> Result<Option<f64>, String> {
+    let Some(text) = flag(args, name) else {
+        return Ok(None);
+    };
+    let value: f64 = text.parse().map_err(|e| format!("{name}: {e}"))?;
+    let (valid, range) = if name == "--alpha" {
+        (value > 0.0 && value < 1.0, "in (0, 1)")
+    } else {
+        (value.is_finite() && value >= 0.0, "finite and at least 0")
+    };
+    if valid {
+        Ok(Some(value))
+    } else {
+        Err(format!("{name} must be {range}, got `{text}`"))
+    }
+}
+
 /// The `index`-th positional argument: flags and the values that follow
 /// them are skipped, so `regression --tolerance 0.2 a.json b.json` yields
 /// `a.json` at index 0.
@@ -760,11 +781,11 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
                          [--scale-current <factor>]";
     let dir = positional(args, 0).ok_or(USAGE)?;
     let mut tol = Tolerance::default();
-    if let Some(v) = flag(args, "--tolerance") {
-        tol.rel = v.parse().map_err(|e| format!("--tolerance: {e}"))?;
+    if let Some(rel) = gate_flag(args, "--tolerance")? {
+        tol.rel = rel;
     }
-    if let Some(v) = flag(args, "--alpha") {
-        tol.alpha = v.parse().map_err(|e| format!("--alpha: {e}"))?;
+    if let Some(alpha) = gate_flag(args, "--alpha")? {
+        tol.alpha = alpha;
     }
     if let Some(v) = flag(args, "--window") {
         tol.window = v.parse().map_err(|e| format!("--window: {e}"))?;
@@ -880,10 +901,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 fn cmd_regression(args: &[String]) -> Result<(), String> {
     let baseline = positional(args, 0).ok_or("usage: regression <baseline> <candidate>")?;
     let candidate = positional(args, 1).ok_or("usage: regression <baseline> <candidate>")?;
-    let tolerance: f64 = flag(args, "--tolerance")
-        .map(|v| v.parse().map_err(|e| format!("--tolerance: {e}")))
-        .transpose()?
-        .unwrap_or(0.10);
+    let tolerance = gate_flag(args, "--tolerance")?.unwrap_or(0.10);
     let mut suite = RegressionSuite::new(tolerance);
     suite.add_baseline(load_archive(baseline)?);
     let cand = load_archive(candidate)?;

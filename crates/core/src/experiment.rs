@@ -392,9 +392,8 @@ mod tests {
             let healthy = run_experiment(platform, &graph, &cfg).unwrap();
             let plan = FaultPlan::new().crash(NodeId(2), healthy.run.makespan_us as f64 * 0.4);
             let engine = match platform.engine() {
-                Engine::Giraph(p) => Engine::Giraph(GiraphPlatform {
+                Engine::Giraph(_) => Engine::Giraph(GiraphPlatform {
                     checkpoint_interval: Some(2),
-                    ..p
                 }),
                 engine => engine,
             };

@@ -54,8 +54,6 @@ pub struct EvaluationProcess {
     pub model: PerformanceModel,
     /// Optional clock-skew correction applied before assembly.
     pub skew: SkewCorrector,
-    /// Retain raw log lines in the archive (bigger but self-describing).
-    pub keep_source_records: bool,
 }
 
 impl EvaluationProcess {
@@ -64,14 +62,7 @@ impl EvaluationProcess {
         EvaluationProcess {
             model,
             skew: SkewCorrector::new(),
-            keep_source_records: false,
         }
-    }
-
-    /// Enables raw source-record retention.
-    pub fn with_source_records(mut self) -> Self {
-        self.keep_source_records = true;
-        self
     }
 
     /// Runs P3 (archiving) over the output of a platform run (P2) and
@@ -93,12 +84,7 @@ impl EvaluationProcess {
         granula_trace::counter_add("archive.events_kept", events_kept as u64);
 
         // Assembly into one operation tree.
-        let assembler = if self.keep_source_records {
-            Assembler::new().with_source_records()
-        } else {
-            Assembler::new()
-        };
-        let outcome = assembler.assemble(events);
+        let outcome = Assembler::new().assemble(events);
         let mut tree = outcome.tree;
 
         // Derive metrics: durations everywhere, then the model's rules.

@@ -364,3 +364,105 @@ fn flags_before_positionals_parse_correctly() {
     assert!(String::from_utf8_lossy(&out.stdout).contains("PASS"));
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The committed six-run GRAPE history the `regress` gate reads.
+fn history_dir() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/fixtures/history")
+}
+
+/// Runs `granula-cli` and asserts it exits 1 with an error naming `flag`.
+fn assert_rejects_flag(args: &[&str], flag: &str) {
+    let out = cli().args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "{args:?} must exit 1: {}{stderr}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    assert!(stderr.contains(flag), "{args:?}: {stderr}");
+}
+
+#[test]
+fn regress_rejects_gate_flags_that_switch_the_gate_off() {
+    let dir = workdir("regress-gate-flags");
+    let history = history_dir();
+    let current = history.join("r6.gar");
+    let out = dir.join("regress.json");
+    let (history, current, out) = (
+        history.to_str().unwrap(),
+        current.to_str().unwrap(),
+        out.to_str().unwrap(),
+    );
+    for (flag, value) in [
+        ("--tolerance", "nan"),
+        ("--tolerance", "inf"),
+        ("--tolerance", "-0.5"),
+        ("--alpha", "nan"),
+        ("--alpha", "0"),
+        ("--alpha", "1"),
+        ("--alpha", "inf"),
+    ] {
+        assert_rejects_flag(
+            &[
+                "regress",
+                history,
+                "--current",
+                current,
+                "--scale-current",
+                "1.5",
+                "--out",
+                out,
+                flag,
+                value,
+            ],
+            flag,
+        );
+    }
+    // In-range values still gate: the +50 % slowdown is caught.
+    let caught = cli()
+        .args([
+            "regress",
+            history,
+            "--current",
+            current,
+            "--scale-current",
+            "1.5",
+            "--out",
+            out,
+            "--tolerance",
+            "0.02",
+            "--alpha",
+            "0.001",
+        ])
+        .output()
+        .unwrap();
+    assert!(!caught.status.success());
+    assert!(String::from_utf8_lossy(&caught.stdout).contains("verdict: regressed"));
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn regression_rejects_non_finite_or_negative_tolerance() {
+    let dir = workdir("gate-flags");
+    let baseline = run_job(&dir, "base", &[]);
+    let slower = run_job(&dir, "slower", &["--nodes", "4"]);
+    let (baseline, slower) = (baseline.to_str().unwrap(), slower.to_str().unwrap());
+    for value in ["nan", "inf", "-0.5"] {
+        assert_rejects_flag(
+            &["regression", baseline, slower, "--tolerance", value],
+            "--tolerance",
+        );
+    }
+    // A run compared with itself passes at tolerance 0.
+    let same = cli()
+        .args(["regression", baseline, baseline, "--tolerance", "0"])
+        .output()
+        .unwrap();
+    assert!(
+        same.status.success(),
+        "{}",
+        String::from_utf8_lossy(&same.stdout)
+    );
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -24,18 +24,6 @@ pub enum ResourceKind {
     Disk,
 }
 
-impl ResourceKind {
-    /// Canonical info-name suffix for the resource, e.g. `CpuSeries`.
-    pub fn series_name(self) -> &'static str {
-        match self {
-            ResourceKind::Cpu => "CpuSeries",
-            ResourceKind::Memory => "MemorySeries",
-            ResourceKind::Network => "NetworkSeries",
-            ResourceKind::Disk => "DiskSeries",
-        }
-    }
-}
-
 /// One environment-monitor sample.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ResourceSample {

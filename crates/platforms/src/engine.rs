@@ -10,8 +10,11 @@ use crate::{GiraphPlatform, GrapePlatform, GraphMatPlatform, GraphXPlatform, Pow
 
 /// One platform engine with its knobs. A study over engines and knobs is a
 /// list of these values, for example
-/// `Engine::Grape(GrapePlatform { partitioner: GrapePartitioner::Block, ..Default::default() })`
-/// or `Engine::Giraph(GiraphPlatform { checkpoint_interval: Some(2), ..Default::default() })`.
+/// `Engine::Grape(GrapePlatform { partitioner: GrapePartitioner::Block })`
+/// or `Engine::Giraph(GiraphPlatform { checkpoint_interval: Some(2) })`.
+/// GRAPE's partitioner, Giraph's checkpoint interval and PowerGraph's
+/// loader threads are the knobs; every other platform constant (startup
+/// and teardown latencies, failure detection, iteration caps) is fixed.
 ///
 /// Each knob struct documents how its engine recovers from a crash.
 #[derive(Debug, Clone)]

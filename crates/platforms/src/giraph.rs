@@ -15,9 +15,8 @@
 //! 4. simulates the DAG and emits Granula instrumentation events plus
 //!    environment samples through the shared driver skeleton (`job.rs`).
 
-use gpsim_cluster::{
-    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError, YarnProvisioner,
-};
+use gpsim_cluster::fs::{hdfs_read, hdfs_write};
+use gpsim_cluster::{ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError};
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
@@ -29,6 +28,29 @@ use crate::pregel::{self, SuperstepStats};
 
 /// Number of read→parse pipeline stages per worker during LoadGraph.
 const LOAD_CHUNKS: u32 = 8;
+
+/// Client ↔ ResourceManager negotiation latency, µs.
+const NEGOTIATION_US: f64 = 2.5e6;
+
+/// Per-container allocation latency, µs.
+const CONTAINER_ALLOC_US: f64 = 1.0e6;
+
+/// JVM startup per worker, µs.
+const JVM_STARTUP_US: f64 = 4.5e6;
+
+/// ZooKeeper registration per worker, µs.
+const ZK_REGISTER_US: f64 = 1.2e6;
+
+/// Cleanup stage latencies (AbortWorkers, ClientCleanup, ServerCleanup,
+/// ZkCleanup), µs.
+const CLEANUP_US: [f64; 4] = [2.0e6, 4.0e6, 5.0e6, 3.0e6];
+
+/// Superstep cap for convergent algorithms.
+const MAX_SUPERSTEPS: u32 = 10_000;
+
+/// YARN's backoff before it allocates the replacement for a lost worker's
+/// container (one failed allocation attempt), µs.
+const REPROVISION_BACKOFF_US: f64 = 1.5e6;
 
 /// Giraph-like platform: configuration knobs beyond the job's cost model.
 ///
@@ -46,46 +68,12 @@ const LOAD_CHUNKS: u32 = 8;
 /// Only the earliest crash in the plan is modeled; Giraph's single-failure
 /// recovery does not compose with further crashes, so later ones are
 /// dropped from the executed plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GiraphPlatform {
-    /// Client ↔ ResourceManager negotiation latency, µs.
-    pub negotiation_us: f64,
-    /// Per-container allocation latency, µs.
-    pub container_alloc_us: f64,
-    /// JVM startup per worker, µs.
-    pub jvm_startup_us: f64,
-    /// ZooKeeper registration per worker, µs.
-    pub zk_register_us: f64,
-    /// Cleanup stage latencies (AbortWorkers, ClientCleanup, ServerCleanup,
-    /// ZkCleanup), µs.
-    pub cleanup_us: [f64; 4],
-    /// HDFS-like storage.
-    pub fs: FileSystem,
-    /// Superstep cap for convergent algorithms.
-    pub max_supersteps: u32,
     /// Checkpoint every K supersteps (`None` disables checkpointing, the
     /// Giraph default). Required for worker-loss recovery: without a
     /// checkpoint the job reloads the input and replays from superstep 0.
     pub checkpoint_interval: Option<u32>,
-    /// Time for the master to notice a lost worker (missed ZooKeeper
-    /// heartbeats), µs.
-    pub failure_detect_us: f64,
-}
-
-impl Default for GiraphPlatform {
-    fn default() -> Self {
-        GiraphPlatform {
-            negotiation_us: 2.5e6,
-            container_alloc_us: 1.0e6,
-            jvm_startup_us: 4.5e6,
-            zk_register_us: 1.2e6,
-            cleanup_us: [2.0e6, 4.0e6, 5.0e6, 3.0e6],
-            fs: FileSystem::hdfs(),
-            max_supersteps: 10_000,
-            checkpoint_interval: None,
-            failure_detect_us: 2.0e6,
-        }
-    }
 }
 
 impl GiraphPlatform {
@@ -102,15 +90,15 @@ impl GiraphPlatform {
 
     /// Runs the vertex program over the hash partition and sizes each
     /// worker's share.
-    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout) {
         let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, supersteps) = {
             let _span = granula_trace::span!("platform", "giraph.vertex_program {}", cfg.job_id);
-            pregel::run_program(g, &part, cfg.algorithm, self.max_supersteps)
+            pregel::run_program(g, &part, cfg.algorithm, MAX_SUPERSTEPS)
         };
         let shards = Shards::new(g, cfg, |v| part.owner_of(v));
         let layout = Layout {
-            p: self,
+            checkpoint_interval: self.checkpoint_interval,
             supersteps,
             shards,
         };
@@ -118,10 +106,10 @@ impl GiraphPlatform {
     }
 }
 
-/// A Giraph job's layout inputs: the per-superstep counters and the
-/// per-worker sizes.
-pub(crate) struct Layout<'a> {
-    p: &'a GiraphPlatform,
+/// A Giraph job's layout inputs: the checkpoint cadence, the
+/// per-superstep counters and the per-worker sizes.
+pub(crate) struct Layout {
+    checkpoint_interval: Option<u32>,
     supersteps: Vec<SuperstepStats>,
     shards: Shards,
 }
@@ -132,10 +120,13 @@ const WORKER: (&str, &str) = ("Worker", "worker");
 /// Actor kind and process name of the master's operations on the head node.
 const MASTER: (&str, &str) = ("Master", "master");
 
-impl StepLayout for Layout<'_> {
+impl StepLayout for Layout {
     const NAME: &'static str = "giraph";
     const UNIT: &'static str = "ss";
     const RECOVERER: (&'static str, &'static str) = MASTER;
+    /// The master notices a lost worker through missed ZooKeeper
+    /// heartbeats.
+    const FAILURE_DETECT_US: f64 = 2.0e6;
 
     fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b> {
         let workers = InfoValue::Int(cfg.nodes as i64);
@@ -159,10 +150,6 @@ impl StepLayout for Layout<'_> {
 
     fn unit_id(&self, i: usize) -> u32 {
         self.supersteps[i].superstep
-    }
-
-    fn failure_detect_us(&self) -> f64 {
-        self.p.failure_detect_us
     }
 
     fn prologue(&self, b: &mut JobBuilder) -> ActivityId {
@@ -366,7 +353,7 @@ impl StepLayout for Layout<'_> {
     /// Checkpoint after superstep index `si` when the cadence says so
     /// (never after the final superstep — nothing is left to protect).
     fn after_step(&self, b: &mut JobBuilder, si: usize, prev: ActivityId) -> ActivityId {
-        match self.p.checkpoint_interval {
+        match self.checkpoint_interval {
             Some(kk)
                 if kk > 0
                     && (self.supersteps[si].superstep + 1).is_multiple_of(kk)
@@ -416,8 +403,7 @@ impl StepLayout for Layout<'_> {
     /// superstep, or from superstep 0 off the original input when the job
     /// never checkpointed.
     fn replay_from(&self, failed: usize) -> usize {
-        self.p
-            .checkpoint_interval
+        self.checkpoint_interval
             .filter(|&kk| kk > 0)
             .and_then(|kk| {
                 (0..failed)
@@ -439,15 +425,23 @@ impl StepLayout for Layout<'_> {
     ) -> ActivityId {
         let (cfg, cluster) = (b.cfg, b.cluster);
         let replay_from = self.replay_from(failed);
-        let provisioner = YarnProvisioner {
-            negotiation_us: self.p.negotiation_us,
-            container_alloc_us: self.p.container_alloc_us,
-            jvm_startup_us: self.p.jvm_startup_us,
-            zk_sync_us: self.p.zk_register_us,
-            ..YarnProvisioner::default()
-        };
-        let provisioned =
-            provisioner.reprovision(&mut b.dag, 1, &[detect], "job/proc/recovery/provision");
+        // Renegotiation with the ResourceManager, one backoff for the
+        // failed allocation attempt, then the replacement container's
+        // allocate → JVM launch → ZooKeeper registration chain.
+        let mut provisioned = detect;
+        for (duration_us, stage) in [
+            (NEGOTIATION_US, "renegotiate"),
+            (REPROVISION_BACKOFF_US, "backoff-0"),
+            (CONTAINER_ALLOC_US, "alloc"),
+            (JVM_STARTUP_US, "launch"),
+            (ZK_REGISTER_US, "zk-register"),
+        ] {
+            provisioned = b.dag.add(
+                ActivityKind::Delay { duration_us },
+                &[provisioned],
+                format!("job/proc/recovery/provision/{stage}"),
+            );
+        }
         b.specs
             .push(rec.op(b, "Provision", "0", "job/proc/recovery/provision/"));
         // All workers roll back: reload the checkpointed vertex state (or
@@ -461,7 +455,7 @@ impl StepLayout for Layout<'_> {
                 } else {
                     self.shards.input_bytes[w as usize]
                 };
-                self.p.fs.read(
+                hdfs_read(
                     cluster,
                     &mut b.dag,
                     NodeId(w),
@@ -504,13 +498,13 @@ fn compute_work(cfg: &JobConfig, stats: &pregel::WorkerSuperstep) -> f64 {
     work.max(1_000.0)
 }
 
-impl Layout<'_> {
+impl Layout {
     // -------------------------------------------------- Startup (L1)
     fn startup(&self, b: &mut JobBuilder) -> ActivityId {
         b.domain_op("Startup", "job/startup/", "client");
         let negotiate = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.negotiation_us,
+                duration_us: NEGOTIATION_US,
             },
             &[],
             "job/startup/jobstartup/negotiate",
@@ -531,21 +525,21 @@ impl Layout<'_> {
             let tagp = format!("job/startup/launch/w{w}/");
             let alloc = b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.p.container_alloc_us * (1.0 + 0.12 * w as f64),
+                    duration_us: CONTAINER_ALLOC_US * (1.0 + 0.12 * w as f64),
                 },
                 &[negotiate],
                 format!("{tagp}alloc"),
             );
             let jvm = b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.p.jvm_startup_us,
+                    duration_us: JVM_STARTUP_US,
                 },
                 &[alloc],
                 format!("{tagp}jvm"),
             );
             let zk = b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.p.zk_register_us,
+                    duration_us: ZK_REGISTER_US,
                 },
                 &[jvm],
                 format!("{tagp}zk"),
@@ -599,7 +593,7 @@ impl Layout<'_> {
             let mut prev_read = started;
             let mut prev_parse: Option<ActivityId> = None;
             for c in 0..LOAD_CHUNKS {
-                let read = self.p.fs.read(
+                let read = hdfs_read(
                     cluster,
                     &mut b.dag,
                     node,
@@ -659,7 +653,7 @@ impl Layout<'_> {
             )
             .with_info(
                 "IntervalSupersteps",
-                InfoValue::Int(self.p.checkpoint_interval.unwrap_or(0) as i64),
+                InfoValue::Int(self.checkpoint_interval.unwrap_or(0) as i64),
             ),
         );
         let writes: Vec<ActivityId> = (0..cfg.nodes)
@@ -667,7 +661,7 @@ impl Layout<'_> {
                 let bytes = self.shards.verts[w as usize] as f64
                     * cfg.costs.bytes_per_vertex_out
                     * cfg.scale_factor;
-                self.p.fs.write(
+                hdfs_write(
                     cluster,
                     &mut b.dag,
                     NodeId(w),
@@ -690,7 +684,7 @@ impl Layout<'_> {
             let bytes = self.shards.verts[w as usize] as f64
                 * cfg.costs.bytes_per_vertex_out
                 * cfg.scale_factor;
-            let write = self.p.fs.write(
+            let write = hdfs_write(
                 cluster,
                 &mut b.dag,
                 NodeId(w),
@@ -731,7 +725,7 @@ impl Layout<'_> {
             .map(|w| {
                 b.dag.add(
                     ActivityKind::Delay {
-                        duration_us: self.p.cleanup_us[0],
+                        duration_us: CLEANUP_US[0],
                     },
                     &[all_offloaded],
                     format!("job/cleanup/abort/w{w}"),
@@ -750,7 +744,7 @@ impl Layout<'_> {
             if i > 0 {
                 prev = b.dag.add(
                     ActivityKind::Delay {
-                        duration_us: self.p.cleanup_us[i],
+                        duration_us: CLEANUP_US[i],
                     },
                     &[prev],
                     tag,
@@ -895,7 +889,6 @@ mod tests {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GiraphPlatform {
             checkpoint_interval: Some(2),
-            ..GiraphPlatform::default()
         };
         let run = run(&p, &g, &cfg, &FaultPlan::new());
         let tree = Assembler::new().assemble(run.events).tree;
@@ -914,7 +907,6 @@ mod tests {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let p = GiraphPlatform {
             checkpoint_interval: Some(2),
-            ..GiraphPlatform::default()
         };
         let healthy = run(&p, &g, &cfg, &FaultPlan::new());
         let plan = FaultPlan::new().crash(NodeId(2), healthy.makespan_us as f64 * 0.5);
@@ -944,6 +936,20 @@ mod tests {
         for m in ["DetectFailure", "Provision", "LoadCheckpoint"] {
             assert!(tree.child_by_mission(recover, m).is_some(), "missing {m}");
         }
+        // Re-provisioning is renegotiation, one allocation backoff, and the
+        // replacement container's allocation, JVM launch and ZooKeeper
+        // registration, back to back.
+        let provision = tree.child_by_mission(recover, "Provision").unwrap();
+        let provision_us = tree.op(provision).duration_us().unwrap() as f64;
+        let chain_us = NEGOTIATION_US
+            + REPROVISION_BACKOFF_US
+            + CONTAINER_ALLOC_US
+            + JVM_STARTUP_US
+            + ZK_REGISTER_US;
+        assert!(
+            (provision_us - chain_us).abs() <= 1.0,
+            "Provision lasts {provision_us} µs, the chain {chain_us} µs"
+        );
         let n_replay = tree
             .children(recover)
             .filter(|o| o.mission.kind == "Replay")

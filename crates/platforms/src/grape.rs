@@ -70,6 +70,18 @@ impl GrapePartitioner {
     }
 }
 
+/// Coordinator + metadata-service startup latency, µs.
+const DEPLOY_US: f64 = 1.5e6;
+
+/// Per-worker process spawn latency, µs.
+const WORKER_LAUNCH_US: f64 = 0.4e6;
+
+/// Engine finalization latency, µs.
+const FINALIZE_US: f64 = 0.8e6;
+
+/// Round cap for convergent algorithms.
+const MAX_ROUNDS: u32 = 10_000;
+
 /// GRAPE-like platform: configuration knobs beyond the job's cost model.
 ///
 /// Under a fault plan ([`Engine::run`]), slowdown windows pass straight
@@ -87,30 +99,14 @@ impl GrapePartitioner {
 /// platforms).
 #[derive(Debug, Clone)]
 pub struct GrapePlatform {
-    /// Coordinator + metadata-service startup latency, µs.
-    pub deploy_us: f64,
-    /// Per-worker process spawn latency, µs.
-    pub worker_launch_us: f64,
-    /// Engine finalization latency, µs.
-    pub finalize_us: f64,
     /// Vertex-to-fragment assignment strategy.
     pub partitioner: GrapePartitioner,
-    /// Round cap for convergent algorithms.
-    pub max_rounds: u32,
-    /// Time for the coordinator to notice a lost worker (missed liveness
-    /// probes), µs.
-    pub failure_detect_us: f64,
 }
 
 impl Default for GrapePlatform {
     fn default() -> Self {
         GrapePlatform {
-            deploy_us: 1.5e6,
-            worker_launch_us: 0.4e6,
-            finalize_us: 0.8e6,
             partitioner: GrapePartitioner::Hash,
-            max_rounds: 10_000,
-            failure_detect_us: 1.5e6,
         }
     }
 }
@@ -376,15 +372,15 @@ impl GrapePlatform {
     }
 
     /// Runs the algorithm over the fragments and sizes each fragment.
-    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout) {
         let owner = self.partitioner.owners(g, cfg.nodes);
         let (output, rounds) = {
             let _span = granula_trace::span!("platform", "grape.eval {}", cfg.job_id);
-            run_program(g, &owner, cfg.nodes, cfg.algorithm, self.max_rounds)
+            run_program(g, &owner, cfg.nodes, cfg.algorithm, MAX_ROUNDS)
         };
         let shards = Shards::new(g, cfg, |v| owner[v as usize]);
         let layout = Layout {
-            p: self,
+            partitioner: self.partitioner,
             rounds,
             shards,
         };
@@ -392,10 +388,10 @@ impl GrapePlatform {
     }
 }
 
-/// A GRAPE job's layout inputs: the per-round counters and the
-/// per-fragment sizes.
-pub(crate) struct Layout<'a> {
-    p: &'a GrapePlatform,
+/// A GRAPE job's layout inputs: the partitioner, the per-round counters
+/// and the per-fragment sizes.
+pub(crate) struct Layout {
+    partitioner: GrapePartitioner,
     rounds: Vec<RoundStats>,
     shards: Shards,
 }
@@ -416,17 +412,20 @@ fn eval_work(cfg: &JobConfig, frag: &FragmentRound) -> f64 {
     work.max(400.0)
 }
 
-impl StepLayout for Layout<'_> {
+impl StepLayout for Layout {
     const NAME: &'static str = "grape";
     const UNIT: &'static str = "r";
     const RECOVERER: (&'static str, &'static str) = COORDINATOR;
+    /// The coordinator notices a lost worker through missed liveness
+    /// probes.
+    const FAILURE_DETECT_US: f64 = 1.5e6;
 
     fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b> {
         let infos = vec![
             ("Workers", InfoValue::Int(cfg.nodes as i64)),
             (
                 "Partitioner",
-                InfoValue::Text(self.p.partitioner.name().into()),
+                InfoValue::Text(self.partitioner.name().into()),
             ),
         ];
         JobBuilder::new(cfg, cluster, "GrapeJob", "coordinator", "Grape", infos)
@@ -442,10 +441,6 @@ impl StepLayout for Layout<'_> {
 
     fn unit_id(&self, i: usize) -> u32 {
         self.rounds[i].round
-    }
-
-    fn failure_detect_us(&self) -> f64 {
-        self.p.failure_detect_us
     }
 
     fn prologue(&self, b: &mut JobBuilder) -> ActivityId {
@@ -675,7 +670,7 @@ impl StepLayout for Layout<'_> {
         b.domain_op("Cleanup", "job/cleanup/", "coordinator");
         b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.finalize_us,
+                duration_us: FINALIZE_US,
             },
             &[offloaded],
             "job/cleanup/finalize",
@@ -689,13 +684,13 @@ impl StepLayout for Layout<'_> {
     }
 }
 
-impl Layout<'_> {
+impl Layout {
     // -------------------------------------------------- Startup (L1)
     fn startup(&self, b: &mut JobBuilder) -> ActivityId {
         b.domain_op("Startup", "job/startup/", "coordinator");
         let deploy = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.deploy_us,
+                duration_us: DEPLOY_US,
             },
             &[],
             "job/startup/coordinator",
@@ -720,7 +715,7 @@ impl Layout<'_> {
             let tag = format!("job/startup/deploy/w{w}");
             let launch = b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.p.worker_launch_us * (1.0 + 0.05 * w as f64),
+                    duration_us: WORKER_LAUNCH_US * (1.0 + 0.05 * w as f64),
                 },
                 &[deploy],
                 tag.clone(),
@@ -878,10 +873,7 @@ mod tests {
         ] {
             for partitioner in [GrapePartitioner::Hash, GrapePartitioner::Block] {
                 let (g, cfg) = job(algorithm);
-                let p = GrapePlatform {
-                    partitioner,
-                    ..GrapePlatform::default()
-                };
+                let p = GrapePlatform { partitioner };
                 let run = run(&p, &g, &cfg, &FaultPlan::new());
                 assert!(
                     run.output.matches(&reference_output(&g, algorithm)),
@@ -899,7 +891,6 @@ mod tests {
         let (g, cfg) = job(Algorithm::Bfs { source: 3 });
         let block = GrapePlatform {
             partitioner: GrapePartitioner::Block,
-            ..GrapePlatform::default()
         };
         let grape = run(&block, &g, &cfg, &FaultPlan::new());
         let giraph = Engine::Giraph(crate::giraph::GiraphPlatform::default())

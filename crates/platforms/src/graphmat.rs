@@ -18,37 +18,29 @@ use crate::job::{load_window_phases, JobBuilder, Shards};
 use crate::ops::OpSpec;
 use crate::spmv::{self, SpmvIteration};
 
-/// GraphMat-like platform configuration.
+/// `mpiexec` + daemon startup latency, µs.
+const MPIEXEC_US: f64 = 2.0e6;
+
+/// Per-rank handshake latency, µs.
+const PER_RANK_US: f64 = 0.15e6;
+
+/// MPI finalize latency, µs.
+const FINALIZE_US: f64 = 1.0e6;
+
+/// CPU work per edge for the format conversion, core-µs (GraphMat's
+/// conversion step is a large constant factor over reading).
+const CONVERT_US_PER_EDGE: f64 = 0.9;
+
+/// Iteration cap for convergent algorithms.
+const MAX_ITERATIONS: u32 = 10_000;
+
+/// GraphMat-like platform. It has no knobs: its latencies are constants.
 ///
 /// GraphMat's fault behavior is not modeled: under a non-empty fault plan
 /// [`Engine::run`](crate::Engine::run) returns
 /// [`SimError::FaultsNotModeled`](gpsim_cluster::SimError::FaultsNotModeled).
-#[derive(Debug, Clone)]
-pub struct GraphMatPlatform {
-    /// `mpiexec` + daemon startup latency, µs.
-    pub mpiexec_us: f64,
-    /// Per-rank handshake latency, µs.
-    pub per_rank_us: f64,
-    /// MPI finalize latency, µs.
-    pub finalize_us: f64,
-    /// CPU work per edge for the format conversion, core-µs (GraphMat's
-    /// conversion step is a large constant factor over reading).
-    pub convert_us_per_edge: f64,
-    /// Iteration cap for convergent algorithms.
-    pub max_iterations: u32,
-}
-
-impl Default for GraphMatPlatform {
-    fn default() -> Self {
-        GraphMatPlatform {
-            mpiexec_us: 2.0e6,
-            per_rank_us: 0.15e6,
-            finalize_us: 1.0e6,
-            convert_us_per_edge: 0.9,
-            max_iterations: 10_000,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct GraphMatPlatform {}
 
 fn run_program(
     g: &Graph,
@@ -121,7 +113,7 @@ impl GraphMatPlatform {
         let costs = &cfg.costs;
         let scale = cfg.scale_factor;
         let part = BlockPartition::by_edges(g, k);
-        let (output, iterations) = run_program(g, &part, cfg.algorithm, self.max_iterations);
+        let (output, iterations) = run_program(g, &part, cfg.algorithm, MAX_ITERATIONS);
         let shards = Shards::new(g, cfg, |v| part.owner_of(v));
 
         let ranks = InfoValue::Int(k as i64);
@@ -139,7 +131,7 @@ impl GraphMatPlatform {
         b.domain_op("Startup", "job/startup/", "mpiexec");
         let mpiexec = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.mpiexec_us,
+                duration_us: MPIEXEC_US,
             },
             &[],
             "job/startup/mpi/daemon",
@@ -148,7 +140,7 @@ impl GraphMatPlatform {
         for m in 0..k {
             ranks.push(b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.per_rank_us,
+                    duration_us: PER_RANK_US,
                 },
                 &[mpiexec],
                 format!("job/startup/mpi/rank-{m}"),
@@ -214,9 +206,7 @@ impl GraphMatPlatform {
             let convert = b.dag.add(
                 ActivityKind::Compute {
                     node: NodeId(m),
-                    work_core_us: shards.edges[m as usize] as f64
-                        * scale
-                        * self.convert_us_per_edge,
+                    work_core_us: shards.edges[m as usize] as f64 * scale * CONVERT_US_PER_EDGE,
                     parallelism: costs.worker_threads,
                 },
                 &[parse],
@@ -398,7 +388,7 @@ impl GraphMatPlatform {
         b.domain_op("Cleanup", "job/cleanup/", "mpiexec");
         b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.finalize_us,
+                duration_us: FINALIZE_US,
             },
             &[all_offloaded],
             "job/cleanup/finalize",

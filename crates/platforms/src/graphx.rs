@@ -23,9 +23,8 @@
 //! then re-runs the interrupted stage pair. This contrasts with Giraph's
 //! checkpoint/replay and PowerGraph's fail-stop restart.
 
-use gpsim_cluster::{
-    ActivityId, ActivityKind, ClusterSpec, FaultPlan, FileSystem, NodeId, SimError,
-};
+use gpsim_cluster::fs::{hdfs_read, hdfs_write};
+use gpsim_cluster::{ActivityId, ActivityKind, ClusterSpec, FaultPlan, NodeId, SimError};
 use gpsim_graph::{EdgeCutPartition, Graph};
 use granula_model::{Actor, InfoValue, Mission};
 
@@ -35,7 +34,19 @@ use crate::job::{JobBuilder, Recovery, Shards, StepLayout};
 use crate::ops::OpSpec;
 use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 
-/// GraphX-like platform: configuration knobs beyond the job's cost model.
+/// Spark context + driver JVM startup latency, µs.
+const DRIVER_STARTUP_US: f64 = 3.0e6;
+
+/// Per-executor container + JVM launch latency, µs.
+const EXECUTOR_LAUNCH_US: f64 = 2.5e6;
+
+/// Driver task-scheduling latency per stage, µs.
+const TASK_SCHED_US: f64 = 120_000.0;
+
+/// Iteration cap for convergent algorithms.
+const MAX_ITERATIONS: u32 = 10_000;
+
+/// GraphX-like platform. It has no knobs: its latencies are constants.
 ///
 /// Under a fault plan ([`Engine::run`]), slowdown windows pass straight
 /// through to the simulator. A node crash triggers Spark's lineage
@@ -51,35 +62,8 @@ use crate::pregel::{self, SuperstepStats, WorkerSuperstep};
 /// Only the earliest crash in the plan is modeled; later crashes are
 /// dropped from the executed plan (single-failure model, as for the other
 /// platforms).
-#[derive(Debug, Clone)]
-pub struct GraphXPlatform {
-    /// Spark context + driver JVM startup latency, µs.
-    pub driver_startup_us: f64,
-    /// Per-executor container + JVM launch latency, µs.
-    pub executor_launch_us: f64,
-    /// Driver task-scheduling latency per stage, µs.
-    pub task_sched_us: f64,
-    /// HDFS-like storage.
-    pub fs: FileSystem,
-    /// Iteration cap for convergent algorithms.
-    pub max_iterations: u32,
-    /// Time for the driver to notice a lost executor (missed heartbeats),
-    /// µs.
-    pub failure_detect_us: f64,
-}
-
-impl Default for GraphXPlatform {
-    fn default() -> Self {
-        GraphXPlatform {
-            driver_startup_us: 3.0e6,
-            executor_launch_us: 2.5e6,
-            task_sched_us: 120_000.0,
-            fs: FileSystem::hdfs(),
-            max_iterations: 10_000,
-            failure_detect_us: 2.0e6,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct GraphXPlatform {}
 
 impl GraphXPlatform {
     /// Runs a job on an explicit cluster with no faults: [`Engine::run`]
@@ -95,14 +79,13 @@ impl GraphXPlatform {
 
     /// Runs the vertex program over the hash partition and sizes each
     /// executor's share.
-    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout<'_>) {
+    pub(crate) fn layout(&self, g: &Graph, cfg: &JobConfig) -> (AlgorithmOutput, Layout) {
         let part = EdgeCutPartition::hash(g.num_vertices(), cfg.nodes);
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "graphx.vertex_program {}", cfg.job_id);
-            pregel::run_program(g, &part, cfg.algorithm, self.max_iterations)
+            pregel::run_program(g, &part, cfg.algorithm, MAX_ITERATIONS)
         };
         let layout = Layout {
-            p: self,
             iterations,
             shards: Shards::new(g, cfg, |v| part.owner_of(v)),
         };
@@ -112,8 +95,7 @@ impl GraphXPlatform {
 
 /// A GraphX job's layout inputs: the per-iteration counters and the
 /// per-executor sizes.
-pub(crate) struct Layout<'a> {
-    p: &'a GraphXPlatform,
+pub(crate) struct Layout {
     iterations: Vec<SuperstepStats>,
     shards: Shards,
 }
@@ -134,10 +116,12 @@ fn map_work(cfg: &JobConfig, stats: &WorkerSuperstep) -> f64 {
     work.max(500.0)
 }
 
-impl StepLayout for Layout<'_> {
+impl StepLayout for Layout {
     const NAME: &'static str = "graphx";
     const UNIT: &'static str = "it";
     const RECOVERER: (&'static str, &'static str) = DRIVER;
+    /// The driver notices a lost executor through missed heartbeats.
+    const FAILURE_DETECT_US: f64 = 2.0e6;
 
     fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b> {
         let executors = InfoValue::Int(cfg.nodes as i64);
@@ -161,10 +145,6 @@ impl StepLayout for Layout<'_> {
 
     fn unit_id(&self, i: usize) -> u32 {
         self.iterations[i].superstep
-    }
-
-    fn failure_detect_us(&self) -> f64 {
-        self.p.failure_detect_us
     }
 
     fn prologue(&self, b: &mut JobBuilder) -> ActivityId {
@@ -218,7 +198,7 @@ impl StepLayout for Layout<'_> {
         // The driver plans the stage pair's tasks before executors start.
         let sched = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.task_sched_us,
+                duration_us: TASK_SCHED_US,
             },
             &[prev_barrier],
             format!("{it_tag}sched"),
@@ -341,7 +321,7 @@ impl StepLayout for Layout<'_> {
         ));
         let sched = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.task_sched_us,
+                duration_us: TASK_SCHED_US,
             },
             &[prev_barrier],
             format!("{tag}try/sched"),
@@ -380,14 +360,14 @@ impl StepLayout for Layout<'_> {
         let lw = lost.0 as usize;
         let relaunch = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.executor_launch_us,
+                duration_us: EXECUTOR_LAUNCH_US,
             },
             &[detect],
             "job/proc/recovery/resched/exec",
         );
         let mut prev = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.task_sched_us * 2.0,
+                duration_us: TASK_SCHED_US * 2.0,
             },
             &[relaunch],
             "job/proc/recovery/resched/plan",
@@ -400,7 +380,7 @@ impl StepLayout for Layout<'_> {
             let mut deps = vec![prev];
             if ii == 0 {
                 let input_bytes = self.shards.input_bytes[lw];
-                let reread = self.p.fs.read(
+                let reread = hdfs_read(
                     cluster,
                     &mut b.dag,
                     lost,
@@ -469,7 +449,7 @@ impl StepLayout for Layout<'_> {
         b.domain_op("Cleanup", "job/cleanup/", "driver");
         b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us * 0.4,
+                duration_us: DRIVER_STARTUP_US * 0.4,
             },
             &[offloaded],
             "job/cleanup/stop",
@@ -483,13 +463,13 @@ impl StepLayout for Layout<'_> {
     }
 }
 
-impl Layout<'_> {
+impl Layout {
     // -------------------------------------------------- Startup (L1)
     fn startup(&self, b: &mut JobBuilder) -> ActivityId {
         b.domain_op("Startup", "job/startup/", "driver");
         let driver = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.driver_startup_us,
+                duration_us: DRIVER_STARTUP_US,
             },
             &[],
             "job/startup/driver",
@@ -510,7 +490,7 @@ impl Layout<'_> {
             let tag = format!("job/startup/exec/w{w}");
             let launch = b.dag.add(
                 ActivityKind::Delay {
-                    duration_us: self.p.executor_launch_us * (1.0 + 0.08 * w as f64),
+                    duration_us: EXECUTOR_LAUNCH_US * (1.0 + 0.08 * w as f64),
                 },
                 &[driver],
                 tag.clone(),
@@ -556,7 +536,7 @@ impl Layout<'_> {
                     InfoValue::Int(input_bytes[w as usize].round() as i64),
                 ),
             );
-            let read = self.p.fs.read(
+            let read = hdfs_read(
                 cluster,
                 &mut b.dag,
                 node,
@@ -647,7 +627,7 @@ impl Layout<'_> {
             let bytes = self.shards.verts[w as usize] as f64
                 * cfg.costs.bytes_per_vertex_out
                 * cfg.scale_factor;
-            let write = self.p.fs.write(
+            let write = hdfs_write(
                 cluster,
                 &mut b.dag,
                 NodeId(w),

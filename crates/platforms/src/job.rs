@@ -379,6 +379,8 @@ pub(crate) trait StepLayout {
     /// The head node's actor kind and process name, which own the
     /// `Recover` operation.
     const RECOVERER: (&'static str, &'static str);
+    /// Time for the platform to notice a lost worker, µs.
+    const FAILURE_DETECT_US: f64;
 
     /// A builder holding the job's root operation.
     fn builder<'b>(&self, cfg: &'b JobConfig, cluster: &'b ClusterSpec) -> JobBuilder<'b>;
@@ -388,8 +390,6 @@ pub(crate) trait StepLayout {
     fn units(&self) -> usize;
     /// Superstep / round / iteration number of unit `i`.
     fn unit_id(&self, i: usize) -> u32;
-    /// Time for the platform to notice a lost worker, µs.
-    fn failure_detect_us(&self) -> f64;
 
     /// Startup, load and the `ProcessGraph` operation; returns the
     /// barrier the first unit waits on.
@@ -514,7 +514,7 @@ pub(crate) fn run_steps<L: StepLayout>(
     layout.doomed(&mut b, failed, prev);
     let rec = Recovery::new(L::RECOVERER, crash.node);
     let parent = b.domain("ProcessGraph");
-    let detect_us = layout.failure_detect_us();
+    let detect_us = L::FAILURE_DETECT_US;
     let detect = rec.head(
         &mut b,
         parent,

@@ -24,6 +24,22 @@ use crate::ops::OpSpec;
 /// Pipeline stages of the sequential loader (read chunk ↔ parse chunk).
 const LOAD_CHUNKS: u32 = 16;
 
+/// `mpirun` + daemon startup latency, µs.
+const MPIRUN_US: f64 = 4.0e6;
+
+/// Per-rank handshake latency, µs.
+const PER_RANK_US: f64 = 0.2e6;
+
+/// MPI finalize latency, µs.
+const FINALIZE_US: f64 = 3.0e6;
+
+/// Iteration cap for convergent algorithms.
+const MAX_ITERATIONS: u32 = 10_000;
+
+/// Time for the MPI runtime to notice a dead rank and abort the job
+/// (fail-stop), µs.
+const FAILURE_DETECT_US: f64 = 2.0e6;
+
 /// PowerGraph-like platform configuration.
 ///
 /// Under a fault plan ([`Engine::run`]): PowerGraph has no checkpointing.
@@ -39,32 +55,14 @@ const LOAD_CHUNKS: u32 = 16;
 /// crashes are dropped from the executed plan.
 #[derive(Debug, Clone)]
 pub struct PowerGraphPlatform {
-    /// `mpirun` + daemon startup latency, µs.
-    pub mpirun_us: f64,
-    /// Per-rank handshake latency, µs.
-    pub per_rank_us: f64,
-    /// MPI finalize latency, µs.
-    pub finalize_us: f64,
     /// Parallelism of the sequential loader (PowerGraph's text parser is
     /// effectively single-threaded; 1-2 threads).
     pub loader_threads: u32,
-    /// Iteration cap for convergent algorithms.
-    pub max_iterations: u32,
-    /// Time for the MPI runtime to notice a dead rank and abort the job
-    /// (fail-stop), µs.
-    pub failure_detect_us: f64,
 }
 
 impl Default for PowerGraphPlatform {
     fn default() -> Self {
-        PowerGraphPlatform {
-            mpirun_us: 4.0e6,
-            per_rank_us: 0.2e6,
-            finalize_us: 3.0e6,
-            loader_threads: 2,
-            max_iterations: 10_000,
-            failure_detect_us: 2.0e6,
-        }
+        PowerGraphPlatform { loader_threads: 2 }
     }
 }
 
@@ -133,11 +131,11 @@ impl PowerGraphPlatform {
 
     /// Partitions, runs the GAS program and lays out the first attempt.
     pub(crate) fn first_attempt<'a>(
-        &'a self,
+        &self,
         g: &Graph,
         cfg: &'a JobConfig,
         cluster: &'a ClusterSpec,
-    ) -> (AlgorithmOutput, Layout<'a>, JobBuilder<'a>) {
+    ) -> (AlgorithmOutput, Layout, JobBuilder<'a>) {
         let k = cfg.nodes;
 
         let part = {
@@ -146,7 +144,7 @@ impl PowerGraphPlatform {
         };
         let (output, iterations) = {
             let _span = granula_trace::span!("platform", "powergraph.gas_program {}", cfg.job_id);
-            run_program(g, &part, cfg.algorithm, self.max_iterations)
+            run_program(g, &part, cfg.algorithm, MAX_ITERATIONS)
         };
 
         // Per-machine sizes.
@@ -155,7 +153,7 @@ impl PowerGraphPlatform {
             masters[part.master_of(v) as usize] += 1;
         }
         let layout = Layout {
-            p: self,
+            loader_threads: self.loader_threads,
             iterations,
             edge_sizes: part.sizes(),
             masters,
@@ -178,15 +176,15 @@ impl PowerGraphPlatform {
 
 /// A PowerGraph job's layout inputs; the fail-stop path lays out two
 /// attempts into the same graph.
-pub(crate) struct Layout<'a> {
-    p: &'a PowerGraphPlatform,
+pub(crate) struct Layout {
+    loader_threads: u32,
     pub(crate) iterations: Vec<IterationStats>,
     edge_sizes: Vec<u64>,
     masters: Vec<u64>,
     total_bytes: f64,
 }
 
-impl Layout<'_> {
+impl Layout {
     /// PowerGraph's fail-stop restart: turns the first attempt in `b` into
     /// the aborted attempt plus the resubmitted job when `plan` holds a
     /// crash, and returns the plan the simulator then executes. `None`
@@ -231,7 +229,7 @@ impl Layout<'_> {
         // first attempt is wasted.
         let rec = Recovery::new(("Master", "mpirun"), crash.node);
         let job_key = b.job_key.clone();
-        let detect_us = self.p.failure_detect_us;
+        let detect_us = FAILURE_DETECT_US;
         let detect = rec.head(b, job_key, "job/fail/", t_eff, t_eff, detect_us);
         let respawned = self.mpi_setup(b, "job/fail/respawn/", &[detect]);
         b.specs.push(rec.op(b, "Respawn", "0", "job/fail/respawn/"));
@@ -249,7 +247,7 @@ impl Layout<'_> {
     fn mpi_setup(&self, b: &mut JobBuilder, tag: &str, deps: &[ActivityId]) -> ActivityId {
         let mpirun = b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.mpirun_us,
+                duration_us: MPIRUN_US,
             },
             deps,
             format!("{tag}mpi/daemon"),
@@ -258,7 +256,7 @@ impl Layout<'_> {
             .map(|m| {
                 b.dag.add(
                     ActivityKind::Delay {
-                        duration_us: self.p.per_rank_us,
+                        duration_us: PER_RANK_US,
                     },
                     &[mpirun],
                     format!("{tag}mpi/rank-{m}"),
@@ -351,7 +349,7 @@ impl Layout<'_> {
                 ActivityKind::Compute {
                     node: NodeId(0),
                     work_core_us: chunk * costs.parse_cpu_us_per_byte,
-                    parallelism: self.p.loader_threads,
+                    parallelism: self.loader_threads,
                 },
                 &deps,
                 format!("{prefix}load/seq/parse/c{c}"),
@@ -644,7 +642,7 @@ impl Layout<'_> {
         ));
         b.dag.add(
             ActivityKind::Delay {
-                duration_us: self.p.finalize_us,
+                duration_us: FINALIZE_US,
             },
             &[all_offloaded],
             format!("{prefix}cleanup/finalize"),

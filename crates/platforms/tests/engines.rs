@@ -65,7 +65,6 @@ fn arb_checkpoint_interval() -> impl Strategy<Value = Option<u32>> {
 fn giraph(checkpoint_interval: Option<u32>) -> Engine {
     Engine::Giraph(GiraphPlatform {
         checkpoint_interval,
-        ..GiraphPlatform::default()
     })
 }
 

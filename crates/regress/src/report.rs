@@ -75,13 +75,6 @@ pub struct RegressReport {
     pub verdict: Status,
 }
 
-impl RegressReport {
-    /// Metrics with the given status.
-    pub fn with_status(&self, status: Status) -> impl Iterator<Item = &MetricReport> {
-        self.metrics.iter().filter(move |m| m.status == status)
-    }
-}
-
 /// A metric series paired with its detection — the unit the trend charts
 /// render.
 #[derive(Debug, Clone, PartialEq)]

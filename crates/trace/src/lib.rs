@@ -133,11 +133,6 @@ pub fn take_spans() -> Vec<SpanRecord> {
     std::mem::take(&mut *SPANS.lock().expect("span sink poisoned"))
 }
 
-/// Clone all completed spans without draining them.
-pub fn snapshot_spans() -> Vec<SpanRecord> {
-    SPANS.lock().expect("span sink poisoned").clone()
-}
-
 /// Add `delta` to the named counter. No-op while disabled.
 pub fn counter_add(name: &str, delta: u64) {
     if !enabled() {

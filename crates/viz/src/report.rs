@@ -1,7 +1,7 @@
 //! Self-contained HTML report for one archive: the shareable artifact of
 //! the visualization stage.
 
-use granula_archive::{JobArchive, ServeSnapshot};
+use granula_archive::JobArchive;
 use granula_monitor::{EnvLog, ResourceKind};
 
 use crate::breakdown::{BreakdownChart, BreakdownRow};
@@ -133,45 +133,6 @@ pub fn html_report(archive: &JobArchive, env: &EnvLog) -> String {
     html
 }
 
-/// Renders a daemon's `STAT` snapshot (`granula-cli serve`) as a small
-/// self-contained HTML status panel: fleet shape, cache effectiveness,
-/// admission/eviction pressure. Feed it the JSON-decoded
-/// [`ServeSnapshot`] a `STAT` round trip returns.
-pub fn serve_status_html(snapshot: &ServeSnapshot) -> String {
-    let probes = snapshot.cache_hits + snapshot.cache_misses;
-    let hit_rate = if probes == 0 {
-        0.0
-    } else {
-        100.0 * snapshot.cache_hits as f64 / probes as f64
-    };
-    let mut html = String::new();
-    html.push_str("<section class=\"serve-status\">\n<h2>Archive daemon status</h2>\n");
-    html.push_str(&format!(
-        "<p><b>{}</b> jobs over <b>{}</b> shards, {} resident (decoded) — \
-         {} generation swaps published.</p>\n",
-        snapshot.jobs, snapshot.shards, snapshot.resident_jobs, snapshot.swaps,
-    ));
-    html.push_str("<table border=\"1\" cellpadding=\"4\" cellspacing=\"0\">\n");
-    html.push_str("<tr><th>counter</th><th>value</th></tr>\n");
-    for (name, value) in [
-        ("queries", snapshot.queries),
-        ("batches", snapshot.batches),
-        ("result-cache hits", snapshot.cache_hits),
-        ("result-cache misses", snapshot.cache_misses),
-        ("result evictions", snapshot.result_evictions),
-        ("job admissions", snapshot.admissions),
-        ("resident evictions", snapshot.resident_evictions),
-        ("decode races", snapshot.decode_races),
-    ] {
-        html.push_str(&format!("<tr><td>{name}</td><td>{value}</td></tr>\n"));
-    }
-    html.push_str("</table>\n");
-    html.push_str(&format!(
-        "<p>Result-cache hit rate: <b>{hit_rate:.1}%</b> over {probes} probes.</p>\n</section>\n"
-    ));
-    html
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -253,30 +214,5 @@ mod tests {
         });
         let html = html_report(&archive(), &e);
         assert!(html.contains("Memory (RSS) per node"));
-    }
-
-    #[test]
-    fn serve_status_panel_reports_counters_and_hit_rate() {
-        let snapshot = ServeSnapshot {
-            queries: 100,
-            batches: 20,
-            cache_hits: 75,
-            cache_misses: 25,
-            admissions: 5,
-            swaps: 2,
-            jobs: 8,
-            shards: 4,
-            resident_jobs: 3,
-            ..ServeSnapshot::default()
-        };
-        let html = serve_status_html(&snapshot);
-        assert!(html.contains("Archive daemon status"));
-        assert!(html.contains("<b>8</b> jobs over <b>4</b> shards"));
-        assert!(html.contains("75.0%"));
-        assert!(html.contains("<td>decode races</td><td>0</td>"));
-
-        // No probes yet: the rate degrades to zero, not NaN.
-        let cold = serve_status_html(&ServeSnapshot::default());
-        assert!(cold.contains("0.0%"));
     }
 }

@@ -90,7 +90,6 @@ fn giraph_fault_runs_are_bit_identical() {
 fn giraph_checkpointed_fault_runs_are_bit_identical() {
     let engine = Engine::Giraph(GiraphPlatform {
         checkpoint_interval: Some(2),
-        ..GiraphPlatform::default()
     });
     assert_digests(
         "giraph checkpoint_interval=2",

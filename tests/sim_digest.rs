@@ -152,10 +152,7 @@ const PINNED_MATRIX32_GRAPHX: [(u64, u64); 2] = [
 
 /// The GRAPE engine under `partitioner`.
 fn grape(partitioner: GrapePartitioner) -> Engine {
-    Engine::Grape(GrapePlatform {
-        partitioner,
-        ..GrapePlatform::default()
-    })
+    Engine::Grape(GrapePlatform { partitioner })
 }
 
 /// Runs one matrix32 row, BFS then PageRank-10, configured as
