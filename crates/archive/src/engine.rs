@@ -1,507 +1,51 @@
-//! The serving layer: an [`ArchiveStore`] wrapped with per-archive
-//! secondary indexes, a query planner, and a bounded LRU result cache.
+//! The in-process reference that perfbench's `serve_mixed` workload
+//! checks the daemon's answers against.
 //!
-//! The paper's archive is the artifact analysts interrogate *repeatedly*
-//! (§3.3); GiViP serves many interactive queries over one collected
-//! profile the same way. This engine makes the repeated-query path cheap:
-//!
-//! 1. indexes are built once, at [`add`](QueryEngine::add) /
-//!    [`upsert`](QueryEngine::upsert) / [`load`](QueryEngine::load) time;
-//! 2. each query is routed by the [`TreeIndex::plan`] planner to the
-//!    smallest candidate list (mission-kind, actor-kind, or interval
-//!    index) and falls back to the linear scans of [`crate::query`] when
-//!    nothing applies;
-//! 3. results are memoized in an LRU cache keyed by
-//!    `(job, mode, canonical query text)` and invalidated per job on
-//!    `add`/`upsert`.
-//!
-//! Indexed evaluation is observationally identical to the scans — same
-//! ids, same (ascending) order — which the differential proptest suite
-//! (`crates/archive/tests/differential.rs`) locks in.
+//! [`QueryEngine`] exists only for that reference: it holds an eagerly
+//! loaded store and one [`TreeIndex`] per job, and answers through the
+//! shared evaluation function [`TreeIndex::evaluate`], with no result
+//! cache and no mutation. Every other caller — the CLI, the regression
+//! history, the daemon — queries through [`crate::shard::ShardedEngine`].
+//! When perfbench's reference moves onto that engine, this module goes.
 
-use std::collections::HashMap;
 use std::path::Path;
-use std::sync::Arc;
 
-use granula_model::{OpId, OperationTree};
+use granula_model::OpId;
 
-use crate::archive::JobArchive;
 use crate::binfmt::BinError;
-use crate::index::{QueryPlan, TreeIndex};
-use crate::lru::LruMap;
-use crate::query::Query;
-use crate::store::{ArchiveStore, DuplicateJobId};
+use crate::index::TreeIndex;
+use crate::query::{Query, QueryMode};
+use crate::store::ArchiveStore;
 
-/// How a query's path segments anchor to the tree.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryMode {
-    /// Absolute path from the root ([`Query::select`] semantics).
-    Select,
-    /// Last segment anywhere, ancestors above it ([`Query::find_all`]).
-    FindAll,
-}
-
-/// Cache/plan counters, reported by `granula-cli archive stat`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Queries answered from the result cache.
-    pub cache_hits: u64,
-    /// Queries that had to be evaluated.
-    pub cache_misses: u64,
-    /// Cached results evicted by the LRU bound.
-    pub evictions: u64,
-    /// Cached results dropped by `add`/`upsert` invalidation.
-    pub invalidations: u64,
-    /// Evaluations routed through an index.
-    pub indexed_queries: u64,
-    /// Evaluations that fell back to the linear scan.
-    pub scan_queries: u64,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct CacheKey {
-    job_id: String,
-    mode: QueryMode,
-    /// Canonical (lossless [`std::fmt::Display`]) query text.
-    query: String,
-}
-
-/// Bounded LRU memo of query results, backed by the ordered
-/// [`LruMap`]: victim selection is O(log capacity) instead of the
-/// per-insert full scan (and double hash lookup) the first version paid.
-/// The serving layer keeps one of these per shard, which puts `put` on
-/// the miss path of every shard — see `crates/archive/src/lru.rs`.
-#[derive(Debug)]
-struct QueryCache {
-    entries: LruMap<CacheKey, Arc<Vec<OpId>>>,
-}
-
-impl QueryCache {
-    fn new(capacity: usize) -> Self {
-        QueryCache {
-            entries: LruMap::new(capacity),
-        }
-    }
-
-    fn get(&mut self, key: &CacheKey) -> Option<Arc<Vec<OpId>>> {
-        self.entries.get(key).map(Arc::clone)
-    }
-
-    /// Inserts, returning `true` when an entry was evicted to make room.
-    fn put(&mut self, key: CacheKey, result: Arc<Vec<OpId>>) -> bool {
-        self.entries.insert(key, result)
-    }
-
-    /// Drops every cached result for one job; returns how many.
-    fn invalidate_job(&mut self, job_id: &str) -> u64 {
-        self.entries.retain(|k, _| k.job_id != job_id) as u64
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-/// Default result-cache capacity (entries, not bytes: archive query
-/// results are id lists, small relative to the archives themselves).
-pub const DEFAULT_CACHE_CAPACITY: usize = 256;
-
-/// An indexed, cached, persistable archive query engine.
+/// A loaded store with one index per job.
 #[derive(Debug)]
 pub struct QueryEngine {
     store: ArchiveStore,
-    indexes: HashMap<String, TreeIndex>,
-    cache: QueryCache,
-    stats: EngineStats,
-}
-
-impl Default for QueryEngine {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// One index per archive, in store order.
+    indexes: Vec<TreeIndex>,
 }
 
 impl QueryEngine {
-    /// An empty engine with the default cache capacity.
-    pub fn new() -> Self {
-        Self::with_cache_capacity(DEFAULT_CACHE_CAPACITY)
-    }
-
-    /// An empty engine with an explicit cache bound.
-    pub fn with_cache_capacity(capacity: usize) -> Self {
-        QueryEngine {
-            store: ArchiveStore::new(),
-            indexes: HashMap::new(),
-            cache: QueryCache::new(capacity),
-            stats: EngineStats::default(),
-        }
-    }
-
-    /// Wraps an existing store, indexing every archive.
-    pub fn from_store(store: ArchiveStore) -> Self {
-        let mut engine = Self::new();
-        for archive in store.iter() {
-            engine
-                .indexes
-                .insert(archive.meta.job_id.clone(), TreeIndex::build(&archive.tree));
-        }
-        engine.store = store;
-        engine
-    }
-
-    /// Loads a persisted store ([`ArchiveStore::save`]) and indexes it.
+    /// Loads a persisted store ([`ArchiveStore::load`]) and indexes it.
     pub fn load(path: impl AsRef<Path>) -> Result<Self, BinError> {
-        Ok(Self::from_store(ArchiveStore::load(path)?))
+        let store = ArchiveStore::load(path)?;
+        let indexes = store.iter().map(|a| TreeIndex::build(&a.tree)).collect();
+        Ok(QueryEngine { store, indexes })
     }
 
-    /// Persists the underlying store in the binary format. Indexes and
-    /// cache are *not* serialized — they are derived state, rebuilt on
-    /// [`load`](Self::load).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), BinError> {
-        self.store.save(path)
-    }
-
-    /// The wrapped store (read-only; mutations must go through the engine
-    /// so indexes and cache stay consistent).
+    /// The loaded store.
     pub fn store(&self) -> &ArchiveStore {
         &self.store
     }
 
-    /// Adds an archive, building its index and invalidating any cached
-    /// results under the same job id (a failed add changes nothing).
-    pub fn add(&mut self, archive: JobArchive) -> Result<(), DuplicateJobId> {
-        let job_id = archive.meta.job_id.clone();
-        let index = TreeIndex::build(&archive.tree);
-        self.store.add(archive)?;
-        self.indexes.insert(job_id.clone(), index);
-        self.stats.invalidations += self.cache.invalidate_job(&job_id);
-        Ok(())
-    }
-
-    /// Adds or replaces an archive; cached results for the job id are
-    /// invalidated and its index rebuilt.
-    pub fn upsert(&mut self, archive: JobArchive) -> Option<JobArchive> {
-        let job_id = archive.meta.job_id.clone();
-        let index = TreeIndex::build(&archive.tree);
-        let replaced = self.store.upsert(archive);
-        self.indexes.insert(job_id.clone(), index);
-        self.stats.invalidations += self.cache.invalidate_job(&job_id);
-        replaced
-    }
-
-    /// The index of one archive, if the job id is known.
-    pub fn index(&self, job_id: &str) -> Option<&TreeIndex> {
-        self.indexes.get(job_id)
-    }
-
-    /// The plan the engine would use for `query` on `job_id` in `mode`.
-    pub fn explain(&self, job_id: &str, query: &Query, mode: QueryMode) -> Option<QueryPlan> {
-        self.indexes
-            .get(job_id)
-            .map(|idx| idx.plan_for(query, mode))
-    }
-
-    /// Counters accumulated since construction.
-    pub fn stats(&self) -> EngineStats {
-        self.stats
-    }
-
-    /// Number of memoized results currently held.
-    pub fn cached_results(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Evaluates `query` through the planner without consulting or
-    /// filling the result cache — the raw indexed path. Benchmarks use
-    /// this to time plan + candidate evaluation in isolation;
-    /// [`query`](Self::query) is the serving entry point.
-    pub fn evaluate(&self, job_id: &str, query: &Query, mode: QueryMode) -> Option<Vec<OpId>> {
-        let archive = self.store.get(job_id)?;
-        Some(match self.indexes.get(job_id) {
-            Some(idx) => match idx.candidates(&idx.plan_for(query, mode)) {
-                Some(candidates) => evaluate_candidates(&archive.tree, query, mode, &candidates),
-                None => scan(&archive.tree, query, mode),
-            },
-            None => scan(&archive.tree, query, mode),
-        })
-    }
-
-    /// Evaluates `query` against the archive `job_id`, serving repeated
-    /// queries from the cache. Returns `None` for an unknown job id.
-    ///
-    /// Results are identical — ids and order — to running the
-    /// [`Query::select`]/[`Query::find_all`] scans directly.
-    pub fn query(
-        &mut self,
-        job_id: &str,
-        query: &Query,
-        mode: QueryMode,
-    ) -> Option<Arc<Vec<OpId>>> {
-        let archive = self.store.get(job_id)?;
-        let key = CacheKey {
-            job_id: job_id.to_string(),
-            mode,
-            query: query.to_string(),
-        };
-        if let Some(hit) = self.cache.get(&key) {
-            self.stats.cache_hits += 1;
-            return Some(hit);
-        }
-        self.stats.cache_misses += 1;
-        let index = self.indexes.get(job_id);
-        let result = Arc::new(match index {
-            Some(idx) => {
-                let plan = idx.plan_for(query, mode);
-                match idx.candidates(&plan) {
-                    Some(candidates) => {
-                        self.stats.indexed_queries += 1;
-                        evaluate_candidates(&archive.tree, query, mode, &candidates)
-                    }
-                    None => {
-                        self.stats.scan_queries += 1;
-                        scan(&archive.tree, query, mode)
-                    }
-                }
-            }
-            // An engine is never missing an index for a held archive, but
-            // degrade to the scan rather than panic if it ever is.
-            None => {
-                self.stats.scan_queries += 1;
-                scan(&archive.tree, query, mode)
-            }
-        });
-        if self.cache.put(key, Arc::clone(&result)) {
-            self.stats.evictions += 1;
-        }
-        Some(result)
-    }
-}
-
-/// Evaluates `query` by the linear-scan oracle — shared with the sharded
-/// serving layer ([`crate::shard`]), which must stay observationally
-/// identical to this engine.
-pub(crate) fn scan(tree: &OperationTree, query: &Query, mode: QueryMode) -> Vec<OpId> {
-    match mode {
-        QueryMode::Select => query.select(tree),
-        QueryMode::FindAll => query.find_all(tree),
-    }
-}
-
-/// Evaluates a query over an index-provided candidate list (ascending
-/// ids). Each candidate is checked against the last segment and window,
-/// then its ancestor chain against the leading segments — exactly the
-/// semantics of the linear scans, restricted to the candidates.
-pub(crate) fn evaluate_candidates(
-    tree: &OperationTree,
-    query: &Query,
-    mode: QueryMode,
-    candidates: &[OpId],
-) -> Vec<OpId> {
-    let _span = granula_trace::span!("archiving", "engine.indexed_eval");
-    let last = query.segments.last().expect("parsed query has segments");
-    let leading = &query.segments[..query.segments.len() - 1];
-    let mut out = Vec::new();
-    'op: for &id in candidates {
-        let op = tree.op(id);
-        if !last.matches(op) || !query.window_accepts(op) {
-            continue;
-        }
-        let mut cur = op.parent;
-        for seg in leading.iter().rev() {
-            match cur {
-                Some(pid) if seg.matches(tree.op(pid)) => cur = tree.op(pid).parent,
-                _ => continue 'op,
-            }
-        }
-        // `find_all` accepts any anchor; `select` additionally requires
-        // the chain to consume the whole path ending at the root — i.e.
-        // the op sits at depth `segments.len() - 1` on a fully-matching
-        // root path.
-        if mode == QueryMode::Select && cur.is_some() {
-            continue;
-        }
-        out.push(id);
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::archive::JobMeta;
-    use granula_model::{names, Actor, Info, InfoValue, Mission};
-
-    fn archive(job_id: &str, supersteps: i64) -> JobArchive {
-        let mut t = OperationTree::new();
-        let job = t
-            .add_root(Actor::new("Job", "0"), Mission::new("GiraphJob", "0"))
-            .unwrap();
-        for s in 0..supersteps {
-            let ss = t
-                .add_child(
-                    job,
-                    Actor::new("Job", "0"),
-                    Mission::new("Superstep", s.to_string()),
-                )
-                .unwrap();
-            t.set_info(ss, Info::raw(names::START_TIME, InfoValue::Int(s * 100)))
-                .unwrap();
-            for w in 0..2 {
-                t.add_child(
-                    ss,
-                    Actor::new("Worker", w.to_string()),
-                    Mission::new("Compute", "0"),
-                )
-                .unwrap();
-            }
-        }
-        JobArchive::new(
-            JobMeta {
-                job_id: job_id.into(),
-                platform: "Giraph".into(),
-                algorithm: "BFS".into(),
-                dataset: "d".into(),
-                nodes: 2,
-                model: "m".into(),
-            },
-            t,
-        )
-    }
-
-    fn queries() -> Vec<(Query, QueryMode)> {
-        [
-            ("Compute", QueryMode::FindAll),
-            ("Superstep/Compute@Worker-1", QueryMode::FindAll),
-            ("GiraphJob/Superstep/Compute", QueryMode::Select),
-            ("GiraphJob/Superstep-2", QueryMode::Select),
-            ("Superstep[100..300]", QueryMode::FindAll),
-            ("*@Worker", QueryMode::FindAll),
-            ("*-1", QueryMode::FindAll),
-            ("Compute/Nope", QueryMode::FindAll),
-        ]
-        .into_iter()
-        .map(|(s, m)| (Query::parse(s).unwrap(), m))
-        .collect()
-    }
-
-    #[test]
-    fn indexed_results_equal_scans() {
-        // Big enough to clear the planner's SCAN_THRESHOLD so both access
-        // paths are exercised; small trees legitimately always scan.
-        let mut engine = QueryEngine::new();
-        engine.add(archive("j", 100)).unwrap();
-        let tree = engine.store().get("j").unwrap().tree.clone();
-        for (q, mode) in queries() {
-            let expected = scan(&tree, &q, mode);
-            let got = engine.query("j", &q, mode).unwrap();
-            assert_eq!(*got, expected, "query `{q}` ({mode:?})");
-            // The cache-bypassing path agrees and leaves the stats alone.
-            let stats = engine.stats();
-            assert_eq!(engine.evaluate("j", &q, mode).unwrap(), expected);
-            assert_eq!(engine.stats(), stats);
-        }
-        assert!(engine.stats().indexed_queries >= 2);
-        assert!(engine.stats().scan_queries >= 5);
-    }
-
-    #[test]
-    fn tiny_archives_always_take_the_scan_path() {
-        let mut engine = QueryEngine::new();
-        engine.add(archive("j", 5)).unwrap(); // 16 ops <= SCAN_THRESHOLD
-        let tree = engine.store().get("j").unwrap().tree.clone();
-        for (q, mode) in queries() {
-            assert_eq!(*engine.query("j", &q, mode).unwrap(), scan(&tree, &q, mode));
-        }
-        assert_eq!(engine.stats().indexed_queries, 0);
-        assert_eq!(engine.stats().scan_queries, queries().len() as u64);
-    }
-
-    #[test]
-    fn repeated_queries_hit_the_cache() {
-        let mut engine = QueryEngine::new();
-        engine.add(archive("j", 4)).unwrap();
-        let q = Query::parse("Compute").unwrap();
-        let a = engine.query("j", &q, QueryMode::FindAll).unwrap();
-        let b = engine.query("j", &q, QueryMode::FindAll).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second evaluation must be the memo");
-        let s = engine.stats();
-        assert_eq!((s.cache_hits, s.cache_misses), (1, 1));
-        // Same text, different mode: a distinct entry.
-        engine.query("j", &q, QueryMode::Select).unwrap();
-        assert_eq!(engine.stats().cache_misses, 2);
-    }
-
-    #[test]
-    fn add_and_upsert_invalidate_only_that_job() {
-        let mut engine = QueryEngine::new();
-        engine.add(archive("a", 3)).unwrap();
-        engine.add(archive("b", 3)).unwrap();
-        let q = Query::parse("Compute").unwrap();
-        engine.query("a", &q, QueryMode::FindAll).unwrap();
-        engine.query("b", &q, QueryMode::FindAll).unwrap();
-        assert_eq!(engine.cached_results(), 2);
-
-        // Upserting `a` with a bigger tree must drop a's memo and serve
-        // the fresh result.
-        engine.upsert(archive("a", 6));
-        assert_eq!(engine.cached_results(), 1);
-        assert_eq!(engine.stats().invalidations, 1);
-        let fresh = engine.query("a", &q, QueryMode::FindAll).unwrap();
-        assert_eq!(fresh.len(), 12);
-        // `b` is still cached.
-        engine.query("b", &q, QueryMode::FindAll).unwrap();
-        assert_eq!(engine.stats().cache_hits, 1);
-
-        // A failed duplicate add leaves everything intact.
-        assert!(engine.add(archive("b", 1)).is_err());
-        assert_eq!(engine.query("b", &q, QueryMode::FindAll).unwrap().len(), 6);
-    }
-
-    #[test]
-    fn lru_bound_evicts_least_recently_used() {
-        let mut engine = QueryEngine::with_cache_capacity(2);
-        engine.add(archive("j", 3)).unwrap();
-        let q1 = Query::parse("Compute").unwrap();
-        let q2 = Query::parse("Superstep").unwrap();
-        let q3 = Query::parse("GiraphJob").unwrap();
-        engine.query("j", &q1, QueryMode::FindAll).unwrap();
-        engine.query("j", &q2, QueryMode::FindAll).unwrap();
-        // Touch q1 so q2 is the LRU, then overflow.
-        engine.query("j", &q1, QueryMode::FindAll).unwrap();
-        engine.query("j", &q3, QueryMode::FindAll).unwrap();
-        assert_eq!(engine.stats().evictions, 1);
-        assert_eq!(engine.cached_results(), 2);
-        // q1 survived; q2 was evicted.
-        engine.query("j", &q1, QueryMode::FindAll).unwrap();
-        assert_eq!(engine.stats().cache_hits, 2);
-        engine.query("j", &q2, QueryMode::FindAll).unwrap();
-        assert_eq!(engine.stats().cache_misses, 4);
-    }
-
-    #[test]
-    fn unknown_job_is_none() {
-        let mut engine = QueryEngine::new();
-        let q = Query::parse("X").unwrap();
-        assert!(engine.query("nope", &q, QueryMode::FindAll).is_none());
-    }
-
-    #[test]
-    fn save_load_roundtrip_preserves_results() {
-        let mut engine = QueryEngine::new();
-        engine.add(archive("a", 4)).unwrap();
-        engine.add(archive("b", 2)).unwrap();
-        let path = std::env::temp_dir().join(format!("granula-engine-{}.gar", std::process::id()));
-        engine.save(&path).unwrap();
-        let mut loaded = QueryEngine::load(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-
-        assert_eq!(loaded.store().len(), 2);
-        for (q, mode) in queries() {
-            for job in ["a", "b"] {
-                let x = engine.query(job, &q, mode).unwrap();
-                let y = loaded.query(job, &q, mode).unwrap();
-                assert_eq!(x, y, "job {job}, query `{q}`");
-            }
-        }
+    /// Evaluates `query` against the archive `job_id`; `None` for an
+    /// unknown job id. Results equal the [`Query::scan`] of that archive.
+    pub fn query(&self, job_id: &str, query: &Query, mode: QueryMode) -> Option<Vec<OpId>> {
+        let (archive, index) = self
+            .store
+            .iter()
+            .zip(&self.indexes)
+            .find(|(a, _)| a.meta.job_id == job_id)?;
+        Some(index.evaluate(&archive.tree, query, mode))
     }
 }

@@ -4,9 +4,9 @@
 //! Granula archives are interrogated repeatedly (paper §3.3: analysts
 //! "query the contents systematically"), so every `KindPattern` query
 //! answered by a full linear scan is wasted work after the first one. A
-//! [`TreeIndex`] is built once per archive — at `add`/`upsert`/`load`
-//! time in the [`crate::engine::QueryEngine`] — and holds three access
-//! paths:
+//! [`TreeIndex`] is built once per archive — when the
+//! [`crate::shard::ShardedEngine`] takes in or admits a job — and holds
+//! three access paths:
 //!
 //! * **mission-kind index** — mission kind → operation ids;
 //! * **actor-kind index** — actor kind → operation ids;
@@ -14,16 +14,17 @@
 //!   time, for `[start..end]` window queries.
 //!
 //! All candidate lists store ids in ascending order, so an index-driven
-//! evaluation emits results in exactly the order the linear scans in
-//! [`crate::query`] produce — the differential test suite pins this.
+//! evaluation ([`TreeIndex::evaluate`], the one place a plan is turned
+//! into results) emits exactly the ids, in exactly the order, of the
+//! linear scans in [`crate::query`] — the differential test suite pins
+//! this.
 
 use std::collections::HashMap;
 use std::fmt;
 
 use granula_model::{OpId, OperationTree};
 
-use crate::engine::QueryMode;
-use crate::query::{Query, Segment, TimeWindow};
+use crate::query::{Query, QueryMode, Segment, TimeWindow};
 
 /// Trees at or below this operation count always plan to the linear
 /// scan: on tiny archives, choosing a plan and materializing a candidate
@@ -219,6 +220,55 @@ impl TreeIndex {
             QueryPlan::FullScan { .. } => None,
         }
     }
+
+    /// Evaluates `query` over `tree`, the tree this index was built from:
+    /// plans with [`plan_for`](Self::plan_for), then walks the plan's
+    /// candidate list or falls back to [`Query::scan`]. The result is
+    /// identical to the scan either way.
+    pub fn evaluate(&self, tree: &OperationTree, query: &Query, mode: QueryMode) -> Vec<OpId> {
+        match self.candidates(&self.plan_for(query, mode)) {
+            Some(candidates) => evaluate_candidates(tree, query, mode, &candidates),
+            None => query.scan(tree, mode),
+        }
+    }
+}
+
+/// Evaluates a query over an index-provided candidate list (ascending
+/// ids). Each candidate is checked against the last segment and window,
+/// then its ancestor chain against the leading segments — exactly the
+/// semantics of the linear scans, restricted to the candidates.
+fn evaluate_candidates(
+    tree: &OperationTree,
+    query: &Query,
+    mode: QueryMode,
+    candidates: &[OpId],
+) -> Vec<OpId> {
+    let _span = granula_trace::span!("archiving", "engine.indexed_eval");
+    let last = query.segments.last().expect("parsed query has segments");
+    let leading = &query.segments[..query.segments.len() - 1];
+    let mut out = Vec::new();
+    'op: for &id in candidates {
+        let op = tree.op(id);
+        if !last.matches(op) || !query.window_accepts(op) {
+            continue;
+        }
+        let mut cur = op.parent;
+        for seg in leading.iter().rev() {
+            match cur {
+                Some(pid) if seg.matches(tree.op(pid)) => cur = tree.op(pid).parent,
+                _ => continue 'op,
+            }
+        }
+        // `find_all` accepts any anchor; `select` additionally requires
+        // the chain to consume the whole path ending at the root — i.e.
+        // the op sits at depth `segments.len() - 1` on a fully-matching
+        // root path.
+        if mode == QueryMode::Select && cur.is_some() {
+            continue;
+        }
+        out.push(id);
+    }
+    out
 }
 
 /// The access path chosen for one query.

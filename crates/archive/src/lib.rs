@@ -32,9 +32,14 @@
 //! * [`mutate`] — seedable fault injection (truncation, bit flips, torn
 //!   tails) powering the corruption test harness and `archive fuzz`;
 //! * [`index::TreeIndex`] — kind→ops, actor→ops, and start-time interval
-//!   indexes with a query planner;
-//! * [`engine::QueryEngine`] — the indexed store with a bounded LRU
-//!   result cache, invalidated on `add`/`upsert`.
+//!   indexes with a query planner, and [`TreeIndex::evaluate`], the one
+//!   function that turns a plan into results;
+//! * [`shard::ShardedEngine`] — the query engine: indexed jobs behind
+//!   per-shard LRU result caches, invalidated on `upsert`. The `serve`
+//!   daemon runs it over a fleet; the CLI and `granula-regress` run it
+//!   with one shard over a loaded store;
+//! * [`engine::QueryEngine`] — a cache-less reference kept only for the
+//!   benchmark's answer check.
 //!
 //! ```
 //! use granula_archive::{JobArchive, JobMeta, Query};
@@ -74,18 +79,18 @@ pub use binfmt::{
 };
 pub use crc::crc32c;
 pub use durable::write_atomic;
-pub use engine::{EngineStats, QueryEngine, QueryMode, DEFAULT_CACHE_CAPACITY};
+pub use engine::QueryEngine;
 pub use format::{from_json, to_json, to_json_pretty, FormatError, FORMAT_VERSION};
 pub use index::{QueryPlan, TreeIndex, SCAN_FALLBACK_FACTOR, SCAN_THRESHOLD};
 pub use lru::LruMap;
 pub use mmapio::Mapped;
 pub use mutate::{flip_bit, torn_tail, truncate_at, Mutation, Mutator};
-pub use query::{KindPattern, Query, QueryError, Segment, TimeWindow};
+pub use query::{KindPattern, Query, QueryError, QueryMode, Segment, TimeWindow};
 pub use salvage::{salvage_from_bytes, LostFrame, SalvageReport};
 pub use serve::{format_ids, Server};
 pub use shard::{
-    shard_of, ServeError, ServeOptions, ServeSnapshot, ShardedEngine, DEFAULT_RESIDENT_CAPACITY,
-    DEFAULT_SHARDS,
+    shard_of, ResidentJob, ServeError, ServeOptions, ServeSnapshot, ShardedEngine,
+    DEFAULT_CACHE_CAPACITY, DEFAULT_RESIDENT_CAPACITY, DEFAULT_SHARDS,
 };
 pub use store::{ArchiveStore, ComparisonRow, DuplicateJobId, RunMeta};
 pub use swap::ArcCell;

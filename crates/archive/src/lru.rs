@@ -1,14 +1,11 @@
 //! A bounded least-recently-used map with O(log n) touch and eviction.
 //!
-//! The PR-5 `QueryCache` evicted by scanning every entry for the minimum
-//! use tick — O(capacity) per insert, plus a redundant `contains_key`
-//! hash lookup. Tolerable for one global cache of a few hundred entries,
-//! but the serving layer keeps one result cache *per shard* and a
-//! resident-job cache besides, and inserts on every cache miss; the
-//! eviction scan sits directly on the miss path of every shard. This map
-//! keeps the same tick-stamping but pairs the entry map with an ordered
-//! tick index, so finding the LRU victim is a `BTreeMap::pop_first`
-//! instead of a full scan.
+//! The query engine keeps one result cache *per shard* and a
+//! resident-job cache besides, and inserts on every cache miss, so
+//! eviction sits directly on the miss path of every shard. A scan of
+//! every entry for the minimum use tick would cost O(capacity) per
+//! insert; this map pairs the entry map with an ordered tick index, so
+//! finding the LRU victim is a `BTreeMap::pop_first` instead.
 //!
 //! Invariant: `entries` and `order` describe the same set — every entry
 //! holds the tick under which `order` lists its key, and ticks are unique

@@ -172,6 +172,15 @@ impl TimeWindow {
     }
 }
 
+/// How a query's path segments anchor to the tree.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum QueryMode {
+    /// Absolute path from the root ([`Query::select`] semantics).
+    Select,
+    /// Last segment anywhere, ancestors above it ([`Query::find_all`]).
+    FindAll,
+}
+
 /// A parsed path query.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Query {
@@ -269,6 +278,16 @@ impl Query {
             out.push(op.id);
         }
         out
+    }
+
+    /// The linear scan for `mode`: [`select`](Self::select) or
+    /// [`find_all`](Self::find_all). Every indexed evaluation must
+    /// return exactly these ids, in this order.
+    pub fn scan(&self, tree: &OperationTree, mode: QueryMode) -> Vec<OpId> {
+        match mode {
+            QueryMode::Select => self.select(tree),
+            QueryMode::FindAll => self.find_all(tree),
+        }
     }
 
     /// Collects the values of info `name` on all operations selected by

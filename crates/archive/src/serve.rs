@@ -37,9 +37,9 @@
 //! automatically; a lockstep client degrades to batches of one.
 //!
 //! **Bit-identical responses:** result ids are rendered by
-//! [`format_ids`], and the serve E2E test renders in-process
-//! [`QueryEngine`](crate::engine::QueryEngine) results through the same
-//! function to assert byte equality of what the wire carries.
+//! [`format_ids`], and the serve E2E test renders the linear scans
+//! ([`Query::scan`]) through the same function to assert byte equality
+//! of what the wire carries.
 
 use std::io::{self, Read, Write};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -48,8 +48,7 @@ use std::sync::Arc;
 
 use granula_model::OpId;
 
-use crate::engine::QueryMode;
-use crate::query::Query;
+use crate::query::{Query, QueryMode};
 use crate::shard::ShardedEngine;
 
 /// Longest partial request line a connection may buffer, in bytes.

@@ -1,9 +1,10 @@
-//! Sharded, concurrently readable serving engine over archive fleets.
+//! The archive query engine: sharded, concurrently readable, and the
+//! one place that owns indexes, a result cache and invalidation.
 //!
-//! The [`crate::engine::QueryEngine`] is a single-threaded library: one
-//! store, one cache, `&mut self` everywhere. This module is the serving
-//! shape ROADMAP item 1 asks for — the same query semantics, restructured
-//! for many concurrent clients:
+//! Every query surface runs on [`ShardedEngine`]: the `serve` daemon
+//! over a fleet, and — with [`ServeOptions`] `{ shards: 1, .. }` over an
+//! eagerly loaded store — `granula-cli archive query`/`stat` and the
+//! regression history. Its shape:
 //!
 //! * **Sharding.** Jobs are distributed over [`DEFAULT_SHARDS`] shards by
 //!   an FNV-1a hash of the job id ([`shard_of`]), so unrelated jobs never
@@ -17,17 +18,16 @@
 //!   so a swap implicitly invalidates every stale entry for that shard.
 //! * **Admission/eviction for resident jobs.** Fleet files are opened as
 //!   [`MappedStore`]s — jobs stay as cold mmap extents until a query
-//!   lands on one, which decodes and indexes it into a bounded per-shard
-//!   resident LRU. Evicting a resident job costs nothing but the memory:
-//!   the mmap extent is still there, and the next query re-admits it.
+//!   (or [`ShardedEngine::job`]) lands on one, which decodes and indexes
+//!   it into a bounded per-shard resident LRU. Evicting a resident job
+//!   costs nothing but the memory: the mmap extent is still there, and
+//!   the next query re-admits it.
 //! * **Batching.** [`ShardedEngine::query_batch`] groups a batch by
 //!   shard and reuses one snapshot + one cache lock per shard group.
 //!
-//! Evaluation itself is byte-for-byte the engine's: the same planner,
-//! the same `evaluate_candidates`/`scan` functions in `crate::engine`,
-//! so served results are bit-identical to
-//! [`QueryEngine::query`](crate::engine::QueryEngine::query) on the same
-//! store — the equivalence the serve E2E test pins.
+//! Evaluation itself is [`TreeIndex::evaluate`], so every answer is
+//! bit-identical to the linear scans ([`Query::scan`]) of the same
+//! archive — the equivalence `tests/differential.rs` pins.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -40,10 +40,9 @@ use serde::{Deserialize, Serialize};
 
 use crate::archive::JobArchive;
 use crate::binfmt::BinError;
-use crate::engine::{evaluate_candidates, scan, QueryMode, DEFAULT_CACHE_CAPACITY};
 use crate::index::TreeIndex;
 use crate::lru::LruMap;
-use crate::query::Query;
+use crate::query::{Query, QueryMode};
 use crate::store::{ArchiveStore, RunMeta};
 use crate::swap::ArcCell;
 use crate::zerocopy::MappedStore;
@@ -52,6 +51,10 @@ use crate::zerocopy::MappedStore;
 /// modest power of two covers typical fleets; tune via
 /// [`ServeOptions::shards`].
 pub const DEFAULT_SHARDS: usize = 8;
+
+/// Default result-cache capacity per shard (entries, not bytes: query
+/// results are id lists, small relative to the archives themselves).
+pub const DEFAULT_CACHE_CAPACITY: usize = 256;
 
 /// Default bound on decoded-and-indexed jobs resident per shard.
 pub const DEFAULT_RESIDENT_CAPACITY: usize = 64;
@@ -112,8 +115,9 @@ impl From<BinError> for ServeError {
 }
 
 /// A decoded, indexed job — the resident form queries evaluate against.
+/// The index is always the one built from the archive's tree.
 #[derive(Debug)]
-struct ResidentJob {
+pub struct ResidentJob {
     archive: JobArchive,
     index: TreeIndex,
 }
@@ -122,6 +126,16 @@ impl ResidentJob {
     fn new(archive: JobArchive) -> Self {
         let index = TreeIndex::build(&archive.tree);
         ResidentJob { archive, index }
+    }
+
+    /// The decoded archive.
+    pub fn archive(&self) -> &JobArchive {
+        &self.archive
+    }
+
+    /// The secondary indexes of [`archive`](Self::archive)'s tree.
+    pub fn index(&self) -> &TreeIndex {
+        &self.index
     }
 }
 
@@ -256,12 +270,25 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    fn empty(options: ServeOptions, run: RunMeta) -> Self {
-        let shards = (0..options.shards.max(1))
-            .map(|_| Shard {
+    /// Files every `(job id, source)` into its shard's table and
+    /// publishes each table as generation 1.
+    fn with_jobs(
+        options: ServeOptions,
+        run: RunMeta,
+        sources: Vec<Arc<MappedStore>>,
+        jobs: impl IntoIterator<Item = (String, JobSource)>,
+    ) -> Self {
+        let count = options.shards.max(1);
+        let mut tables: Vec<HashMap<String, JobSource>> = vec![HashMap::new(); count];
+        for (job_id, source) in jobs {
+            tables[shard_of(&job_id, count)].insert(job_id, source);
+        }
+        let shards = tables
+            .into_iter()
+            .map(|jobs| Shard {
                 data: ArcCell::new(Arc::new(ShardData {
-                    generation: 0,
-                    jobs: HashMap::new(),
+                    generation: 1,
+                    jobs,
                 })),
                 state: Mutex::new(ShardState {
                     results: LruMap::new(options.result_capacity),
@@ -273,7 +300,7 @@ impl ShardedEngine {
             shards,
             options,
             run,
-            sources: Vec::new(),
+            sources,
             stats: ServeStats::default(),
         }
     }
@@ -286,14 +313,14 @@ impl ShardedEngine {
         paths: &[impl AsRef<Path>],
         options: ServeOptions,
     ) -> Result<Self, ServeError> {
-        let mut engine = Self::empty(options, RunMeta::default());
+        let mut run = RunMeta::default();
+        let mut sources = Vec::new();
         let mut owner: HashMap<String, PathBuf> = HashMap::new();
-        let mut tables: Vec<HashMap<String, JobSource>> =
-            (0..engine.shards.len()).map(|_| HashMap::new()).collect();
+        let mut jobs = Vec::new();
         for path in paths {
             let mapped = Arc::new(MappedStore::open(path)?);
-            if engine.run.is_empty() && !mapped.run().is_empty() {
-                engine.run = mapped.run().clone();
+            if run.is_empty() {
+                run = mapped.run().clone();
             }
             for job_id in mapped.job_ids() {
                 if let Some(first) = owner.get(job_id) {
@@ -304,40 +331,24 @@ impl ShardedEngine {
                     });
                 }
                 owner.insert(job_id.to_string(), mapped.path().to_path_buf());
-                tables[shard_of(job_id, engine.shards.len())]
-                    .insert(job_id.to_string(), JobSource::Mapped(Arc::clone(&mapped)));
+                jobs.push((job_id.to_string(), JobSource::Mapped(Arc::clone(&mapped))));
             }
-            engine.sources.push(mapped);
+            sources.push(mapped);
         }
-        for (shard, jobs) in engine.shards.iter().zip(tables) {
-            shard.data.store(Arc::new(ShardData {
-                generation: 1,
-                jobs,
-            }));
-        }
-        Ok(engine)
+        Ok(Self::with_jobs(options, run, sources, jobs))
     }
 
-    /// Wraps an in-memory store: every job becomes owned (resident).
+    /// Wraps an in-memory store: every job becomes owned (resident). The
+    /// archives are moved in, not copied.
     pub fn from_store(store: ArchiveStore, options: ServeOptions) -> Self {
         let run = store.run().clone();
-        let engine = Self::empty(options, run);
-        let mut tables: Vec<HashMap<String, JobSource>> =
-            (0..engine.shards.len()).map(|_| HashMap::new()).collect();
-        for archive in store.iter() {
-            let job_id = archive.meta.job_id.clone();
-            tables[shard_of(&job_id, engine.shards.len())].insert(
-                job_id,
-                JobSource::Owned(Arc::new(ResidentJob::new(archive.clone()))),
-            );
-        }
-        for (shard, jobs) in engine.shards.iter().zip(tables) {
-            shard.data.store(Arc::new(ShardData {
-                generation: 1,
-                jobs,
-            }));
-        }
-        engine
+        let jobs = store.into_iter().map(|archive| {
+            (
+                archive.meta.job_id.clone(),
+                JobSource::Owned(Arc::new(ResidentJob::new(archive))),
+            )
+        });
+        Self::with_jobs(options, run, Vec::new(), jobs)
     }
 
     /// The fleet's run header (from the first mapped file carrying one).
@@ -378,9 +389,7 @@ impl ShardedEngine {
     }
 
     /// Evaluates one query. `None` for an unknown job id; results are
-    /// bit-identical to [`QueryEngine::query`] on the same store.
-    ///
-    /// [`QueryEngine::query`]: crate::engine::QueryEngine::query
+    /// bit-identical to [`Query::scan`] of the job's archive.
     pub fn query(
         &self,
         job_id: &str,
@@ -422,6 +431,19 @@ impl ShardedEngine {
         out
     }
 
+    /// A job's decoded archive and index, admitting a cold job the way a
+    /// query does (decode, index, count an admission). `None` for an
+    /// unknown job id.
+    pub fn job(&self, job_id: &str) -> Result<Option<Arc<ResidentJob>>, BinError> {
+        let shard = &self.shards[shard_of(job_id, self.shards.len())];
+        let snapshot = shard.data.load();
+        let resident = {
+            let mut state = shard.state.lock().expect("shard state poisoned");
+            resident_at(&mut state, job_id, snapshot.generation)
+        };
+        self.admit(shard, &snapshot, job_id, resident)
+    }
+
     /// The query path proper, against a caller-chosen snapshot.
     fn query_on(
         &self,
@@ -439,7 +461,7 @@ impl ShardedEngine {
         };
 
         // Probe both caches under one short lock hold.
-        let resident: Option<Arc<ResidentJob>> = {
+        let resident = {
             let mut state = shard.state.lock().expect("shard state poisoned");
             if let Some(hit) = state.results.get(&key) {
                 if hit.generation == snapshot.generation {
@@ -447,60 +469,15 @@ impl ShardedEngine {
                     return Ok(Some(Arc::clone(&hit.result)));
                 }
             }
-            state
-                .resident
-                .get(job_id)
-                .filter(|(gen, _)| *gen == snapshot.generation)
-                .map(|(_, job)| Arc::clone(job))
+            resident_at(&mut state, job_id, snapshot.generation)
         };
         self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
 
-        // Resolve the job to a resident form — decoding outside the lock.
-        let job: Arc<ResidentJob> = match snapshot.jobs.get(job_id) {
-            None => return Ok(None),
-            Some(JobSource::Owned(job)) => Arc::clone(job),
-            Some(JobSource::Mapped(mapped)) => match resident {
-                Some(job) => job,
-                None => {
-                    let decoded = Arc::new(ResidentJob::new(mapped.decode_job(job_id)?));
-                    let mut state = shard.state.lock().expect("shard state poisoned");
-                    // Another thread may have admitted the same job while
-                    // we decoded; keep the first copy so concurrent
-                    // queries share one index.
-                    match state
-                        .resident
-                        .get(job_id)
-                        .filter(|(gen, _)| *gen == snapshot.generation)
-                        .map(|(_, job)| Arc::clone(job))
-                    {
-                        Some(raced) => {
-                            self.stats.decode_races.fetch_add(1, Ordering::Relaxed);
-                            raced
-                        }
-                        None => {
-                            self.stats.admissions.fetch_add(1, Ordering::Relaxed);
-                            if state.resident.insert(
-                                job_id.to_string(),
-                                (snapshot.generation, Arc::clone(&decoded)),
-                            ) {
-                                self.stats
-                                    .resident_evictions
-                                    .fetch_add(1, Ordering::Relaxed);
-                            }
-                            decoded
-                        }
-                    }
-                }
-            },
+        let Some(job) = self.admit(shard, snapshot, job_id, resident)? else {
+            return Ok(None);
         };
-
-        // Evaluate outside any lock — same planner + evaluators as the
-        // in-process engine, so results are bit-identical.
-        let plan = job.index.plan_for(query, mode);
-        let result = Arc::new(match job.index.candidates(&plan) {
-            Some(candidates) => evaluate_candidates(&job.archive.tree, query, mode, &candidates),
-            None => scan(&job.archive.tree, query, mode),
-        });
+        // Evaluate outside any lock.
+        let result = Arc::new(job.index.evaluate(&job.archive.tree, query, mode));
 
         let mut state = shard.state.lock().expect("shard state poisoned");
         if state.results.insert(
@@ -513,6 +490,44 @@ impl ShardedEngine {
             self.stats.result_evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(Some(result))
+    }
+
+    /// Resolves `job_id` in `snapshot` to its resident form: owned jobs
+    /// directly, mapped ones from `resident` (the caller's probe of the
+    /// resident LRU) or else by decoding outside the lock and admitting.
+    fn admit(
+        &self,
+        shard: &Shard,
+        snapshot: &ShardData,
+        job_id: &str,
+        resident: Option<Arc<ResidentJob>>,
+    ) -> Result<Option<Arc<ResidentJob>>, BinError> {
+        let mapped = match snapshot.jobs.get(job_id) {
+            None => return Ok(None),
+            Some(JobSource::Owned(job)) => return Ok(Some(Arc::clone(job))),
+            Some(JobSource::Mapped(mapped)) => mapped,
+        };
+        if let Some(job) = resident {
+            return Ok(Some(job));
+        }
+        let decoded = Arc::new(ResidentJob::new(mapped.decode_job(job_id)?));
+        let mut state = shard.state.lock().expect("shard state poisoned");
+        // Another thread may have admitted the same job while we decoded;
+        // keep the first copy so concurrent queries share one index.
+        if let Some(raced) = resident_at(&mut state, job_id, snapshot.generation) {
+            self.stats.decode_races.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some(raced));
+        }
+        self.stats.admissions.fetch_add(1, Ordering::Relaxed);
+        if state.resident.insert(
+            job_id.to_string(),
+            (snapshot.generation, Arc::clone(&decoded)),
+        ) {
+            self.stats
+                .resident_evictions
+                .fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(Some(decoded))
     }
 
     /// Adds or replaces a job by publishing a new snapshot of its shard
@@ -575,12 +590,22 @@ impl ShardedEngine {
     }
 }
 
+/// The resident copy of `job_id` decoded at `generation`, if any; the
+/// caller holds the shard's state lock.
+fn resident_at(state: &mut ShardState, job_id: &str, generation: u64) -> Option<Arc<ResidentJob>> {
+    state
+        .resident
+        .get(job_id)
+        .filter(|(gen, _)| *gen == generation)
+        .map(|(_, job)| Arc::clone(job))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::archive::JobMeta;
-    use crate::engine::QueryEngine;
-    use granula_model::{Actor, Mission, OperationTree};
+    use crate::index::QueryPlan;
+    use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
     fn archive(job_id: &str, supersteps: i64) -> JobArchive {
         let mut t = OperationTree::new();
@@ -594,6 +619,8 @@ mod tests {
                     Actor::new("Job", "0"),
                     Mission::new("Superstep", s.to_string()),
                 )
+                .unwrap();
+            t.set_info(ss, Info::raw(names::START_TIME, InfoValue::Int(s * 100)))
                 .unwrap();
             for w in 0..2 {
                 t.add_child(
@@ -625,6 +652,63 @@ mod tests {
         store
     }
 
+    fn one_shard() -> ServeOptions {
+        ServeOptions {
+            shards: 1,
+            ..ServeOptions::default()
+        }
+    }
+
+    fn queries() -> Vec<(Query, QueryMode)> {
+        [
+            ("Compute", QueryMode::FindAll),
+            ("Superstep/Compute@Worker-1", QueryMode::FindAll),
+            ("GiraphJob/Superstep/Compute", QueryMode::Select),
+            ("GiraphJob/Superstep-2", QueryMode::Select),
+            ("Superstep[100..300]", QueryMode::FindAll),
+            ("*@Worker", QueryMode::FindAll),
+            ("*-1", QueryMode::FindAll),
+            ("Compute/Nope", QueryMode::FindAll),
+        ]
+        .into_iter()
+        .map(|(s, m)| (Query::parse(s).unwrap(), m))
+        .collect()
+    }
+
+    /// Answers every [`queries`] shape on job `j` of a one-shard engine,
+    /// checks each against the scan, and counts the indexed plans.
+    fn indexed_plans(supersteps: i64) -> usize {
+        let engine = ShardedEngine::from_store(store_with(&[("j", supersteps)]), one_shard());
+        let job = engine.job("j").unwrap().unwrap();
+        let mut indexed = 0;
+        for (q, mode) in queries() {
+            let got = engine.query("j", &q, mode).unwrap().unwrap();
+            assert_eq!(
+                *got,
+                q.scan(&job.archive.tree, mode),
+                "query `{q}` ({mode:?})"
+            );
+            if !matches!(job.index.plan_for(&q, mode), QueryPlan::FullScan { .. }) {
+                indexed += 1;
+            }
+        }
+        indexed
+    }
+
+    #[test]
+    fn indexed_results_equal_scans() {
+        // Big enough to clear the planner's SCAN_THRESHOLD so both access
+        // paths are exercised; small trees legitimately always scan.
+        let indexed = indexed_plans(100);
+        assert!(indexed >= 2, "{indexed} indexed plans");
+        assert!(queries().len() - indexed >= 5, "{indexed} indexed plans");
+    }
+
+    #[test]
+    fn tiny_archives_always_take_the_scan_path() {
+        assert_eq!(indexed_plans(5), 0); // 16 ops <= SCAN_THRESHOLD
+    }
+
     #[test]
     fn shard_routing_is_deterministic_and_spread() {
         for id in ["a", "b", "job-42", ""] {
@@ -639,27 +723,21 @@ mod tests {
     }
 
     #[test]
-    fn sharded_results_match_the_engine_bit_for_bit() {
+    fn sharded_results_match_the_scans_bit_for_bit() {
         let store = store_with(&[("a", 40), ("b", 7), ("c", 100)]);
-        let mut engine = QueryEngine::from_store(store.clone());
+        let trees: Vec<OperationTree> = store.iter().map(|a| a.tree.clone()).collect();
         let sharded = ShardedEngine::from_store(store, ServeOptions::default());
-        for (text, mode) in [
-            ("Compute", QueryMode::FindAll),
-            ("GiraphJob/Superstep/Compute", QueryMode::Select),
-            ("Superstep/Compute@Worker-1", QueryMode::FindAll),
-            ("*-1", QueryMode::FindAll),
-        ] {
-            let q = Query::parse(text).unwrap();
-            for job in ["a", "b", "c"] {
-                let want = engine.query(job, &q, mode).unwrap();
+        for (q, mode) in queries() {
+            for (job, tree) in ["a", "b", "c"].into_iter().zip(&trees) {
                 let got = sharded.query(job, &q, mode).unwrap().unwrap();
-                assert_eq!(got, want, "job {job}, query `{text}`");
+                assert_eq!(*got, q.scan(tree, mode), "job {job}, query `{q}`");
             }
         }
         assert!(sharded
             .query("nope", &Query::parse("X").unwrap(), QueryMode::FindAll)
             .unwrap()
             .is_none());
+        assert!(sharded.job("nope").unwrap().is_none());
     }
 
     #[test]
@@ -705,6 +783,85 @@ mod tests {
         assert!(Arc::ptr_eq(&x, &y), "second answer is the memo");
         let snap = sharded.snapshot();
         assert_eq!((snap.cache_hits, snap.cache_misses), (1, 1));
+        // Same text, different mode: a distinct entry.
+        sharded.query("a", &q, QueryMode::Select).unwrap();
+        assert_eq!(sharded.snapshot().cache_misses, 2);
+    }
+
+    #[test]
+    fn upsert_invalidates_only_that_shard() {
+        // `a` and `other` sit in different shards.
+        let other = ["b", "c", "d", "e"]
+            .into_iter()
+            .find(|id| shard_of(id, DEFAULT_SHARDS) != shard_of("a", DEFAULT_SHARDS))
+            .unwrap();
+        let q = Query::parse("Compute").unwrap();
+        for (opts, other_hits) in [(ServeOptions::default(), 1), (one_shard(), 0)] {
+            let sharded = ShardedEngine::from_store(store_with(&[("a", 3), (other, 3)]), opts);
+            sharded.query("a", &q, QueryMode::FindAll).unwrap();
+            sharded.query(other, &q, QueryMode::FindAll).unwrap();
+            sharded.upsert(archive("a", 6));
+            let fresh = sharded.query("a", &q, QueryMode::FindAll).unwrap().unwrap();
+            assert_eq!(fresh.len(), 12);
+            // The other job is still answered right: from the cache when
+            // its shard was not swapped, re-evaluated when it was.
+            let kept = sharded
+                .query(other, &q, QueryMode::FindAll)
+                .unwrap()
+                .unwrap();
+            assert_eq!(kept.len(), 6);
+            assert_eq!(sharded.snapshot().cache_hits, other_hits, "{opts:?}");
+        }
+    }
+
+    #[test]
+    fn lru_bound_evicts_least_recently_used() {
+        let opts = ServeOptions {
+            result_capacity: 2,
+            ..one_shard()
+        };
+        let sharded = ShardedEngine::from_store(store_with(&[("j", 3)]), opts);
+        let [q1, q2, q3] = ["Compute", "Superstep", "GiraphJob"].map(|t| Query::parse(t).unwrap());
+        let ask = |q: &Query| sharded.query("j", q, QueryMode::FindAll).unwrap();
+        ask(&q1);
+        ask(&q2);
+        // Touch q1 so q2 is the LRU, then overflow.
+        ask(&q1);
+        ask(&q3);
+        assert_eq!(sharded.snapshot().result_evictions, 1);
+        // q1 survived; q2 was evicted.
+        ask(&q1);
+        assert_eq!(sharded.snapshot().cache_hits, 2);
+        ask(&q2);
+        assert_eq!(sharded.snapshot().cache_misses, 4);
+    }
+
+    #[test]
+    fn saved_stores_answer_like_the_originals() {
+        let store = store_with(&[("a", 4), ("b", 2)]);
+        let path = std::env::temp_dir().join(format!("granula-shard-{}.gar", std::process::id()));
+        store.save(&path).unwrap();
+        let original = ShardedEngine::from_store(store, one_shard());
+        let loaded = ShardedEngine::from_store(ArchiveStore::load(&path).unwrap(), one_shard());
+        let mapped = ShardedEngine::open_fleet(&[&path], ServeOptions::default()).unwrap();
+        let _ = std::fs::remove_file(&path);
+
+        assert_eq!(loaded.job_ids(), ["a", "b"]);
+        for (q, mode) in queries() {
+            for job in ["a", "b"] {
+                let want = original.query(job, &q, mode).unwrap();
+                assert_eq!(
+                    loaded.query(job, &q, mode).unwrap(),
+                    want,
+                    "job {job}, `{q}`"
+                );
+                assert_eq!(
+                    mapped.query(job, &q, mode).unwrap(),
+                    want,
+                    "job {job}, `{q}`"
+                );
+            }
+        }
     }
 
     #[test]
@@ -739,13 +896,28 @@ mod tests {
                 6
             );
         }
+        // The accessor admits like a query does, and shares the copy.
+        let job = sharded.job(&ids[0]).unwrap().unwrap();
+        assert_eq!(job.archive.meta.job_id, ids[0]);
         let snap = sharded.snapshot();
-        assert_eq!(snap.admissions, 6, "each job decoded once");
+        assert_eq!(
+            snap.admissions, 7,
+            "each job decoded once, job-0 re-admitted"
+        );
         assert_eq!(snap.resident_jobs, 2, "residency bounded by capacity");
-        assert_eq!(snap.resident_evictions, 4);
-        // Decode counters on the sources agree: nothing decoded twice.
+        assert_eq!(snap.resident_evictions, 5);
+        let uncached = Query::parse("Superstep").unwrap();
+        sharded
+            .query(&ids[0], &uncached, QueryMode::FindAll)
+            .unwrap();
+        assert_eq!(
+            sharded.snapshot().admissions,
+            7,
+            "the query found it resident"
+        );
+        // Decode counters on the sources agree: one decode per admission.
         let decoded: u64 = sharded.sources().iter().map(|s| s.decoded_jobs()).sum();
-        assert_eq!(decoded, 6);
+        assert_eq!(decoded, 7);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -196,6 +196,16 @@ impl ArchiveStore {
     }
 }
 
+/// Moves the archives out, in store order; the run header is dropped.
+impl IntoIterator for ArchiveStore {
+    type Item = JobArchive;
+    type IntoIter = std::vec::IntoIter<JobArchive>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.archives.into_iter()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,6 +1,7 @@
 //! Differential tests of the serving layer: the binary format and the
-//! indexed [`QueryEngine`] are checked against the simpler references
-//! they must be observationally identical to —
+//! [`ShardedEngine`] (at one shard and at [`DEFAULT_SHARDS`]) are checked
+//! against the simpler references they must be observationally
+//! identical to —
 //!
 //! * `save → load → save` produces **byte-identical** files, and a loaded
 //!   store answers every query exactly like the in-memory original;
@@ -14,8 +15,8 @@
 use proptest::prelude::*;
 
 use granula_archive::{
-    store_from_bytes, store_to_bytes, ArchiveStore, JobArchive, JobMeta, Query, QueryEngine,
-    QueryMode, SCAN_THRESHOLD,
+    store_from_bytes, store_to_bytes, ArchiveStore, JobArchive, JobMeta, Query, QueryMode,
+    ServeOptions, ShardedEngine, DEFAULT_SHARDS, SCAN_THRESHOLD,
 };
 use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
@@ -128,6 +129,32 @@ fn arb_query_text() -> impl Strategy<Value = String> {
     })
 }
 
+/// Every engine property runs at one shard (the library shape) and at
+/// the daemon's default.
+const SHARD_COUNTS: [usize; 2] = [1, DEFAULT_SHARDS];
+
+/// An engine holding only `archive`.
+fn engine_with(archive: JobArchive, shards: usize) -> ShardedEngine {
+    let mut store = ArchiveStore::new();
+    store.add(archive).expect("fresh id");
+    ShardedEngine::from_store(
+        store,
+        ServeOptions {
+            shards,
+            ..ServeOptions::default()
+        },
+    )
+}
+
+/// The engine's current answer; `job-a` is always held.
+fn ask(engine: &ShardedEngine, q: &Query, mode: QueryMode) -> Vec<granula_model::OpId> {
+    engine
+        .query("job-a", q, mode)
+        .expect("owned jobs never fail to decode")
+        .expect("job held")
+        .to_vec()
+}
+
 proptest! {
     /// The binary envelope is deterministic and lossless: encoding is a
     /// fixed point under decode→re-encode, and every archive survives the
@@ -179,54 +206,64 @@ proptest! {
         a in arb_archive("job-a"),
         queries in prop::collection::vec(arb_query_text(), 1..8),
     ) {
-        let tree = a.tree.clone();
-        let mut engine = QueryEngine::new();
-        engine.add(a).expect("fresh id");
-        for text in queries {
-            let q = Query::parse(&text).expect("grammar-valid by construction");
-            let selected = engine.query("job-a", &q, QueryMode::Select).expect("job held");
-            prop_assert_eq!(&*selected, &q.select(&tree), "select over `{}`", &text);
-            let found = engine.query("job-a", &q, QueryMode::FindAll).expect("job held");
-            prop_assert_eq!(&*found, &q.find_all(&tree), "find_all over `{}`", &text);
+        for shards in SHARD_COUNTS {
+            let engine = engine_with(a.clone(), shards);
+            for text in &queries {
+                let q = Query::parse(text).expect("grammar-valid by construction");
+                let selected = ask(&engine, &q, QueryMode::Select);
+                prop_assert_eq!(selected, q.select(&a.tree), "select over `{}`", text);
+                let found = ask(&engine, &q, QueryMode::FindAll);
+                prop_assert_eq!(found, q.find_all(&a.tree), "find_all over `{}`", text);
+            }
         }
     }
 
     /// Above the cost threshold the planner genuinely engages the
     /// indexes — and its per-query choice (index route, low-selectivity
     /// fallback, or Select-without-window fallback) must never change
-    /// what a query returns.
+    /// what a query returns, whether evaluated directly or served.
     #[test]
     fn cost_aware_planner_equals_scan_above_threshold(
         a in arb_big_archive("job-a"),
         queries in prop::collection::vec(arb_query_text(), 1..8),
     ) {
-        let tree = a.tree.clone();
-        prop_assert!(tree.len() > SCAN_THRESHOLD, "archive must clear the threshold");
-        let mut engine = QueryEngine::new();
-        engine.add(a).expect("fresh id");
-        for text in queries {
-            let q = Query::parse(&text).expect("grammar-valid by construction");
-            for mode in [QueryMode::Select, QueryMode::FindAll] {
-                let oracle = match mode {
-                    QueryMode::Select => q.select(&tree),
-                    QueryMode::FindAll => q.find_all(&tree),
-                };
-                let got = engine.evaluate("job-a", &q, mode).expect("job held");
-                prop_assert_eq!(
-                    got,
-                    oracle,
-                    "planner route diverged for `{}` ({:?}, plan {:?})",
-                    &text,
-                    mode,
-                    engine.explain("job-a", &q, mode)
-                );
+        prop_assert!(a.tree.len() > SCAN_THRESHOLD, "archive must clear the threshold");
+        for shards in SHARD_COUNTS {
+            let engine = engine_with(a.clone(), shards);
+            let job = engine.job("job-a").expect("owned").expect("job held");
+            for text in &queries {
+                let q = Query::parse(text).expect("grammar-valid by construction");
+                for mode in [QueryMode::Select, QueryMode::FindAll] {
+                    let oracle = match mode {
+                        QueryMode::Select => q.select(&a.tree),
+                        QueryMode::FindAll => q.find_all(&a.tree),
+                    };
+                    let plan = job.index().plan_for(&q, mode);
+                    let evaluated = job.index().evaluate(&job.archive().tree, &q, mode);
+                    prop_assert_eq!(
+                        &evaluated,
+                        &oracle,
+                        "planner route diverged for `{}` ({:?}, plan {:?})",
+                        text,
+                        mode,
+                        plan
+                    );
+                    prop_assert_eq!(
+                        ask(&engine, &q, mode),
+                        oracle,
+                        "served answer diverged for `{}` ({:?}, plan {:?})",
+                        text,
+                        mode,
+                        plan
+                    );
+                }
             }
         }
     }
 
     /// Caching and invalidation are invisible: asking the same queries
     /// again — before and after an upsert that swaps the tree — always
-    /// matches a fresh scan of the store's current contents.
+    /// matches a fresh scan of the engine's current contents.
     #[test]
     fn cache_is_transparent_across_upserts(
         first in arb_archive("job-a"),
@@ -237,25 +274,26 @@ proptest! {
             .iter()
             .map(|t| Query::parse(t).expect("grammar-valid"))
             .collect();
-        let mut engine = QueryEngine::new();
-        engine.add(first).expect("fresh id");
-        for q in &queries {
-            // Twice: the second answer is served from the cache.
-            let x = engine.query("job-a", q, QueryMode::FindAll).expect("held");
-            let y = engine.query("job-a", q, QueryMode::FindAll).expect("held");
-            prop_assert_eq!(&x, &y, "cached answer diverged for `{}`", q);
-        }
-        prop_assert!(engine.stats().cache_hits >= queries.len() as u64);
-        engine.upsert(second);
-        let tree = engine.store().get("job-a").expect("held").tree.clone();
-        for q in &queries {
-            let fresh = engine.query("job-a", q, QueryMode::FindAll).expect("held");
-            prop_assert_eq!(
-                &*fresh,
-                &q.find_all(&tree),
-                "stale cache served after upsert for `{}`",
-                q
-            );
+        for shards in SHARD_COUNTS {
+            let engine = engine_with(first.clone(), shards);
+            for q in &queries {
+                // Twice: the second answer is served from the cache.
+                let x = ask(&engine, q, QueryMode::FindAll);
+                let y = ask(&engine, q, QueryMode::FindAll);
+                prop_assert_eq!(&x, &y, "cached answer diverged for `{}`", q);
+            }
+            prop_assert!(engine.snapshot().cache_hits >= queries.len() as u64);
+            engine.upsert(second.clone());
+            let current = engine.job("job-a").expect("owned").expect("held");
+            for q in &queries {
+                let fresh = ask(&engine, q, QueryMode::FindAll);
+                prop_assert_eq!(
+                    fresh,
+                    q.find_all(&current.archive().tree),
+                    "stale cache served after upsert for `{}`",
+                    q
+                );
+            }
         }
     }
 }

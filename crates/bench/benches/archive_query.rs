@@ -1,5 +1,5 @@
-//! Archive query microbenchmarks: the indexed [`QueryEngine`] against the
-//! linear scans of `granula_archive::query`.
+//! Archive query microbenchmarks: the [`ShardedEngine`] at one shard
+//! against the linear scans of `granula_archive::query`.
 //!
 //! Two archives:
 //!
@@ -16,14 +16,16 @@
 //! Three access paths per query shape:
 //!
 //! - `scan`: `Query::select`/`find_all` walking every operation;
-//! - `indexed`: `QueryEngine::evaluate` — planner + candidate-list
+//! - `indexed`: `TreeIndex::evaluate` — planner + candidate-list
 //!   evaluation, no result cache;
-//! - `cached`: `QueryEngine::query` in steady state, i.e. an analyst
+//! - `cached`: `ShardedEngine::query` in steady state, i.e. an analyst
 //!   re-running the same queries.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use granula::experiment::{dg1000_quick, Platform};
-use granula_archive::{JobArchive, JobMeta, Query, QueryEngine, QueryMode};
+use granula_archive::{
+    ArchiveStore, JobArchive, JobMeta, Query, QueryMode, ServeOptions, ShardedEngine,
+};
 use granula_model::{names, Actor, Info, InfoValue, Mission, OperationTree};
 
 /// A synthetic paper-scale archive: `supersteps` × `workers` compute
@@ -110,31 +112,35 @@ fn shapes() -> Vec<(&'static str, Query, QueryMode)> {
     .collect()
 }
 
-fn scan(tree: &OperationTree, q: &Query, mode: QueryMode) -> Vec<granula_model::OpId> {
-    match mode {
-        QueryMode::Select => q.select(tree),
-        QueryMode::FindAll => q.find_all(tree),
-    }
-}
-
 fn bench_archive(c: &mut Criterion, group_name: &str, archive: JobArchive) {
     let job_id = archive.meta.job_id.clone();
-    let tree = archive.tree.clone();
-    println!("{group_name}: {} operations", tree.len());
-    let mut engine = QueryEngine::new();
-    engine.add(archive).expect("fresh id");
+    println!("{group_name}: {} operations", archive.tree.len());
+    let mut store = ArchiveStore::new();
+    store.add(archive).expect("fresh id");
+    let options = ServeOptions {
+        shards: 1,
+        ..ServeOptions::default()
+    };
+    let engine = ShardedEngine::from_store(store, options);
+    let job = engine.job(&job_id).expect("owned").expect("job held");
+    let tree = &job.archive().tree;
 
     let mut group = c.benchmark_group(group_name);
     group.sample_size(20);
     for (label, query, mode) in shapes() {
         group.bench_with_input(BenchmarkId::new("scan", label), &query, |b, q| {
-            b.iter(|| scan(&tree, q, mode))
+            b.iter(|| q.scan(tree, mode))
         });
         group.bench_with_input(BenchmarkId::new("indexed", label), &query, |b, q| {
-            b.iter(|| engine.evaluate(&job_id, q, mode).expect("job held"))
+            b.iter(|| job.index().evaluate(tree, q, mode))
         });
         group.bench_with_input(BenchmarkId::new("cached", label), &query, |b, q| {
-            b.iter(|| engine.query(&job_id, q, mode).expect("job held"))
+            b.iter(|| {
+                engine
+                    .query(&job_id, q, mode)
+                    .expect("owned")
+                    .expect("job held")
+            })
         });
     }
     group.finish();

@@ -26,7 +26,7 @@ use granula::experiment::{run_experiment, Platform};
 use granula::metrics::{DomainBreakdown, Phase};
 use granula::regression::RegressionSuite;
 use granula_archive::{
-    format_ids, from_json, to_json_pretty, ArchiveStore, JobArchive, Query, QueryEngine, QueryMode,
+    format_ids, from_json, to_json_pretty, ArchiveStore, JobArchive, Query, QueryMode,
     ServeOptions, Server, ShardedEngine,
 };
 use granula_regress::{analyze, render_text, History, Status, Tolerance};
@@ -543,10 +543,12 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// `archive <save|query|stat>` — build, interrogate, and summarize
-/// persistent binary archive stores (`.gar`). `save` packs shared JSON
-/// envelopes into one indexed store; `query` serves path queries through
-/// the indexed [`QueryEngine`]; `stat` reports per-job index shapes.
+/// `archive <save|query|stat|fsck|fuzz>` — build, interrogate, and
+/// summarize persistent binary archive stores (`.gar`). `save` packs
+/// shared JSON envelopes into one indexed store; `query` serves path
+/// queries through a one-shard [`ShardedEngine`] over the eagerly loaded,
+/// CRC-checked store; `stat` reports per-job index shapes through the
+/// same engine; `fsck` verifies and salvages; `fuzz` injects faults.
 fn cmd_archive(args: &[String]) -> Result<(), CliError> {
     match args.first().map(String::as_str) {
         Some("save") => cmd_archive_save(&args[1..]).map_err(CliError::from),
@@ -585,6 +587,18 @@ fn cmd_archive_save(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Loads a store eagerly (every CRC checked) into a one-shard engine;
+/// also returns its job ids in store order, the order output lists them.
+fn load_engine(store_path: &str) -> Result<(Vec<String>, ShardedEngine), String> {
+    let store = ArchiveStore::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
+    let job_ids = store.iter().map(|a| a.meta.job_id.clone()).collect();
+    let options = ServeOptions {
+        shards: 1,
+        ..ServeOptions::default()
+    };
+    Ok((job_ids, ShardedEngine::from_store(store, options)))
+}
+
 fn cmd_archive_query(args: &[String]) -> Result<(), String> {
     const USAGE: &str =
         "usage: archive query <store.gar> <job-id|*> <query> [--find-all] [--explain]";
@@ -597,46 +611,47 @@ fn cmd_archive_query(args: &[String]) -> Result<(), String> {
     } else {
         QueryMode::Select
     };
-    let mut engine =
-        QueryEngine::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
-    let jobs: Vec<String> = engine
-        .store()
-        .iter()
-        .map(|a| a.meta.job_id.clone())
-        .filter(|id| job_pat == "*" || id == job_pat)
-        .collect();
+    let (mut jobs, engine) = load_engine(store_path)?;
+    jobs.retain(|id| job_pat == "*" || id == job_pat);
     if jobs.is_empty() {
         return Err(format!("no job matches `{job_pat}` in {store_path}"));
     }
     for job_id in jobs {
+        let vanished = || format!("job `{job_id}` vanished from the store");
+        let job = engine
+            .job(&job_id)
+            .map_err(|e| e.to_string())?
+            .ok_or_else(vanished)?;
         if args.iter().any(|a| a == "--explain") {
-            if let Some(plan) = engine.explain(&job_id, &query, mode) {
-                println!("# {job_id}: plan = {plan}");
-            }
+            println!("# {job_id}: plan = {}", job.index().plan_for(&query, mode));
         }
         let hits = engine
             .query(&job_id, &query, mode)
-            .ok_or_else(|| format!("job `{job_id}` vanished from the store"))?;
+            .map_err(|e| e.to_string())?
+            .ok_or_else(vanished)?;
         println!("{job_id}: {} operations match `{query}`", hits.len());
         // The ids as the serve daemon answers them, so the two compare.
         println!("ids: {}", format_ids(&hits));
-        let tree = &engine.store().get(&job_id).expect("job listed above").tree;
-        print!("{}", render_ops(tree, &hits));
+        print!("{}", render_ops(&job.archive().tree, &hits));
     }
     Ok(())
 }
 
 fn cmd_archive_stat(args: &[String]) -> Result<(), String> {
     let store_path = positional(args, 0).ok_or("usage: archive stat <store.gar>")?;
-    let engine = QueryEngine::load(store_path).map_err(|e| format!("loading {store_path}: {e}"))?;
+    let (jobs, engine) = load_engine(store_path)?;
     println!(
         "{store_path}: {} jobs (format v{})",
-        engine.store().len(),
+        jobs.len(),
         granula_archive::BIN_FORMAT_VERSION
     );
-    for archive in engine.store().iter() {
+    for job_id in &jobs {
+        let job = engine
+            .job(job_id)
+            .map_err(|e| e.to_string())?
+            .ok_or_else(|| format!("job `{job_id}` vanished from the store"))?;
+        let (archive, idx) = (job.archive(), job.index());
         let meta = &archive.meta;
-        let idx = engine.index(&meta.job_id).expect("every job is indexed");
         println!(
             "  {:<28} {} on {} | {} ops, {} infos | index: {} mission kinds, {} actor kinds, {} timestamped",
             meta.job_id,
@@ -790,6 +805,18 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
     if let Some(v) = flag(args, "--window") {
         tol.window = v.parse().map_err(|e| format!("--window: {e}"))?;
     }
+    let scale = match flag(args, "--scale-current") {
+        Some(text) => {
+            let factor: f64 = text.parse().map_err(|e| format!("--scale-current: {e}"))?;
+            if !(factor.is_finite() && factor > 0.0) {
+                return Err(format!(
+                    "--scale-current must be finite and above 0, got `{text}`"
+                ));
+            }
+            Some(factor)
+        }
+        None => None,
+    };
     let mut history = History::load_dir(dir).map_err(|e| format!("loading {dir}: {e}"))?;
     if let Some(current) = flag(args, "--current") {
         let mut store =
@@ -797,10 +824,7 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
         // Deterministic slowdown injection, for smoke-testing the gate
         // itself (CI runs the fresh store twice: unscaled expecting `ok`,
         // scaled past the band expecting a nonzero exit).
-        if let Some(factor) = flag(args, "--scale-current") {
-            let factor: f64 = factor
-                .parse()
-                .map_err(|e| format!("--scale-current: {e}"))?;
+        if let Some(factor) = scale {
             store = granula_regress::scaled_store(&store, factor);
         }
         if let Some(label) = flag(args, "--label") {
@@ -817,7 +841,7 @@ fn cmd_regress(args: &[String]) -> Result<(), String> {
     if history.is_empty() {
         return Err(format!("no .gar stores found under {dir}"));
     }
-    let (report, analyzed) = analyze(&mut history, &tol);
+    let (report, analyzed) = analyze(&history, &tol);
     print!("{}", render_text(&report));
     let out = flag(args, "--out").unwrap_or_else(|| "regress.json".to_string());
     let json = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;

@@ -443,6 +443,37 @@ fn regress_rejects_gate_flags_that_switch_the_gate_off() {
 }
 
 #[test]
+fn regress_rejects_scale_factors_that_are_not_finite_and_positive() {
+    let dir = workdir("regress-scale-current");
+    let history = history_dir();
+    let current = history.join("r6.gar");
+    let out = dir.join("regress.json");
+    let (history, current, out) = (
+        history.to_str().unwrap(),
+        current.to_str().unwrap(),
+        out.to_str().unwrap(),
+    );
+    // NaN and 0 used to read as `improved`, -1 as `regressed`.
+    for value in ["nan", "0", "-1", "inf"] {
+        assert_rejects_flag(
+            &[
+                "regress",
+                history,
+                "--current",
+                current,
+                "--out",
+                out,
+                "--scale-current",
+                value,
+            ],
+            "--scale-current",
+        );
+    }
+    assert!(!Path::new(out).exists(), "a rejected run writes no report");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn regression_rejects_non_finite_or_negative_tolerance() {
     let dir = workdir("gate-flags");
     let baseline = run_job(&dir, "base", &[]);

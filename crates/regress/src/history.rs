@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-use granula_archive::{ArchiveStore, Query, QueryEngine, QueryMode, RunMeta};
+use granula_archive::{ArchiveStore, Query, QueryMode, RunMeta, ServeOptions, ShardedEngine};
 use serde::{Deserialize, Serialize};
 
 /// Mission kinds reported as per-phase cost metrics, the choke-point
@@ -31,10 +31,10 @@ pub struct RunEntry {
     pub meta: RunMeta,
     /// Where the run came from: a file name, or a caller-given tag.
     pub source: String,
-    /// The indexed engine serving this run's archives. Public so tests
+    /// The one-shard engine serving this run's archives. Public so tests
     /// and tools can interleave queries with `upsert` against a live
     /// history.
-    pub engine: QueryEngine,
+    pub engine: ShardedEngine,
 }
 
 /// One metric's value across the history, oldest run first.
@@ -122,7 +122,13 @@ impl History {
         self.runs.push(RunEntry {
             meta,
             source,
-            engine: QueryEngine::from_store(store),
+            engine: ShardedEngine::from_store(
+                store,
+                ServeOptions {
+                    shards: 1,
+                    ..ServeOptions::default()
+                },
+            ),
         });
         self.runs.sort_by(|a, b| {
             let ka = a.meta.sort_key();
@@ -159,11 +165,6 @@ impl History {
         &self.skipped
     }
 
-    /// Mutable access to one run's entry (for query/upsert interleaving).
-    pub fn run_mut(&mut self, index: usize) -> &mut RunEntry {
-        &mut self.runs[index]
-    }
-
     /// Number of runs.
     pub fn len(&self) -> usize {
         self.runs.len()
@@ -179,7 +180,7 @@ impl History {
     /// engine ([`QueryMode::FindAll`] over the phase kind), so repeated
     /// extraction exercises the planner and the result cache rather than
     /// re-walking the trees.
-    pub fn series(&mut self) -> Vec<MetricSeries> {
+    pub fn series(&self) -> Vec<MetricSeries> {
         let _span = granula_trace::span!("archiving", "history.series runs={}", self.runs.len());
         let queries: Vec<(String, Query)> = PHASE_KINDS
             .iter()
@@ -191,15 +192,13 @@ impl History {
             })
             .collect();
         let mut map: BTreeMap<(String, String), MetricSeries> = BTreeMap::new();
-        for run_idx in 0..self.runs.len() {
-            let job_ids: Vec<String> = self.runs[run_idx]
-                .engine
-                .store()
-                .iter()
-                .map(|a| a.meta.job_id.clone())
-                .collect();
-            for job_id in job_ids {
-                let engine = &mut self.runs[run_idx].engine;
+        for (run_idx, run) in self.runs.iter().enumerate() {
+            let engine = &run.engine;
+            for job_id in engine.job_ids() {
+                // Jobs taken from a store are owned, so never fail to decode.
+                let Ok(Some(job)) = engine.job(&job_id) else {
+                    continue;
+                };
                 let mut push = |metric: &str, value: f64| {
                     let entry = map
                         .entry((job_id.clone(), metric.to_string()))
@@ -212,21 +211,16 @@ impl History {
                     entry.values.push(value);
                     entry.run_indexes.push(run_idx);
                 };
-                if let Some(total) = engine
-                    .store()
-                    .get(&job_id)
-                    .and_then(|a| a.total_runtime_us())
-                {
+                if let Some(total) = job.archive().total_runtime_us() {
                     push(MAKESPAN, total as f64);
                 }
                 for (metric, query) in &queries {
-                    let Some(ids) = engine.query(&job_id, query, QueryMode::FindAll) else {
+                    let Ok(Some(ids)) = engine.query(&job_id, query, QueryMode::FindAll) else {
                         continue;
                     };
-                    let archive = engine.store().get(&job_id).expect("job id just queried");
                     let total: u64 = ids
                         .iter()
-                        .filter_map(|&id| archive.tree.op(id).duration_us())
+                        .filter_map(|&id| job.archive().tree.op(id).duration_us())
                         .sum();
                     if total > 0 {
                         push(metric, total as f64);

@@ -19,7 +19,7 @@
 //! 1. [`history::History::load_dir`] ingests a directory of `.gar`
 //!    stores, sorted by run header;
 //! 2. [`history::History::series`] extracts metric series through the
-//!    indexed [`QueryEngine`](granula_archive::QueryEngine);
+//!    one-shard [`ShardedEngine`](granula_archive::ShardedEngine);
 //! 3. [`detect::detect`] runs the changepoint scan per series;
 //! 4. [`report::analyze`] assembles the machine-readable
 //!    [`report::RegressReport`] (`regress.json`) consumed by CI, plus
@@ -28,8 +28,8 @@
 //! ```
 //! use granula_regress::{analyze, History, Status, Tolerance};
 //!
-//! let mut history = History::new(); // normally History::load_dir(...)
-//! let (report, _) = analyze(&mut history, &Tolerance::default());
+//! let history = History::new(); // normally History::load_dir(...)
+//! let (report, _) = analyze(&history, &Tolerance::default());
 //! assert_eq!(report.verdict, Status::Insufficient); // no runs yet
 //! ```
 

@@ -87,7 +87,7 @@ pub struct AnalyzedSeries {
 
 /// Runs detection over every metric series of `history` and assembles
 /// the report plus the per-series detail (for rendering).
-pub fn analyze(history: &mut History, tol: &Tolerance) -> (RegressReport, Vec<AnalyzedSeries>) {
+pub fn analyze(history: &History, tol: &Tolerance) -> (RegressReport, Vec<AnalyzedSeries>) {
     let run_id_of = |history: &History, idx: usize| history.runs()[idx].meta.run_id.clone();
     let all_series = history.series();
     let mut metrics = Vec::with_capacity(all_series.len());
@@ -235,8 +235,8 @@ mod tests {
 
     #[test]
     fn stable_history_verdict_is_ok() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 0.9995, 1.0]);
-        let (report, analyzed) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 0.9995, 1.0]);
+        let (report, analyzed) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Ok);
         assert_eq!(report.schema_version, SCHEMA_VERSION);
         assert_eq!(report.runs.len(), 6);
@@ -247,8 +247,8 @@ mod tests {
 
     #[test]
     fn shifted_history_names_the_offending_run() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.0505]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.0505]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Regressed);
         let m = &report.metrics[0];
         assert_eq!(m.status, Status::Regressed);
@@ -259,8 +259,8 @@ mod tests {
 
     #[test]
     fn report_round_trips_through_json() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: RegressReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -289,9 +289,9 @@ mod tests {
                 .unwrap();
         }
         std::fs::write(dir.join("crashed.gar"), b"GRNA torn to bits").unwrap();
-        let mut h = History::load_dir(&dir).unwrap();
+        let h = History::load_dir(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Ok, "6 good runs still analyze");
         assert_eq!(report.skipped_runs.len(), 1);
         assert_eq!(report.skipped_runs[0].source, "crashed.gar");
@@ -315,17 +315,17 @@ mod tests {
         }
         std::fs::write(dir.join("bad1.gar"), b"zzzz").unwrap();
         std::fs::write(dir.join("bad2.gar"), b"").unwrap();
-        let mut h = History::load_dir(&dir).unwrap();
+        let h = History::load_dir(&dir).unwrap();
         let _ = std::fs::remove_dir_all(&dir);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Insufficient);
         assert_eq!(report.skipped_runs.len(), 2);
     }
 
     #[test]
     fn text_rendering_mentions_status_and_verdict() {
-        let mut h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.05]);
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = history(&[1.0, 1.001, 0.999, 1.0005, 1.05, 1.051, 1.049, 1.05]);
+        let (report, _) = analyze(&h, &Tolerance::default());
         let text = render_text(&report);
         assert!(text.contains("verdict: regressed"));
         assert!(text.contains("since r4"));
@@ -334,8 +334,8 @@ mod tests {
 
     #[test]
     fn empty_history_is_insufficient() {
-        let mut h = History::new();
-        let (report, _) = analyze(&mut h, &Tolerance::default());
+        let h = History::new();
+        let (report, _) = analyze(&h, &Tolerance::default());
         assert_eq!(report.verdict, Status::Insufficient);
         assert!(report.metrics.is_empty());
     }

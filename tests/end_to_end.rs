@@ -159,7 +159,7 @@ fn headline_makespans_stay_inside_the_trend_band() {
     let mut history = History::load_dir(&fixtures).expect("committed fixture history");
     assert!(history.len() >= 5, "fixture corpus holds at least 5 runs");
     history.push_latest(store, "current");
-    let (report, _) = analyze(&mut history, &Tolerance::default());
+    let (report, _) = analyze(&history, &Tolerance::default());
     for m in &report.metrics {
         assert_eq!(
             m.status,
